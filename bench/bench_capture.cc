@@ -147,10 +147,9 @@ int main(int argc, char** argv) {
   std::printf("deterministic replay:        %8.1f ms  (%.2fx live)\n",
               replay_ms, replay_ms / live_ms);
 
-  // 4. Compression vs the v1 fixed-width layout: 8-byte magic + 8-byte
-  // count + 24 bytes per access (u64 class_key, u64 page, u8 flags,
-  // 7 pad), which is what WriteTrace v1 would have spent on the same
-  // access stream.
+  // 4. Compression vs the retired v1 fixed-width trace layout: 8-byte
+  // magic + 8-byte count + 24 bytes per access (u64 class_key, u64
+  // page, u8 flags, 7 pad) for the same access stream.
   const double v1_bytes = 16.0 + 24.0 * accesses;
   const double ratio = v1_bytes / capture_bytes;
   const double bytes_per_access = capture_bytes / accesses;

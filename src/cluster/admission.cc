@@ -484,77 +484,59 @@ void AdmissionController::SerializeState(std::string* out) const {
 
 bool AdmissionController::RestoreState(const uint8_t* p,
                                        const uint8_t* limit) {
-  auto get_u64 = [&p, limit](uint64_t* v) {
-    const size_t n = GetVarint64(p, limit, v);
-    if (n == 0) return false;
-    p += n;
-    return true;
-  };
-  auto get_f64 = [&p, limit](double* v) {
-    uint64_t bits = 0;
-    if (!GetFixed64(p, limit, &bits)) return false;
-    p += 8;
-    *v = BitsToDouble(bits);
-    return true;
-  };
+  // Counts are checked against the bytes left before they size a loop;
+  // entry sizes are lower bounds (varint >= 1 byte, double 8).
+  Reader r{p, limit};
   std::map<AppId, AppState> apps;
   std::map<ClassKey, ClassState> classes;
   std::map<int, ReplicaState> replicas;
-  uint64_t count = 0;
-  if (!get_u64(&count)) return false;
+  uint64_t count = r.U64();
+  if (!r.PlausibleCount(count, 10)) return false;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t app = 0, noted = 0;
     AppState state;
-    if (!get_u64(&app) || !get_f64(&state.retry_tokens) || !get_u64(&noted)) {
-      return false;
-    }
-    state.exhaustion_noted = noted != 0;
-    apps.emplace(static_cast<AppId>(app), state);
+    const AppId app = static_cast<AppId>(r.U64());
+    state.retry_tokens = r.F64();
+    state.exhaustion_noted = r.U64() != 0;
+    apps.emplace(app, state);
   }
-  if (!get_u64(&count)) return false;
+  count = r.U64();
+  if (!r.PlausibleCount(count, 10)) return false;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = 0, has = 0;
     ClassState cs;
-    if (!get_u64(&key) || !get_u64(&has) || !get_f64(&cs.ewma_normalized)) {
-      return false;
-    }
-    cs.has_estimate = has != 0;
+    const ClassKey key = r.U64();
+    cs.has_estimate = r.U64() != 0;
+    cs.ewma_normalized = r.F64();
     classes.emplace(key, cs);
   }
-  if (!get_u64(&count)) return false;
+  count = r.U64();
+  if (!r.PlausibleCount(count, 21)) return false;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t replica_zz = 0, keep_zz = 0, n_shed = 0, n_breakers = 0;
     ReplicaState rs;
-    if (!get_u64(&replica_zz) || !get_f64(&rs.window_end) ||
-        !get_f64(&rs.window_min) || !get_u64(&rs.window_count) ||
-        !get_u64(&keep_zz) || !get_u64(&n_shed)) {
-      return false;
-    }
-    rs.keep_count = static_cast<int>(ZigZagDecode(keep_zz));
-    for (uint64_t s = 0; s < n_shed; ++s) {
-      uint64_t key = 0;
-      if (!get_u64(&key)) return false;
-      rs.shed_classes.insert(key);
-    }
-    if (!get_u64(&n_breakers)) return false;
+    const int replica = static_cast<int>(r.S64());
+    rs.window_end = r.F64();
+    rs.window_min = r.F64();
+    rs.window_count = r.U64();
+    rs.keep_count = static_cast<int>(r.S64());
+    const uint64_t n_shed = r.U64();
+    if (!r.PlausibleCount(n_shed, 1)) return false;
+    for (uint64_t s = 0; s < n_shed; ++s) rs.shed_classes.insert(r.U64());
+    const uint64_t n_breakers = r.U64();
+    if (!r.PlausibleCount(n_breakers, 13)) return false;
     for (uint64_t bi = 0; bi < n_breakers; ++bi) {
-      uint64_t key = 0, state = 0, failures_zz = 0, probes_zz = 0,
-               successes_zz = 0;
       Breaker b;
-      if (!get_u64(&key) || !get_u64(&state) || !get_u64(&failures_zz) ||
-          !get_f64(&b.opened_at) || !get_u64(&probes_zz) ||
-          !get_u64(&successes_zz) || state > 2) {
-        return false;
-      }
+      const ClassKey key = r.U64();
+      const uint64_t state = r.U64();
+      if (state > 2) return false;
       b.state = static_cast<BreakerState>(state);
-      b.consecutive_failures = static_cast<int>(ZigZagDecode(failures_zz));
-      b.probes_issued = static_cast<int>(ZigZagDecode(probes_zz));
-      b.probe_successes = static_cast<int>(ZigZagDecode(successes_zz));
+      b.consecutive_failures = static_cast<int>(r.S64());
+      b.opened_at = r.F64();
+      b.probes_issued = static_cast<int>(r.S64());
+      b.probe_successes = static_cast<int>(r.S64());
       rs.breakers.emplace(key, b);
     }
-    replicas.emplace(static_cast<int>(ZigZagDecode(replica_zz)),
-                     std::move(rs));
+    replicas.emplace(replica, std::move(rs));
   }
+  if (!r.ok) return false;
   // Retry buckets land on the registered SLAs (registration is setup
   // state and survives the crash); unknown apps in the blob register
   // with the default SLA.

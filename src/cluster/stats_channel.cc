@@ -32,6 +32,28 @@ bool ParseDoubleField(const std::string& value, double* out) {
 constexpr double kMinConfidence = 1.0 / 1024;
 constexpr double kMaxFenceScale = 8.0;
 
+// Wire form of a snapshot: class count, then per class the key and the
+// metric vector as IEEE-754 bits (bit-exact round trip).
+void PutSnapshot(std::string* out, const StatsChannel::Snapshot& snapshot) {
+  PutVarint64(out, snapshot.size());
+  for (const auto& [key, vec] : snapshot) {
+    PutVarint64(out, key);
+    for (double v : vec) PutFixed64(out, DoubleToBits(v));
+  }
+}
+
+bool GetSnapshot(Reader& r, StatsChannel::Snapshot* out) {
+  const uint64_t classes = r.U64();
+  if (!r.PlausibleCount(classes, 1 + 8 * kNumMetrics)) return false;
+  for (uint64_t i = 0; i < classes; ++i) {
+    const ClassKey key = r.U64();
+    MetricVector vec{};
+    for (double& v : vec) v = r.F64();
+    out->emplace(key, vec);
+  }
+  return r.ok;
+}
+
 }  // namespace
 
 std::string StatsChannelConfig::ToString() const {
@@ -128,17 +150,12 @@ void StatsChannel::Publish(int replica_id, const Snapshot& snapshot,
   const uint64_t seq = ++publish_seq_[replica_id];
   if (published_ != nullptr) published_->Increment();
 
-  // Wire format: seq, replica, class count, then per class the key and
-  // the metric vector as IEEE-754 bits (bit-exact round trip), with a
-  // CRC-32 of everything before it at the tail.
+  // Wire format: seq, replica, the snapshot, with a CRC-32 of
+  // everything before it at the tail.
   std::string bytes;
   PutVarint64(&bytes, seq);
   PutVarint64(&bytes, static_cast<uint64_t>(replica_id));
-  PutVarint64(&bytes, snapshot.size());
-  for (const auto& [key, vec] : snapshot) {
-    PutVarint64(&bytes, key);
-    for (double v : vec) PutFixed64(&bytes, DoubleToBits(v));
-  }
+  PutSnapshot(&bytes, snapshot);
   PutFixed32(&bytes, Crc32(bytes.data(), bytes.size()));
 
   FaultInjector::NetDecision decision;
@@ -178,32 +195,11 @@ void StatsChannel::Deliver(const std::string& bytes) {
     if (corrupt_rejected_ != nullptr) corrupt_rejected_->Increment();
     return;
   }
-  limit -= 4;
-  uint64_t seq = 0, replica = 0, classes = 0;
-  size_t n = GetVarint64(p, limit, &seq);
-  if (n == 0) return;
-  p += n;
-  n = GetVarint64(p, limit, &replica);
-  if (n == 0) return;
-  p += n;
-  n = GetVarint64(p, limit, &classes);
-  if (n == 0) return;
-  p += n;
+  Reader r{p, limit - 4};
+  const uint64_t seq = r.U64();
+  const uint64_t replica = r.U64();
   Snapshot snapshot;
-  for (uint64_t i = 0; i < classes; ++i) {
-    uint64_t key = 0;
-    n = GetVarint64(p, limit, &key);
-    if (n == 0) return;
-    p += n;
-    MetricVector vec{};
-    for (double& v : vec) {
-      uint64_t bits = 0;
-      if (!GetFixed64(p, limit, &bits)) return;
-      p += 8;
-      v = BitsToDouble(bits);
-    }
-    snapshot.emplace(key, vec);
-  }
+  if (!GetSnapshot(r, &snapshot)) return;
 
   Receiver& rs = receivers_[static_cast<int>(replica)];
   // A duplicate carries an already-consumed seq; a reordered straggler
@@ -299,50 +295,28 @@ void StatsChannel::SerializeReceiverState(std::string* out) const {
     PutVarint64(out, rs.last_seq);
     PutVarint64(out, rs.stale_intervals);
     PutFixed64(out, DoubleToBits(rs.confidence));
-    PutVarint64(out, rs.last_known_good.size());
-    for (const auto& [key, vec] : rs.last_known_good) {
-      PutVarint64(out, key);
-      for (double v : vec) PutFixed64(out, DoubleToBits(v));
-    }
+    PutSnapshot(out, rs.last_known_good);
   }
 }
 
 bool StatsChannel::RestoreReceiverState(const uint8_t* p,
                                         const uint8_t* limit) {
+  Reader r{p, limit};
   std::map<int, Receiver> restored;
-  uint64_t count = 0;
-  size_t n = GetVarint64(p, limit, &count);
-  if (n == 0) return false;
-  p += n;
+  // Per receiver: replica, seq and staleness varints, the confidence
+  // double and the snapshot's class count — at least 12 bytes.
+  const uint64_t count = r.U64();
+  if (!r.PlausibleCount(count, 12)) return false;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t replica_zz = 0, classes = 0, bits = 0;
     Receiver rs;
-    if ((n = GetVarint64(p, limit, &replica_zz)) == 0) return false;
-    p += n;
-    if ((n = GetVarint64(p, limit, &rs.last_seq)) == 0) return false;
-    p += n;
-    if ((n = GetVarint64(p, limit, &rs.stale_intervals)) == 0) return false;
-    p += n;
-    if (!GetFixed64(p, limit, &bits)) return false;
-    p += 8;
-    rs.confidence = BitsToDouble(bits);
-    if ((n = GetVarint64(p, limit, &classes)) == 0) return false;
-    p += n;
-    for (uint64_t c = 0; c < classes; ++c) {
-      uint64_t key = 0;
-      if ((n = GetVarint64(p, limit, &key)) == 0) return false;
-      p += n;
-      MetricVector vec{};
-      for (double& v : vec) {
-        if (!GetFixed64(p, limit, &bits)) return false;
-        p += 8;
-        v = BitsToDouble(bits);
-      }
-      rs.last_known_good.emplace(key, vec);
-    }
-    restored.emplace(static_cast<int>(ZigZagDecode(replica_zz)),
-                     std::move(rs));
+    const int replica = static_cast<int>(r.S64());
+    rs.last_seq = r.U64();
+    rs.stale_intervals = r.U64();
+    rs.confidence = r.F64();
+    if (!GetSnapshot(r, &rs.last_known_good)) return false;
+    restored.emplace(replica, std::move(rs));
   }
+  if (!r.ok) return false;
   receivers_ = std::move(restored);
   return true;
 }

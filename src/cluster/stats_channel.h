@@ -18,8 +18,7 @@ namespace fglb {
 
 // Controller-side handling of a degraded statistics feed. The knobs
 // ride FGLBCAP1 captures as `stats_spec`; the all-defaults config
-// encodes as "" so captures taken before the channel existed decode
-// unchanged.
+// encodes as "".
 struct StatsChannelConfig {
   // When false the receiver silently substitutes last-known-good stats
   // for missing reports at full confidence — the ablation arm that
@@ -42,14 +41,14 @@ struct StatsChannelConfig {
 };
 
 // The transport between StatsCollector::EndInterval and the
-// controller: per-replica sequenced, CRC-guarded interval reports
-// delivered through the DES. Every report is serialized and decoded
-// even on the healthy path (bit-exact: doubles travel as IEEE-754
-// bits), so the codec is exercised constantly and a fault-free run is
-// byte-identical to the pre-channel direct handoff. An injected `net`
-// fault window makes delivery lossy: reports can be dropped,
-// duplicated, corrupted (rejected by CRC at the receiver), delayed or
-// reordered behind the next report.
+// controller (the retuner owns one): per-replica sequenced,
+// CRC-guarded interval reports delivered through the DES. Every report
+// is serialized and decoded even on the healthy path (bit-exact:
+// doubles travel as IEEE-754 bits), so the codec is exercised
+// constantly and a fault-free feed hands the controller exactly the
+// collector's snapshot. An injected `net` fault window makes delivery
+// lossy: reports can be dropped, duplicated, corrupted (rejected by
+// CRC at the receiver), delayed or reordered behind the next report.
 //
 // The publisher side (sequence numbers) is data-plane state and
 // survives a controller crash; the receiver side (last-known-good
@@ -68,6 +67,7 @@ class StatsChannel {
 
   void BindObservability(MetricsRegistry* metrics, TraceLog* trace);
   void set_net_hook(NetHook hook) { net_hook_ = std::move(hook); }
+  void set_config(const StatsChannelConfig& config) { config_ = config; }
 
   // Publisher side: serializes one replica's interval report, assigns
   // the next sequence number, and sends it. Without an active net

@@ -9,10 +9,11 @@ namespace fglb {
 
 // LEB128 varints, zigzag mapping and fixed-width little-endian scalars
 // over std::string buffers, plus CRC-32 — the byte-level codec shared
-// by the legacy per-class trace (format v2) and the capture/replay
-// subsystem. All readers are bounds-checked: they never read past
-// `limit` and report malformed input by returning 0 / false, so a
-// truncated or corrupted file can not crash a decoder.
+// by FGLBCAP1 captures, FGLBCKPT1 checkpoints and the stats channel's
+// wire format. All readers are bounds-checked: they never read past
+// `limit` and report malformed input by returning 0 / false (or by
+// clearing Reader::ok), so a truncated or corrupted blob can not crash
+// a decoder.
 
 // Appends `v` as a base-128 varint (1..10 bytes).
 void PutVarint64(std::string* dst, uint64_t v);
@@ -45,6 +46,67 @@ double BitsToDouble(uint64_t bits);
 // CRC-32 (IEEE 802.3 polynomial, the zlib crc32). `seed` chains
 // incremental updates: Crc32(b, n2, Crc32(a, n1)) == Crc32(a+b).
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
+
+// Bounds-checked payload cursor. Any malformed read flips `ok` and
+// every later read returns a zero value, so decoders can sequence
+// reads and check once.
+struct Reader {
+  const uint8_t* p;
+  const uint8_t* limit;
+  bool ok = true;
+
+  size_t remaining() const { return static_cast<size_t>(limit - p); }
+
+  uint64_t U64() {
+    uint64_t v = 0;
+    const size_t n = GetVarint64(p, limit, &v);
+    if (n == 0) {
+      ok = false;
+      return 0;
+    }
+    p += n;
+    return v;
+  }
+  int64_t S64() { return ZigZagDecode(U64()); }
+  uint8_t U8() {
+    if (!ok || p >= limit) {
+      ok = false;
+      return 0;
+    }
+    return *p++;
+  }
+  double F64() {
+    uint64_t bits = 0;
+    if (!ok || !GetFixed64(p, limit, &bits)) {
+      ok = false;
+      return 0;
+    }
+    p += 8;
+    return BitsToDouble(bits);
+  }
+  std::string Str() {
+    const uint64_t n = U64();
+    if (!ok || n > remaining()) {
+      ok = false;
+      return {};
+    }
+    std::string s(reinterpret_cast<const char*>(p), n);
+    p += n;
+    return s;
+  }
+  bool AtEnd() const { return ok && p == limit; }
+
+  // Sanity bound for a count of elements that each occupy at least
+  // `min_bytes` of the remaining payload (blocks a corrupted count
+  // from forcing a huge reserve before decoding fails).
+  bool PlausibleCount(uint64_t count, size_t min_bytes) {
+    if (!ok || count > remaining() / min_bytes + 1) {
+      ok = false;
+      return false;
+    }
+    return true;
+  }
+};
 
 }  // namespace fglb
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "cluster/admission.h"
-#include "cluster/stats_channel.h"
 #include "common/varint.h"
 #include "core/selective_retuner.h"
 
@@ -24,7 +23,6 @@ void PutSection(std::string* out, uint64_t tag, const std::string& payload) {
 constexpr char ControllerCheckpoint::kMagic[];
 
 void ControllerCheckpoint::Build(SimTime now, const SelectiveRetuner& retuner,
-                                 const StatsChannel* channel,
                                  const AdmissionController* admission,
                                  std::string* out) {
   out->clear();
@@ -35,11 +33,9 @@ void ControllerCheckpoint::Build(SimTime now, const SelectiveRetuner& retuner,
   payload.clear();
   retuner.SerializeControlState(&payload);
   PutSection(out, kRetuner, payload);
-  if (channel != nullptr) {
-    payload.clear();
-    channel->SerializeReceiverState(&payload);
-    PutSection(out, kStatsChannel, payload);
-  }
+  payload.clear();
+  retuner.stats_channel().SerializeReceiverState(&payload);
+  PutSection(out, kStatsChannel, payload);
   if (admission != nullptr) {
     payload.clear();
     admission->SerializeState(&payload);
@@ -49,7 +45,7 @@ void ControllerCheckpoint::Build(SimTime now, const SelectiveRetuner& retuner,
 }
 
 ControllerCheckpoint::RestoreResult ControllerCheckpoint::Restore(
-    const std::string& blob, SelectiveRetuner* retuner, StatsChannel* channel,
+    const std::string& blob, SelectiveRetuner* retuner,
     AdmissionController* admission) {
   RestoreResult result;
   if (blob.size() < kMagicLen + 4 ||
@@ -71,7 +67,6 @@ ControllerCheckpoint::RestoreResult ControllerCheckpoint::Restore(
   // reset (cold start) rather than half-restored.
   auto reset_all = [&] {
     if (retuner != nullptr) retuner->ResetControlState();
-    if (channel != nullptr) channel->ResetReceiverState();
     if (admission != nullptr) admission->ResetState();
   };
   reset_all();
@@ -118,8 +113,9 @@ ControllerCheckpoint::RestoreResult ControllerCheckpoint::Restore(
         }
         break;
       case kStatsChannel:
-        if (channel != nullptr &&
-            !channel->RestoreReceiverState(payload, payload_end)) {
+        if (retuner != nullptr &&
+            !retuner->stats_channel().RestoreReceiverState(payload,
+                                                           payload_end)) {
           reset_all();
           result.error = "bad stats_channel section";
           return result;

@@ -10,7 +10,6 @@ namespace fglb {
 
 class AdmissionController;
 class SelectiveRetuner;
-class StatsChannel;
 
 // FGLBCKPT1 — the versioned controller checkpoint a `ctl` crash
 // restores from.
@@ -44,10 +43,10 @@ struct ControllerCheckpoint {
 
   static constexpr char kMagic[] = "FGLBCKPT1";
 
-  // Serializes the current control state. `channel` and `admission`
-  // may be null; their sections are simply omitted.
+  // Serializes the current control state; the stats-channel section
+  // comes from the retuner's channel. `admission` may be null; its
+  // section is then omitted.
   static void Build(SimTime now, const SelectiveRetuner& retuner,
-                    const StatsChannel* channel,
                     const AdmissionController* admission, std::string* out);
 
   struct RestoreResult {
@@ -57,12 +56,12 @@ struct ControllerCheckpoint {
   };
 
   // Validates the blob (magic + CRC) and, only then, resets and
-  // restores the three subsystems. On any rejection the subsystems are
-  // left reset (cold), never half-restored. A section whose subsystem
-  // pointer is null is skipped.
+  // restores the three subsystems (the stats channel is the retuner's).
+  // On any rejection the subsystems are left reset (cold), never
+  // half-restored. A section whose subsystem pointer is null is
+  // skipped.
   static RestoreResult Restore(const std::string& blob,
                                SelectiveRetuner* retuner,
-                               StatsChannel* channel,
                                AdmissionController* admission);
 };
 

@@ -28,6 +28,20 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Decodes a checkpoint map of {varint key, value} entries, each at
+// least `min_entry_bytes` long; `read_value` decodes one value.
+template <typename Map, typename ReadValue>
+bool ReadMap(Reader& r, size_t min_entry_bytes, ReadValue read_value,
+             Map* out) {
+  const uint64_t n = r.U64();
+  if (!r.PlausibleCount(n, min_entry_bytes)) return false;
+  for (uint64_t i = 0; i < n; ++i) {
+    const auto key = static_cast<typename Map::key_type>(r.U64());
+    (*out)[key] = read_value();
+  }
+  return true;
+}
+
 // {"app":1,"cls":3} fragment used by every per-class trace payload.
 void AppendClassFields(std::string* out, ClassKey key) {
   char buf[48];
@@ -43,10 +57,12 @@ SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
     : sim_(sim),
       resources_(resources),
       config_(config),
+      channel_(sim, StatsChannelConfig{}),
       metrics_(config.metrics),
       trace_(config.trace),
       spans_(config.spans) {
   assert(sim_ && resources_);
+  channel_.BindObservability(metrics_, trace_);
   if (metrics_ != nullptr) {
     tick_us_ = metrics_->histogram("controller.tick_us");
     violations_ = metrics_->counter("controller.violations");
@@ -143,6 +159,7 @@ void SelectiveRetuner::ResetControlState() {
   last_coarse_fallback_.clear();
   migrating_.clear();
   feeds_.clear();
+  channel_.ResetReceiverState();
   scope_ = ViolationScope{};
   // actions_/samples_/diagnoses_/migration_stats_ survive: they are
   // the run's observability history, not control state. Migrations
@@ -194,30 +211,25 @@ void SelectiveRetuner::BeginViolationScope(
       .Int("streak", violation_streak_[scope_.app])
       .Int("servers_used", resources_->ServersUsedBy(*scheduler))
       .Num("dur_us", end_interval_us);
-  if (channel_ != nullptr) {
-    // Telemetry health of this app's replica set; absent without a
-    // channel so pre-channel traces replay byte-identical.
-    double min_conf = 1.0;
-    int stale = 0;
-    for (Replica* r : scheduler->replicas()) {
-      const auto it = feeds_.find(r->id());
-      if (it == feeds_.end()) continue;
-      min_conf = std::min(min_conf, it->second.confidence);
-      if (!it->second.fresh) ++stale;
-    }
-    event.Num("stats_conf", min_conf).Int("stale_replicas", stale);
+  // Telemetry health of this app's replica set.
+  double min_conf = 1.0;
+  int stale = 0;
+  for (Replica* r : scheduler->replicas()) {
+    const auto it = feeds_.find(r->id());
+    if (it == feeds_.end()) continue;
+    min_conf = std::min(min_conf, it->second.confidence);
+    if (!it->second.fresh) ++stale;
   }
+  event.Num("stats_conf", min_conf).Int("stale_replicas", stale);
   trace_->Emit(event);
 }
 
 bool SelectiveRetuner::FeedFresh(int replica_id) const {
-  if (channel_ == nullptr) return true;
   const auto it = feeds_.find(replica_id);
   return it == feeds_.end() || it->second.fresh;
 }
 
 double SelectiveRetuner::FeedConfidence(int replica_id) const {
-  if (channel_ == nullptr) return 1.0;
   const auto it = feeds_.find(replica_id);
   return it == feeds_.end() ? 1.0 : it->second.confidence;
 }
@@ -448,35 +460,25 @@ void SelectiveRetuner::Tick() {
   sample.time = sim_->Now();
 
   // 1. Close the interval on every engine and server (order: replicas
-  // in creation order for determinism). With a stats channel attached
-  // every report travels publish -> deliver -> collect, so the
-  // controller sees the channel's (possibly stale) view; without one
-  // the handoff stays direct.
+  // in creation order for determinism). Every report travels publish
+  // -> deliver -> collect through the stats channel, so the controller
+  // sees the channel's (possibly stale) view.
   const std::vector<Replica*> replicas = resources_->AllReplicas();
   std::map<Replica*, Snapshot> snapshots;
   feeds_.clear();
-  if (channel_ != nullptr) {
-    std::vector<int> live;
-    live.reserve(replicas.size());
-    for (Replica* r : replicas) live.push_back(r->id());
-    channel_->Retain(live);
-    for (Replica* r : replicas) {
-      channel_->Publish(r->id(), r->engine().stats().EndInterval(interval),
-                        interval);
-    }
-    for (Replica* r : replicas) {
-      const StatsChannel::Feed feed = channel_->Collect(r->id());
-      snapshots.emplace(r, *feed.snapshot);
-      FeedState fs;
-      fs.fresh = feed.fresh;
-      fs.stale_intervals = feed.stale_intervals;
-      fs.confidence = feed.confidence;
-      feeds_[r->id()] = fs;
-    }
-  } else {
-    for (Replica* r : replicas) {
-      snapshots.emplace(r, r->engine().stats().EndInterval(interval));
-    }
+  std::vector<int> live;
+  live.reserve(replicas.size());
+  for (Replica* r : replicas) live.push_back(r->id());
+  channel_.Retain(live);
+  for (Replica* r : replicas) {
+    channel_.Publish(r->id(), r->engine().stats().EndInterval(interval),
+                     interval);
+  }
+  for (Replica* r : replicas) {
+    const StatsChannel::Feed feed = channel_.Collect(r->id());
+    snapshots.emplace(r, *feed.snapshot);
+    feeds_[r->id()] =
+        FeedState{feed.fresh, feed.stale_intervals, feed.confidence};
   }
   for (const auto& server : resources_->servers()) {
     ServerSample ss;
@@ -692,8 +694,7 @@ bool SelectiveRetuner::TryMemoryRetuning(
     const Snapshot& snap = snap_it->second;
     LogAnalyzer& analyzer = AnalyzerFor(&r->engine());
     const double confidence = FeedConfidence(r->id());
-    const double fence_scale =
-        channel_ != nullptr ? channel_->FenceScale(confidence) : 1.0;
+    const double fence_scale = channel_.FenceScale(confidence);
 
     // A replica whose engine never recorded a stable interval for this
     // application is still warming up after being provisioned; there is
@@ -767,7 +768,7 @@ bool SelectiveRetuner::TryMemoryRetuning(
     record.memory = diagnosis;
     diagnoses_.push_back(std::move(record));
     if (!act) continue;
-    if (channel_ != nullptr && !channel_->ConfidentToAct(confidence)) {
+    if (!channel_.ConfidentToAct(confidence)) {
       // This replica's numbers are last-known-good, not measured:
       // record the diagnosis, take no quota/demote/migration off it.
       // Shed and CPU provisioning run on app-level latency and are
@@ -983,8 +984,7 @@ bool SelectiveRetuner::TryIoRetuning(
         if (it != snapshots.end() && it->second.contains(key)) source = rr;
       }
       if (source == nullptr) continue;
-      if (channel_ != nullptr &&
-          !channel_->ConfidentToAct(FeedConfidence(source->id()))) {
+      if (!channel_.ConfidentToAct(FeedConfidence(source->id()))) {
         // Evicting by per-class I/O shares computed from stale stats
         // moves the wrong class; wait for the feed to recover.
         low_confidence_suppressed_ = true;
@@ -1373,80 +1373,28 @@ void SelectiveRetuner::SerializeControlState(std::string* out) const {
 
 bool SelectiveRetuner::RestoreControlState(const uint8_t* p,
                                            const uint8_t* limit) {
-  auto get_u64 = [&p, limit](uint64_t* v) {
-    const size_t n = GetVarint64(p, limit, v);
-    if (n == 0) return false;
-    p += n;
-    return true;
-  };
-  auto get_i64 = [&get_u64](int64_t* v) {
-    uint64_t raw = 0;
-    if (!get_u64(&raw)) return false;
-    *v = ZigZagDecode(raw);
-    return true;
-  };
-  auto get_f64 = [&p, limit](double* v) {
-    uint64_t bits = 0;
-    if (!GetFixed64(p, limit, &bits)) return false;
-    p += 8;
-    *v = BitsToDouble(bits);
-    return true;
-  };
+  Reader r{p, limit};
   // Decode everything into locals first: a truncated blob must not
-  // leave the controller half-restored.
+  // leave the controller half-restored. Every count is checked against
+  // the bytes left before it sizes a loop or an allocation (entry sizes
+  // are lower bounds: a varint takes at least one byte, a double 8).
   std::map<AppId, int> violation, calm;
   std::map<AppId, SimTime> topology, coarse;
   std::map<AppId, size_t> replica_counts;
   std::map<ClassKey, SimTime> placement;
   std::vector<ClassKey> in_flight;
-  uint64_t n = 0;
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t app = 0;
-    int64_t streak = 0;
-    if (!get_u64(&app) || !get_i64(&streak)) return false;
-    violation[static_cast<AppId>(app)] = static_cast<int>(streak);
+  auto streak = [&r] { return static_cast<int>(r.S64()); };
+  auto when = [&r] { return r.F64(); };
+  auto count = [&r] { return static_cast<size_t>(r.U64()); };
+  if (!ReadMap(r, 2, streak, &violation) || !ReadMap(r, 2, streak, &calm) ||
+      !ReadMap(r, 9, when, &topology) ||
+      !ReadMap(r, 2, count, &replica_counts) ||
+      !ReadMap(r, 9, when, &placement) || !ReadMap(r, 9, when, &coarse)) {
+    return false;
   }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t app = 0;
-    int64_t streak = 0;
-    if (!get_u64(&app) || !get_i64(&streak)) return false;
-    calm[static_cast<AppId>(app)] = static_cast<int>(streak);
-  }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t app = 0;
-    double t = 0;
-    if (!get_u64(&app) || !get_f64(&t)) return false;
-    topology[static_cast<AppId>(app)] = t;
-  }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t app = 0, count = 0;
-    if (!get_u64(&app) || !get_u64(&count)) return false;
-    replica_counts[static_cast<AppId>(app)] = static_cast<size_t>(count);
-  }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t key = 0;
-    double t = 0;
-    if (!get_u64(&key) || !get_f64(&t)) return false;
-    placement[key] = t;
-  }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t app = 0;
-    double t = 0;
-    if (!get_u64(&app) || !get_f64(&t)) return false;
-    coarse[static_cast<AppId>(app)] = t;
-  }
-  if (!get_u64(&n)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t key = 0;
-    if (!get_u64(&key)) return false;
-    in_flight.push_back(key);
-  }
+  const uint64_t n = r.U64();
+  if (!r.PlausibleCount(n, 1)) return false;
+  for (uint64_t i = 0; i < n; ++i) in_flight.push_back(r.U64());
 
   struct RestoredSignature {
     ClassKey key;
@@ -1464,48 +1412,37 @@ bool SelectiveRetuner::RestoreControlState(const uint8_t* p,
     std::vector<RestoredCurve> curves;
   };
   std::vector<RestoredAnalyzer> restored;
-  uint64_t analyzers = 0;
-  if (!get_u64(&analyzers)) return false;
+  const uint64_t analyzers = r.U64();
+  if (!r.PlausibleCount(analyzers, 3)) return false;
   for (uint64_t a = 0; a < analyzers; ++a) {
     RestoredAnalyzer ra;
-    int64_t replica_id = 0;
-    if (!get_i64(&replica_id)) return false;
-    ra.replica_id = static_cast<int>(replica_id);
-    uint64_t sigs = 0;
-    if (!get_u64(&sigs)) return false;
+    ra.replica_id = static_cast<int>(r.S64());
+    const uint64_t sigs = r.U64();
+    if (!r.PlausibleCount(sigs, 10)) return false;
     for (uint64_t i = 0; i < sigs; ++i) {
       RestoredSignature rs;
-      uint64_t key = 0;
-      if (!get_u64(&key)) return false;
-      rs.key = key;
-      for (double& v : rs.sig.averages) {
-        if (!get_f64(&v)) return false;
-      }
-      uint64_t observed = 0;
-      if (!get_f64(&rs.sig.recorded_at) || !get_u64(&observed)) return false;
-      rs.sig.intervals_observed = observed;
+      rs.key = r.U64();
+      for (double& v : rs.sig.averages) v = r.F64();
+      rs.sig.recorded_at = r.F64();
+      rs.sig.intervals_observed = r.U64();
       ra.signatures.push_back(std::move(rs));
     }
-    uint64_t curves = 0;
-    if (!get_u64(&curves)) return false;
+    const uint64_t curves = r.U64();
+    if (!r.PlausibleCount(curves, 4)) return false;
     for (uint64_t i = 0; i < curves; ++i) {
       RestoredCurve rc;
-      uint64_t key = 0, trace_length = 0, total = 0, samples = 0;
-      if (!get_u64(&key) || !get_u64(&trace_length) || !get_u64(&total) ||
-          !get_u64(&samples)) {
-        return false;
-      }
-      rc.key = key;
-      rc.trace_length = static_cast<size_t>(trace_length);
-      rc.total_accesses = total;
+      rc.key = r.U64();
+      rc.trace_length = static_cast<size_t>(r.U64());
+      rc.total_accesses = r.U64();
+      const uint64_t samples = r.U64();
+      if (!r.PlausibleCount(samples, 8)) return false;
       rc.raw.resize(static_cast<size_t>(samples));
-      for (double& v : rc.raw) {
-        if (!get_f64(&v)) return false;
-      }
+      for (double& v : rc.raw) v = r.F64();
       ra.curves.push_back(std::move(rc));
     }
     restored.push_back(std::move(ra));
   }
+  if (!r.ok) return false;
 
   // Commit.
   violation_streak_ = std::move(violation);

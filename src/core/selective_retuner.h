@@ -10,6 +10,7 @@
 
 #include "cluster/resource_manager.h"
 #include "cluster/scheduler.h"
+#include "cluster/stats_channel.h"
 #include "common/metrics_registry.h"
 #include "common/trace_log.h"
 #include "core/log_analyzer.h"
@@ -21,7 +22,6 @@
 namespace fglb {
 
 class SpanTracer;
-class StatsChannel;
 
 // Fate of one controller migration attempt, as decided by an optional
 // interceptor (the fault injector, in chaos runs): the attempt may fail
@@ -222,15 +222,16 @@ class SelectiveRetuner {
   // construction). Null detaches.
   void set_span_tracer(SpanTracer* spans) { spans_ = spans; }
 
-  // Telemetry transport: when set, Tick publishes every replica's
-  // interval report through the channel and collects the controller's
-  // (possibly stale, last-known-good) view back instead of reading the
-  // stats collector directly. Stale feeds widen the IQR fences and,
-  // below the confidence threshold, suppress per-class quota/demote/
-  // migration actions — shed and CPU provisioning run on app-level
-  // latency and are never gated. Null (the default) keeps the
-  // pre-channel direct handoff.
-  void set_stats_channel(StatsChannel* channel) { channel_ = channel; }
+  // Telemetry transport: Tick publishes every replica's interval
+  // report through this channel and collects the controller's
+  // (possibly stale, last-known-good) view back. Stale feeds widen the
+  // IQR fences and, below the confidence threshold, suppress per-class
+  // quota/demote/migration actions — shed and CPU provisioning run on
+  // app-level latency and are never gated. Bound to config.metrics and
+  // config.trace; the harness installs the `net` fault hook and the
+  // run's StatsChannelConfig.
+  StatsChannel& stats_channel() { return channel_; }
+  const StatsChannel& stats_channel() const { return channel_; }
 
   // --- controller crash/restart (ctl faults) ---
   // Stop halts the interval ticker and strands every in-flight
@@ -238,9 +239,10 @@ class SelectiveRetuner {
   // applies die with the epoch). Restart re-arms the ticker so the
   // next tick lands one interval after the restart. ResetControlState
   // is the cold-start path: it drops all diagnostic state (analyzers,
-  // streaks, warmup/cooldown clocks, in-flight migration bookkeeping)
-  // while keeping the action/sample/diagnosis history — those are
-  // observability records of the run, not control state.
+  // streaks, warmup/cooldown clocks, in-flight migration bookkeeping,
+  // the stats channel's receiver side) while keeping the action/
+  // sample/diagnosis history — those are observability records of the
+  // run, not control state.
   void Stop();
   void Restart();
   void ResetControlState();
@@ -336,8 +338,7 @@ class SelectiveRetuner {
   void ArmTicker();
 
   // The controller's view of one replica's telemetry feed this tick
-  // (all-fresh defaults when no channel is attached or the replica is
-  // unknown).
+  // (all-fresh defaults when the replica is unknown).
   struct FeedState {
     bool fresh = true;
     uint64_t stale_intervals = 0;
@@ -400,7 +401,7 @@ class SelectiveRetuner {
   int migrations_this_interval_ = 0;
   std::set<ClassKey> migrating_;  // classes with an in-flight migration
 
-  StatsChannel* channel_ = nullptr;
+  StatsChannel channel_;
   std::map<int, FeedState> feeds_;  // rebuilt each tick, keyed by replica id
   // Bumped by Stop(): scheduled callbacks capture the epoch they were
   // armed under and no-op if the controller crashed since.

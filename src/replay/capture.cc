@@ -5,7 +5,6 @@
 
 #include "common/varint.h"
 #include "scenarios/harness.h"
-#include "workload/trace.h"
 
 namespace fglb {
 namespace {
@@ -40,67 +39,6 @@ uint8_t AccessFlags(const PageAccess& a) {
   return static_cast<uint8_t>(
       (a.kind == AccessKind::kSequential ? 1 : 0) | (a.is_write ? 2 : 0));
 }
-
-// Bounds-checked payload cursor. Any malformed read flips `ok` and
-// every later read returns a zero value, so decoders can sequence
-// reads and check once.
-struct Reader {
-  const uint8_t* p;
-  const uint8_t* limit;
-  bool ok = true;
-
-  size_t remaining() const { return static_cast<size_t>(limit - p); }
-
-  uint64_t U64() {
-    uint64_t v = 0;
-    const size_t n = GetVarint64(p, limit, &v);
-    if (n == 0) {
-      ok = false;
-      return 0;
-    }
-    p += n;
-    return v;
-  }
-  int64_t S64() { return ZigZagDecode(U64()); }
-  uint8_t U8() {
-    if (!ok || p >= limit) {
-      ok = false;
-      return 0;
-    }
-    return *p++;
-  }
-  double F64() {
-    uint64_t bits = 0;
-    if (!ok || !GetFixed64(p, limit, &bits)) {
-      ok = false;
-      return 0;
-    }
-    p += 8;
-    return BitsToDouble(bits);
-  }
-  std::string Str() {
-    const uint64_t n = U64();
-    if (!ok || n > remaining()) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return s;
-  }
-  bool AtEnd() const { return ok && p == limit; }
-
-  // Sanity bound for a count of elements that each occupy at least
-  // `min_bytes` of the remaining payload (blocks a corrupted count
-  // from forcing a huge reserve before decoding fails).
-  bool PlausibleCount(uint64_t count, size_t min_bytes) {
-    if (!ok || count > remaining() / min_bytes + 1) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-};
 
 // --- section encoders ---
 
@@ -697,20 +635,6 @@ CaptureTopology SnapshotTopology(ClusterHarness& harness) {
     topo.placements.push_back(std::move(pl));
   }
   return topo;
-}
-
-std::vector<TraceRecord> ToLegacyTrace(const Capture& capture) {
-  std::vector<TraceRecord> records;
-  records.reserve(capture.accesses.size());
-  for (const auto& exec : capture.executions) {
-    for (uint32_t i = 0; i < exec.access_count; ++i) {
-      TraceRecord rec;
-      rec.class_key = exec.key;
-      rec.access = capture.accesses[exec.access_begin + i];
-      records.push_back(rec);
-    }
-  }
-  return records;
 }
 
 }  // namespace fglb

@@ -12,7 +12,6 @@
 #include "workload/application.h"
 #include "workload/capture_hooks.h"
 #include "workload/query_class.h"
-#include "workload/trace.h"
 
 namespace fglb {
 
@@ -70,9 +69,8 @@ struct CaptureInfo {
   // ReplacementPolicyName() of the engines' DRAM partition policy;
   // empty = lru. Also a trailing optional field.
   std::string replacement_spec;
-  // StatsChannelConfig::ToString() of the run's stats-report transport
-  // ("guard=on" when enabled with all defaults); empty = the direct
-  // engine handoff, no channel. Also a trailing optional field.
+  // StatsChannelConfig::ToString() of the run's stats-report channel;
+  // empty = all defaults. Also a trailing optional field.
   std::string stats_spec;
   // Controller checkpoint cadence ("interval=<seconds>"); empty =
   // checkpointing off. Also a trailing optional field.
@@ -230,10 +228,6 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error);
 // Snapshots a fully assembled (pre-Start) harness into the topology
 // section the writer needs.
 CaptureTopology SnapshotTopology(ClusterHarness& harness);
-
-// Flattens a capture's executions into legacy per-class trace records
-// (workload/trace.h), preserving admission order.
-std::vector<TraceRecord> ToLegacyTrace(const Capture& capture);
 
 }  // namespace fglb
 

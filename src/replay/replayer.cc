@@ -158,15 +158,13 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     harness->EnableSpanTracing(span_config);
   }
 
-  if (!capture.info.stats_spec.empty()) {
-    StatsChannelConfig channel_config;
-    std::string channel_error;
-    if (!StatsChannelConfig::Parse(capture.info.stats_spec, &channel_config,
-                                   &channel_error)) {
-      return fail("capture carries unparsable stats spec: " + channel_error);
-    }
-    harness->EnableStatsChannel(channel_config);
+  StatsChannelConfig channel_config;
+  std::string channel_error;
+  if (!StatsChannelConfig::Parse(capture.info.stats_spec, &channel_config,
+                                 &channel_error)) {
+    return fail("capture carries unparsable stats spec: " + channel_error);
   }
+  harness->EnableStatsChannel(channel_config);
 
   if (!capture.info.ckpt_spec.empty()) {
     // The only key is "interval=<seconds>".

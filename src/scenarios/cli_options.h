@@ -92,11 +92,6 @@ struct CliOptions {
   // The chaos-* scenarios supply a default spec when this is empty.
   std::string fault_spec;
   uint64_t fault_seed = 1;
-  // Stats transport: "direct" keeps the pre-channel engine handoff,
-  // "channel" routes interval reports through the DES-delivered
-  // StatsChannel (required for `net` faults to bite; chaos-net and
-  // chaos-ctl default to it). "auto" picks per scenario.
-  std::string stats_net = "auto";
   // Stale-telemetry guard: "on" decays confidence while reports are
   // missing (fence widening + action suppression); "off" is the
   // ablation arm that trusts last-known-good stats at full confidence.

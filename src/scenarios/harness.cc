@@ -107,10 +107,8 @@ class HarnessFaultBackend : public FaultBackend {
 }  // namespace
 
 ClusterHarness::ClusterHarness(SelectiveRetuner::Config config,
-                               bool observability,
-                               Simulator::QueueKind queue_kind)
+                               bool observability)
     : observability_(observability),
-      sim_(queue_kind),
       resources_(&sim_),
       retuner_(&sim_, &resources_, WithObservability(std::move(config))) {
   if (observability_) {
@@ -265,30 +263,18 @@ FaultInjector* ClusterHarness::InjectFaults(FaultSpec spec, uint64_t seed) {
             injector->OnMigrationAttempt(key, attempt);
         return MigrationOutcome{d.fail, d.delay_seconds};
       });
-  if (stats_channel_ != nullptr) {
-    // The channel was created first: hook it up now.
-    stats_channel_->set_net_hook(
-        [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
-          return injector->OnStatsReport(replica_id, seq);
-        });
-  }
+  retuner_.stats_channel().set_net_hook(
+      [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
+        return injector->OnStatsReport(replica_id, seq);
+      });
   if (started_) fault_injector_->Arm();
   return fault_injector_.get();
 }
 
 StatsChannel* ClusterHarness::EnableStatsChannel(
     const StatsChannelConfig& config) {
-  if (stats_channel_ != nullptr) return stats_channel_.get();
-  stats_channel_ = std::make_unique<StatsChannel>(&sim_, config);
-  if (observability_) stats_channel_->BindObservability(&metrics_, &trace_);
-  retuner_.set_stats_channel(stats_channel_.get());
-  if (fault_injector_ != nullptr) {
-    stats_channel_->set_net_hook(
-        [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
-          return injector->OnStatsReport(replica_id, seq);
-        });
-  }
-  return stats_channel_.get();
+  retuner_.stats_channel().set_config(config);
+  return &retuner_.stats_channel();
 }
 
 void ClusterHarness::EnableCheckpointing(double interval_seconds) {
@@ -304,7 +290,6 @@ void ClusterHarness::EnableCheckpointing(double interval_seconds) {
         // while it was healthy stays the restore point.
         if (!self->controller_down_) {
           ControllerCheckpoint::Build(self->sim_.Now(), self->retuner_,
-                                      self->stats_channel_.get(),
                                       self->admission_.get(),
                                       &self->checkpoint_blob_);
         }
@@ -332,13 +317,12 @@ bool ClusterHarness::RestartController() {
   if (!checkpoint_blob_.empty()) {
     const ControllerCheckpoint::RestoreResult result =
         ControllerCheckpoint::Restore(checkpoint_blob_, &retuner_,
-                                      stats_channel_.get(), admission_.get());
+                                      admission_.get());
     // A rejected blob leaves everything reset — exactly the cold start.
     why = result.ok ? "restored" : "bad_ckpt";
     ckpt_t = result.taken_at;
   } else {
     retuner_.ResetControlState();
-    if (stats_channel_ != nullptr) stats_channel_->ResetReceiverState();
     if (admission_ != nullptr) admission_->ResetState();
   }
   if (observability_) {

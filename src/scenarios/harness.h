@@ -30,12 +30,9 @@ class ClusterHarness {
   // bindings anywhere, so instrumented hot paths take their null-check
   // branch (bench_overhead measures the difference). When true,
   // config.metrics/config.trace default to the harness-owned instances
-  // unless the caller already supplied its own. `queue_kind` selects
-  // the simulator's event-queue discipline (bench_des_kernel runs the
-  // same scenario under both to isolate the queue's contribution).
-  explicit ClusterHarness(
-      SelectiveRetuner::Config config = {}, bool observability = true,
-      Simulator::QueueKind queue_kind = Simulator::QueueKind::kCalendar);
+  // unless the caller already supplied its own.
+  explicit ClusterHarness(SelectiveRetuner::Config config = {},
+                          bool observability = true);
   ClusterHarness(const ClusterHarness&) = delete;
   ClusterHarness& operator=(const ClusterHarness&) = delete;
 
@@ -87,15 +84,14 @@ class ClusterHarness {
   SpanTracer* EnableSpanTracing(const SpanConfig& config = {});
   SpanTracer* span_tracer() { return span_tracer_.get(); }
 
-  // Routes interval stats reports through an explicit DES-delivered
-  // channel (publish -> deliver -> collect) instead of the retuner's
-  // direct engine handoff; injected `net` fault windows then make
-  // delivery lossy and the controller falls back to last-known-good
-  // stats with confidence decay. Works in either creation order with
-  // InjectFaults. Idempotent — later calls return the existing
-  // channel, ignoring `config`.
+  // Interval stats reports always travel the retuner's DES-delivered
+  // channel (publish -> deliver -> collect); injected `net` fault
+  // windows make delivery lossy and the controller falls back to
+  // last-known-good stats with confidence decay. EnableStatsChannel
+  // only sets the channel's config (guard, decay, recovery, threshold);
+  // call it before Start().
   StatsChannel* EnableStatsChannel(const StatsChannelConfig& config = {});
-  StatsChannel* stats_channel() { return stats_channel_.get(); }
+  StatsChannel* stats_channel() { return &retuner_.stats_channel(); }
 
   // Arms a recurring FGLBCKPT1 snapshot of the controller's control
   // plane every `interval_seconds` (<= 0 uses the retuner interval).
@@ -180,7 +176,6 @@ class ClusterHarness {
   std::unique_ptr<SpanTracer> span_tracer_;
   std::unique_ptr<FaultBackend> fault_backend_;
   std::unique_ptr<FaultInjector> fault_injector_;
-  std::unique_ptr<StatsChannel> stats_channel_;
   ArrivalRecorder* arrival_recorder_ = nullptr;
   bool started_ = false;
   bool sampler_started_ = false;

@@ -14,22 +14,13 @@ constexpr double kMaxVirtualBucket = 9.0e18;
 
 }  // namespace
 
-// Reverse of EventLess: std::push_heap builds a max-heap, so ordering
-// by "later" puts the earliest (when, seq) at the front.
-struct Simulator::HeapLater {
-  bool operator()(const EventNode* a, const EventNode* b) const {
-    return EventLess(b, a);
-  }
-};
-
-Simulator::Simulator(QueueKind kind) : kind_(kind) {
+Simulator::Simulator() {
   calendar_.heads.assign(kMinBuckets, nullptr);
   calendar_.tails.assign(kMinBuckets, nullptr);
   calendar_.mask = kMinBuckets - 1;
 }
 
 Simulator::~Simulator() {
-  for (EventNode* node : heap_) node->destroy(node);
   for (EventNode* head : calendar_.heads) {
     for (EventNode* node = head; node != nullptr; node = node->next) {
       node->destroy(node);
@@ -65,11 +56,6 @@ void Simulator::CommitNode(EventNode* node) {
   ++pending_;
   if (queue_depth_max_ != nullptr) {
     queue_depth_max_->Update(static_cast<double>(pending_));
-  }
-  if (kind_ == QueueKind::kLegacyHeap) {
-    heap_.push_back(node);
-    std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
-    return;
   }
   CalendarInsert(node);
 }
@@ -119,7 +105,7 @@ void Simulator::CalendarInsert(EventNode* node) {
   if (c.count > 2 * c.heads.size()) CalendarResize(2 * c.heads.size());
 }
 
-Simulator::EventNode* Simulator::CalendarFindMin() {
+Simulator::EventNode* Simulator::PeekMin() {
   Calendar& c = calendar_;
   if (c.count == 0) return nullptr;
   const size_t nbuckets = c.heads.size();
@@ -182,21 +168,8 @@ void Simulator::CalendarResize(size_t new_buckets) {
   }
 }
 
-Simulator::EventNode* Simulator::PeekMin() {
-  if (kind_ == QueueKind::kLegacyHeap) {
-    return heap_.empty() ? nullptr : heap_.front();
-  }
-  return CalendarFindMin();
-}
-
 void Simulator::PopMin(EventNode* node) {
   --pending_;
-  if (kind_ == QueueKind::kLegacyHeap) {
-    assert(!heap_.empty() && heap_.front() == node);
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    heap_.pop_back();
-    return;
-  }
   Calendar& c = calendar_;
   const size_t index = node->vbucket & c.mask;
   assert(c.heads[index] == node);

@@ -27,24 +27,17 @@ using SimTime = double;
 // small inline buffer (heap fallback only for oversized captures), and
 // the pending set is a calendar queue (Brown '88) — O(1) amortized
 // insert/dequeue against the O(log n) binary heap, with no per-event
-// malloc/free and no std::function type-erasure overhead. The previous
-// binary-heap discipline is kept behind QueueKind::kLegacyHeap, over
-// the same pooled nodes, for differential determinism tests and for
-// the old-vs-new comparison in bench_des_kernel.
+// malloc/free and no std::function type-erasure overhead.
+// sim_determinism_test checks its dispatch order against a reference
+// priority queue over (when, seq).
 class Simulator {
  public:
-  enum class QueueKind {
-    kCalendar,    // calendar queue (default)
-    kLegacyHeap,  // binary heap, the pre-calendar discipline
-  };
-
-  explicit Simulator(QueueKind kind = QueueKind::kCalendar);
+  Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
   SimTime Now() const { return now_; }
-  QueueKind queue_kind() const { return kind_; }
 
   // Schedules `fn` to run at absolute time `when` (>= Now()). Any
   // callable, including move-only ones; callables up to
@@ -110,7 +103,6 @@ class Simulator {
     alignas(std::max_align_t) unsigned char storage[kInlineCallbackBytes];
   };
 
-  struct HeapLater;  // kLegacyHeap comparator (simulator.cc)
   static bool EventLess(const EventNode* a, const EventNode* b) {
     if (a->when != b->when) return a->when < b->when;
     return a->seq < b->seq;
@@ -179,7 +171,6 @@ class Simulator {
 
   uint64_t VirtualBucketOf(SimTime when) const;
   void CalendarInsert(EventNode* node);
-  EventNode* CalendarFindMin();
   void CalendarResize(size_t new_buckets);
 
   void NoteExecuted() {
@@ -192,7 +183,6 @@ class Simulator {
     }
   }
 
-  QueueKind kind_;
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
   uint64_t executed_ = 0;
@@ -203,8 +193,6 @@ class Simulator {
   EventNode* free_list_ = nullptr;
 
   Calendar calendar_;
-  // kLegacyHeap: binary heap over the same pooled nodes.
-  std::vector<EventNode*> heap_;
 
   // Bound together: events_executed_ != nullptr implies queue_depth_
   // and queue_depth_max_.

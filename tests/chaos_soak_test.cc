@@ -32,9 +32,7 @@ SoakResult RunSoak(uint64_t seed, const RandomFaultProfile& profile,
   ClusterHarness h(config);
   h.trace().EnableBuffering();
   if (survivability) {
-    // net windows need the DES-delivered transport to bite, and ctl
-    // crashes restore from FGLBCKPT1 instead of cold-starting.
-    h.EnableStatsChannel();
+    // ctl crashes restore from FGLBCKPT1 instead of cold-starting.
     h.EnableCheckpointing();
   }
   h.AddServers(3);

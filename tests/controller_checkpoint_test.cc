@@ -22,7 +22,6 @@ struct Fixture {
     SelectiveRetuner::Config config;
     config.max_migrations_per_interval = 2;
     harness = std::make_unique<ClusterHarness>(config);
-    harness->EnableStatsChannel();
     harness->AddServers(3);
     Scheduler* tpcw = harness->AddApplication(MakeTpcw());
     RubisOptions rubis_options;
@@ -44,7 +43,6 @@ struct Fixture {
   std::string BuildBlob() {
     std::string blob;
     ControllerCheckpoint::Build(harness->sim().Now(), harness->retuner(),
-                                harness->stats_channel(),
                                 harness->admission(), &blob);
     return blob;
   }
@@ -61,10 +59,8 @@ struct Fixture {
     return s;
   }
 
-  void WipeControlPlane() {
-    harness->retuner().ResetControlState();
-    harness->stats_channel()->ResetReceiverState();
-  }
+  // The retuner's reset covers its stats channel's receiver side too.
+  void WipeControlPlane() { harness->retuner().ResetControlState(); }
 
   std::unique_ptr<ClusterHarness> harness;
 };
@@ -89,7 +85,7 @@ TEST(ControllerCheckpointTest, RestoreIsBitExact) {
   EXPECT_NE(f.RetunerState(), retuner_before);
 
   const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+      blob, &f.harness->retuner(), nullptr);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_DOUBLE_EQ(result.taken_at, f.harness->sim().Now());
   EXPECT_EQ(f.RetunerState(), retuner_before);
@@ -111,7 +107,7 @@ TEST(ControllerCheckpointTest, UnknownTrailingSectionsRestoreCleanly) {
 
   f.WipeControlPlane();
   const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+      blob, &f.harness->retuner(), nullptr);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(f.RetunerState(), retuner_before);
 }
@@ -122,8 +118,7 @@ TEST(ControllerCheckpointTest, TruncatedBlobIsRejectedAndLeavesColdState) {
   for (const size_t keep :
        {blob.size() - 1, blob.size() - 5, blob.size() / 2, size_t{4}}) {
     const auto result = ControllerCheckpoint::Restore(
-        blob.substr(0, keep), &f.harness->retuner(),
-        f.harness->stats_channel(), nullptr);
+        blob.substr(0, keep), &f.harness->retuner(), nullptr);
     EXPECT_FALSE(result.ok) << "kept " << keep;
     EXPECT_FALSE(result.error.empty());
   }
@@ -133,8 +128,7 @@ TEST(ControllerCheckpointTest, TruncatedBlobIsRejectedAndLeavesColdState) {
   const std::string cold_retuner = f.RetunerState();
   const std::string cold_channel = f.ChannelState();
   ControllerCheckpoint::Restore(blob.substr(0, blob.size() / 2),
-                                &f.harness->retuner(),
-                                f.harness->stats_channel(), nullptr);
+                                &f.harness->retuner(), nullptr);
   EXPECT_EQ(f.RetunerState(), cold_retuner);
   EXPECT_EQ(f.ChannelState(), cold_channel);
 }
@@ -144,7 +138,7 @@ TEST(ControllerCheckpointTest, CrcCorruptionIsRejected) {
   std::string blob = f.BuildBlob();
   blob[blob.size() / 2] ^= 0x01;  // one flipped bit anywhere
   const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+      blob, &f.harness->retuner(), nullptr);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("crc"), std::string::npos) << result.error;
 }
@@ -154,13 +148,11 @@ TEST(ControllerCheckpointTest, BadMagicIsRejected) {
   std::string blob = f.BuildBlob();
   blob[0] = 'X';
   const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+      blob, &f.harness->retuner(), nullptr);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("magic"), std::string::npos) << result.error;
   EXPECT_FALSE(
-      ControllerCheckpoint::Restore("", &f.harness->retuner(), nullptr,
-                                    nullptr)
-          .ok);
+      ControllerCheckpoint::Restore("", &f.harness->retuner(), nullptr).ok);
 }
 
 TEST(ControllerCheckpointTest, SectionLengthPastCrcIsRejected) {
@@ -172,9 +164,56 @@ TEST(ControllerCheckpointTest, SectionLengthPastCrcIsRejected) {
     PutVarint64(body, 1u << 20);  // 1 MiB payload that isn't there
   });
   const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), f.harness->stats_channel(), nullptr);
+      blob, &f.harness->retuner(), nullptr);
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST(ControllerCheckpointTest, ImplausibleSampleCountLeavesColdState) {
+  // A correctly sealed blob whose retuner section claims 2^40 samples
+  // for one stable MRC baseline while carrying a single one. The
+  // decoder must check the count against the bytes present instead of
+  // sizing a vector from it (8 TiB: std::bad_alloc aborts the run).
+  Fixture f;
+  const std::string valid = f.BuildBlob();
+  f.WipeControlPlane();
+  const std::string cold_retuner = f.RetunerState();
+  const std::string cold_channel = f.ChannelState();
+  ASSERT_TRUE(
+      ControllerCheckpoint::Restore(valid, &f.harness->retuner(), nullptr).ok);
+  ASSERT_NE(f.RetunerState(), cold_retuner);
+
+  auto put_section = [](std::string* out, uint64_t tag,
+                        const std::string& payload) {
+    PutVarint64(out, tag);
+    PutVarint64(out, payload.size());
+    out->append(payload);
+  };
+  std::string meta;
+  PutFixed64(&meta, DoubleToBits(100.0));
+  std::string retuner;
+  for (int map = 0; map < 7; ++map) PutVarint64(&retuner, 0);  // all empty
+  PutVarint64(&retuner, 1);                   // one analyzer
+  PutVarint64(&retuner, ZigZagEncode(0));     // replica id
+  PutVarint64(&retuner, 0);                   // no signatures
+  PutVarint64(&retuner, 1);                   // one stable curve
+  PutVarint64(&retuner, MakeClassKey(1, 1));  // class
+  PutVarint64(&retuner, 64);                  // trace length
+  PutVarint64(&retuner, 64);                  // total accesses
+  PutVarint64(&retuner, uint64_t{1} << 40);   // samples claimed
+  PutFixed64(&retuner, DoubleToBits(0.5));    // samples present: one
+  std::string blob(ControllerCheckpoint::kMagic,
+                   sizeof(ControllerCheckpoint::kMagic) - 1);
+  put_section(&blob, ControllerCheckpoint::kMeta, meta);
+  put_section(&blob, ControllerCheckpoint::kRetuner, retuner);
+  PutFixed32(&blob, Crc32(blob.data(), blob.size()));
+
+  const auto result =
+      ControllerCheckpoint::Restore(blob, &f.harness->retuner(), nullptr);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error, "bad retuner section");
+  EXPECT_EQ(f.RetunerState(), cold_retuner);
+  EXPECT_EQ(f.ChannelState(), cold_channel);
 }
 
 }  // namespace

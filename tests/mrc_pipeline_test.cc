@@ -6,6 +6,7 @@
 #include <atomic>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -153,8 +154,17 @@ TEST(SampledMattsonStackTest, ResetMatchesFreshInstance) {
 // agree with the exact list-oracle parameters within a tolerance much
 // tighter than MrcConfig::significant_change_fraction (0.5), so
 // sampling cannot flip a diagnosis verdict on these shapes.
-class SampledAccuracyTest
-    : public ::testing::TestWithParam<std::vector<PageId> (*)()> {};
+// Each case prints as its name, so the ctest name (which CMake builds
+// from the printed parameter) is the same in every build; a bare
+// function pointer would print as an ASLR-dependent address.
+struct NamedTrace {
+  const char* name;
+  std::vector<PageId> (*make)();
+};
+
+void PrintTo(const NamedTrace& trace, std::ostream* os) { *os << trace.name; }
+
+class SampledAccuracyTest : public ::testing::TestWithParam<NamedTrace> {};
 
 std::vector<PageId> SkewedTrace() {
   return MakeZipfTrace(4000, 0.9, 80000, 21);
@@ -165,7 +175,7 @@ std::vector<PageId> LoopingTrace() {
 }
 
 TEST_P(SampledAccuracyTest, ParametersWithinTolerance) {
-  const std::vector<PageId> trace = GetParam()();
+  const std::vector<PageId> trace = GetParam().make();
   MrcConfig config;
   config.max_server_pages = 16384;
 
@@ -196,9 +206,11 @@ TEST_P(SampledAccuracyTest, ParametersWithinTolerance) {
   EXPECT_NEAR(sampled.ideal_miss_ratio, exact.ideal_miss_ratio, 0.05);
 }
 
-INSTANTIATE_TEST_SUITE_P(Traces, SampledAccuracyTest,
-                         ::testing::Values(&SkewedTrace, &SequentialTrace,
-                                           &LoopingTrace));
+INSTANTIATE_TEST_SUITE_P(
+    Traces, SampledAccuracyTest,
+    ::testing::Values(NamedTrace{"skewed", &SkewedTrace},
+                      NamedTrace{"sequential", &SequentialTrace},
+                      NamedTrace{"looping", &LoopingTrace}));
 
 // --- Fenwick presize / scratch reuse ---
 

@@ -4,6 +4,7 @@
 // helper's clamping.
 
 #include <algorithm>
+#include <ostream>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -84,8 +85,17 @@ TEST(OptOracleTest, ForwardDistancesOnTinyTrace) {
 
 // --- OPT dominance: no policy beats Belady ---
 
-class OptDominanceTest
-    : public ::testing::TestWithParam<std::vector<PageId> (*)()> {};
+// Each case prints as its name, so the ctest name (which CMake builds
+// from the printed parameter) is the same in every build; a bare
+// function pointer would print as an ASLR-dependent address.
+struct NamedTrace {
+  const char* name;
+  std::vector<PageId> (*make)();
+};
+
+void PrintTo(const NamedTrace& trace, std::ostream* os) { *os << trace.name; }
+
+class OptDominanceTest : public ::testing::TestWithParam<NamedTrace> {};
 
 std::vector<PageId> SkewedTrace() { return MakeZipfTrace(600, 0.9, 12000, 3); }
 std::vector<PageId> UniformTrace() { return MakeZipfTrace(800, 0.0, 12000, 5); }
@@ -98,7 +108,7 @@ std::vector<PageId> ScanTrace() {
 }
 
 TEST_P(OptDominanceTest, OptNeverExceedsLruAtAnyCacheSize) {
-  const std::vector<PageId> trace = GetParam()();
+  const std::vector<PageId> trace = GetParam().make();
   const MissRatioCurve lru =
       MissRatioCurve::FromTrace(std::span<const PageId>(trace));
   double previous = 1.0;
@@ -111,9 +121,11 @@ TEST_P(OptDominanceTest, OptNeverExceedsLruAtAnyCacheSize) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Traces, OptDominanceTest,
-                         ::testing::Values(&SkewedTrace, &UniformTrace,
-                                           &ScanTrace));
+INSTANTIATE_TEST_SUITE_P(
+    Traces, OptDominanceTest,
+    ::testing::Values(NamedTrace{"skewed", &SkewedTrace},
+                      NamedTrace{"uniform", &UniformTrace},
+                      NamedTrace{"scan", &ScanTrace}));
 
 // --- Fenwick sweep vs brute force ---
 

@@ -196,7 +196,6 @@ TEST(RecoveryTest, RestartWithoutCheckpointColdStarts) {
   config.max_migrations_per_interval = 2;
   ClusterHarness h(config);
   h.trace().EnableBuffering();
-  h.EnableStatsChannel();
   h.AddServers(2);
   Scheduler* tpcw = h.AddApplication(MakeTpcw());
   tpcw->AddReplica(

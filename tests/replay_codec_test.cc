@@ -1,8 +1,10 @@
-// Property/fuzz coverage of the byte-level codec under the capture and
-// v2 trace formats: random streams must round-trip exactly, and random
-// byte corruption must be detected by the checksums — never a crash,
-// never silently wrong data.
+// Property/fuzz coverage of the byte-level codec under the FGLBCAP1
+// capture format, which is also the repo's page-access trace format:
+// random streams must round-trip exactly, and random byte corruption
+// must be detected by the checksums — never a crash, never silently
+// wrong data.
 
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +17,6 @@
 #include "common/varint.h"
 #include "replay/capture.h"
 #include "sim/simulator.h"
-#include "workload/trace.h"
 
 namespace fglb {
 namespace {
@@ -108,50 +109,175 @@ TEST(ReplayCodecTest, Crc32MatchesKnownVectorAndChains) {
   }
 }
 
-// --- v2 trace: random streams round-trip, corruption detected ---
+// --- page-access traces: the executions of an FGLBCAP1 capture ---
 
-std::vector<TraceRecord> RandomRecords(uint64_t seed, size_t count) {
-  std::mt19937_64 rng(seed);
-  std::vector<TraceRecord> records;
-  records.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    TraceRecord r;
-    // Adversarial key/page distributions: wild jumps and tight runs.
-    r.class_key = rng() % 4 == 0 ? rng() : MakeClassKey(1, rng() % 8);
-    r.access.page = rng() % 4 == 0
-                        ? rng()
-                        : MakePageId(static_cast<TableId>(rng() % 4),
-                                     rng() % 10000);
-    r.access.kind = rng() % 2 == 0 ? AccessKind::kSequential
-                                   : AccessKind::kRandom;
-    r.access.is_write = rng() % 3 == 0;
-    records.push_back(r);
+// One traced execution: the class that ran and the pages it touched,
+// in order.
+struct TracedExecution {
+  ClassKey key = 0;
+  std::vector<PageAccess> accesses;
+};
+
+// Writes `executions` as the execution stream of an otherwise empty
+// capture (one execution per simulated millisecond, all on replica 0)
+// and returns the file's bytes.
+std::string WriteTraceCapture(const std::string& path,
+                              const std::vector<TracedExecution>& executions) {
+  Simulator sim;
+  CaptureWriter writer(&sim);
+  std::string error;
+  EXPECT_TRUE(writer.Open(path, CaptureInfo{}, CaptureTopology{}, &error))
+      << error;
+  for (size_t i = 0; i < executions.size(); ++i) {
+    const TracedExecution* e = &executions[i];
+    sim.ScheduleAt(1e-3 * static_cast<double>(i), [&writer, e] {
+      writer.OnExecution(0, e->key, e->accesses);
+    });
   }
-  return records;
+  sim.RunToCompletion();
+  EXPECT_TRUE(writer.Finalize({}, {}));
+  return Slurp(path);
+}
+
+// Reads `path` back into per-execution traces; false if the capture
+// does not decode.
+bool ReadTraceCapture(const std::string& path,
+                      std::vector<TracedExecution>* out) {
+  out->clear();
+  Capture capture;
+  std::string error;
+  if (!ReadCapture(path, &capture, &error)) return false;
+  for (const CaptureExecution& exec : capture.executions) {
+    TracedExecution e;
+    e.key = exec.key;
+    e.accesses.assign(
+        capture.accesses.begin() + static_cast<ptrdiff_t>(exec.access_begin),
+        capture.accesses.begin() +
+            static_cast<ptrdiff_t>(exec.access_begin + exec.access_count));
+    out->push_back(std::move(e));
+  }
+  return true;
+}
+
+void ExpectSameTrace(const std::vector<TracedExecution>& actual,
+                     const std::vector<TracedExecution>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i].key, expected[i].key) << "execution " << i;
+    ASSERT_EQ(actual[i].accesses.size(), expected[i].accesses.size());
+    for (size_t j = 0; j < expected[i].accesses.size(); ++j) {
+      const PageAccess& a = actual[i].accesses[j];
+      const PageAccess& b = expected[i].accesses[j];
+      ASSERT_EQ(a.page, b.page) << "execution " << i << " access " << j;
+      ASSERT_EQ(a.kind, b.kind) << "execution " << i << " access " << j;
+      ASSERT_EQ(a.is_write, b.is_write)
+          << "execution " << i << " access " << j;
+    }
+  }
+}
+
+// 25 executions of four accesses over two apps, five classes and
+// three tables.
+std::vector<TracedExecution> SampleTrace() {
+  std::vector<TracedExecution> executions(25);
+  for (int i = 0; i < 100; ++i) {
+    TracedExecution& e = executions[i / 4];
+    e.key = MakeClassKey(1 + (i / 4) % 2, 10 + (i / 4) % 5);
+    PageAccess a;
+    a.page = MakePageId(static_cast<TableId>(i % 3), 1000 + i);
+    a.kind = i % 4 == 0 ? AccessKind::kSequential : AccessKind::kRandom;
+    a.is_write = i % 7 == 0;
+    e.accesses.push_back(a);
+  }
+  return executions;
+}
+
+TEST(TraceTest, RoundTrip) {
+  const std::string path = TempPath("fglb_trace_roundtrip.fglbcap");
+  const auto executions = SampleTrace();
+  WriteTraceCapture(path, executions);
+  std::vector<TracedExecution> loaded;
+  ASSERT_TRUE(ReadTraceCapture(path, &loaded));
+  ExpectSameTrace(loaded, executions);
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, EmptyTraceRoundTrips) {
+  const std::string path = TempPath("fglb_trace_empty.fglbcap");
+  WriteTraceCapture(path, {});
+  std::vector<TracedExecution> loaded = {TracedExecution{}};
+  ASSERT_TRUE(ReadTraceCapture(path, &loaded));
+  EXPECT_TRUE(loaded.empty());
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, MissingFileFails) {
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadCapture(TempPath("fglb_trace_does_not_exist.fglbcap"),
+                           &capture, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(TraceTest, BadMagicRejected) {
+  const std::string path = TempPath("fglb_trace_bad_magic.fglbcap");
+  WriteBytes(path, "NOTATRACEFILE_____________");
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadCapture(path, &capture, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, TruncatedFileRejected) {
+  const std::string path = TempPath("fglb_trace_truncated.fglbcap");
+  const std::string bytes = WriteTraceCapture(path, SampleTrace());
+  // Chop into the end block.
+  WriteBytes(path, bytes.substr(0, bytes.size() - 12));
+  std::vector<TracedExecution> loaded;
+  EXPECT_FALSE(ReadTraceCapture(path, &loaded));
+  EXPECT_TRUE(loaded.empty());
+  std::remove(path.c_str());
+}
+
+// Adversarial key/page distributions: wild jumps and tight runs, and
+// executions of every length including zero.
+std::vector<TracedExecution> RandomTrace(uint64_t seed, size_t count) {
+  std::mt19937_64 rng(seed);
+  std::vector<TracedExecution> executions(count);
+  for (TracedExecution& e : executions) {
+    e.key = rng() % 4 == 0 ? rng() : MakeClassKey(1, rng() % 8);
+    const size_t accesses = rng() % 24;
+    for (size_t i = 0; i < accesses; ++i) {
+      PageAccess a;
+      a.page = rng() % 4 == 0
+                   ? rng()
+                   : MakePageId(static_cast<TableId>(rng() % 4),
+                                rng() % 10000);
+      a.kind = rng() % 2 == 0 ? AccessKind::kSequential
+                              : AccessKind::kRandom;
+      a.is_write = rng() % 3 == 0;
+      e.accesses.push_back(a);
+    }
+  }
+  return executions;
 }
 
 TEST(ReplayCodecTest, RandomTraceStreamsRoundTripExactly) {
-  const std::string path = TempPath("fglb_codec_trace_rt.bin");
+  const std::string path = TempPath("fglb_codec_trace_rt.fglbcap");
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const auto records = RandomRecords(seed, 1 + seed * 37);
-    ASSERT_TRUE(WriteTrace(path, records));
-    std::vector<TraceRecord> loaded;
-    ASSERT_TRUE(ReadTrace(path, &loaded)) << "seed " << seed;
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      ASSERT_EQ(loaded[i].class_key, records[i].class_key);
-      ASSERT_EQ(loaded[i].access.page, records[i].access.page);
-      ASSERT_EQ(loaded[i].access.kind, records[i].access.kind);
-      ASSERT_EQ(loaded[i].access.is_write, records[i].access.is_write);
-    }
+    const auto executions = RandomTrace(seed, 1 + seed * 37);
+    WriteTraceCapture(path, executions);
+    std::vector<TracedExecution> loaded;
+    ASSERT_TRUE(ReadTraceCapture(path, &loaded)) << "seed " << seed;
+    ExpectSameTrace(loaded, executions);
   }
   std::remove(path.c_str());
 }
 
 TEST(ReplayCodecTest, RandomTraceCorruptionAlwaysDetected) {
-  const std::string path = TempPath("fglb_codec_trace_fuzz.bin");
-  ASSERT_TRUE(WriteTrace(path, RandomRecords(99, 500)));
-  const std::string clean = Slurp(path);
+  const std::string path = TempPath("fglb_codec_trace_fuzz.fglbcap");
+  const std::string clean = WriteTraceCapture(path, RandomTrace(99, 500));
   std::mt19937_64 rng(123);
   for (int trial = 0; trial < 300; ++trial) {
     std::string corrupted = clean;
@@ -159,10 +285,10 @@ TEST(ReplayCodecTest, RandomTraceCorruptionAlwaysDetected) {
     const uint8_t xor_mask = static_cast<uint8_t>(1 + rng() % 255);
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ xor_mask);
     WriteBytes(path, corrupted);
-    std::vector<TraceRecord> loaded;
-    // Must fail cleanly — magic, flags validation or the CRC-32 traps
-    // every single-byte change; silent wrong data would pass here.
-    EXPECT_FALSE(ReadTrace(path, &loaded))
+    std::vector<TracedExecution> loaded;
+    // Must fail cleanly — the magic, block framing or a block's CRC-32
+    // traps every single-byte change; silent wrong data would pass here.
+    EXPECT_FALSE(ReadTraceCapture(path, &loaded))
         << "byte " << pos << " ^ " << int{xor_mask};
     EXPECT_TRUE(loaded.empty());
   }
@@ -350,28 +476,6 @@ TEST(ReplayCodecTest, CaptureTruncationAndGarbageDetected) {
   EXPECT_FALSE(ReadCapture(path, &capture, &error));
   EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
   std::remove(path.c_str());
-}
-
-TEST(ReplayCodecTest, ToLegacyTracePreservesOrderAndClasses) {
-  const std::string path = TempPath("fglb_codec_capture_legacy.bin");
-  WriteSampleCapture(path, 21);
-  Capture capture;
-  std::string error;
-  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  const std::vector<TraceRecord> records = ToLegacyTrace(capture);
-  EXPECT_EQ(records.size(), capture.accesses.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].class_key, MakeClassKey(1, 3));
-    EXPECT_EQ(records[i].access.page, capture.accesses[i].page);
-  }
-  // And the legacy writer round-trips what the converter produced.
-  const std::string trace_path = TempPath("fglb_codec_capture_legacy.trc");
-  ASSERT_TRUE(WriteTrace(trace_path, records));
-  std::vector<TraceRecord> loaded;
-  ASSERT_TRUE(ReadTrace(trace_path, &loaded));
-  EXPECT_EQ(loaded.size(), records.size());
-  std::remove(path.c_str());
-  std::remove(trace_path.c_str());
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+#include "scenarios/harness.h"
+#include "sim/fault_injector.h"
 #include "sim/simulator.h"
+#include "workload/rubis.h"
+#include "workload/tpcw.h"
 
 namespace fglb {
 namespace {
@@ -283,6 +289,106 @@ TEST(StatsChannelTest, PublisherSequencesSurviveReceiverReset) {
   const StatsChannel::Feed feed = channel.Collect(1);
   EXPECT_TRUE(feed.fresh);
   EXPECT_EQ(feed.last_seq, 2u);
+}
+
+// --- the channel is the controller's only stats transport ---
+
+// TPC-W and RUBiS consolidated on one replica plus a TPC-W spare:
+// violations, diagnoses and placement actions within a few minutes.
+// The harness never calls EnableStatsChannel.
+std::unique_ptr<ClusterHarness> MakeConsolidation() {
+  auto h = std::make_unique<ClusterHarness>();
+  h->trace().EnableBuffering();
+  h->AddServers(3);
+  Scheduler* tpcw = h->AddApplication(MakeTpcw());
+  RubisOptions rubis_options;
+  rubis_options.app_id = 2;
+  Scheduler* rubis = h->AddApplication(MakeRubis(rubis_options));
+  Replica* shared =
+      h->resources().CreateReplica(h->resources().servers()[0].get(), 8192);
+  Replica* spare = h->resources().CreateReplica(
+      h->resources().servers()[1].get(), 8192, /*engine_seed=*/2);
+  tpcw->AddReplica(shared);
+  tpcw->AddReplica(spare);
+  rubis->AddReplica(shared);
+  h->AddConstantClients(tpcw, 120, /*seed=*/7);
+  h->AddConstantClients(rubis, 40, /*seed=*/8);
+  return h;
+}
+
+std::vector<JsonValue> TraceEvents(ClusterHarness& h, const char* phase) {
+  std::vector<JsonValue> events;
+  for (const std::string& line : h.trace().BufferedLines()) {
+    JsonValue event;
+    std::string error;
+    EXPECT_TRUE(JsonValue::Parse(line, &event, &error)) << error;
+    if (event.StringOr("phase", "") == phase) events.push_back(event);
+  }
+  return events;
+}
+
+TEST(StatsChannelHarnessTest, ControllerReadsStatsThroughTheChannel) {
+  auto h = MakeConsolidation();
+  EXPECT_EQ(h->stats_channel(), &h->retuner().stats_channel());
+  const double interval = h->retuner().config().interval_seconds;
+  Counter* published = h->metrics().counter("stats_channel.published");
+  h->Start();
+  // One tick per step: every replica alive at the tick publishes
+  // exactly one report (replicas provisioned by the tick publish from
+  // the next one on).
+  for (int tick = 0; tick < 30; ++tick) {
+    const uint64_t before = published->value();
+    const size_t live = h->resources().AllReplicas().size();
+    h->RunFor(interval);
+    EXPECT_EQ(published->value() - before, live) << "tick " << tick;
+  }
+  EXPECT_EQ(h->metrics().counter("stats_channel.delivered")->value(),
+            published->value());
+  EXPECT_FALSE(h->retuner().actions().empty());
+
+  // A healthy feed never goes stale or resyncs, and every violating
+  // interval reports full telemetry confidence.
+  EXPECT_TRUE(TraceEvents(*h, "recovery").empty());
+  const std::vector<JsonValue> sla = TraceEvents(*h, "sla");
+  ASSERT_FALSE(sla.empty());
+  for (const JsonValue& event : sla) {
+    EXPECT_EQ(event.NumberOr("stats_conf", -1), 1.0);
+    EXPECT_EQ(event.NumberOr("stale_replicas", -1), 0.0);
+  }
+}
+
+TEST(StatsChannelHarnessTest, GuardOffReachesTheRetunersChannel) {
+  // bench_recovery's unguarded ablation arm configures the channel on a
+  // harness that already owns one. Under a report blackout the guarded
+  // arm decays confidence; the unguarded arm stays at full confidence.
+  auto lost_confidences = [](bool guard) {
+    auto h = MakeConsolidation();
+    StatsChannelConfig config;
+    config.guard = guard;
+    EXPECT_EQ(h->EnableStatsChannel(config), &h->retuner().stats_channel());
+    EXPECT_EQ(h->retuner().stats_channel().config().guard, guard);
+    FaultSpec spec;
+    std::string error;
+    EXPECT_TRUE(
+        FaultSpec::Parse("net@100:drop=1,duration=60", &spec, &error))
+        << error;
+    h->InjectFaults(std::move(spec), /*seed=*/3);
+    h->Start();
+    h->RunFor(200);
+    std::vector<double> confidences;
+    for (const JsonValue& event : TraceEvents(*h, "recovery")) {
+      if (event.StringOr("why", "") == "report_lost") {
+        confidences.push_back(event.NumberOr("conf", -1));
+      }
+    }
+    return confidences;
+  };
+  const std::vector<double> unguarded = lost_confidences(false);
+  ASSERT_FALSE(unguarded.empty());
+  for (double conf : unguarded) EXPECT_EQ(conf, 1.0);
+  const std::vector<double> guarded = lost_confidences(true);
+  ASSERT_FALSE(guarded.empty());
+  EXPECT_LT(guarded.back(), 0.9);
 }
 
 }  // namespace

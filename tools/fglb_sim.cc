@@ -368,22 +368,9 @@ int main(int argc, char** argv) {
     }
     LogInfo("span tracing on: %s", span_spec_text.c_str());
   }
-  std::string stats_spec_text;
-  const bool stats_channel_on =
-      options.stats_net == "channel" ||
-      (options.stats_net == "auto" &&
-       (options.scenario == CliOptions::Scenario::kChaosNet ||
-        options.scenario == CliOptions::Scenario::kChaosCtl));
-  if (stats_channel_on) {
-    StatsChannelConfig channel_config;
-    channel_config.guard = options.stats_guard != "off";
-    harness.EnableStatsChannel(channel_config);
-    stats_spec_text = channel_config.ToString();
-    // An all-defaults config serializes to ""; captures use empty to
-    // mean "no channel", so pin the guard key as the canonical form.
-    if (stats_spec_text.empty()) stats_spec_text = "guard=on";
-    LogInfo("stats channel on: %s", stats_spec_text.c_str());
-  }
+  StatsChannelConfig channel_config;
+  channel_config.guard = options.stats_guard != "off";
+  harness.EnableStatsChannel(channel_config);
   double ckpt_interval = options.ckpt_interval;
   if (ckpt_interval < 0) {
     ckpt_interval = options.scenario == CliOptions::Scenario::kChaosCtl
@@ -430,7 +417,7 @@ int main(int argc, char** argv) {
     info.replacement_spec = replacement == ReplacementPolicy::kLru
                                 ? ""
                                 : ReplacementPolicyName(replacement);
-    info.stats_spec = stats_spec_text;
+    info.stats_spec = channel_config.ToString();
     if (ckpt_interval > 0) {
       char ckpt_buf[64];
       std::snprintf(ckpt_buf, sizeof(ckpt_buf), "interval=%g", ckpt_interval);
