@@ -69,20 +69,6 @@ double HoldModelEventsPerSec(uint64_t population, uint64_t budget) {
   return wall > 0 ? static_cast<double>(sim.executed_events()) / wall : 0;
 }
 
-// Counts every engine page access (the work unit the end-to-end rate
-// is measured in) through the capture hook the replay subsystem uses.
-class AccessCounter : public ExecutionRecorder {
- public:
-  void OnExecution(int, ClassKey,
-                   const std::vector<PageAccess>& accesses) override {
-    accesses_ += accesses.size();
-  }
-  uint64_t accesses() const { return accesses_; }
-
- private:
-  uint64_t accesses_ = 0;
-};
-
 struct EndToEnd {
   double wall_ms = 0;
   uint64_t completions = 0;
@@ -97,6 +83,7 @@ EndToEnd RunOverload(double clients, double duration_seconds, bool cohort,
                      bool admission_on) {
   SelectiveRetuner::Config config;
   config.enable_actions = false;  // frozen topology: measure the kernel
+  bench::AccessCounter counter;  // outlives the harness it observes
   ClusterHarness harness(config, /*observability=*/false);
   harness.AddServers(1);
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());
@@ -106,7 +93,6 @@ EndToEnd RunOverload(double clients, double duration_seconds, bool cohort,
   ClientEmulator::Options emu;
   emu.cohort = cohort;
   harness.AddConstantClients(tpcw, clients, kSeed, emu);
-  AccessCounter counter;
   harness.AttachRecorders(nullptr, &counter);
 
   const double start = Now();

@@ -51,12 +51,15 @@ struct Outcome {
   uint64_t placement_actions = 0;  // migrate/evict/demote count
   uint64_t reports_lost = 0;       // stale controller collects
   double wall_ms = 0;
+  uint64_t accesses = 0;  // engine page accesses over the run
 };
 
 Outcome Run(bool guard, bool lossy) {
   SelectiveRetuner::Config config;
   config.max_migrations_per_interval = 2;
+  bench::AccessCounter counter;  // outlives the harness it observes
   ClusterHarness harness(config);
+  harness.AttachRecorders(nullptr, &counter);
   StatsChannelConfig channel_config;
   channel_config.guard = guard;
   harness.EnableStatsChannel(channel_config);
@@ -95,6 +98,7 @@ Outcome Run(bool guard, bool lossy) {
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  out.accesses = counter.accesses();
   for (const auto& sample : harness.retuner().samples()) {
     for (const auto& app : sample.apps) {
       if (app.app != rubis->app().id || app.sla_met) continue;
@@ -155,9 +159,11 @@ int main(int argc, char** argv) {
           : static_cast<double>(unguarded.placement_actions);
 
   bench::BenchJsonWriter json;
-  json.Add("lossless", lossless.wall_ms, 0);
-  json.Add("guarded", guarded.wall_ms, 0);
-  json.Add("unguarded", unguarded.wall_ms, 0);
+  json.Add("lossless", lossless.wall_ms,
+           static_cast<double>(lossless.accesses));
+  json.Add("guarded", guarded.wall_ms, static_cast<double>(guarded.accesses));
+  json.Add("unguarded", unguarded.wall_ms,
+           static_cast<double>(unguarded.accesses));
   json.AddField("recovery_lossless_s", lossless.recovery_seconds);
   json.AddField("recovery_guarded_s", guarded.recovery_seconds);
   json.AddField("recovery_unguarded_s", unguarded.recovery_seconds);

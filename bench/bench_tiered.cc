@@ -97,6 +97,7 @@ struct ArmOutcome {
   int demotes = 0;
   int reschedules = 0;
   double wall_ms = 0;
+  uint64_t accesses = 0;  // engine page accesses over the run
 };
 
 // The tier-thrash squeeze (TPC-W steady, RUBiS stepping to 60 clients
@@ -107,7 +108,9 @@ struct ArmOutcome {
 // onto another machine.
 ArmOutcome RunThrashArm(bool tiered, double duration) {
   const auto start = std::chrono::steady_clock::now();
+  bench::AccessCounter counter;  // outlives the harness it observes
   ClusterHarness harness;
+  harness.AttachRecorders(nullptr, &counter);
   harness.AddServers(4);
   TierConfig tier;
   if (tiered) tier.pages = 16384;
@@ -148,6 +151,7 @@ ArmOutcome RunThrashArm(bool tiered, double duration) {
   for (Replica* r : tpcw->replicas()) servers.insert(&r->server());
   for (Replica* r : rubis->replicas()) servers.insert(&r->server());
   out.machines = static_cast<int>(servers.size());
+  out.accesses = counter.accesses();
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
@@ -231,8 +235,10 @@ int main(int argc, char** argv) {
   };
   row("demote (tiered)", demote);
   row("migrate (tierless)", migrate);
-  json.Add("thrash_demote_arm", demote.wall_ms, 0);
-  json.Add("thrash_migrate_arm", migrate.wall_ms, 0);
+  json.Add("thrash_demote_arm", demote.wall_ms,
+           static_cast<double>(demote.accesses));
+  json.Add("thrash_migrate_arm", migrate.wall_ms,
+           static_cast<double>(migrate.accesses));
   json.AddField("demote_tail_sla_violations", demote.tpcw_sla_violations);
   json.AddField("demote_machines", demote.machines);
   json.AddField("migrate_machines", migrate.machines);

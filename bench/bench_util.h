@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "storage/page.h"
 #include "workload/access_generator.h"
+#include "workload/capture_hooks.h"
 #include "workload/query_class.h"
 
 namespace fglb::bench {
@@ -87,6 +88,21 @@ class BenchJsonWriter {
   };
   std::vector<Row> rows_;
   std::vector<std::pair<std::string, double>> fields_;
+};
+
+// Counts every engine page access (the work unit the end-to-end rate
+// is measured in) through the capture hook the replay subsystem uses;
+// install it with ClusterHarness::AttachRecorders before Start().
+class AccessCounter : public ExecutionRecorder {
+ public:
+  void OnExecution(int, ClassKey,
+                   const std::vector<PageAccess>& accesses) override {
+    accesses_ += accesses.size();
+  }
+  uint64_t accesses() const { return accesses_; }
+
+ private:
+  uint64_t accesses_ = 0;
 };
 
 // Generates a page-access trace by executing `queries` instances of a

@@ -17,11 +17,24 @@ uint64_t DrawCount(double mean, Rng& rng) {
 
 }  // namespace
 
-const ZipfGenerator& AccessGenerator::SamplerFor(uint64_t n, double theta) {
+const AccessGenerator::Sampler& AccessGenerator::SamplerFor(uint64_t n,
+                                                            double theta) {
   const auto key = std::make_pair(n, theta);
   auto it = samplers_.find(key);
   if (it == samplers_.end()) {
-    it = samplers_.emplace(key, ZipfGenerator(n, theta)).first;
+    const uint32_t* scramble = nullptr;
+    if (n <= kMaxTabulatedRegion) {
+      std::vector<uint32_t>& table = scrambles_[n];
+      if (table.empty()) {
+        table.resize(n);
+        for (uint64_t r = 0; r < n; ++r) {
+          table[r] = static_cast<uint32_t>(ScrambleToDomain(r, n));
+        }
+      }
+      scramble = table.data();
+    }
+    it = samplers_.emplace(key, Sampler{ZipfGenerator(n, theta), scramble})
+             .first;
   }
   return it->second;
 }
@@ -31,15 +44,17 @@ void AccessGenerator::GeneratePointLookups(const AccessComponent& component,
                                            std::vector<PageAccess>* out) {
   const uint64_t region = component.EffectiveRegionPages();
   assert(region > 0);
-  const ZipfGenerator& zipf = SamplerFor(region, component.zipf_theta);
+  const Sampler& sampler = SamplerFor(region, component.zipf_theta);
+  const uint32_t* scramble = sampler.scramble;
   const uint64_t count = DrawCount(component.mean_pages, rng);
   out->reserve(out->size() + count);
   for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t rank = zipf.Sample(rng);
+    const uint64_t rank = sampler.zipf.Sample(rng);
     // Scramble so popular pages are spread over the region instead of
     // packed at its start (popularity, not position, is skewed).
     const uint64_t offset =
-        component.region_offset + ScrambleToDomain(rank, region);
+        component.region_offset +
+        (scramble != nullptr ? scramble[rank] : ScrambleToDomain(rank, region));
     PageAccess access;
     access.page = MakePageId(component.table, offset);
     access.kind = AccessKind::kRandom;

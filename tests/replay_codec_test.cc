@@ -5,6 +5,7 @@
 // wrong data.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -106,6 +107,39 @@ TEST(ReplayCodecTest, Crc32MatchesKnownVectorAndChains) {
     EXPECT_EQ(Crc32(data.data() + split, data.size() - split,
                     Crc32(data.data(), split)),
               Crc32(data.data(), data.size()));
+  }
+}
+
+// Oracle: CRC-32 straight from the reflected polynomial, one bit at a
+// time, with no table shared with the code under test.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CrcTest, SliceBy8MatchesBytewiseReference) {
+  std::mt19937_64 gen(20);
+  std::vector<uint8_t> buffer(4096 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(gen());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  // Every start offset 0-7 puts the 8-byte blocks at every alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buffer.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(gen());
+      EXPECT_EQ(Crc32(p, n), BytewiseCrc32(p, n, 0))
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(Crc32(p, n, seed), BytewiseCrc32(p, n, seed))
+          << "offset " << offset << " length " << n;
+    }
   }
 }
 

@@ -1,7 +1,12 @@
 #include "storage/buffer_pool.h"
 
+#include <list>
+#include <unordered_map>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "storage/disk_model.h"
 #include "storage/page.h"
 #include "storage/partitioned_buffer_pool.h"
@@ -96,6 +101,153 @@ TEST(BufferPoolTest, LruOrderUnderMixedInsertAccess) {
   pool.Access(MakePageId(1, 4));  // evicts LRU = 1
   EXPECT_FALSE(pool.Contains(MakePageId(1, 1)));
   EXPECT_TRUE(pool.Contains(MakePageId(1, 2)));
+}
+
+// --- Differential: slab LRU vs a std::list LRU ---
+
+// Oracle: the straightforward node-allocating LRU, a std::list in
+// recency order plus a hash map into it. The slab pool must reproduce
+// it op for op, evictions included.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(uint64_t capacity) : capacity_(capacity) {}
+
+  bool Access(PageId page) {
+    ++stats_.accesses;
+    auto it = map_.find(page);
+    if (it != map_.end()) {
+      ++stats_.hits;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return true;
+    }
+    ++stats_.misses;
+    if (capacity_ == 0) return false;
+    lru_.push_front(page);
+    map_[page] = lru_.begin();
+    EvictIfNeeded();
+    return false;
+  }
+  bool Insert(PageId page) {
+    if (capacity_ == 0 || map_.contains(page)) return false;
+    ++stats_.prefetch_inserts;
+    lru_.push_front(page);
+    map_[page] = lru_.begin();
+    EvictIfNeeded();
+    return true;
+  }
+  bool Contains(PageId page) const { return map_.contains(page); }
+  bool Erase(PageId page) {
+    auto it = map_.find(page);
+    if (it == map_.end()) return false;
+    lru_.erase(it->second);
+    map_.erase(it);
+    return true;
+  }
+  void Resize(uint64_t capacity) {
+    capacity_ = capacity;
+    EvictIfNeeded();
+  }
+  void Clear() {
+    lru_.clear();
+    map_.clear();
+  }
+  uint64_t resident_pages() const { return map_.size(); }
+  const BufferPoolStats& stats() const { return stats_; }
+  const std::vector<PageId>& evicted() const { return evicted_; }
+
+ private:
+  void EvictIfNeeded() {
+    while (map_.size() > capacity_) {
+      const PageId victim = lru_.back();
+      map_.erase(victim);
+      lru_.pop_back();
+      ++stats_.evictions;
+      evicted_.push_back(victim);
+    }
+  }
+
+  uint64_t capacity_;
+  BufferPoolStats stats_;
+  std::list<PageId> lru_;
+  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  std::vector<PageId> evicted_;
+};
+
+void ExpectSameStats(const BufferPoolStats& a, const BufferPoolStats& b) {
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.prefetch_inserts, b.prefetch_inserts);
+}
+
+// Random op sequence at one capacity. Pages come from a universe about
+// twice the capacity (so hits, misses and evictions all occur) that
+// includes page 0 and ids differing only in their table bits.
+void RunDifferential(uint64_t capacity, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " seed "
+                                    << seed);
+  const TableId tables[] = {0, 1, 0x8000, 0xFFFF};
+  const uint64_t offsets = capacity / 2 + 3;
+  std::vector<PageId> universe;
+  for (TableId table : tables) {
+    for (uint64_t offset = 0; offset < offsets; ++offset) {
+      universe.push_back(MakePageId(table, offset));
+    }
+  }
+
+  BufferPool pool(capacity);
+  ReferenceLru reference(capacity);
+  std::vector<PageId> evicted;
+  pool.set_eviction_sink([&evicted](PageId page) { evicted.push_back(page); });
+
+  Rng rng(seed);
+  size_t checked = 0;
+  const int ops = 20000;
+  for (int op = 0; op < ops; ++op) {
+    const PageId page = universe[rng.NextUint64(universe.size())];
+    const uint64_t roll = rng.NextUint64(1000);
+    if (roll < 500) {
+      ASSERT_EQ(pool.Access(page), reference.Access(page)) << "op " << op;
+    } else if (roll < 650) {
+      ASSERT_EQ(pool.Insert(page), reference.Insert(page)) << "op " << op;
+    } else if (roll < 800) {
+      ASSERT_EQ(pool.Contains(page), reference.Contains(page)) << "op " << op;
+    } else if (roll < 950) {
+      ASSERT_EQ(pool.Erase(page), reference.Erase(page)) << "op " << op;
+    } else if (roll < 995) {
+      // Shrink, grow, to zero, or back to the starting capacity.
+      const uint64_t targets[] = {0, capacity / 2, capacity, 2 * capacity + 1};
+      const uint64_t target = targets[rng.NextUint64(4)];
+      pool.Resize(target);
+      reference.Resize(target);
+      ASSERT_EQ(pool.capacity(), target);
+    } else {
+      pool.Clear();
+      reference.Clear();
+    }
+    ASSERT_EQ(pool.resident_pages(), reference.resident_pages())
+        << "op " << op;
+    // Only this op's victims are new; earlier ones were checked already.
+    ASSERT_EQ(evicted.size(), reference.evicted().size()) << "op " << op;
+    for (; checked < evicted.size(); ++checked) {
+      ASSERT_EQ(evicted[checked], reference.evicted()[checked])
+          << "op " << op;
+    }
+    ExpectSameStats(pool.stats(), reference.stats());
+  }
+  // Draining to zero evicts everything left in LRU order, which pins
+  // down the full recency list, not just the prefix evicted so far.
+  pool.Resize(0);
+  reference.Resize(0);
+  EXPECT_EQ(evicted, reference.evicted());
+  EXPECT_EQ(pool.resident_pages(), 0u);
+}
+
+TEST(BufferPoolDifferentialTest, MatchesListLruOnRandomOps) {
+  for (uint64_t capacity : {0, 1, 2, 7, 64, 1000}) {
+    for (uint64_t seed : {1, 2, 3}) RunDifferential(capacity, seed);
+  }
 }
 
 TEST(PartitionedPoolTest, SharedByDefault) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 #include <set>
 #include <span>
 #include <string>
@@ -86,11 +87,17 @@ double MaxCurveDivergence(const MissRatioCurve& a, const MissRatioCurve& b) {
 // references as the recompute path (shared page hash, shared
 // adjusted-mass policy), so the curves must agree exactly at every
 // cache size — not merely within a tolerance.
+//
+// Each case prints as its name, so the ctest name (which CMake builds
+// from the printed parameter) is the same in every build; the raw
+// bytes gtest would print otherwise include a function pointer.
 struct DifferentialCase {
   const char* name;
   std::vector<PageId> (*make)();
   double sample_rate;
 };
+
+void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<PageId> SkewedTrace() { return MakeZipfTrace(2000, 0.9, 40000, 7); }
 std::vector<PageId> SequentialTrace() { return MakeScanTrace(1500, 24); }
@@ -135,10 +142,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DifferentialCase{"scan_exact", &SequentialTrace, 1.0},
                       DifferentialCase{"scan_8th", &SequentialTrace, 1.0 / 8},
                       DifferentialCase{"loop_exact", &LoopTrace, 1.0},
-                      DifferentialCase{"loop_8th", &LoopTrace, 1.0 / 8}),
-    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
-      return info.param.name;
-    });
+                      DifferentialCase{"loop_8th", &LoopTrace, 1.0 / 8}));
 
 // --- Sliding-window error bound ---
 

@@ -1,7 +1,10 @@
 #include "workload/access_generator.h"
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +121,100 @@ TEST(AccessGeneratorTest, WriteFractionProducesWrites) {
     }
   }
   EXPECT_NEAR(static_cast<double>(writes) / total, 0.5, 0.05);
+}
+
+// --- Differential: tabulated scramble vs per-draw expansion ---
+
+// Oracle: the direct expansion, with a Zipf draw and a Feistel
+// cycle-walk (ScrambleToDomain) per point lookup. The generator must
+// reproduce it draw for draw.
+void ReferenceGenerate(const QueryTemplate& tmpl, Rng& rng,
+                       std::vector<PageAccess>* out) {
+  for (const AccessComponent& c : tmpl.components) {
+    const uint64_t region = c.EffectiveRegionPages();
+    const double mean = c.mean_pages * rng.UniformDouble(0.7, 1.3);
+    uint64_t count =
+        std::max<uint64_t>(1, static_cast<uint64_t>(std::llround(mean)));
+    PageAccess access;
+    if (c.kind == AccessComponent::Kind::kPointLookups) {
+      const ZipfGenerator zipf(region, c.zipf_theta);
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t rank = zipf.Sample(rng);
+        access.page = MakePageId(
+            c.table, c.region_offset + ScrambleToDomain(rank, region));
+        access.kind = AccessKind::kRandom;
+        access.is_write =
+            c.write_fraction > 0 && rng.Bernoulli(c.write_fraction);
+        out->push_back(access);
+      }
+    } else {
+      count = std::min(count, region);
+      uint64_t start = rng.NextUint64(region);
+      start -= start % kExtentPages;
+      for (uint64_t i = 0; i < count; ++i) {
+        access.page = MakePageId(c.table, c.region_offset + (start + i) % region);
+        access.kind = AccessKind::kSequential;
+        access.is_write =
+            c.write_fraction > 0 && rng.Bernoulli(c.write_fraction);
+        out->push_back(access);
+      }
+    }
+  }
+}
+
+// Runs `executions` of `tmpl` through `gen` and the reference from the
+// same seed and requires identical access strings and Rng states.
+void ExpectMatchesReference(AccessGenerator& gen, const QueryTemplate& tmpl,
+                            int executions, uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "template " << tmpl.name);
+  Rng rng(seed);
+  Rng reference_rng(seed);
+  std::vector<PageAccess> got;
+  std::vector<PageAccess> want;
+  for (int e = 0; e < executions; ++e) {
+    got.clear();
+    want.clear();
+    gen.Generate(tmpl, rng, &got);
+    ReferenceGenerate(tmpl, reference_rng, &want);
+    ASSERT_EQ(got.size(), want.size()) << "execution " << e;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].page, want[i].page) << "execution " << e;
+      ASSERT_EQ(got[i].kind, want[i].kind) << "execution " << e;
+      ASSERT_EQ(got[i].is_write, want[i].is_write) << "execution " << e;
+    }
+  }
+  EXPECT_EQ(rng.Next(), reference_rng.Next());
+}
+
+TEST(AccessGeneratorDifferentialTest, EveryTemplateMatchesPerDrawScramble) {
+  for (const ApplicationSpec& app : {MakeTpcw(), MakeRubis()}) {
+    // One generator per application, so templates over the same region
+    // size share (and must agree through) one scramble table.
+    AccessGenerator gen;
+    for (const QueryTemplate& tmpl : app.templates) {
+      ExpectMatchesReference(gen, tmpl, 10000, 1000 + tmpl.id);
+    }
+  }
+}
+
+TEST(AccessGeneratorDifferentialTest, RegionsAtAndAboveTableCapMatch) {
+  QueryTemplate tmpl;
+  tmpl.name = "cap";
+  for (uint64_t region : {AccessGenerator::kMaxTabulatedRegion,
+                          AccessGenerator::kMaxTabulatedRegion + 1}) {
+    AccessComponent c;
+    c.table = 3;
+    c.table_pages = 4 * region;
+    c.region_offset = region;
+    c.region_pages = region;
+    c.kind = AccessComponent::Kind::kPointLookups;
+    c.zipf_theta = 0.8;
+    c.mean_pages = 20;
+    c.write_fraction = 0.25;
+    tmpl.components.push_back(c);
+  }
+  AccessGenerator gen;
+  ExpectMatchesReference(gen, tmpl, 2000, 17);
 }
 
 TEST(TpcwSpecTest, WellFormed) {

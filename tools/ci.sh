@@ -271,7 +271,10 @@ cmake -S bench/e2e -B "${PREFIX}-e2e" >/dev/null
 cmake --build "${PREFIX}-e2e" -j "${JOBS}" \
   --target fglb_e2e fglb_sim_cli fglb_tracecat
 
-echo "=== ASan+UBSan build + admission/overload tests ==="
+echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
+# The slab LRU, its probe table, the scramble tables and the
+# slice-by-8 CRC are index arithmetic: their differential tests run
+# here too.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -279,9 +282,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   streaming_mrc_test opt_oracle_test arc_buffer_pool_test \
   tiered_buffer_pool_test tiered_replay_test fglb_sim_cli \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
-  recovery_test replay_codec_test
+  recovery_test replay_codec_test storage_test workload_test \
+  common_random_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \
