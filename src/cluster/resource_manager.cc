@@ -57,7 +57,6 @@ Replica* ResourceManager::CreateReplica(PhysicalServer* server,
       "engine-" + std::to_string(id), options, &server->disk_model());
   if (metrics_ != nullptr) engine->BindMetrics(metrics_);
   engine->set_execution_timeout_seconds(execution_timeout_seconds_);
-  if (streaming_mrc_.has_value()) engine->EnableStreamingMrc(*streaming_mrc_);
   replicas_.push_back(
       std::make_unique<Replica>(id, sim_, server, std::move(engine)));
   if (replica_observer_) replica_observer_(replicas_.back().get());
@@ -75,14 +74,6 @@ void ResourceManager::set_execution_timeout_seconds(double seconds) {
   execution_timeout_seconds_ = seconds;
   for (const auto& replica : replicas_) {
     replica->engine().set_execution_timeout_seconds(seconds);
-  }
-}
-
-void ResourceManager::set_streaming_mrc(
-    StreamingMrcEstimator::Options options) {
-  streaming_mrc_ = options;
-  for (const auto& replica : replicas_) {
-    replica->engine().EnableStreamingMrc(options);
   }
 }
 

@@ -68,16 +68,6 @@ SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
     violations_ = metrics_->counter("controller.violations");
     planner_.BindMetrics(metrics_);
   }
-  if (config_.mrc.mode == MrcMode::kStreaming) {
-    // Every engine maintains per-class streaming estimators at the
-    // same hash-sample rate the recompute path would use, windowed to
-    // the collector's access-window capacity so both modes see the
-    // same horizon.
-    StreamingMrcEstimator::Options options;
-    options.sample_rate = config_.mrc.sample_rate;
-    options.window_accesses = 0;  // match the collector window
-    resources_->set_streaming_mrc(options);
-  }
 }
 
 const char* SelectiveRetuner::ActionKindName(ActionKind kind) {
@@ -411,8 +401,7 @@ void SelectiveRetuner::TraceMrcPhase(
   TraceEvent event("mrc");
   event.Num("t", sim_->Now())
       .Uint("app", app)
-      .Int("replica", replica_id)
-      .Str("mode", MrcModeName(config_.mrc.mode));
+      .Int("replica", replica_id);
   if (tier2 != nullptr) {
     // Second-tier state at diagnosis time; absent on tierless engines
     // so pre-tier traces replay unchanged.

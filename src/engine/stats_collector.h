@@ -4,14 +4,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/metrics_registry.h"
 #include "common/ring_window.h"
 #include "common/span_pair.h"
 #include "engine/metrics.h"
-#include "mrc/streaming_mrc.h"
 #include "storage/page.h"
 #include "workload/query_class.h"
 
@@ -77,37 +75,16 @@ class StatsCollector {
   // as long as the collector lives (class states never move).
   class AccessRecorder {
    public:
-    void Record(PageId page) {
-      window_->Push(page);
-      if (stream_ != nullptr) stream_->Record(page);
-    }
+    void Record(PageId page) { window_->Push(page); }
 
    private:
     friend class StatsCollector;
-    AccessRecorder(RingWindow<PageId>* window, StreamingMrcEstimator* stream)
-        : window_(window), stream_(stream) {}
+    explicit AccessRecorder(RingWindow<PageId>* window) : window_(window) {}
     RingWindow<PageId>* window_;
-    StreamingMrcEstimator* stream_;
   };
   AccessRecorder RecorderFor(ClassKey key) {
-    PerClass& state = ClassState(key);
-    return AccessRecorder(&state.window, state.stream.get());
+    return AccessRecorder(&ClassState(key).window);
   }
-
-  // Turns on per-class streaming MRC estimation: every page reference
-  // is additionally fed to a per-class StreamingMrcEstimator so the
-  // diagnosis path can snapshot an always-fresh curve instead of
-  // replaying the access window. `options.window_accesses == 0` means
-  // "match the access window capacity", keeping streaming curves and
-  // window recomputations over the same horizon. Existing classes get
-  // estimators immediately (starting cold); future classes get them on
-  // first touch.
-  void EnableStreamingMrc(StreamingMrcEstimator::Options options);
-  bool streaming_mrc_enabled() const { return streaming_mrc_.has_value(); }
-
-  // The class's streaming estimator, or nullptr if streaming MRC is
-  // off or the class is unseen.
-  const StreamingMrcEstimator* StreamingFor(ClassKey key) const;
 
   // Records a completed query with its end-to-end latency and counters.
   void RecordQuery(ClassKey key, double latency_seconds,
@@ -159,8 +136,6 @@ class StatsCollector {
     double lock_wait_seconds = 0;
     // Recent accesses for MRC recomputation.
     RingWindow<PageId> window;
-    // Incremental curve over the same window (streaming mode only).
-    std::unique_ptr<StreamingMrcEstimator> stream;
 
     explicit PerClass(size_t window_capacity) : window(window_capacity) {}
   };
@@ -168,7 +143,6 @@ class StatsCollector {
   PerClass& ClassState(ClassKey key);
 
   size_t window_capacity_;
-  std::optional<StreamingMrcEstimator::Options> streaming_mrc_;
   std::map<ClassKey, std::unique_ptr<PerClass>> classes_;
   uint64_t total_queries_ = 0;
   Counter* queries_metric_ = nullptr;

@@ -140,15 +140,4 @@ uint64_t FenwickMattsonStack::Access(PageId page) {
   return depth;
 }
 
-std::unique_ptr<MattsonStack> MakeMattsonStack(MattsonImpl impl,
-                                               size_t expected_accesses) {
-  switch (impl) {
-    case MattsonImpl::kList:
-      return std::make_unique<ListMattsonStack>();
-    case MattsonImpl::kFenwick:
-      return std::make_unique<FenwickMattsonStack>(expected_accesses);
-  }
-  return nullptr;
-}
-
 }  // namespace fglb

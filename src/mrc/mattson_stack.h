@@ -1,9 +1,9 @@
 #ifndef FGLB_MRC_MATTSON_STACK_H_
 #define FGLB_MRC_MATTSON_STACK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -97,13 +97,6 @@ class FenwickMattsonStack final : public MattsonStack {
   uint64_t total_ = 0;
   uint64_t capacity_rebuilds_ = 0;
 };
-
-// Factory used where the implementation choice is a tuning knob.
-// `expected_accesses` is a capacity hint (used by the Fenwick
-// implementation; ignored by the list oracle).
-enum class MattsonImpl { kList, kFenwick };
-std::unique_ptr<MattsonStack> MakeMattsonStack(MattsonImpl impl,
-                                               size_t expected_accesses = 0);
 
 }  // namespace fglb
 

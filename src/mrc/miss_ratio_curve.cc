@@ -19,62 +19,43 @@ std::string MrcParameters::ToString() const {
   return buf;
 }
 
-const char* MrcModeName(MrcMode mode) {
-  switch (mode) {
-    case MrcMode::kRecompute:
-      return "recompute";
-    case MrcMode::kStreaming:
-      return "streaming";
-  }
-  return "unknown";
-}
-
-bool ParseMrcMode(const std::string& text, MrcMode* out) {
-  if (text == "recompute") *out = MrcMode::kRecompute;
-  else if (text == "streaming") *out = MrcMode::kStreaming;
-  else return false;
-  return true;
-}
-
 std::string MrcSpecString(const MrcConfig& config) {
-  if (config.mode == MrcMode::kRecompute && !config.opt_regret) return "";
-  std::string spec = std::string("mode=") + MrcModeName(config.mode);
-  spec += ",opt_regret=";
-  spec += config.opt_regret ? '1' : '0';
-  return spec;
+  return config.opt_regret ? "opt_regret=1" : "";
 }
 
 bool ParseMrcSpec(const std::string& text, MrcConfig* config,
                   std::string* error) {
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  if (!text.empty() && text.back() == ',') {
+    return fail("trailing comma in mrc spec: " + text);
+  }
+  MrcConfig parsed = *config;
+  bool seen_opt_regret = false;
   size_t pos = 0;
   while (pos < text.size()) {
     size_t end = text.find(',', pos);
     if (end == std::string::npos) end = text.size();
     const std::string item = text.substr(pos, end - pos);
     pos = end + 1;
+    if (item.empty()) return fail("empty mrc spec item in: " + text);
     const size_t eq = item.find('=');
     if (eq == std::string::npos) {
-      if (error != nullptr) *error = "mrc spec item lacks '=': " + item;
-      return false;
+      return fail("mrc spec item lacks '=': " + item);
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    if (key == "mode") {
-      if (!ParseMrcMode(value, &config->mode)) {
-        if (error != nullptr) *error = "unknown mrc mode: " + value;
-        return false;
-      }
-    } else if (key == "opt_regret") {
-      if (value != "0" && value != "1") {
-        if (error != nullptr) *error = "opt_regret must be 0 or 1: " + value;
-        return false;
-      }
-      config->opt_regret = value == "1";
-    } else {
-      if (error != nullptr) *error = "unknown mrc spec key: " + key;
-      return false;
+    if (key != "opt_regret") return fail("unknown mrc spec key: " + key);
+    if (seen_opt_regret) return fail("duplicate mrc spec key: " + key);
+    seen_opt_regret = true;
+    if (value != "0" && value != "1") {
+      return fail("opt_regret must be 0 or 1: " + value);
     }
+    parsed.opt_regret = value == "1";
   }
+  *config = parsed;
   return true;
 }
 
@@ -117,11 +98,10 @@ MissRatioCurve MissRatioCurve::FromHistogram(std::span<const uint64_t> hits,
   return curve;
 }
 
-MissRatioCurve MissRatioCurve::FromTrace(std::span<const PageId> trace,
-                                         MattsonImpl impl) {
-  auto stack = MakeMattsonStack(impl, trace.size());
-  for (PageId page : trace) stack->Access(page);
-  return FromStack(*stack);
+MissRatioCurve MissRatioCurve::FromTrace(std::span<const PageId> trace) {
+  FenwickMattsonStack stack(trace.size());
+  for (PageId page : trace) stack.Access(page);
+  return FromStack(stack);
 }
 
 MissRatioCurve MissRatioCurve::FromTrace(SpanPair<PageId> trace,
@@ -143,7 +123,7 @@ std::unique_ptr<MattsonStack> MissRatioCurve::MakeReplayStack(
     return std::make_unique<SampledMattsonStack>(config.sample_rate,
                                                  expected_accesses);
   }
-  return MakeMattsonStack(config.impl, expected_accesses);
+  return std::make_unique<FenwickMattsonStack>(expected_accesses);
 }
 
 double MissRatioCurve::MissRatioAt(uint64_t pages) const {

@@ -29,19 +29,6 @@ struct MrcParameters {
   std::string ToString() const;
 };
 
-// How the diagnosis phase obtains a class's current curve.
-//  - kRecompute: replay the recent access window through a Mattson
-//    stack on demand (the paper's behaviour; O(window) at violation
-//    time). Kept as the reference implementation for differential
-//    testing.
-//  - kStreaming: read the per-class StreamingMrcEstimator that is
-//    maintained incrementally on every sampled access, so the curve is
-//    already fresh when a violation fires.
-enum class MrcMode { kRecompute, kStreaming };
-
-const char* MrcModeName(MrcMode mode);
-bool ParseMrcMode(const std::string& text, MrcMode* out);
-
 // Policy knobs for curve computation and stable-state comparison.
 struct MrcConfig {
   // Physical memory cap used for "total memory needed".
@@ -54,7 +41,6 @@ struct MrcConfig {
   // counts as a "significant change" during diagnosis (§5.3 flags the
   // no-index BestSeller whose acceptable memory *shrank*).
   double significant_change_fraction = 0.5;
-  MattsonImpl impl = MattsonImpl::kFenwick;
   // Hash-sampling rate for Mattson replay (rounded to 1/k): 1.0
   // replays every reference exactly; smaller rates replay only the
   // hash-sampled pages and scale counts back up (SHARDS-style),
@@ -67,20 +53,20 @@ struct MrcConfig {
   // threads including the caller; 1 = fully serial, 0 = use hardware
   // concurrency.
   int analysis_threads = 0;
-  // Where DiagnoseMemory gets each class's current curve from (see
-  // MrcMode). Streaming mode falls back to recomputation for classes
-  // without a warm estimator.
-  MrcMode mode = MrcMode::kRecompute;
   // When true, the diagnosis also computes each candidate's Belady/OPT
-  // miss ratio over the window and surfaces the LRU-vs-OPT regret at
-  // the acceptable memory size in phase=mrc trace events.
+  // miss ratio over the references its LRU curve covers and surfaces
+  // the LRU-vs-OPT regret at the acceptable memory size in phase=mrc
+  // trace events.
   bool opt_regret = false;
 };
 
-// Round-trips the capture-relevant MRC knobs (mode, opt_regret)
-// through a compact "k=v,k=v" spec string. The all-defaults config
-// encodes as "" so captures taken before these knobs existed decode
-// unchanged.
+// Round-trips the capture-relevant MRC knob (opt_regret) through a
+// compact "k=v,k=v" spec string. The all-defaults config encodes as ""
+// so captures taken before the knob existed decode unchanged. The
+// parser reads a FGLBCAP1 field, so it rejects unknown keys, empty
+// items (a leading, doubled or trailing comma), duplicate keys and bad
+// values, each with an error naming the token, and then leaves
+// `config` untouched.
 std::string MrcSpecString(const MrcConfig& config);
 bool ParseMrcSpec(const std::string& text, MrcConfig* config,
                   std::string* error);
@@ -94,15 +80,13 @@ class MissRatioCurve {
   MissRatioCurve() = default;
 
   static MissRatioCurve FromStack(const MattsonStack& stack);
-  static MissRatioCurve FromTrace(std::span<const PageId> trace,
-                                  MattsonImpl impl = MattsonImpl::kFenwick);
+  static MissRatioCurve FromTrace(std::span<const PageId> trace);
 
   // Builds a curve from externally maintained Mattson-style counts:
   // hits[d] = (scaled) hits at stack depth d+1. Like FromStack the
   // curve is normalized by the histogram's own mass (hits + cold);
   // `total_accesses` is the exact reference count the histogram stands
-  // for and becomes total_accesses(). The streaming estimator's
-  // snapshot path.
+  // for and becomes total_accesses().
   static MissRatioCurve FromHistogram(std::span<const uint64_t> hits,
                                       uint64_t cold_misses,
                                       uint64_t total_accesses);
@@ -118,7 +102,7 @@ class MissRatioCurve {
 
   // The stack a recomputation replays a window through under
   // `config`: sampled when config.sample_rate < 1, else the exact
-  // configured implementation, presized for `expected_accesses`.
+  // Fenwick stack, presized for `expected_accesses`.
   static std::unique_ptr<MattsonStack> MakeReplayStack(
       const MrcConfig& config, size_t expected_accesses);
 

@@ -30,23 +30,6 @@ MrcTracker::Recomputation MrcTracker::Recompute(
   return result;
 }
 
-MrcTracker::Recomputation MrcTracker::Diagnose(
-    const MissRatioCurve& curve) const {
-  Recomputation result;
-  result.curve = curve;
-  result.params = result.curve.ComputeParameters(config_);
-  result.suspect =
-      !stable_.has_value() ||
-      MissRatioCurve::SignificantChange(*stable_, result.params, config_);
-  return result;
-}
-
-void MrcTracker::SetStableFromCurve(const MissRatioCurve& curve) {
-  stable_curve_ = curve;
-  stable_ = stable_curve_.ComputeParameters(config_);
-  stable_trace_length_ = curve.total_accesses();
-}
-
 void MrcTracker::AdoptAsStable(const Recomputation& recomputation) {
   stable_curve_ = recomputation.curve;
   stable_ = recomputation.params;

@@ -55,29 +55,19 @@ class MrcTracker {
   // trimmed to the baseline's length (most recent accesses): MRC
   // parameters of weakly-skewed patterns grow with trace length, and
   // comparing a long window against a short baseline would flag
-  // phantom growth.
+  // phantom growth. The curve's total_accesses() is the number of
+  // (most recent) references it covers after that trim.
   Recomputation Recompute(SpanPair<PageId> trace) const;
   Recomputation Recompute(std::span<const PageId> trace) const {
     return Recompute(SpanPair<PageId>(trace));
   }
 
-  // Streaming-mode counterpart of Recompute: diagnoses an
-  // already-computed curve (from a StreamingMrcEstimator snapshot)
-  // against the baseline without any replay. The curve is taken as-is;
-  // the estimator's own window bounds the trace length, so no
-  // baseline-length trimming applies.
-  Recomputation Diagnose(const MissRatioCurve& curve) const;
-
-  // Installs an externally computed curve as the stable baseline
-  // (streaming-mode analogue of SetStableFromTrace).
-  void SetStableFromCurve(const MissRatioCurve& curve);
-
   size_t stable_trace_length() const { return stable_trace_length_; }
 
   // Checkpoint support: reinstalls a serialized stable baseline
-  // without disturbing the trace-length bookkeeping the way
-  // SetStableFromCurve would (parameters are re-derived from the curve
-  // deterministically, so the restored tracker diagnoses identically).
+  // together with its trace length (parameters are re-derived from the
+  // curve deterministically, so the restored tracker diagnoses
+  // identically).
   void RestoreStable(const MissRatioCurve& curve, size_t trace_length) {
     stable_curve_ = curve;
     stable_ = stable_curve_.ComputeParameters(config_);

@@ -60,8 +60,7 @@ struct CaptureInfo {
   // tracing off. Also a trailing optional field.
   std::string span_spec;
   // MrcSpecString() of the run's MRC diagnosis configuration; empty =
-  // all defaults (recompute mode, no OPT regret). Also a trailing
-  // optional field.
+  // all defaults (no OPT regret). Also a trailing optional field.
   std::string mrc_spec;
   // TierConfig::ToString() of the engines' second-tier cache; empty =
   // tierless (the pre-tier behaviour). Also a trailing optional field.

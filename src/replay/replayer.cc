@@ -51,9 +51,8 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
   config.max_migrations_per_interval =
       capture.info.max_migrations_per_interval;
   if (!capture.info.mrc_spec.empty()) {
-    // Streaming/regret settings must be restored before the harness is
-    // built: the retuner enables per-engine streaming estimators in its
-    // constructor.
+    // The retuner copies its MRC config at construction, so the regret
+    // setting must be restored before the harness is built.
     std::string mrc_error;
     if (!ParseMrcSpec(capture.info.mrc_spec, &config.mrc, &mrc_error)) {
       return fail("capture carries unparsable mrc spec: " + mrc_error);

@@ -1,7 +1,11 @@
 #include "core/log_analyzer.h"
 
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "mrc/opt_oracle.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -30,6 +34,15 @@ class LogAnalyzerTest : public ::testing::Test {
     for (int i = 0; i < n; ++i) {
       const ExecutionCounters c = engine_->Execute(q);
       engine_->RecordCompletion(q.class_key(), latency, c);
+    }
+  }
+
+  // Executes `cls` until its access window holds at least `accesses`
+  // references (or is full).
+  void FillWindow(QueryClassId cls, size_t accesses) {
+    const ClassKey key = MakeClassKey(app_.id, cls);
+    while (engine_->stats().AccessWindowSpans(key).size() < accesses) {
+      RunQueries(cls, 1);
     }
   }
 
@@ -163,6 +176,52 @@ TEST_F(LogAnalyzerTest, StableProfilesExceptFilters) {
   const auto without = analyzer_->StableProfilesExcept({bs});
   EXPECT_EQ(all.size(), without.size() + 1);
   for (const auto& p : without) EXPECT_NE(p.key, bs);
+}
+
+TEST_F(LogAnalyzerTest, RegretComparesLruAndOptOverTheSameReferences) {
+  // Baselines come from short windows, so Recompute trims the later,
+  // full windows to the baselines' lengths. The reported regret must
+  // set OPT against the LRU curve over exactly the references that
+  // curve covers, not over the whole window.
+  MrcConfig mrc;
+  mrc.max_server_pages = 8192;
+  mrc.analysis_threads = 2;  // two candidates fan out across the pool
+  mrc.opt_regret = true;
+  LogAnalyzer analyzer(engine_.get(), OutlierConfig{}, mrc);
+  const QueryClassId classes[] = {kTpcwBestSeller, kTpcwProductDetail};
+  for (QueryClassId cls : classes) {
+    FillWindow(cls, LogAnalyzer::kMinWindowForMrc);
+  }
+  analyzer.RecordStableInterval(app_.id, Snapshot(), 10.0);
+  std::set<ClassKey> candidates;
+  for (QueryClassId cls : classes) {
+    FillWindow(cls, 20000);  // the window's capacity
+    candidates.insert(MakeClassKey(app_.id, cls));
+  }
+
+  const auto diag = analyzer.DiagnoseMemory(candidates);
+  std::vector<ClassMemoryProfile> profiles = diag.suspects;
+  profiles.insert(profiles.end(), diag.cleared.begin(), diag.cleared.end());
+  ASSERT_EQ(profiles.size(), 2u);
+  for (const ClassMemoryProfile& profile : profiles) {
+    ASSERT_NE(profile.curve, nullptr);
+    const MissRatioCurve& curve = *profile.curve;
+    const std::vector<PageId> window =
+        engine_->stats().AccessWindow(profile.key);
+    ASSERT_LT(curve.total_accesses(), window.size());
+    const std::span<const PageId> covered =
+        std::span<const PageId>(window).last(curve.total_accesses());
+    const uint64_t acceptable = profile.params.acceptable_memory_pages;
+    EXPECT_DOUBLE_EQ(profile.regret_vs_opt,
+                     RegretVsOpt(covered, curve, acceptable));
+    // At the exact rate LRU >= OPT holds pointwise over the same trace.
+    for (uint64_t pages : {uint64_t{16}, uint64_t{128}, uint64_t{512},
+                           uint64_t{2048}, acceptable}) {
+      EXPECT_LE(OptMissRatioAt(covered, pages),
+                curve.MissRatioAt(pages) + 1e-12)
+          << "class " << profile.key << " at " << pages << " pages";
+    }
+  }
 }
 
 }  // namespace

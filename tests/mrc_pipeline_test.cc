@@ -179,8 +179,9 @@ TEST_P(SampledAccuracyTest, ParametersWithinTolerance) {
   MrcConfig config;
   config.max_server_pages = 16384;
 
-  const MissRatioCurve exact_curve =
-      MissRatioCurve::FromTrace(trace, MattsonImpl::kList);
+  ListMattsonStack oracle;
+  for (PageId page : trace) oracle.Access(page);
+  const MissRatioCurve exact_curve = MissRatioCurve::FromStack(oracle);
   const MrcParameters exact = exact_curve.ComputeParameters(config);
 
   MrcConfig sampled_config = config;

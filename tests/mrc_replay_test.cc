@@ -1,0 +1,187 @@
+// Tests for the MRC diagnosis configuration as it crosses a capture:
+// the mrc spec string FGLBCAP1 stores (round trip and rejection of
+// malformed input), and live-vs-replay identity of every diagnosed
+// curve, OPT regret included.
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/selective_retuner.h"
+#include "mrc/miss_ratio_curve.h"
+#include "replay/capture.h"
+#include "replay/replayer.h"
+#include "scenarios/harness.h"
+#include "workload/rubis.h"
+#include "workload/tpcw.h"
+
+namespace fglb {
+namespace {
+
+// --- Config spec round-trip ---
+
+TEST(MrcSpecTest, RoundTripsThroughSpecString) {
+  MrcConfig config;
+  EXPECT_EQ(MrcSpecString(config), "");  // defaults stay capture-compatible
+
+  config.opt_regret = true;
+  const std::string spec = MrcSpecString(config);
+  EXPECT_EQ(spec, "opt_regret=1");
+  MrcConfig parsed;
+  std::string error;
+  ASSERT_TRUE(ParseMrcSpec(spec, &parsed, &error)) << error;
+  EXPECT_TRUE(parsed.opt_regret);
+
+  // `mode` is not a key of the grammar.
+  MrcConfig bad;
+  EXPECT_FALSE(ParseMrcSpec("mode=streaming", &bad, &error));
+  EXPECT_NE(error.find("mode"), std::string::npos) << error;
+}
+
+TEST(MrcSpecTest, RejectsMalformedItemsNamingTheToken) {
+  struct Case {
+    const char* spec;
+    const char* token;  // must appear in the error message
+  };
+  const Case cases[] = {
+      {"opt_regret=1,", "trailing comma"},
+      {"opt_regret=1,opt_regret=0", "duplicate mrc spec key: opt_regret"},
+      {",opt_regret=1", "empty mrc spec item"},
+      {"opt_regret=1,,opt_regret=0", "empty mrc spec item"},
+      {",", "trailing comma"},
+      {"opt_regret", "lacks '=': opt_regret"},
+      {"opt_regret=yes", "opt_regret must be 0 or 1: yes"},
+      {"mode=recompute,opt_regret=1", "unknown mrc spec key: mode"},
+  };
+  for (const Case& c : cases) {
+    MrcConfig config;
+    config.sample_rate = 0.25;
+    std::string error;
+    EXPECT_FALSE(ParseMrcSpec(c.spec, &config, &error)) << c.spec;
+    EXPECT_NE(error.find(c.token), std::string::npos)
+        << c.spec << " -> " << error;
+    // A rejected spec leaves the config untouched.
+    EXPECT_FALSE(config.opt_regret) << c.spec;
+    EXPECT_EQ(config.sample_rate, 0.25) << c.spec;
+  }
+  MrcConfig config;
+  std::string error;
+  EXPECT_TRUE(ParseMrcSpec("", &config, &error)) << error;
+  EXPECT_TRUE(ParseMrcSpec("opt_regret=0", &config, &error)) << error;
+  EXPECT_FALSE(config.opt_regret);
+}
+
+// --- Live vs replay through FGLBCAP1 ---
+
+std::string TempPath(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// Mirrors fglb_sim's consolidation scenario (as replay_test does).
+void AssembleConsolidation(ClusterHarness* harness, double duration,
+                           uint64_t seed) {
+  harness->AddServers(4);
+  PhysicalServer* first = harness->resources().servers()[0].get();
+  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+  RubisOptions rubis_options;
+  rubis_options.app_id = 2;
+  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
+  Replica* shared = harness->resources().CreateReplica(first, 8192);
+  tpcw->AddReplica(shared);
+  rubis->AddReplica(shared);
+  harness->AddConstantClients(tpcw, 120, seed);
+  harness->AddClients(
+      rubis,
+      std::make_unique<StepLoad>(
+          std::vector<std::pair<SimTime, double>>{{duration / 3, 45}}),
+      seed + 1);
+}
+
+void ExpectSameDiagnoses(
+    const std::vector<SelectiveRetuner::DiagnosisRecord>& live,
+    const std::vector<SelectiveRetuner::DiagnosisRecord>& replayed) {
+  ASSERT_EQ(live.size(), replayed.size());
+  const auto same_profiles = [](const std::vector<ClassMemoryProfile>& x,
+                                const std::vector<ClassMemoryProfile>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].key, y[i].key);
+      EXPECT_EQ(x[i].params.total_memory_pages,
+                y[i].params.total_memory_pages);
+      EXPECT_EQ(x[i].params.acceptable_memory_pages,
+                y[i].params.acceptable_memory_pages);
+      EXPECT_EQ(x[i].params.ideal_miss_ratio, y[i].params.ideal_miss_ratio);
+      EXPECT_EQ(x[i].params.acceptable_miss_ratio,
+                y[i].params.acceptable_miss_ratio);
+      EXPECT_EQ(x[i].regret_vs_opt, y[i].regret_vs_opt);
+    }
+  };
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].time, replayed[i].time);
+    EXPECT_EQ(live[i].app, replayed[i].app);
+    EXPECT_EQ(live[i].replica_id, replayed[i].replica_id);
+    same_profiles(live[i].memory.suspects, replayed[i].memory.suspects);
+    same_profiles(live[i].memory.cleared, replayed[i].memory.cleared);
+    EXPECT_EQ(live[i].memory.insufficient_data,
+              replayed[i].memory.insufficient_data);
+  }
+}
+
+TEST(MrcReplayTest, LiveAndReplayedCurvesAreIdentical) {
+  const std::string path = TempPath("fglb_mrc_replay.fglbcap");
+  const double duration = 300;
+  const uint64_t seed = 1;
+
+  SelectiveRetuner::Config config;
+  config.mrc.opt_regret = true;
+  ClusterHarness harness(config);
+  AssembleConsolidation(&harness, duration, seed);
+
+  CaptureWriter writer(&harness.sim());
+  CaptureInfo info;
+  info.seed = seed;
+  info.scenario = "consolidation";
+  info.duration_seconds = duration;
+  info.interval_seconds = harness.retuner().config().interval_seconds;
+  info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
+  info.mrc_spec = MrcSpecString(harness.retuner().config().mrc);
+  std::string error;
+  ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
+      << error;
+  harness.AttachRecorders(&writer, &writer);
+  harness.Start();
+  harness.RunFor(duration);
+  ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
+                              harness.retuner().samples()));
+  // The run must actually reach phase mrc with the oracle on, or curve
+  // identity over an empty diagnosis list would prove nothing.
+  const auto& diagnoses = harness.retuner().diagnoses();
+  ASSERT_FALSE(diagnoses.empty());
+  bool regret_computed = false;
+  for (const auto& record : diagnoses) {
+    for (const auto& profile : record.memory.suspects) {
+      regret_computed = regret_computed || profile.regret_vs_opt >= 0;
+    }
+    for (const auto& profile : record.memory.cleared) {
+      regret_computed = regret_computed || profile.regret_vs_opt >= 0;
+    }
+  }
+  EXPECT_TRUE(regret_computed);
+
+  Capture capture;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+  EXPECT_EQ(capture.info.mrc_spec, info.mrc_spec);
+  ReplayRunner runner(&capture, ReplayBuildOptions{});
+  ASSERT_TRUE(runner.Build(&error)) << error;
+  EXPECT_TRUE(runner.harness()->retuner().config().mrc.opt_regret);
+  ASSERT_TRUE(runner.Run(&error)) << error;
+
+  ExpectSameDiagnoses(diagnoses, runner.harness()->retuner().diagnoses());
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace fglb

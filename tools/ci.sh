@@ -94,21 +94,19 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload-replay.jsonl" \
          --phase=action)
 
-echo "=== streaming-MRC smoke: always-fresh curves + OPT regret ==="
-# A streaming-mode run must emit phase=mrc events tagged
-# mode=streaming whose class profiles carry regret_vs_opt, pass the
-# schema check, and — because the mrc spec rides in the FGLBCAP1
-# header — replay to identical curves and diagnoses. dur_us is wall
-# clock, so it is stripped before the mrc-phase diff; the action
-# projection must match byte for byte as usual. (consolidation, not
-# overload: overload sheds its way past the mrc phase.)
+echo "=== MRC smoke: on-demand diagnosis + OPT regret ==="
+# A run with the OPT oracle on must emit phase=mrc events whose class
+# profiles carry regret_vs_opt, pass the schema check, and — because
+# the mrc spec rides in the FGLBCAP1 header — replay to identical
+# curves and diagnoses. dur_us is wall clock, so it is stripped before
+# the mrc-phase diff; the action projection must match byte for byte
+# as usual. (consolidation, not overload: overload sheds its way past
+# the mrc phase.)
 "./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
-  --log-level=quiet --mrc-mode=streaming --mrc-opt-regret \
+  --log-level=quiet --mrc-opt-regret \
   --capture-out="${SMOKE_DIR}/mrc.fglbcap" \
   --trace-out="${SMOKE_DIR}/mrc.jsonl" >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc.jsonl" --check
-"./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc.jsonl" --phase=mrc \
-  | grep -q '"mode":"streaming"'
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/mrc.jsonl" --phase=mrc \
   | grep -q 'regret_vs_opt'
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/mrc.fglbcap" \
@@ -279,13 +277,13 @@ cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
   sim_determinism_test scale_replay_test span_tracer_test \
-  streaming_mrc_test opt_oracle_test arc_buffer_pool_test \
+  mrc_replay_test opt_oracle_test arc_buffer_pool_test \
   tiered_buffer_pool_test tiered_replay_test fglb_sim_cli \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
   recovery_test replay_codec_test storage_test workload_test \
   common_random_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \
@@ -298,9 +296,9 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
   metrics_registry_test trace_log_test observability_integration_test \
   span_tracer_test fault_injector_test chaos_soak_test replay_codec_test \
   replay_test sim_determinism_test scale_replay_test \
-  streaming_mrc_test opt_oracle_test tiered_replay_test \
+  mrc_replay_test opt_oracle_test tiered_replay_test \
   stats_channel_test controller_checkpoint_test recovery_test
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-  -R 'ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanConfig|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|Streaming|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest'
+  -R 'ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanConfig|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest'
 
 echo "CI OK"

@@ -292,7 +292,6 @@ int main(int argc, char** argv) {
   SelectiveRetuner::Config retuner_config;
   retuner_config.mrc.analysis_threads = options.mrc_threads;
   retuner_config.mrc.sample_rate = options.mrc_sample_rate;
-  ParseMrcMode(options.mrc_mode, &retuner_config.mrc.mode);  // CLI-validated
   retuner_config.mrc.opt_regret = options.mrc_opt_regret;
   if (chaos) {
     // Under injected churn, bound re-placement so flapping faults
