@@ -17,9 +17,7 @@
 #include "bench_util.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
-#include "scenarios/harness.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
+#include "scenarios/scenario.h"
 
 namespace {
 
@@ -34,45 +32,29 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The consolidation scenario (TPC-W steady + RUBiS stepping in at
-// duration/3 on a shared replica): the densest access stream of the
-// canned scenarios and the one the replay tests assert determinism on.
-void Assemble(ClusterHarness* harness) {
-  harness->AddServers(4);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  tpcw->AddReplica(shared);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, kSeed);
-  harness->AddClients(
-      rubis,
-      std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
-          {kDurationSeconds / 3, 45}}),
-      kSeed + 1);
-}
-
 // One live run; when `capture_path` is non-empty the capture writer is
 // attached and its stream counters are returned through *writer_out.
+// The run is fglb_sim's consolidation scenario (TPC-W steady + RUBiS
+// stepping in at duration/3 on a shared replica): the densest access
+// stream of the canned scenarios and the one the replay tests assert
+// determinism on.
 double RunLive(const std::string& capture_path,
                std::unique_ptr<CaptureWriter>* writer_out) {
-  ClusterHarness harness;
-  Assemble(&harness);
+  RunConfig run =
+      ScenarioRunConfig(Scenario::kConsolidation, kDurationSeconds);
+  run.seed = kSeed;
+  std::unique_ptr<ClusterHarness> live = MakeHarness(run, 0);
+  ClusterHarness& harness = *live;
+  AssembleScenario(run, &harness);
+  std::string error;
+  if (!ArmRun(run, &harness, &error)) {
+    std::fprintf(stderr, "bench: %s\n", error.c_str());
+    std::exit(1);
+  }
   std::unique_ptr<CaptureWriter> writer;
   if (!capture_path.empty()) {
     writer = std::make_unique<CaptureWriter>(&harness.sim());
-    CaptureInfo info;
-    info.seed = kSeed;
-    info.fault_seed = 1;
-    info.scenario = "consolidation";
-    info.duration_seconds = kDurationSeconds;
-    info.interval_seconds = harness.retuner().config().interval_seconds;
-    info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-    std::string error;
-    if (!writer->Open(capture_path, info, SnapshotTopology(harness),
+    if (!writer->Open(capture_path, run, SnapshotTopology(harness),
                       &error)) {
       std::fprintf(stderr, "bench: %s\n", error.c_str());
       std::exit(1);

@@ -2,112 +2,72 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
+#include "common/kv_spec.h"
 #include "common/varint.h"
 
 namespace fglb {
 
-namespace {
-
-std::string Num(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-bool ParseDoubleField(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntField(const std::string& value, int* out) {
-  double d = 0;
-  if (!ParseDoubleField(value, &d) || d != static_cast<int>(d)) return false;
-  *out = static_cast<int>(d);
-  return true;
-}
-
-}  // namespace
-
 std::string AdmissionConfig::ToString() const {
   std::string out;
-  out += "target=" + Num(target_delay);
-  out += ",interval=" + Num(codel_interval_seconds);
+  out += "target=" + FormatKvNumber(target_delay);
+  out += ",interval=" + FormatKvNumber(codel_interval_seconds);
   out += ",queue=" + std::to_string(max_queue_depth);
-  out += ",retry_ratio=" + Num(retry_budget_ratio);
-  out += ",retry_burst=" + Num(retry_burst);
+  out += ",retry_ratio=" + FormatKvNumber(retry_budget_ratio);
+  out += ",retry_burst=" + FormatKvNumber(retry_burst);
   out += ",breaker_threshold=" + std::to_string(breaker_failure_threshold);
-  out += ",breaker_open=" + Num(breaker_open_seconds);
+  out += ",breaker_open=" + FormatKvNumber(breaker_open_seconds);
   out += ",probes=" + std::to_string(breaker_half_open_probes);
-  out += ",timeout_factor=" + Num(timeout_factor);
-  out += ",alpha=" + Num(ewma_alpha);
+  out += ",timeout_factor=" + FormatKvNumber(timeout_factor);
+  out += ",alpha=" + FormatKvNumber(ewma_alpha);
   return out;
 }
 
 bool AdmissionConfig::Parse(const std::string& text, AdmissionConfig* config,
                             std::string* error) {
-  auto fail = [error](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
+  KvItems items;
+  if (!SplitKvSpec(text, ',', "admission spec", &items, error)) return false;
   AdmissionConfig parsed;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find(',', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string field = text.substr(start, end - start);
-    start = end + 1;
-    if (field.empty()) continue;
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return fail("admission spec field without '=': " + field);
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  for (const auto& [key, value] : items) {
     bool ok = true;
     if (key == "target") {
-      ok = ParseDoubleField(value, &parsed.target_delay) &&
+      ok = ParseKvNumber(value, &parsed.target_delay) &&
            parsed.target_delay > 0;
     } else if (key == "interval") {
-      ok = ParseDoubleField(value, &parsed.codel_interval_seconds) &&
+      ok = ParseKvNumber(value, &parsed.codel_interval_seconds) &&
            parsed.codel_interval_seconds > 0;
     } else if (key == "queue") {
-      double d = 0;
-      ok = ParseDoubleField(value, &d) && d >= 1 &&
-           d == static_cast<uint64_t>(d);
-      parsed.max_queue_depth = static_cast<uint64_t>(d);
+      ok = ParseKvCount(value, &parsed.max_queue_depth) &&
+           parsed.max_queue_depth >= 1;
     } else if (key == "retry_ratio") {
-      ok = ParseDoubleField(value, &parsed.retry_budget_ratio) &&
+      ok = ParseKvNumber(value, &parsed.retry_budget_ratio) &&
            parsed.retry_budget_ratio >= 0;
     } else if (key == "retry_burst") {
-      ok = ParseDoubleField(value, &parsed.retry_burst) &&
+      ok = ParseKvNumber(value, &parsed.retry_burst) &&
            parsed.retry_burst >= 0;
     } else if (key == "breaker_threshold") {
-      ok = ParseIntField(value, &parsed.breaker_failure_threshold) &&
+      ok = ParseKvCount(value, &parsed.breaker_failure_threshold) &&
            parsed.breaker_failure_threshold >= 1;
     } else if (key == "breaker_open") {
-      ok = ParseDoubleField(value, &parsed.breaker_open_seconds) &&
+      ok = ParseKvNumber(value, &parsed.breaker_open_seconds) &&
            parsed.breaker_open_seconds > 0;
     } else if (key == "probes") {
-      ok = ParseIntField(value, &parsed.breaker_half_open_probes) &&
+      ok = ParseKvCount(value, &parsed.breaker_half_open_probes) &&
            parsed.breaker_half_open_probes >= 1;
     } else if (key == "timeout_factor") {
-      ok = ParseDoubleField(value, &parsed.timeout_factor) &&
+      ok = ParseKvNumber(value, &parsed.timeout_factor) &&
            parsed.timeout_factor > 0;
     } else if (key == "alpha") {
-      ok = ParseDoubleField(value, &parsed.ewma_alpha) &&
+      ok = ParseKvNumber(value, &parsed.ewma_alpha) &&
            parsed.ewma_alpha > 0 && parsed.ewma_alpha <= 1;
     } else {
-      return fail("unknown admission spec key: " + key);
+      return KvError(error, "unknown admission spec key: " + key);
     }
-    if (!ok) return fail("bad admission spec value: " + field);
+    if (!ok) {
+      return KvError(error, "bad admission spec value: " + key + "=" + value);
+    }
   }
   *config = parsed;
   return true;

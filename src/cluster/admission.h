@@ -53,11 +53,13 @@ struct AdmissionConfig {
   // classes by SLA headroom (shedding order).
   double ewma_alpha = 0.2;
 
-  // Canonical "target=0.5,interval=5,..." form; Parse accepts the
-  // keys ToString emits, in any order, and rejects unknown keys.
+  // Canonical "target=0.5,interval=5,..." form (common/kv_spec.h);
+  // Parse accepts the keys ToString emits, in any order, and rejects
+  // unknown and repeated keys.
   std::string ToString() const;
   static bool Parse(const std::string& text, AdmissionConfig* config,
                     std::string* error);
+  bool operator==(const AdmissionConfig&) const = default;
 };
 
 // Per-replica admission control, load shedding and circuit breaking

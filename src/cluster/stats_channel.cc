@@ -2,30 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <utility>
 
+#include "common/kv_spec.h"
 #include "common/varint.h"
 
 namespace fglb {
 
 namespace {
-
-std::string Num(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-bool ParseDoubleField(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
 
 // Even a fully dark feed keeps a sliver of confidence so FenceScale
 // stays finite and a resync can climb back.
@@ -64,10 +49,10 @@ std::string StatsChannelConfig::ToString() const {
     out += field;
   };
   if (guard != defaults.guard) add(std::string("guard=") + (guard ? "on" : "off"));
-  if (decay != defaults.decay) add("decay=" + Num(decay));
-  if (recover != defaults.recover) add("recover=" + Num(recover));
+  if (decay != defaults.decay) add("decay=" + FormatKvNumber(decay));
+  if (recover != defaults.recover) add("recover=" + FormatKvNumber(recover));
   if (act_threshold != defaults.act_threshold) {
-    add("threshold=" + Num(act_threshold));
+    add("threshold=" + FormatKvNumber(act_threshold));
   }
   return out;
 }
@@ -75,41 +60,29 @@ std::string StatsChannelConfig::ToString() const {
 bool StatsChannelConfig::Parse(const std::string& text,
                                StatsChannelConfig* config,
                                std::string* error) {
-  auto fail = [error](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
+  KvItems items;
+  if (!SplitKvSpec(text, ',', "stats spec", &items, error)) return false;
   StatsChannelConfig parsed;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find(',', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string field = text.substr(start, end - start);
-    start = end + 1;
-    if (field.empty()) continue;
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      return fail("stats spec field without '=': " + field);
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
+  for (const auto& [key, value] : items) {
     bool ok = true;
     if (key == "guard") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
       parsed.guard = value == "on" || value == "1";
     } else if (key == "decay") {
-      ok = ParseDoubleField(value, &parsed.decay) && parsed.decay > 0 &&
+      ok = ParseKvNumber(value, &parsed.decay) && parsed.decay > 0 &&
            parsed.decay < 1;
     } else if (key == "recover") {
-      ok = ParseDoubleField(value, &parsed.recover) && parsed.recover > 0 &&
+      ok = ParseKvNumber(value, &parsed.recover) && parsed.recover > 0 &&
            parsed.recover <= 1;
     } else if (key == "threshold") {
-      ok = ParseDoubleField(value, &parsed.act_threshold) &&
+      ok = ParseKvNumber(value, &parsed.act_threshold) &&
            parsed.act_threshold > 0 && parsed.act_threshold <= 1;
     } else {
-      return fail("unknown stats spec key: " + key);
+      return KvError(error, "unknown stats spec key: " + key);
     }
-    if (!ok) return fail("bad stats spec value: " + field);
+    if (!ok) {
+      return KvError(error, "bad stats spec value: " + key + "=" + value);
+    }
   }
   *config = parsed;
   return true;

@@ -17,8 +17,8 @@
 namespace fglb {
 
 // Controller-side handling of a degraded statistics feed. The knobs
-// ride FGLBCAP1 captures as `stats_spec`; the all-defaults config
-// encodes as "".
+// ride FGLBCAP1 captures as the `stats` line of the run's RunConfig;
+// the all-defaults config encodes as "".
 struct StatsChannelConfig {
   // When false the receiver silently substitutes last-known-good stats
   // for missing reports at full confidence — the ablation arm that
@@ -38,6 +38,7 @@ struct StatsChannelConfig {
   std::string ToString() const;
   static bool Parse(const std::string& text, StatsChannelConfig* config,
                     std::string* error);
+  bool operator==(const StatsChannelConfig&) const = default;
 };
 
 // The transport between StatsCollector::EndInterval and the

@@ -1,8 +1,7 @@
 #include "common/span_tracer.h"
 
-#include <cstdlib>
-
 #include "common/json.h"
+#include "common/kv_spec.h"
 
 namespace fglb {
 namespace {
@@ -80,31 +79,15 @@ std::string SpanConfig::ToString() const {
 
 bool SpanConfig::Parse(const std::string& text, SpanConfig* config,
                        std::string* error) {
+  KvItems items;
+  if (!SplitKvSpec(text, ',', "span spec", &items, error)) return false;
   SpanConfig parsed;
-  const auto fail = [&](const std::string& message) {
-    if (error != nullptr) *error = "span spec: " + message;
-    return false;
-  };
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) return fail("expected key=value in '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "sample") {
-      char* tail = nullptr;
-      const unsigned long long n = std::strtoull(value.c_str(), &tail, 10);
-      if (tail == value.c_str() || *tail != '\0' || n == 0) {
-        return fail("sample must be a positive integer, got '" + value + "'");
-      }
-      parsed.sample_every = n;
-    } else {
-      return fail("unknown key '" + key + "'");
+  for (const auto& [key, value] : items) {
+    if (key != "sample") return KvError(error, "unknown span spec key: " + key);
+    if (!ParseKvCount(value, &parsed.sample_every) ||
+        parsed.sample_every == 0) {
+      return KvError(error, "bad span spec value: " + key + "=" + value +
+                  " (sample must be a positive integer)");
     }
   }
   *config = parsed;

@@ -62,9 +62,9 @@ constexpr size_t kSpanSegmentCount = static_cast<size_t>(SpanSegment::kCount);
 
 const char* SpanSegmentName(SpanSegment segment);
 
-// Sampling knobs; the canonical string form (same k=v grammar family
-// as AdmissionConfig/FaultSpec) travels in the FGLBCAP1 info block so
-// a replayed capture samples the identical queries.
+// Sampling knobs; the canonical string form (the common/kv_spec.h
+// grammar) travels in a FGLBCAP1 capture's RunConfig so a replayed
+// capture samples the identical queries.
 struct SpanConfig {
   // Deterministic 1-in-N sampling by global submit sequence; 1 = every
   // query.
@@ -73,6 +73,7 @@ struct SpanConfig {
   std::string ToString() const;  // "sample=64"
   static bool Parse(const std::string& text, SpanConfig* config,
                     std::string* error);
+  bool operator==(const SpanConfig&) const = default;
 };
 
 // One sampled query's recorder. Pool-allocated by the tracer; the

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 
+#include "common/kv_spec.h"
 #include "mrc/sampled_mattson_stack.h"
 
 namespace fglb {
@@ -25,33 +26,15 @@ std::string MrcSpecString(const MrcConfig& config) {
 
 bool ParseMrcSpec(const std::string& text, MrcConfig* config,
                   std::string* error) {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return false;
-  };
-  if (!text.empty() && text.back() == ',') {
-    return fail("trailing comma in mrc spec: " + text);
-  }
+  KvItems items;
+  if (!SplitKvSpec(text, ',', "mrc spec", &items, error)) return false;
   MrcConfig parsed = *config;
-  bool seen_opt_regret = false;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t end = text.find(',', pos);
-    if (end == std::string::npos) end = text.size();
-    const std::string item = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (item.empty()) return fail("empty mrc spec item in: " + text);
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      return fail("mrc spec item lacks '=': " + item);
+  for (const auto& [key, value] : items) {
+    if (key != "opt_regret") {
+      return KvError(error, "unknown mrc spec key: " + key);
     }
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key != "opt_regret") return fail("unknown mrc spec key: " + key);
-    if (seen_opt_regret) return fail("duplicate mrc spec key: " + key);
-    seen_opt_regret = true;
     if (value != "0" && value != "1") {
-      return fail("opt_regret must be 0 or 1: " + value);
+      return KvError(error, "opt_regret must be 0 or 1: " + value);
     }
     parsed.opt_regret = value == "1";
   }

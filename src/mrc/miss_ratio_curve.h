@@ -60,13 +60,12 @@ struct MrcConfig {
   bool opt_regret = false;
 };
 
-// Round-trips the capture-relevant MRC knob (opt_regret) through a
-// compact "k=v,k=v" spec string. The all-defaults config encodes as ""
-// so captures taken before the knob existed decode unchanged. The
-// parser reads a FGLBCAP1 field, so it rejects unknown keys, empty
-// items (a leading, doubled or trailing comma), duplicate keys and bad
-// values, each with an error naming the token, and then leaves
-// `config` untouched.
+// The run-level MRC knob (opt_regret) as a "k=v,k=v" spec in the
+// common/kv_spec.h grammar; it is the `mrc` line of a RunConfig. The
+// all-defaults config encodes as "". The parser reads a FGLBCAP1
+// field, so it rejects unknown keys, empty items (a leading, doubled
+// or trailing comma), duplicate keys and bad values, each with an
+// error naming the token, and then leaves `config` untouched.
 std::string MrcSpecString(const MrcConfig& config);
 bool ParseMrcSpec(const std::string& text, MrcConfig* config,
                   std::string* error);

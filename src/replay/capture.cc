@@ -42,52 +42,6 @@ uint8_t AccessFlags(const PageAccess& a) {
 
 // --- section encoders ---
 
-void EncodeInfo(const CaptureInfo& info, std::string* out) {
-  PutVarint64(out, info.seed);
-  PutVarint64(out, info.fault_seed);
-  PutString(out, info.scenario);
-  PutString(out, info.fault_spec);
-  PutDouble(out, info.duration_seconds);
-  PutDouble(out, info.interval_seconds);
-  PutDouble(out, info.mrc_sample_rate);
-  PutVarint64(out, static_cast<uint64_t>(info.max_migrations_per_interval));
-  PutString(out, info.admission_spec);
-  PutString(out, info.span_spec);
-  PutString(out, info.mrc_spec);
-  PutString(out, info.tier_spec);
-  PutString(out, info.replacement_spec);
-  PutString(out, info.stats_spec);
-  PutString(out, info.ckpt_spec);
-}
-
-bool DecodeInfo(Reader& r, CaptureInfo* info) {
-  info->seed = r.U64();
-  info->fault_seed = r.U64();
-  info->scenario = r.Str();
-  info->fault_spec = r.Str();
-  info->duration_seconds = r.F64();
-  info->interval_seconds = r.F64();
-  info->mrc_sample_rate = r.F64();
-  info->max_migrations_per_interval = static_cast<int>(r.U64());
-  // Optional trailing fields; absent in captures from before the
-  // corresponding subsystem existed.
-  if (r.AtEnd()) return true;
-  info->admission_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->span_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->mrc_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->tier_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->replacement_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->stats_spec = r.Str();
-  if (r.AtEnd()) return true;
-  info->ckpt_spec = r.Str();
-  return r.AtEnd();
-}
-
 void EncodeTopology(const CaptureTopology& topo, std::string* out) {
   PutVarint64(out, topo.servers.size());
   for (const auto& s : topo.servers) {
@@ -379,7 +333,7 @@ bool CaptureWriter::WriteBlock(uint8_t type, const std::string& payload) {
   return true;
 }
 
-bool CaptureWriter::Open(const std::string& path, const CaptureInfo& info,
+bool CaptureWriter::Open(const std::string& path, const RunConfig& run,
                          const CaptureTopology& topology, std::string* error) {
   assert(file_ == nullptr);
   file_ = std::fopen(path.c_str(), "wb");
@@ -391,10 +345,8 @@ bool CaptureWriter::Open(const std::string& path, const CaptureInfo& info,
     failed_ = true;
   }
   bytes_written_ += sizeof(kMagic);
+  WriteBlock(kBlockInfo, run.ToString());
   std::string payload;
-  EncodeInfo(info, &payload);
-  WriteBlock(kBlockInfo, payload);
-  payload.clear();
   EncodeTopology(topology, &payload);
   WriteBlock(kBlockTopology, payload);
   if (failed_ && error != nullptr) *error = "write error on " + path;
@@ -550,11 +502,17 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
     p += len;
 
     switch (type) {
-      case kBlockInfo:
+      case kBlockInfo: {
         if (seen_info || seen_topology) return fail(path + ": stray info block");
-        if (!DecodeInfo(r, &out->info)) return fail(path + ": bad info block");
+        const std::string text(reinterpret_cast<const char*>(r.p),
+                               r.remaining());
+        std::string info_error;
+        if (!RunConfig::Parse(text, &out->run, &info_error)) {
+          return fail(path + ": bad info block: " + info_error);
+        }
         seen_info = true;
         break;
+      }
       case kBlockTopology:
         if (!seen_info || seen_topology) {
           return fail(path + ": misplaced topology block");

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/selective_retuner.h"
+#include "scenarios/run_config.h"
 #include "sim/simulator.h"
 #include "storage/page.h"
 #include "workload/application.h"
@@ -30,7 +31,10 @@ class ClusterHarness;
 //   types      1 info, 2 topology, 3 events (repeats), 4 actions,
 //              5 samples, 6 end
 //
-// Payload scalars are varints; signed deltas are zigzag varints;
+// The info payload is the run's RunConfig::ToString() text: everything
+// that decides the run, which the replayer rebuilds through the same
+// MakeHarness/ArmRun calls the live run used. Other payload scalars
+// are varints; signed deltas are zigzag varints;
 // doubles travel as fixed64 IEEE bit patterns, except event timestamps
 // which are zigzag-varint deltas of consecutive bit patterns (the
 // stream is time-ordered, so consecutive patterns are close and the
@@ -39,42 +43,6 @@ class ClusterHarness;
 // Every block's payload is CRC-32 guarded; a reader rejects truncated
 // files (no end block), trailing garbage, unknown block types and any
 // checksum mismatch.
-
-// Run-identifying metadata (block type 1). `fault_spec`/`fault_seed`
-// let the replayer re-arm the identical deterministic fault schedule;
-// the controller knobs are the ones that change decisions.
-struct CaptureInfo {
-  uint64_t seed = 1;
-  uint64_t fault_seed = 1;
-  std::string scenario;
-  std::string fault_spec;
-  double duration_seconds = 0;
-  double interval_seconds = 10;
-  double mrc_sample_rate = 1.0;
-  int max_migrations_per_interval = 0;
-  // AdmissionConfig::ToString() of the run's overload protection;
-  // empty = admission off. Trails the info block as an optional field,
-  // so captures written before it existed still decode.
-  std::string admission_spec;
-  // SpanConfig::ToString() of the run's sampled span tracing; empty =
-  // tracing off. Also a trailing optional field.
-  std::string span_spec;
-  // MrcSpecString() of the run's MRC diagnosis configuration; empty =
-  // all defaults (no OPT regret). Also a trailing optional field.
-  std::string mrc_spec;
-  // TierConfig::ToString() of the engines' second-tier cache; empty =
-  // tierless (the pre-tier behaviour). Also a trailing optional field.
-  std::string tier_spec;
-  // ReplacementPolicyName() of the engines' DRAM partition policy;
-  // empty = lru. Also a trailing optional field.
-  std::string replacement_spec;
-  // StatsChannelConfig::ToString() of the run's stats-report channel;
-  // empty = all defaults. Also a trailing optional field.
-  std::string stats_spec;
-  // Controller checkpoint cadence ("interval=<seconds>"); empty =
-  // checkpointing off. Also a trailing optional field.
-  std::string ckpt_spec;
-};
 
 // Initial cluster assembly (block type 2), sufficient to rebuild the
 // pre-Start() state: replicas created later (provisioning, restarts)
@@ -160,7 +128,7 @@ struct CaptureSample {
 
 // A fully loaded capture.
 struct Capture {
-  CaptureInfo info;
+  RunConfig run;
   CaptureTopology topology;
   std::vector<CaptureArrival> arrivals;
   std::vector<CaptureExecution> executions;
@@ -182,9 +150,9 @@ class CaptureWriter : public ArrivalRecorder, public ExecutionRecorder {
   CaptureWriter(const CaptureWriter&) = delete;
   CaptureWriter& operator=(const CaptureWriter&) = delete;
 
-  // Opens `path` and writes the info + topology blocks. Returns false
-  // with a message in *error on I/O failure.
-  bool Open(const std::string& path, const CaptureInfo& info,
+  // Opens `path` and writes the info (`run`) + topology blocks.
+  // Returns false with a message in *error on I/O failure.
+  bool Open(const std::string& path, const RunConfig& run,
             const CaptureTopology& topology, std::string* error);
 
   // Recorder hooks (stamped with the simulator's current time).

@@ -1,18 +1,15 @@
 #include "replay/replayer.h"
 
 #include <cassert>
-#include <cstdlib>
 
-#include "sim/fault_injector.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 
-CaptureAccessSource::CaptureAccessSource(const Capture* capture,
-                                         double from_time)
+CaptureAccessSource::CaptureAccessSource(const Capture* capture)
     : capture_(capture) {
   assert(capture_ != nullptr);
   for (uint64_t i = 0; i < capture_->executions.size(); ++i) {
-    if (capture_->executions[i].t < from_time) continue;
     queues_[capture_->executions[i].key].push_back(i);
     ++remaining_;
   }
@@ -44,42 +41,8 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     return nullptr;
   };
 
-  SelectiveRetuner::Config config;
-  config.interval_seconds = capture.info.interval_seconds;
-  config.mrc.sample_rate = capture.info.mrc_sample_rate;
-  config.mrc.analysis_threads = options.mrc_threads;
-  config.max_migrations_per_interval =
-      capture.info.max_migrations_per_interval;
-  if (!capture.info.mrc_spec.empty()) {
-    // The retuner copies its MRC config at construction, so the regret
-    // setting must be restored before the harness is built.
-    std::string mrc_error;
-    if (!ParseMrcSpec(capture.info.mrc_spec, &config.mrc, &mrc_error)) {
-      return fail("capture carries unparsable mrc spec: " + mrc_error);
-    }
-  }
-
-  auto harness = std::make_unique<ClusterHarness>(config);
-
-  // The buffer hierarchy is baked into each engine at construction, so
-  // the captured tier/replacement specs must be installed before the
-  // first replica below (and they then also cover replicas the replayed
-  // controller provisions mid-run).
-  TierConfig tier_config;
-  if (!capture.info.tier_spec.empty()) {
-    std::string tier_error;
-    if (!TierConfig::Parse(capture.info.tier_spec, &tier_config,
-                           &tier_error)) {
-      return fail("capture carries unparsable tier spec: " + tier_error);
-    }
-  }
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-  if (!capture.info.replacement_spec.empty() &&
-      !ParseReplacementPolicy(capture.info.replacement_spec, &replacement)) {
-    return fail("capture carries unknown replacement policy: " +
-                capture.info.replacement_spec);
-  }
-  harness->resources().set_engine_defaults(replacement, tier_config);
+  std::unique_ptr<ClusterHarness> harness =
+      MakeHarness(capture.run, options.mrc_threads);
 
   for (const CaptureServerSpec& s : capture.topology.servers) {
     PhysicalServer::Options server_options;
@@ -136,50 +99,6 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     }
   }
 
-  if (!capture.info.admission_spec.empty()) {
-    AdmissionConfig admission_config;
-    std::string admission_error;
-    if (!AdmissionConfig::Parse(capture.info.admission_spec,
-                                &admission_config, &admission_error)) {
-      return fail("capture carries unparsable admission spec: " +
-                  admission_error);
-    }
-    harness->EnableAdmission(admission_config);
-  }
-
-  if (!capture.info.span_spec.empty()) {
-    SpanConfig span_config;
-    std::string span_error;
-    if (!SpanConfig::Parse(capture.info.span_spec, &span_config,
-                           &span_error)) {
-      return fail("capture carries unparsable span spec: " + span_error);
-    }
-    harness->EnableSpanTracing(span_config);
-  }
-
-  StatsChannelConfig channel_config;
-  std::string channel_error;
-  if (!StatsChannelConfig::Parse(capture.info.stats_spec, &channel_config,
-                                 &channel_error)) {
-    return fail("capture carries unparsable stats spec: " + channel_error);
-  }
-  harness->EnableStatsChannel(channel_config);
-
-  if (!capture.info.ckpt_spec.empty()) {
-    // The only key is "interval=<seconds>".
-    const std::string& spec = capture.info.ckpt_spec;
-    double ckpt_interval = 0;
-    if (spec.rfind("interval=", 0) == 0) {
-      char* end = nullptr;
-      ckpt_interval = std::strtod(spec.c_str() + 9, &end);
-      if (end == nullptr || *end != '\0') ckpt_interval = 0;
-    }
-    if (ckpt_interval <= 0) {
-      return fail("capture carries unparsable checkpoint spec: " + spec);
-    }
-    harness->EnableCheckpointing(ckpt_interval);
-  }
-
   if (source != nullptr) {
     // Existing replicas immediately; replicas the replayed controller
     // provisions (or fault restarts re-create) at creation.
@@ -188,16 +107,32 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     });
   }
 
-  if (!capture.info.fault_spec.empty()) {
-    FaultSpec spec;
-    std::string fault_error;
-    if (!FaultSpec::Parse(capture.info.fault_spec, &spec, &fault_error)) {
-      return fail("capture carries unparsable fault spec: " + fault_error);
-    }
-    harness->InjectFaults(std::move(spec), capture.info.fault_seed);
-  }
-
+  if (!ArmRun(capture.run, harness.get(), error)) return nullptr;
   return harness;
+}
+
+void FeedArrivals(const Capture* capture, Simulator* sim,
+                  const std::map<AppId, Scheduler*>* schedulers,
+                  uint64_t* fed, size_t index) {
+  if (index >= capture->arrivals.size()) return;
+  sim->ScheduleAt(capture->arrivals[index].t,
+                  [capture, sim, schedulers, fed, index] {
+    const CaptureArrival& arrival = capture->arrivals[index];
+    auto it = schedulers->find(arrival.app);
+    if (it != schedulers->end()) {
+      const QueryTemplate* tmpl = it->second->app().FindTemplate(arrival.cls);
+      if (tmpl != nullptr) {
+        QueryInstance query;
+        query.app = arrival.app;
+        query.tmpl = tmpl;
+        query.client_id = arrival.client_id;
+        query.submit_time = sim->Now();
+        it->second->Submit(query, nullptr);
+        if (fed != nullptr) ++*fed;
+      }
+    }
+    FeedArrivals(capture, sim, schedulers, fed, index + 1);
+  });
 }
 
 ReplayRunner::ReplayRunner(const Capture* capture, ReplayBuildOptions options)
@@ -208,8 +143,7 @@ ReplayRunner::ReplayRunner(const Capture* capture, ReplayBuildOptions options)
 bool ReplayRunner::Build(std::string* error) {
   if (built_) return harness_ != nullptr;
   built_ = true;
-  source_ = std::make_unique<CaptureAccessSource>(capture_,
-                                                  options_.from_time);
+  source_ = std::make_unique<CaptureAccessSource>(capture_);
   harness_ = BuildClusterFromCapture(*capture_, options_, source_.get(),
                                      error);
   if (harness_ == nullptr) return false;
@@ -217,29 +151,6 @@ bool ReplayRunner::Build(std::string* error) {
     schedulers_[scheduler->app().id] = scheduler.get();
   }
   return true;
-}
-
-void ReplayRunner::FeedFrom(size_t index) {
-  if (index >= capture_->arrivals.size()) return;
-  const CaptureArrival& a = capture_->arrivals[index];
-  harness_->sim().ScheduleAt(a.t, [this, index] {
-    const CaptureArrival& arrival = capture_->arrivals[index];
-    auto it = schedulers_.find(arrival.app);
-    if (it != schedulers_.end()) {
-      const QueryTemplate* tmpl =
-          it->second->app().FindTemplate(arrival.cls);
-      if (tmpl != nullptr) {
-        QueryInstance query;
-        query.app = arrival.app;
-        query.tmpl = tmpl;
-        query.client_id = arrival.client_id;
-        query.submit_time = harness_->sim().Now();
-        it->second->Submit(query, nullptr);
-        ++arrivals_fed_;
-      }
-    }
-    FeedFrom(index + 1);
-  });
 }
 
 bool ReplayRunner::Run(std::string* error) {
@@ -265,8 +176,8 @@ bool ReplayRunner::Run(std::string* error) {
   }
 
   harness_->Start();
-  FeedFrom(0);
-  harness_->RunFor(capture_->info.duration_seconds);
+  FeedArrivals(capture_, &harness_->sim(), &schedulers_, &arrivals_fed_);
+  harness_->RunFor(capture_->run.duration_seconds);
 
   if (arrivals_fed_ != capture_->arrivals.size()) {
     return fail("fed " + std::to_string(arrivals_fed_) + " of " +

@@ -13,8 +13,8 @@
 namespace fglb {
 
 // Re-drives a captured run deterministically: the cluster is rebuilt
-// from the capture's topology block, the fault schedule is re-armed
-// from the captured spec + seed, recorded arrivals are re-submitted
+// from the capture's RunConfig and topology block (fault schedule and
+// seed included), recorded arrivals are re-submitted
 // open-loop at their bit-exact times, and every engine consumes the
 // recorded per-class page-access strings instead of generating fresh
 // ones. Since the simulator itself is deterministic (events ordered by
@@ -31,9 +31,6 @@ struct ReplayBuildOptions {
   // back to generation) instead of failing the run. What-if evaluation
   // always runs lenient: changed routing shifts consumption.
   bool lenient = false;
-  // Skip recorded executions before this time when seeding the access
-  // queues (window replay starts mid-stream).
-  double from_time = 0;
 };
 
 // Feeds recorded access strings to engines, per-class FIFO. Keyed by
@@ -42,7 +39,7 @@ struct ReplayBuildOptions {
 // stream.
 class CaptureAccessSource : public AccessReplaySource {
  public:
-  CaptureAccessSource(const Capture* capture, double from_time = 0);
+  explicit CaptureAccessSource(const Capture* capture);
 
   bool NextAccesses(ClassKey key, std::vector<PageAccess>* out) override;
 
@@ -61,16 +58,28 @@ class CaptureAccessSource : public AccessReplaySource {
   uint64_t remaining_ = 0;
 };
 
-// Rebuilds a harness from a capture's info + topology blocks: servers,
-// applications, replicas (with their recorded engine seeds), scheduler
-// placements, controller config, and — when the capture ran with
-// faults — the identical fault schedule. `source`, if non-null, is
-// wired into every engine, including replicas the replayed controller
-// provisions mid-run. Returns null with *error set when the capture is
-// internally inconsistent (e.g. replica ids that cannot be reproduced).
+// Rebuilds a harness from a capture through the live run's own
+// builder: MakeHarness(capture.run), then the captured topology in
+// place of AssembleScenario — servers, applications, replicas (with
+// their recorded engine seeds) and scheduler placements — then
+// `source`, then ArmRun(capture.run) (admission, spans, stats channel,
+// checkpointing, the identical fault schedule). `source`, if non-null,
+// is wired into every engine, including replicas the replayed
+// controller provisions mid-run. Returns null with *error set when the
+// capture is internally inconsistent (e.g. replica ids that cannot be
+// reproduced).
 std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     const Capture& capture, const ReplayBuildOptions& options,
     CaptureAccessSource* source, std::string* error);
+
+// Re-submits capture->arrivals[index...] open-loop at their recorded
+// times. Each arrival's event schedules the next, so equal-time
+// arrivals keep their recorded order. Arrivals whose app or class is
+// unknown are skipped; `fed`, if non-null, counts the rest. Every
+// pointer must outlive the simulation run.
+void FeedArrivals(const Capture* capture, Simulator* sim,
+                  const std::map<AppId, Scheduler*>* schedulers,
+                  uint64_t* fed, size_t index = 0);
 
 class ReplayRunner {
  public:
@@ -93,8 +102,6 @@ class ReplayRunner {
   uint64_t arrivals_fed() const { return arrivals_fed_; }
 
  private:
-  void FeedFrom(size_t index);
-
   const Capture* capture_;
   ReplayBuildOptions options_;
   // Engines hold raw pointers into source_; harness_ is declared after

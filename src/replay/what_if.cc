@@ -8,7 +8,6 @@
 #include <set>
 
 #include "replay/replayer.h"
-#include "sim/fault_injector.h"
 
 namespace fglb {
 namespace {
@@ -47,7 +46,7 @@ bool RunCandidate(const Capture& capture, double window_end,
                   CandidateRun* out, std::string* error) {
   ReplayBuildOptions build;
   build.lenient = true;  // changed routing shifts stream consumption
-  CaptureAccessSource source(&capture, 0);
+  CaptureAccessSource source(&capture);
   std::unique_ptr<ClusterHarness> harness =
       BuildClusterFromCapture(capture, build, &source, error);
   if (harness == nullptr) return false;
@@ -64,38 +63,11 @@ bool RunCandidate(const Capture& capture, double window_end,
     harness->fault_injector()->Arm();
   }
 
-  // Open-loop arrival feeder, chained so equal-time arrivals keep
-  // their recorded order.
-  struct Feeder {
-    static void Arm(ClusterHarness* h,
-                    const std::map<AppId, Scheduler*>* schedulers,
-                    const Capture* c, size_t i) {
-      if (i >= c->arrivals.size()) return;
-      const CaptureArrival& a = c->arrivals[i];
-      h->sim().ScheduleAt(a.t, [h, schedulers, c, i] {
-        const CaptureArrival& arrival = c->arrivals[i];
-        auto it = schedulers->find(arrival.app);
-        if (it != schedulers->end()) {
-          const QueryTemplate* tmpl =
-              it->second->app().FindTemplate(arrival.cls);
-          if (tmpl != nullptr) {
-            QueryInstance query;
-            query.app = arrival.app;
-            query.tmpl = tmpl;
-            query.client_id = arrival.client_id;
-            query.submit_time = h->sim().Now();
-            it->second->Submit(query, nullptr);
-          }
-        }
-        Arm(h, schedulers, c, i + 1);
-      });
-    }
-  };
-  Feeder::Arm(harness.get(), &schedulers, &capture, 0);
+  FeedArrivals(&capture, &harness->sim(), &schedulers, nullptr);
 
   // Manual interval closers at the same boundaries the live retuner
   // ticked on.
-  const double dt = capture.info.interval_seconds;
+  const double dt = capture.run.interval_seconds;
   struct Closer {
     static void Arm(ClusterHarness* h,
                     const std::map<AppId, Scheduler*>* schedulers, double dt,
@@ -159,7 +131,7 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  const double dt = capture_->info.interval_seconds;
+  const double dt = capture_->run.interval_seconds;
 
   // --- window + target selection ---
   double window_start = options_.window_start;
@@ -184,7 +156,7 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
   }
   const double window_end =
       std::min(window_start + options_.horizon_seconds,
-               capture_->info.duration_seconds);
+               capture_->run.duration_seconds);
   if (window_end <= window_start) {
     return fail("what-if window is empty (horizon too small?)");
   }

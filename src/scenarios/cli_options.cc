@@ -1,29 +1,10 @@
 #include "scenarios/cli_options.h"
 
-#include <cstdlib>
+#include "common/kv_spec.h"
 
 namespace fglb {
 
 namespace {
-
-bool ParseScenario(const std::string& value, CliOptions::Scenario* out) {
-  if (value == "steady") *out = CliOptions::Scenario::kSteady;
-  else if (value == "burst") *out = CliOptions::Scenario::kBurst;
-  else if (value == "consolidation")
-    *out = CliOptions::Scenario::kConsolidation;
-  else if (value == "io") *out = CliOptions::Scenario::kIoContention;
-  else if (value == "chaos-replica")
-    *out = CliOptions::Scenario::kChaosReplica;
-  else if (value == "chaos-disk") *out = CliOptions::Scenario::kChaosDisk;
-  else if (value == "chaos-net") *out = CliOptions::Scenario::kChaosNet;
-  else if (value == "chaos-ctl") *out = CliOptions::Scenario::kChaosCtl;
-  else if (value == "overload") *out = CliOptions::Scenario::kOverload;
-  else if (value == "tier-thrash") *out = CliOptions::Scenario::kTierThrash;
-  else if (value == "tier-fail") *out = CliOptions::Scenario::kTierFail;
-  else if (value == "cold-start") *out = CliOptions::Scenario::kColdStart;
-  else return false;
-  return true;
-}
 
 bool ParseOutput(const std::string& value, CliOptions::Output* out) {
   if (value == "table") *out = CliOptions::Output::kTable;
@@ -34,32 +15,10 @@ bool ParseOutput(const std::string& value, CliOptions::Output* out) {
   return true;
 }
 
-bool ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0' || value.empty()) return false;
-  *out = parsed;
-  return true;
-}
-
 bool ParseInt(const std::string& value, int* out) {
   double d = 0;
-  if (!ParseDouble(value, &d) || d != static_cast<int>(d)) return false;
+  if (!ParseKvNumber(value, &d) || d != static_cast<int>(d)) return false;
   *out = static_cast<int>(d);
-  return true;
-}
-
-bool ParseUint64(const std::string& value, uint64_t* out) {
-  // strtoull silently wraps negative input ("-5" parses fine), so
-  // reject anything that is not a plain digit string up front.
-  if (value.empty() || value.find_first_not_of("0123456789") !=
-                           std::string::npos) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = parsed;
   return true;
 }
 
@@ -164,32 +123,32 @@ bool ParseCliOptions(const std::vector<std::string>& args,
 
     bool ok = true;
     if (key == "scenario") {
-      ok = ParseScenario(value, &options->scenario);
+      ok = ParseScenarioName(value, &options->scenario);
     } else if (key == "output") {
       ok = ParseOutput(value, &options->output);
     } else if (key == "servers") {
       ok = ParseInt(value, &options->servers) && options->servers > 0;
     } else if (key == "duration") {
-      ok = ParseDouble(value, &options->duration_seconds) &&
+      ok = ParseKvNumber(value, &options->duration_seconds) &&
            options->duration_seconds > 0;
     } else if (key == "tpcw-clients") {
-      ok = ParseDouble(value, &options->tpcw_clients) &&
+      ok = ParseKvNumber(value, &options->tpcw_clients) &&
            options->tpcw_clients >= 0;
     } else if (key == "rubis-clients") {
-      ok = ParseDouble(value, &options->rubis_clients) &&
+      ok = ParseKvNumber(value, &options->rubis_clients) &&
            options->rubis_clients >= 0;
     } else if (key == "clients-scale") {
-      ok = ParseDouble(value, &options->clients_scale) &&
+      ok = ParseKvNumber(value, &options->clients_scale) &&
            options->clients_scale > 0;
     } else if (key == "cohorts") {
       ok = value == "auto" || value == "on" || value == "off";
       options->cohorts = value;
     } else if (key == "seed") {
-      ok = ParseUint64(value, &options->seed);
+      ok = ParseKvCount(value, &options->seed);
     } else if (key == "tier2-pages") {
-      ok = ParseUint64(value, &options->tier2_pages);
+      ok = ParseKvCount(value, &options->tier2_pages);
     } else if (key == "tier2-read-us") {
-      ok = ParseDouble(value, &options->tier2_read_us) &&
+      ok = ParseKvNumber(value, &options->tier2_read_us) &&
            options->tier2_read_us > 0;
     } else if (key == "tier2-demote") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
@@ -201,7 +160,7 @@ bool ParseCliOptions(const std::vector<std::string>& args,
       ok = ParseInt(value, &options->mrc_threads) &&
            options->mrc_threads >= 0;
     } else if (key == "mrc-sample-rate") {
-      ok = ParseDouble(value, &options->mrc_sample_rate) &&
+      ok = ParseKvNumber(value, &options->mrc_sample_rate) &&
            options->mrc_sample_rate > 0 && options->mrc_sample_rate <= 1;
     } else if (key == "mrc-opt-regret") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
@@ -216,45 +175,45 @@ bool ParseCliOptions(const std::vector<std::string>& args,
       ok = !value.empty();
       options->metrics_out = value;
     } else if (key == "metrics-interval") {
-      ok = ParseDouble(value, &options->metrics_interval_seconds) &&
+      ok = ParseKvNumber(value, &options->metrics_interval_seconds) &&
            options->metrics_interval_seconds >= 0;
     } else if (key == "spans-out") {
       ok = !value.empty();
       options->spans_out = value;
     } else if (key == "span-sample") {
-      ok = ParseUint64(value, &options->span_sample) &&
+      ok = ParseKvCount(value, &options->span_sample) &&
            options->span_sample > 0;
     } else if (key == "fault-spec") {
       ok = !value.empty();
       options->fault_spec = value;
     } else if (key == "fault-seed") {
-      ok = ParseUint64(value, &options->fault_seed);
+      ok = ParseKvCount(value, &options->fault_seed);
     } else if (key == "stats-guard") {
       ok = value == "on" || value == "off" || value == "1" || value == "0";
       options->stats_guard = (value == "on" || value == "1") ? "on" : "off";
     } else if (key == "ckpt-interval") {
-      ok = ParseDouble(value, &options->ckpt_interval) &&
+      ok = ParseKvNumber(value, &options->ckpt_interval) &&
            options->ckpt_interval >= -1;
     } else if (key == "admission") {
       ok = value == "on" || value == "off" || value == "auto";
       options->admission = value;
     } else if (key == "admission-target") {
-      ok = ParseDouble(value, &options->admission_target) &&
+      ok = ParseKvNumber(value, &options->admission_target) &&
            options->admission_target > 0;
     } else if (key == "admission-interval") {
-      ok = ParseDouble(value, &options->admission_interval) &&
+      ok = ParseKvNumber(value, &options->admission_interval) &&
            options->admission_interval > 0;
     } else if (key == "admission-max-queue") {
       ok = ParseInt(value, &options->admission_max_queue) &&
            options->admission_max_queue > 0;
     } else if (key == "admission-retry-ratio") {
-      ok = ParseDouble(value, &options->admission_retry_ratio) &&
+      ok = ParseKvNumber(value, &options->admission_retry_ratio) &&
            options->admission_retry_ratio >= 0;
     } else if (key == "admission-breaker-threshold") {
       ok = ParseInt(value, &options->admission_breaker_threshold) &&
            options->admission_breaker_threshold > 0;
     } else if (key == "admission-breaker-open") {
-      ok = ParseDouble(value, &options->admission_breaker_open) &&
+      ok = ParseKvNumber(value, &options->admission_breaker_open) &&
            options->admission_breaker_open > 0;
     } else if (key == "log-level") {
       ok = value == "quiet" || value == "info" || value == "debug";

@@ -5,26 +5,15 @@
 #include <string>
 #include <vector>
 
+#include "scenarios/run_config.h"
+
 namespace fglb {
 
 // Options of the fglb_sim command-line scenario runner. Parsed from
 // --key=value / --key value / --flag arguments; unknown keys fail with
 // a message so typos do not silently run the default scenario.
 struct CliOptions {
-  enum class Scenario {
-    kSteady,         // constant TPC-W load
-    kBurst,          // step burst (Fig. 3-style provisioning)
-    kConsolidation,  // TPC-W + RUBiS in one engine (Table 2)
-    kIoContention,   // two RUBiS domains on one machine (Table 3)
-    kChaosReplica,   // consolidation + replica crash/restart faults
-    kChaosDisk,      // consolidation + disk-latency spike faults
-    kChaosNet,       // consolidation + lossy stats-report transport
-    kChaosCtl,       // consolidation + controller crash/restart
-    kOverload,       // 3x TPC-W load on one replica (admission control)
-    kTierThrash,     // consolidation squeezed into small DRAM + tier-2
-    kTierFail,       // tier-thrash + the SSD tier failing mid-run
-    kColdStart,      // tiered steady state from empty caches
-  };
+  using Scenario = ::fglb::Scenario;
   enum class Output {
     kTable,       // human-readable series + actions
     kSamplesCsv,  // interval series as CSV
@@ -51,8 +40,8 @@ struct CliOptions {
   // Second-tier block cache under every engine's DRAM pool: total
   // pages (0 = tierless; the tier-* scenarios default it on), the
   // per-hit SSD read service time, and whether DRAM evictions are
-  // demoted into the tier. Persisted in captures as the canonical
-  // TierConfig spec so replays rebuild the identical hierarchy.
+  // demoted into the tier. Captures record the resolved TierConfig as
+  // part of their RunConfig so replays rebuild the identical hierarchy.
   uint64_t tier2_pages = 0;
   double tier2_read_us = 100.0;
   bool tier2_demote = true;

@@ -1,0 +1,344 @@
+#include "scenarios/scenario.h"
+
+#include <cstdio>
+#include <utility>
+#include <vector>
+
+#include "sim/fault_injector.h"
+#include "workload/rubis.h"
+#include "workload/tpcw.h"
+
+namespace fglb {
+namespace {
+
+// The fault schedule a chaos scenario runs when --fault-spec is absent;
+// times scale with the run's duration `d` so short smoke runs still hit
+// every fault. Other scenarios inject nothing by default.
+std::string DefaultFaultSpec(Scenario scenario, double d) {
+  char buf[256];
+  switch (scenario) {
+    case Scenario::kChaosReplica:
+      std::snprintf(buf, sizeof(buf),
+                    "crash@%.0f:replica=1,restart=60;"
+                    "stats@%.0f:replica=0,mode=partial,duration=60;"
+                    "migration@%.0f:delay=2,fail=0.3,duration=%.0f",
+                    d / 3, d / 2, d / 3, d / 3);
+      return buf;
+    case Scenario::kChaosDisk:
+      std::snprintf(buf, sizeof(buf),
+                    "disk@%.0f:server=0,factor=8,duration=%.0f;"
+                    "slow@%.0f:replica=0,factor=3,duration=%.0f",
+                    d / 3, d / 6, d / 2, d / 6);
+      return buf;
+    case Scenario::kChaosNet:
+      // One long lossy window over the middle third of the run: the
+      // controller rides last-known-good stats through it.
+      std::snprintf(buf, sizeof(buf),
+                    "net@%.0f:drop=0.08,dup=0.03,corrupt=0.02,reorder=0.05,"
+                    "delay=1,duration=%.0f",
+                    d / 3, d / 3);
+      return buf;
+    case Scenario::kChaosCtl:
+      // A lossy window, then the controller itself crashes inside it
+      // and restarts 30 s later from the FGLBCKPT1 checkpoint.
+      std::snprintf(buf, sizeof(buf),
+                    "net@%.0f:drop=0.08,duration=%.0f;"
+                    "ctl@%.0f:restart=30",
+                    d / 3, d / 3, d / 2);
+      return buf;
+    case Scenario::kTierFail:
+      // The SSD tier dies cold mid-run, then recovers and later merely
+      // degrades (hits land but cost 10x).
+      std::snprintf(buf, sizeof(buf),
+                    "tier@%.0f:replica=0,mode=fail,duration=%.0f;"
+                    "tier@%.0f:replica=0,mode=degrade,factor=10,"
+                    "duration=%.0f",
+                    d / 3, d / 6, 2 * d / 3, d / 6);
+      return buf;
+    default:
+      return "";
+  }
+}
+
+// Per-app emulator options for a scenario whose (scaled) population is
+// `clients`: batched cohorts kick in under --cohorts=auto once the app
+// is large enough that per-client think events would dominate the
+// event queue.
+ClientEmulator::Options EmulatorOptions(const RunConfig& run, double clients) {
+  constexpr double kAutoCohortClients = 10000;
+  ClientEmulator::Options emu;
+  emu.cohort = run.cohorts == "on" ||
+               (run.cohorts == "auto" && clients >= kAutoCohortClients);
+  return emu;
+}
+
+}  // namespace
+
+RunConfig ScenarioRunConfig(Scenario scenario, double duration_seconds) {
+  RunConfig run;
+  run.scenario = scenario;
+  run.duration_seconds = duration_seconds;
+  switch (scenario) {
+    case Scenario::kChaosCtl:
+      run.ckpt_interval_seconds = run.interval_seconds;
+      [[fallthrough]];
+    case Scenario::kChaosReplica:
+    case Scenario::kChaosDisk:
+    case Scenario::kChaosNet:
+      // Under injected churn, bound re-placement so flapping faults
+      // cannot translate into unbounded migrations.
+      run.max_migrations_per_interval = 2;
+      break;
+    case Scenario::kColdStart:
+      // Cold-start runs half-size DRAM pools; replicas the controller
+      // provisions must match.
+      run.replica_pool_pages = 4096;
+      [[fallthrough]];
+    case Scenario::kTierThrash:
+    case Scenario::kTierFail:
+      run.tier.pages = 16384;
+      break;
+    case Scenario::kOverload:
+      run.admission.emplace();
+      break;
+    default:
+      break;
+  }
+  run.fault_spec = DefaultFaultSpec(scenario, duration_seconds);
+  return run;
+}
+
+bool RunConfigFromCli(const CliOptions& options, RunConfig* out,
+                      std::string* error) {
+  RunConfig run = ScenarioRunConfig(options.scenario, options.duration_seconds);
+  run.seed = options.seed;
+  run.fault_seed = options.fault_seed;
+  run.servers = options.servers;
+  // --clients-scale multiplies every population, including the
+  // overload scenario's 7.5x default applied at assembly.
+  run.tpcw_clients = options.tpcw_clients * options.clients_scale;
+  run.rubis_clients = options.rubis_clients * options.clients_scale;
+  run.cohorts = options.cohorts;
+  // Any scenario can opt into the second tier with --tier2-pages; its
+  // other knobs only mean something when a tier exists.
+  if (options.tier2_pages > 0) run.tier.pages = options.tier2_pages;
+  if (run.tier.enabled()) {
+    run.tier.read_us = options.tier2_read_us;
+    run.tier.demote = options.tier2_demote;
+  }
+  // ParseCliOptions already validated the policy name.
+  ParseReplacementPolicy(options.replacement, &run.replacement);
+  run.mrc_sample_rate = options.mrc_sample_rate;
+  run.opt_regret = options.mrc_opt_regret;
+  if (options.admission == "on" && !run.admission) run.admission.emplace();
+  if (options.admission == "off") run.admission.reset();
+  if (run.admission) {
+    // Flags left at their negative default keep the config's value.
+    AdmissionConfig& a = *run.admission;
+    if (options.admission_target > 0) a.target_delay = options.admission_target;
+    if (options.admission_interval > 0) {
+      a.codel_interval_seconds = options.admission_interval;
+    }
+    if (options.admission_max_queue > 0) {
+      a.max_queue_depth = static_cast<uint64_t>(options.admission_max_queue);
+    }
+    if (options.admission_retry_ratio >= 0) {
+      a.retry_budget_ratio = options.admission_retry_ratio;
+    }
+    if (options.admission_breaker_threshold > 0) {
+      a.breaker_failure_threshold = options.admission_breaker_threshold;
+    }
+    if (options.admission_breaker_open > 0) {
+      a.breaker_open_seconds = options.admission_breaker_open;
+    }
+  }
+  if (!options.spans_out.empty() || options.span_sample > 0) {
+    run.spans.emplace();
+    if (options.span_sample > 0) run.spans->sample_every = options.span_sample;
+  }
+  run.stats.guard = options.stats_guard != "off";
+  if (options.ckpt_interval >= 0) {
+    run.ckpt_interval_seconds = options.ckpt_interval;
+  }
+  if (!options.fault_spec.empty()) run.fault_spec = options.fault_spec;
+  FaultSpec spec;
+  if (!run.fault_spec.empty() &&
+      !FaultSpec::Parse(run.fault_spec, &spec, error)) {
+    *error = "bad --fault-spec: " + *error;
+    return false;
+  }
+  *out = std::move(run);
+  return true;
+}
+
+std::unique_ptr<ClusterHarness> MakeHarness(const RunConfig& run,
+                                            int analysis_threads) {
+  SelectiveRetuner::Config config;
+  config.interval_seconds = run.interval_seconds;
+  config.max_migrations_per_interval = run.max_migrations_per_interval;
+  config.replica_pool_pages = run.replica_pool_pages;
+  config.mrc.sample_rate = run.mrc_sample_rate;
+  config.mrc.opt_regret = run.opt_regret;
+  config.mrc.analysis_threads = analysis_threads;
+  auto harness = std::make_unique<ClusterHarness>(config);
+  harness->resources().set_engine_defaults(run.replacement, run.tier);
+  return harness;
+}
+
+void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
+  harness->AddServers(run.servers);
+  PhysicalServer* first = harness->resources().servers()[0].get();
+  // The populations are already scaled by --clients-scale, so the
+  // overload scenario's 7.5x below scales with them.
+  const double tpcw_clients = run.tpcw_clients;
+  const double rubis_clients = run.rubis_clients;
+
+  switch (run.scenario) {
+    case Scenario::kSteady: {
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
+      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
+                                  EmulatorOptions(run, tpcw_clients));
+      break;
+    }
+    case Scenario::kBurst: {
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
+      // Quarter load, then the full client count from one third in.
+      harness->AddClients(
+          tpcw,
+          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
+              {0, tpcw_clients / 4},
+              {run.duration_seconds / 3, tpcw_clients}}),
+          run.seed, EmulatorOptions(run, tpcw_clients));
+      break;
+    }
+    case Scenario::kConsolidation: {
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      RubisOptions rubis_options;
+      rubis_options.app_id = 2;
+      Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
+      Replica* shared = harness->resources().CreateReplica(first, 8192);
+      tpcw->AddReplica(shared);
+      rubis->AddReplica(shared);
+      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
+                                  EmulatorOptions(run, tpcw_clients));
+      harness->AddClients(
+          rubis,
+          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
+              {run.duration_seconds / 3, rubis_clients}}),
+          run.seed + 1, EmulatorOptions(run, rubis_clients));
+      break;
+    }
+    case Scenario::kIoContention: {
+      RubisOptions a, b;
+      a.app_id = 2;
+      a.table_base = 11;
+      b.app_id = 3;
+      b.table_base = 21;
+      Scheduler* rubis1 = harness->AddApplication(MakeRubis(a));
+      Scheduler* rubis2 = harness->AddApplication(MakeRubis(b));
+      rubis1->AddReplica(harness->resources().CreateReplica(first, 8192, 51));
+      rubis2->AddReplica(harness->resources().CreateReplica(first, 8192, 52));
+      harness->AddConstantClients(rubis1, rubis_clients, run.seed,
+                                  EmulatorOptions(run, rubis_clients));
+      harness->AddClients(
+          rubis2,
+          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
+              {run.duration_seconds / 3, rubis_clients}}),
+          run.seed + 1, EmulatorOptions(run, rubis_clients));
+      break;
+    }
+    case Scenario::kOverload: {
+      // ~3x one replica's saturation point (~300 clients at TPC-W's 1s
+      // think time): far past capacity, so without admission control
+      // the queue (and every class's latency) collapses together.
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
+      const double clients = 7.5 * tpcw_clients;
+      harness->AddConstantClients(tpcw, clients, run.seed,
+                                  EmulatorOptions(run, clients));
+      break;
+    }
+    case Scenario::kTierThrash:
+    case Scenario::kTierFail: {
+      // The consolidation squeeze, but the engines carry a second
+      // tier: where the tierless run reschedules the arriving heavy
+      // RUBiS class to another replica, here the cheaper rung is to
+      // cap its DRAM quota and demote the working-set overflow into
+      // the tier.
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      RubisOptions rubis_options;
+      rubis_options.app_id = 2;
+      Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
+      Replica* shared = harness->resources().CreateReplica(first, 8192);
+      tpcw->AddReplica(shared);
+      rubis->AddReplica(shared);
+      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
+                                  EmulatorOptions(run, tpcw_clients));
+      // A sharper arrival than consolidation's: the squeeze must break
+      // SLA within a controller interval of the step, while the heavy
+      // class is still a suspect rather than an adopted baseline (the
+      // tier's own cushioning otherwise delays the violation past the
+      // stability window and the diagnosis clears everyone).
+      const double rubis_step = 4.0 / 3.0 * rubis_clients;
+      harness->AddClients(
+          rubis,
+          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
+              {run.duration_seconds / 3, rubis_step}}),
+          run.seed + 1, EmulatorOptions(run, rubis_step));
+      break;
+    }
+    case Scenario::kColdStart: {
+      // Steady TPC-W on a half-size DRAM pool with everything cold at
+      // t=0: the tier fills via demotions and then absorbs misses the
+      // shrunken DRAM can no longer hold.
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      tpcw->AddReplica(harness->resources().CreateReplica(first, 4096));
+      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
+                                  EmulatorOptions(run, tpcw_clients));
+      break;
+    }
+    case Scenario::kChaosReplica:
+    case Scenario::kChaosDisk:
+    case Scenario::kChaosNet:
+    case Scenario::kChaosCtl: {
+      // Consolidation topology plus a second TPC-W replica so a crash
+      // degrades capacity instead of zeroing it.
+      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
+      RubisOptions rubis_options;
+      rubis_options.app_id = 2;
+      Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
+      Replica* shared = harness->resources().CreateReplica(first, 8192);
+      PhysicalServer* second =
+          run.servers > 1 ? harness->resources().servers()[1].get() : first;
+      Replica* spare = harness->resources().CreateReplica(second, 8192, 2);
+      tpcw->AddReplica(shared);
+      tpcw->AddReplica(spare);
+      rubis->AddReplica(shared);
+      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
+                                  EmulatorOptions(run, tpcw_clients));
+      harness->AddConstantClients(rubis, rubis_clients, run.seed + 1,
+                                  EmulatorOptions(run, rubis_clients));
+      break;
+    }
+  }
+}
+
+bool ArmRun(const RunConfig& run, ClusterHarness* harness,
+            std::string* error) {
+  if (run.admission) harness->EnableAdmission(*run.admission);
+  if (run.spans) harness->EnableSpanTracing(*run.spans);
+  harness->EnableStatsChannel(run.stats);
+  if (run.ckpt_interval_seconds > 0) {
+    harness->EnableCheckpointing(run.ckpt_interval_seconds);
+  }
+  if (!run.fault_spec.empty()) {
+    FaultSpec spec;
+    if (!FaultSpec::Parse(run.fault_spec, &spec, error)) return false;
+    harness->InjectFaults(std::move(spec), run.fault_seed);
+  }
+  return true;
+}
+
+}  // namespace fglb

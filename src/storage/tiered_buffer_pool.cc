@@ -1,90 +1,34 @@
 #include "storage/tiered_buffer_pool.h"
 
-#include <cstdarg>
-#include <cstdio>
-#include <cstdlib>
+#include "common/kv_spec.h"
 
 namespace fglb {
 
-namespace {
-
-void Append(std::string* out, const char* format, ...) {
-  char buffer[128];
-  va_list args;
-  va_start(args, format);
-  vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  *out += buffer;
-}
-
-bool ParseNumber(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-}  // namespace
-
 std::string TierConfig::ToString() const {
   if (!enabled()) return "";
-  std::string out;
-  Append(&out, "pages=%llu", static_cast<unsigned long long>(pages));
-  Append(&out, ",read_us=%g", read_us);
-  Append(&out, ",demote=%d", demote ? 1 : 0);
-  return out;
+  return "pages=" + std::to_string(pages) +
+         ",read_us=" + FormatKvNumber(read_us) +
+         ",demote=" + (demote ? "1" : "0");
 }
 
 bool TierConfig::Parse(const std::string& text, TierConfig* config,
                        std::string* error) {
-  TierConfig parsed;
-  if (text.empty()) {
-    *config = parsed;  // tier absent
-    return true;
-  }
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string field =
-        text.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    pos = comma == std::string::npos ? text.size() + 1 : comma + 1;
-    const size_t eq = field.find('=');
-    if (eq == std::string::npos) {
-      if (error != nullptr) *error = "tier spec field without '=': " + field;
-      return false;
-    }
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    double num = 0;
-    if (!ParseNumber(value, &num)) {
-      if (error != nullptr) {
-        *error = "tier spec value for " + key + " is not a number: " + value;
-      }
-      return false;
-    }
+  KvItems items;
+  if (!SplitKvSpec(text, ',', "tier spec", &items, error)) return false;
+  TierConfig parsed;  // "" parses to the absent tier
+  for (const auto& [key, value] : items) {
+    bool ok = true;
     if (key == "pages") {
-      if (num < 0 || num != static_cast<uint64_t>(num)) {
-        if (error != nullptr) *error = "tier spec pages must be a non-negative integer";
-        return false;
-      }
-      parsed.pages = static_cast<uint64_t>(num);
+      ok = ParseKvCount(value, &parsed.pages);
     } else if (key == "read_us") {
-      if (num <= 0) {
-        if (error != nullptr) *error = "tier spec read_us must be positive";
-        return false;
-      }
-      parsed.read_us = num;
+      ok = ParseKvNumber(value, &parsed.read_us) && parsed.read_us > 0;
     } else if (key == "demote") {
-      if (num != 0 && num != 1) {
-        if (error != nullptr) *error = "tier spec demote must be 0 or 1";
-        return false;
-      }
-      parsed.demote = num != 0;
+      ok = value == "0" || value == "1";
+      parsed.demote = value == "1";
     } else {
-      if (error != nullptr) *error = "unknown tier spec key: " + key;
-      return false;
+      return KvError(error, "unknown tier spec key: " + key);
     }
+    if (!ok) return KvError(error, "bad tier spec value: " + key + "=" + value);
   }
   *config = parsed;
   return true;

@@ -15,10 +15,10 @@ namespace fglb {
 
 // Configuration of the SSD/NVM second-tier block cache that sits
 // between the DRAM buffer pool and disk. The canonical string form
-// (ToString/Parse, same k=v grammar family as AdmissionConfig and
-// FaultSpec) travels inside the FGLBCAP1 info block so a replayed run
-// rebuilds the exact same tier. An empty spec / zero pages means the
-// tier is absent — the pre-tier behaviour.
+// (ToString/Parse, the common/kv_spec.h grammar) is the `tier` line of
+// the RunConfig in a FGLBCAP1 info block, so a replayed run rebuilds
+// the exact same tier. An empty spec / zero pages means the tier is
+// absent — the pre-tier behaviour.
 struct TierConfig {
   // Total tier-2 capacity in pages; 0 disables the tier entirely.
   uint64_t pages = 0;
@@ -39,6 +39,7 @@ struct TierConfig {
   std::string ToString() const;
   static bool Parse(const std::string& text, TierConfig* config,
                     std::string* error);
+  bool operator==(const TierConfig&) const = default;
 };
 
 // The second-tier block cache itself: per-class partitions with the

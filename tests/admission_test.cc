@@ -19,6 +19,7 @@
 #include "common/json.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
+#include "run_and_capture.h"
 #include "scenarios/harness.h"
 #include "workload/tpcw.h"
 
@@ -410,35 +411,14 @@ TEST(AdmissionReplayTest, OverloadCaptureReplaysAdmissionTraceByteIdentical) {
   std::vector<std::string> live_admission;
   uint64_t live_shed = 0;
   {
-    ClusterHarness harness;
-    harness.trace().EnableBuffering();
-    harness.AddServers(2);
-    Scheduler* tpcw = harness.AddApplication(MakeTpcw());
-    Replica* r = harness.resources().CreateReplica(
-        harness.resources().servers()[0].get(), 8192);
-    tpcw->AddReplica(r);
-    AdmissionController* admission = harness.EnableAdmission();
-
-    CaptureWriter writer(&harness.sim());
-    CaptureInfo info;
-    info.seed = seed;
-    info.fault_seed = 1;
-    info.scenario = "overload";
-    info.duration_seconds = duration;
-    info.interval_seconds = harness.retuner().config().interval_seconds;
-    info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-    info.admission_spec = admission->config().ToString();
-    std::string error;
-    ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
-        << error;
-    harness.AddConstantClients(tpcw, 900, seed);
-    harness.AttachRecorders(&writer, &writer);
-    harness.Start();
-    harness.RunFor(duration);
-    ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
-                                harness.retuner().samples()));
-    live_admission = AdmissionProjection(harness.trace().BufferedLines());
-    live_shed = tpcw->total_shed();
+    // fglb_sim --scenario=overload --servers=2: 900 TPC-W clients on
+    // one replica with admission on.
+    RunConfig run = ScenarioRunConfig(Scenario::kOverload, duration);
+    run.seed = seed;
+    run.servers = 2;
+    const std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, path);
+    live_admission = AdmissionProjection(harness->trace().BufferedLines());
+    live_shed = harness->schedulers()[0]->total_shed();
   }
   // The live run must actually shed and trace, or byte-equality of
   // empty projections would prove nothing.
@@ -448,7 +428,7 @@ TEST(AdmissionReplayTest, OverloadCaptureReplaysAdmissionTraceByteIdentical) {
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_FALSE(capture.info.admission_spec.empty());
+  EXPECT_TRUE(capture.run.admission.has_value());
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   ASSERT_NE(runner.harness()->admission(), nullptr);

@@ -8,9 +8,7 @@
 
 #include "cluster/stats_channel.h"
 #include "common/varint.h"
-#include "scenarios/harness.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
@@ -22,20 +20,13 @@ struct Fixture {
     SelectiveRetuner::Config config;
     config.max_migrations_per_interval = 2;
     harness = std::make_unique<ClusterHarness>(config);
-    harness->AddServers(3);
-    Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-    RubisOptions rubis_options;
-    rubis_options.app_id = 2;
-    Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-    Replica* shared = harness->resources().CreateReplica(
-        harness->resources().servers()[0].get(), 8192);
-    Replica* spare = harness->resources().CreateReplica(
-        harness->resources().servers()[1].get(), 8192, /*engine_seed=*/2);
-    tpcw->AddReplica(shared);
-    tpcw->AddReplica(spare);
-    rubis->AddReplica(shared);
-    harness->AddConstantClients(tpcw, 120, /*seed=*/7);
-    harness->AddConstantClients(rubis, 40, /*seed=*/8);
+    // fglb_sim's chaos topology on 3 servers with 40 RUBiS clients.
+    RunConfig run;
+    run.scenario = Scenario::kChaosReplica;
+    run.servers = 3;
+    run.rubis_clients = 40;
+    run.seed = 7;
+    AssembleScenario(run, harness.get());
     harness->Start();
     harness->RunFor(150);
   }

@@ -9,7 +9,7 @@
 #include "common/json.h"
 #include "common/trace_check.h"
 #include "scenarios/harness.h"
-#include "workload/rubis.h"
+#include "scenarios/scenario.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -338,20 +338,13 @@ ChaosRun RunChaos(uint64_t fault_seed) {
   config.max_migrations_per_interval = 2;
   ClusterHarness h(config);
   h.trace().EnableBuffering();
-  h.AddServers(3);
-  Scheduler* tpcw = h.AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = h.AddApplication(MakeRubis(rubis_options));
-  Replica* shared = h.resources().CreateReplica(
-      h.resources().servers()[0].get(), 8192);
-  Replica* spare = h.resources().CreateReplica(
-      h.resources().servers()[1].get(), 8192, /*engine_seed=*/2);
-  tpcw->AddReplica(shared);
-  tpcw->AddReplica(spare);
-  rubis->AddReplica(shared);
-  h.AddConstantClients(tpcw, 120, /*seed=*/7);
-  h.AddConstantClients(rubis, 40, /*seed=*/8);
+  // fglb_sim's chaos topology on 3 servers with 40 RUBiS clients.
+  RunConfig run;
+  run.scenario = Scenario::kChaosReplica;
+  run.servers = 3;
+  run.rubis_clients = 40;
+  run.seed = 7;
+  AssembleScenario(run, &h);
 
   FaultSpec spec;
   std::string error;
@@ -371,7 +364,8 @@ ChaosRun RunChaos(uint64_t fault_seed) {
   std::string check_error;
   EXPECT_TRUE(CheckTraceLines(lines, &check_error)) << check_error;
   EXPECT_TRUE(ActionLines(lines, &out.actions, &check_error)) << check_error;
-  out.completed = tpcw->total_completed() + rubis->total_completed();
+  out.completed = h.schedulers()[0]->total_completed() +
+                  h.schedulers()[1]->total_completed();
   return out;
 }
 

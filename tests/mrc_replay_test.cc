@@ -1,7 +1,7 @@
 // Tests for the MRC diagnosis configuration as it crosses a capture:
-// the mrc spec string FGLBCAP1 stores (round trip and rejection of
-// malformed input), and live-vs-replay identity of every diagnosed
-// curve, OPT regret included.
+// the mrc spec string a capture's RunConfig stores (round trip and
+// rejection of malformed input), and live-vs-replay identity of every
+// diagnosed curve, OPT regret included.
 
 #include <cstdio>
 #include <filesystem>
@@ -14,9 +14,8 @@
 #include "mrc/miss_ratio_curve.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
-#include "scenarios/harness.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
+#include "run_and_capture.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
@@ -80,26 +79,6 @@ std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// Mirrors fglb_sim's consolidation scenario (as replay_test does).
-void AssembleConsolidation(ClusterHarness* harness, double duration,
-                           uint64_t seed) {
-  harness->AddServers(4);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  tpcw->AddReplica(shared);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, seed);
-  harness->AddClients(
-      rubis,
-      std::make_unique<StepLoad>(
-          std::vector<std::pair<SimTime, double>>{{duration / 3, 45}}),
-      seed + 1);
-}
-
 void ExpectSameDiagnoses(
     const std::vector<SelectiveRetuner::DiagnosisRecord>& live,
     const std::vector<SelectiveRetuner::DiagnosisRecord>& replayed) {
@@ -135,30 +114,13 @@ TEST(MrcReplayTest, LiveAndReplayedCurvesAreIdentical) {
   const double duration = 300;
   const uint64_t seed = 1;
 
-  SelectiveRetuner::Config config;
-  config.mrc.opt_regret = true;
-  ClusterHarness harness(config);
-  AssembleConsolidation(&harness, duration, seed);
-
-  CaptureWriter writer(&harness.sim());
-  CaptureInfo info;
-  info.seed = seed;
-  info.scenario = "consolidation";
-  info.duration_seconds = duration;
-  info.interval_seconds = harness.retuner().config().interval_seconds;
-  info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-  info.mrc_spec = MrcSpecString(harness.retuner().config().mrc);
-  std::string error;
-  ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
-      << error;
-  harness.AttachRecorders(&writer, &writer);
-  harness.Start();
-  harness.RunFor(duration);
-  ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
-                              harness.retuner().samples()));
+  RunConfig run = ScenarioRunConfig(Scenario::kConsolidation, duration);
+  run.seed = seed;
+  run.opt_regret = true;
+  const std::unique_ptr<ClusterHarness> live = RunAndCapture(run, path);
   // The run must actually reach phase mrc with the oracle on, or curve
   // identity over an empty diagnosis list would prove nothing.
-  const auto& diagnoses = harness.retuner().diagnoses();
+  const auto& diagnoses = live->retuner().diagnoses();
   ASSERT_FALSE(diagnoses.empty());
   bool regret_computed = false;
   for (const auto& record : diagnoses) {
@@ -172,8 +134,9 @@ TEST(MrcReplayTest, LiveAndReplayedCurvesAreIdentical) {
   EXPECT_TRUE(regret_computed);
 
   Capture capture;
+  std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_EQ(capture.info.mrc_spec, info.mrc_spec);
+  EXPECT_TRUE(capture.run.opt_regret);
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   EXPECT_TRUE(runner.harness()->retuner().config().mrc.opt_regret);

@@ -8,8 +8,8 @@
 #include "common/json.h"
 #include "common/trace_check.h"
 #include "scenarios/harness.h"
+#include "scenarios/scenario.h"
 #include "sim/fault_injector.h"
-#include "workload/rubis.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -30,20 +30,13 @@ std::unique_ptr<ClusterHarness> MakeCluster(bool guard = true) {
   channel_config.guard = guard;
   h->EnableStatsChannel(channel_config);
   h->EnableCheckpointing();
-  h->AddServers(3);
-  Scheduler* tpcw = h->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = h->AddApplication(MakeRubis(rubis_options));
-  Replica* shared =
-      h->resources().CreateReplica(h->resources().servers()[0].get(), 8192);
-  Replica* spare = h->resources().CreateReplica(
-      h->resources().servers()[1].get(), 8192, /*engine_seed=*/2);
-  tpcw->AddReplica(shared);
-  tpcw->AddReplica(spare);
-  rubis->AddReplica(shared);
-  h->AddConstantClients(tpcw, 120, /*seed=*/7);
-  h->AddConstantClients(rubis, 40, /*seed=*/8);
+  // fglb_sim's chaos topology on 3 servers with 40 RUBiS clients.
+  RunConfig run;
+  run.scenario = Scenario::kChaosReplica;
+  run.servers = 3;
+  run.rubis_clients = 40;
+  run.seed = 7;
+  AssembleScenario(run, h.get());
   return h;
 }
 

@@ -160,7 +160,7 @@ std::string WriteTraceCapture(const std::string& path,
   Simulator sim;
   CaptureWriter writer(&sim);
   std::string error;
-  EXPECT_TRUE(writer.Open(path, CaptureInfo{}, CaptureTopology{}, &error))
+  EXPECT_TRUE(writer.Open(path, RunConfig{}, CaptureTopology{}, &error))
       << error;
   for (size_t i = 0; i < executions.size(); ++i) {
     const TracedExecution* e = &executions[i];
@@ -337,15 +337,15 @@ std::string WriteSampleCapture(const std::string& path, uint64_t seed) {
   Simulator sim;
   CaptureWriter writer(&sim);
 
-  CaptureInfo info;
-  info.seed = seed;
-  info.fault_seed = seed + 1;
-  info.scenario = "codec-test";
-  info.fault_spec = "disk@10:server=0,factor=2,duration=5";
-  info.duration_seconds = 30;
-  info.interval_seconds = 10;
-  info.mrc_sample_rate = 0.5;
-  info.max_migrations_per_interval = 2;
+  RunConfig run;
+  run.seed = seed;
+  run.fault_seed = seed + 1;
+  run.scenario = Scenario::kChaosDisk;
+  run.fault_spec = "disk@10:server=0,factor=2,duration=5";
+  run.duration_seconds = 30;
+  run.interval_seconds = 10;
+  run.mrc_sample_rate = 0.5;
+  run.max_migrations_per_interval = 2;
 
   CaptureTopology topo;
   topo.servers.push_back({8, 32768, 0.002, 0.006, 0.001});
@@ -368,7 +368,7 @@ std::string WriteSampleCapture(const std::string& path, uint64_t seed) {
   topo.placements.push_back({1, {0}});
 
   std::string error;
-  EXPECT_TRUE(writer.Open(path, info, topo, &error)) << error;
+  EXPECT_TRUE(writer.Open(path, run, topo, &error)) << error;
 
   std::mt19937_64 rng(seed);
   QueryTemplate* tmpl_ptr = &topo.apps[0].templates[0];
@@ -431,11 +431,12 @@ TEST(ReplayCodecTest, CaptureRoundTripsExactly) {
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
 
-  EXPECT_EQ(capture.info.seed, 5u);
-  EXPECT_EQ(capture.info.scenario, "codec-test");
-  EXPECT_EQ(capture.info.fault_spec, "disk@10:server=0,factor=2,duration=5");
-  EXPECT_DOUBLE_EQ(capture.info.mrc_sample_rate, 0.5);
-  EXPECT_EQ(capture.info.max_migrations_per_interval, 2);
+  EXPECT_EQ(capture.run.seed, 5u);
+  EXPECT_EQ(capture.run.fault_seed, 6u);
+  EXPECT_EQ(capture.run.scenario, Scenario::kChaosDisk);
+  EXPECT_EQ(capture.run.fault_spec, "disk@10:server=0,factor=2,duration=5");
+  EXPECT_DOUBLE_EQ(capture.run.mrc_sample_rate, 0.5);
+  EXPECT_EQ(capture.run.max_migrations_per_interval, 2);
   ASSERT_EQ(capture.topology.servers.size(), 1u);
   EXPECT_EQ(capture.topology.servers[0].cores, 8);
   ASSERT_EQ(capture.topology.apps.size(), 1u);
@@ -473,6 +474,27 @@ TEST(ReplayCodecTest, CaptureRoundTripsExactly) {
   }
   std::remove(path.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(ReplayCodecTest, InfoBlockThatIsNotARunConfigIsRejected) {
+  // Before the info block held a RunConfig it held varint seeds and
+  // length-prefixed spec strings. Such a capture no longer loads.
+  const std::string path = TempPath("fglb_codec_capture_old_info.bin");
+  std::string payload;
+  PutVarint64(&payload, 1);  // seed
+  PutVarint64(&payload, 1);  // fault seed
+  PutVarint64(&payload, 13);
+  payload += "consolidation";
+  std::string file = "FGLBCAP1";
+  file.push_back(1);  // info block
+  PutFixed32(&file, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&file, Crc32(payload.data(), payload.size()));
+  WriteBytes(path, file + payload);
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadCapture(path, &capture, &error));
+  EXPECT_NE(error.find("bad info block"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 TEST(ReplayCodecTest, CaptureCorruptionAlwaysDetected) {

@@ -1,8 +1,10 @@
 // Deterministic replay: a capture of a live run, replayed through
 // ReplayRunner, must reproduce the controller's decision trace
-// byte-for-byte (the --phase=action projection), for a clean scenario
-// and for one running under an injected fault schedule. Plus the
-// what-if evaluator's agreement with the live controller's choice.
+// byte-for-byte (the --phase=action projection), for a clean scenario,
+// for one running under an injected fault schedule and for one whose
+// controller provisions replicas. Live runs are built by the same
+// scenario builder fglb_sim uses. Plus the what-if evaluator's
+// agreement with the live controller's choice.
 
 #include <cstdio>
 #include <filesystem>
@@ -16,9 +18,8 @@
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "replay/what_if.h"
-#include "scenarios/harness.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
+#include "run_and_capture.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
@@ -27,103 +28,29 @@ std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// Mirrors fglb_sim's consolidation scenario: TPC-W steady plus RUBiS
-// stepping in at duration/3 on a shared replica — the canonical
-// memory-interference run where the retuner re-places the intruder.
-void AssembleConsolidation(ClusterHarness* harness, double duration,
-                           uint64_t seed) {
-  harness->AddServers(4);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  tpcw->AddReplica(shared);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, seed);
-  harness->AddClients(
-      rubis,
-      std::make_unique<StepLoad>(
-          std::vector<std::pair<SimTime, double>>{{duration / 3, 45}}),
-      seed + 1);
-}
-
-// Mirrors fglb_sim's chaos-replica scenario: consolidation topology
-// plus a spare TPC-W replica so a crash degrades rather than zeroes
-// capacity.
-void AssembleChaos(ClusterHarness* harness, uint64_t seed) {
-  harness->AddServers(4);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  PhysicalServer* second = harness->resources().servers()[1].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  Replica* spare = harness->resources().CreateReplica(second, 8192, 2);
-  tpcw->AddReplica(shared);
-  tpcw->AddReplica(spare);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, seed);
-  harness->AddConstantClients(rubis, 45, seed + 1);
-}
-
 struct LiveRun {
   std::vector<std::string> action_lines;
-  size_t action_count = 0;
+  std::vector<SelectiveRetuner::Action> actions;
 };
 
-// Runs a live harness with capture attached, returns its action-trace
+// Runs `run` live with capture attached, returns its action-trace
 // projection, and leaves the capture at `capture_path`.
-LiveRun RunLive(const std::string& capture_path, const std::string& scenario,
-                const std::string& fault_spec, uint64_t seed,
-                uint64_t fault_seed, double duration) {
-  SelectiveRetuner::Config config;
-  if (!fault_spec.empty()) config.max_migrations_per_interval = 2;
-  ClusterHarness harness(config);
-  harness.trace().EnableBuffering();
-  if (scenario == "consolidation") {
-    AssembleConsolidation(&harness, duration, seed);
-  } else {
-    AssembleChaos(&harness, seed);
-  }
-  if (!fault_spec.empty()) {
-    FaultSpec spec;
-    std::string fault_error;
-    EXPECT_TRUE(FaultSpec::Parse(fault_spec, &spec, &fault_error))
-        << fault_error;
-    harness.InjectFaults(std::move(spec), fault_seed);
-  }
-
-  CaptureWriter writer(&harness.sim());
-  CaptureInfo info;
-  info.seed = seed;
-  info.fault_seed = fault_seed;
-  info.scenario = scenario;
-  info.fault_spec = fault_spec;
-  info.duration_seconds = duration;
-  info.interval_seconds = harness.retuner().config().interval_seconds;
-  info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-  info.max_migrations_per_interval =
-      harness.retuner().config().max_migrations_per_interval;
-  std::string error;
-  EXPECT_TRUE(writer.Open(capture_path, info, SnapshotTopology(harness),
-                          &error))
-      << error;
-  harness.AttachRecorders(&writer, &writer);
-  harness.Start();
-  harness.RunFor(duration);
-  EXPECT_TRUE(
-      writer.Finalize(harness.retuner().actions(),
-                      harness.retuner().samples()));
-
+LiveRun RunLive(const std::string& capture_path, const RunConfig& run) {
+  std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, capture_path);
   LiveRun result;
-  result.action_count = harness.retuner().actions().size();
-  EXPECT_TRUE(ActionLines(harness.trace().BufferedLines(),
+  result.actions = harness->retuner().actions();
+  std::string error;
+  EXPECT_TRUE(ActionLines(harness->trace().BufferedLines(),
                           &result.action_lines, &error))
       << error;
   return result;
+}
+
+// fglb_sim's defaults for `scenario`, at `seed`.
+RunConfig Scenario300s(Scenario scenario, uint64_t seed) {
+  RunConfig run = ScenarioRunConfig(scenario, 300);
+  run.seed = seed;
+  return run;
 }
 
 // Replays `capture_path` strictly and returns the replayed run's
@@ -149,15 +76,16 @@ std::vector<std::string> RunReplay(const std::string& capture_path,
 
 TEST(ReplayTest, ConsolidationReplayMatchesLiveActionTrace) {
   const std::string path = TempPath("fglb_replay_consolidation.fglbcap");
-  const LiveRun live = RunLive(path, "consolidation", "", 1, 1, 300);
+  const LiveRun live =
+      RunLive(path, Scenario300s(Scenario::kConsolidation, 1));
   // The run must actually exercise the controller, or byte-equality of
   // empty traces would prove nothing.
-  ASSERT_GT(live.action_count, 0u);
+  ASSERT_GT(live.actions.size(), 0u);
   ASSERT_FALSE(live.action_lines.empty());
 
   size_t replay_actions = 0;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
-  EXPECT_EQ(replay_actions, live.action_count);
+  EXPECT_EQ(replay_actions, live.actions.size());
   ASSERT_EQ(replayed.size(), live.action_lines.size());
   for (size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
@@ -167,15 +95,17 @@ TEST(ReplayTest, ConsolidationReplayMatchesLiveActionTrace) {
 
 TEST(ReplayTest, ChaosReplayWithFaultSpecMatchesLiveActionTrace) {
   const std::string path = TempPath("fglb_replay_chaos.fglbcap");
-  const std::string fault_spec =
+  RunConfig run = Scenario300s(Scenario::kChaosReplica, 1);
+  run.fault_spec =
       "crash@100:replica=1,restart=60;"
       "stats@150:replica=0,mode=partial,duration=60";
-  const LiveRun live = RunLive(path, "chaos-replica", fault_spec, 1, 7, 300);
+  run.fault_seed = 7;
+  const LiveRun live = RunLive(path, run);
   ASSERT_FALSE(live.action_lines.empty());
 
   size_t replay_actions = 0;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
-  EXPECT_EQ(replay_actions, live.action_count);
+  EXPECT_EQ(replay_actions, live.actions.size());
   ASSERT_EQ(replayed.size(), live.action_lines.size());
   for (size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
@@ -183,9 +113,32 @@ TEST(ReplayTest, ChaosReplayWithFaultSpecMatchesLiveActionTrace) {
   std::remove(path.c_str());
 }
 
+TEST(ReplayTest, ColdStartProvisioningReplaysExactly) {
+  // Cold-start provisions half-size (4096-page) replicas: the replay
+  // must provision the same size, or the first provisioned replica
+  // serves a different stream and the replay diverges.
+  const std::string path = TempPath("fglb_replay_cold_start.fglbcap");
+  RunConfig run = ScenarioRunConfig(Scenario::kColdStart, 150);
+  run.tpcw_clients = 1000;
+  const LiveRun live = RunLive(path, run);
+  size_t provisions = 0;
+  for (const SelectiveRetuner::Action& action : live.actions) {
+    if (action.kind == SelectiveRetuner::ActionKind::kCpuProvision) {
+      ++provisions;
+    }
+  }
+  ASSERT_GE(provisions, 1u);
+
+  size_t replay_actions = 0;
+  const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
+  EXPECT_EQ(replay_actions, live.actions.size());
+  EXPECT_EQ(replayed, live.action_lines);
+  std::remove(path.c_str());
+}
+
 TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {
   const std::string path = TempPath("fglb_replay_actions.fglbcap");
-  RunLive(path, "consolidation", "", 3, 1, 300);
+  RunLive(path, Scenario300s(Scenario::kConsolidation, 3));
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
@@ -204,7 +157,7 @@ TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {
 
 TEST(ReplayTest, WhatIfRanksCandidatesAndAgreesWithLiveController) {
   const std::string path = TempPath("fglb_replay_whatif.fglbcap");
-  RunLive(path, "consolidation", "", 1, 1, 300);
+  RunLive(path, Scenario300s(Scenario::kConsolidation, 1));
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;

@@ -17,17 +17,13 @@
 #include "common/trace_check.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
-#include "scenarios/harness.h"
-#include "workload/tpcw.h"
+#include "run_and_capture.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
 
 constexpr double kDurationSeconds = 240;
-// fglb_sim's overload scenario at --clients-scale=10: 7.5 x 120
-// default TPC-W clients, times ten. Over the 10k auto-cohort
-// threshold is not required — the test forces cohorts on.
-constexpr double kClients = 9000;
 constexpr uint64_t kSeed = 11;
 
 std::string TempPath(const char* name) {
@@ -73,40 +69,17 @@ TEST(ScaleReplayTest, CohortOverloadAt10xReplaysByteIdentically) {
   RunTraces live;
   uint64_t live_completed = 0;
   {
-    ClusterHarness harness;
-    harness.trace().EnableBuffering();
-    // Mirrors fglb_sim --scenario=overload --clients-scale=10: the
-    // default 4-server pool, one TPC-W replica, admission on.
-    harness.AddServers(4);
-    Scheduler* tpcw = harness.AddApplication(MakeTpcw());
-    tpcw->AddReplica(harness.resources().CreateReplica(
-        harness.resources().servers()[0].get(), 8192));
-    AdmissionConfig admission_config;
-    harness.EnableAdmission(admission_config);
-    ClientEmulator::Options emu;
-    emu.cohort = true;
-    harness.AddConstantClients(tpcw, kClients, kSeed, emu);
-
-    CaptureWriter writer(&harness.sim());
-    CaptureInfo info;
-    info.seed = kSeed;
-    info.scenario = "overload";
-    info.duration_seconds = kDurationSeconds;
-    info.interval_seconds = harness.retuner().config().interval_seconds;
-    info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-    info.max_migrations_per_interval =
-        harness.retuner().config().max_migrations_per_interval;
-    info.admission_spec = admission_config.ToString();
-    std::string error;
-    ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
-        << error;
-    harness.AttachRecorders(&writer, &writer);
-    harness.Start();
-    harness.RunFor(kDurationSeconds);
-    ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
-                                harness.retuner().samples()));
-    live_completed = tpcw->total_completed();
-    live = TracesOf(harness.trace().BufferedLines());
+    // fglb_sim --scenario=overload --clients-scale=10 --cohorts=on:
+    // 7.5 x 1200 TPC-W clients on one replica, admission on. The
+    // 9000 clients sit under the 10k auto-cohort threshold, so cohorts
+    // are forced on.
+    RunConfig run = ScenarioRunConfig(Scenario::kOverload, kDurationSeconds);
+    run.seed = kSeed;
+    run.tpcw_clients = 120 * 10;
+    run.cohorts = "on";
+    const std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, path);
+    live_completed = harness->schedulers()[0]->total_completed();
+    live = TracesOf(harness->trace().BufferedLines());
   }
   // The run must actually overload the replica and trip admission, or
   // byte-equality of empty projections would prove nothing.

@@ -18,8 +18,8 @@
 #include "common/span_tracer.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
-#include "scenarios/harness.h"
-#include "workload/rubis.h"
+#include "run_and_capture.h"
+#include "scenarios/scenario.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -29,26 +29,18 @@ std::string TempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// Consolidation-style interference scenario (TPC-W steady, RUBiS
-// stepping in) so spans cover the full pipeline: disk waits, CPU
-// waits, lock waits, and — under pressure — shed/penalty fast-fails.
+// fglb_sim's consolidation scenario (TPC-W steady, RUBiS stepping in)
+// so spans cover the full pipeline: disk waits, CPU waits, lock waits,
+// and — under pressure — shed/penalty fast-fails.
+RunConfig Consolidation(double duration, uint64_t seed) {
+  RunConfig run = ScenarioRunConfig(Scenario::kConsolidation, duration);
+  run.seed = seed;
+  return run;
+}
+
 void AssembleConsolidation(ClusterHarness* harness, double duration,
                            uint64_t seed) {
-  harness->AddServers(4);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  tpcw->AddReplica(shared);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, seed);
-  harness->AddClients(
-      rubis,
-      std::make_unique<StepLoad>(
-          std::vector<std::pair<SimTime, double>>{{duration / 3, 45}}),
-      seed + 1);
+  AssembleScenario(Consolidation(duration, seed), harness);
 }
 
 TEST(SpanConfigTest, RoundTripsThroughString) {
@@ -207,33 +199,12 @@ TEST(SpanTracerTest, CaptureReplayReproducesSpanOutputByteForByte) {
   const double duration = 200;
   std::string live_spans;
   {
-    SelectiveRetuner::Config retuner_config;
-    ClusterHarness harness(retuner_config);
-    AssembleConsolidation(&harness, duration, /*seed=*/1);
-    SpanConfig span_config;
-    span_config.sample_every = 16;
-    SpanTracer* spans = harness.EnableSpanTracing(span_config);
-    spans->EnableBuffering();
-
-    CaptureWriter writer(&harness.sim());
-    CaptureInfo info;
-    info.seed = 1;
-    info.fault_seed = 1;
-    info.scenario = "consolidation";
-    info.duration_seconds = duration;
-    info.interval_seconds = harness.retuner().config().interval_seconds;
-    info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-    info.max_migrations_per_interval =
-        harness.retuner().config().max_migrations_per_interval;
-    info.span_spec = spans->config().ToString();
-    std::string error;
-    ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
-        << error;
-    harness.AttachRecorders(&writer, &writer);
-    harness.Start();
-    harness.RunFor(duration);
-    ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
-                                harness.retuner().samples()));
+    RunConfig run = Consolidation(duration, /*seed=*/1);
+    run.spans.emplace();
+    run.spans->sample_every = 16;
+    const std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, path);
+    SpanTracer* spans = harness->span_tracer();
+    ASSERT_NE(spans, nullptr);
     spans->Close();
     live_spans = spans->BufferedJson();
     ASSERT_GT(spans->finished(), 0u);
@@ -242,11 +213,12 @@ TEST(SpanTracerTest, CaptureReplayReproducesSpanOutputByteForByte) {
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_EQ(capture.info.span_spec, "sample=16");
+  ASSERT_TRUE(capture.run.spans.has_value());
+  EXPECT_EQ(capture.run.spans->ToString(), "sample=16");
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   SpanTracer* replay_spans = runner.harness()->span_tracer();
-  // The span spec traveled in the capture, so the replayed harness
+  // The span config traveled in the capture, so the replayed harness
   // already has an identically-configured tracer.
   ASSERT_NE(replay_spans, nullptr);
   EXPECT_EQ(replay_spans->config().sample_every, 16u);

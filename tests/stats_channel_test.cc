@@ -8,10 +8,9 @@
 
 #include "common/json.h"
 #include "scenarios/harness.h"
+#include "scenarios/scenario.h"
 #include "sim/fault_injector.h"
 #include "sim/simulator.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
 
 namespace fglb {
 namespace {
@@ -299,20 +298,13 @@ TEST(StatsChannelTest, PublisherSequencesSurviveReceiverReset) {
 std::unique_ptr<ClusterHarness> MakeConsolidation() {
   auto h = std::make_unique<ClusterHarness>();
   h->trace().EnableBuffering();
-  h->AddServers(3);
-  Scheduler* tpcw = h->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = h->AddApplication(MakeRubis(rubis_options));
-  Replica* shared =
-      h->resources().CreateReplica(h->resources().servers()[0].get(), 8192);
-  Replica* spare = h->resources().CreateReplica(
-      h->resources().servers()[1].get(), 8192, /*engine_seed=*/2);
-  tpcw->AddReplica(shared);
-  tpcw->AddReplica(spare);
-  rubis->AddReplica(shared);
-  h->AddConstantClients(tpcw, 120, /*seed=*/7);
-  h->AddConstantClients(rubis, 40, /*seed=*/8);
+  // fglb_sim's chaos topology on 3 servers with 40 RUBiS clients.
+  RunConfig run;
+  run.scenario = Scenario::kChaosReplica;
+  run.servers = 3;
+  run.rubis_clients = 40;
+  run.seed = 7;
+  AssembleScenario(run, h.get());
   return h;
 }
 

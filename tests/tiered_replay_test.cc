@@ -2,8 +2,8 @@
 // cache must replay byte-for-byte — the --phase=action projection
 // (demote actions included) and the phase=mrc events with their
 // per-tier fields — and the TierConfig must round-trip through the
-// FGLBCAP1 info block so the replayed engines rebuild the exact same
-// buffer hierarchy before any replica exists.
+// FGLBCAP1 info block (the run's RunConfig) so the replayed engines
+// rebuild the exact same buffer hierarchy before any replica exists.
 
 #include <cstdio>
 #include <filesystem>
@@ -16,11 +16,8 @@
 #include "common/trace_check.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
-#include "scenarios/harness.h"
-#include "storage/replacement_policy.h"
-#include "storage/tiered_buffer_pool.h"
-#include "workload/rubis.h"
-#include "workload/tpcw.h"
+#include "run_and_capture.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
@@ -62,90 +59,23 @@ std::vector<std::string> MrcLines(const std::vector<std::string>& lines) {
   return out;
 }
 
-// Mirrors fglb_sim's tier-thrash scenario: the consolidation squeeze
-// (TPC-W steady, RUBiS stepping in hard on a shared replica) on
-// engines that carry a second tier, so the controller's cheapest
-// workable rung is the demote instead of the reschedule. The engine
-// defaults must be set before the first replica exists — a pool's
-// hierarchy is built in its constructor.
-void AssembleTierThrash(ClusterHarness* harness, double duration,
-                        uint64_t seed, const TierConfig& tier,
-                        ReplacementPolicy replacement) {
-  harness->AddServers(4);
-  harness->resources().set_engine_defaults(replacement, tier);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-  RubisOptions rubis_options;
-  rubis_options.app_id = 2;
-  Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-  Replica* shared = harness->resources().CreateReplica(first, 8192);
-  tpcw->AddReplica(shared);
-  rubis->AddReplica(shared);
-  harness->AddConstantClients(tpcw, 120, seed);
-  harness->AddClients(
-      rubis,
-      std::make_unique<StepLoad>(
-          std::vector<std::pair<SimTime, double>>{{duration / 3, 60}}),
-      seed + 1);
-}
-
-TierConfig DefaultTier() {
-  TierConfig tier;
-  tier.pages = 16384;
-  return tier;
-}
-
 struct LiveTieredRun {
   std::vector<std::string> action_lines;
   std::vector<std::string> mrc_lines;
   size_t action_count = 0;
 };
 
-// Runs a live tiered harness with capture attached, returns its action
-// and mrc trace projections, and leaves the capture at `capture_path`.
-LiveTieredRun RunLive(const std::string& capture_path,
-                      const std::string& fault_spec, uint64_t seed,
-                      uint64_t fault_seed, double duration,
-                      const TierConfig& tier) {
-  ClusterHarness harness;
-  harness.trace().EnableBuffering();
-  AssembleTierThrash(&harness, duration, seed, tier, ReplacementPolicy::kLru);
-  if (!fault_spec.empty()) {
-    FaultSpec spec;
-    std::string fault_error;
-    EXPECT_TRUE(FaultSpec::Parse(fault_spec, &spec, &fault_error))
-        << fault_error;
-    harness.InjectFaults(std::move(spec), fault_seed);
-  }
-
-  CaptureWriter writer(&harness.sim());
-  CaptureInfo info;
-  info.seed = seed;
-  info.fault_seed = fault_seed;
-  info.scenario = fault_spec.empty() ? "tier-thrash" : "tier-fail";
-  info.fault_spec = fault_spec;
-  info.duration_seconds = duration;
-  info.interval_seconds = harness.retuner().config().interval_seconds;
-  info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-  info.max_migrations_per_interval =
-      harness.retuner().config().max_migrations_per_interval;
-  info.tier_spec = tier.ToString();
-  std::string error;
-  EXPECT_TRUE(
-      writer.Open(capture_path, info, SnapshotTopology(harness), &error))
-      << error;
-  harness.AttachRecorders(&writer, &writer);
-  harness.Start();
-  harness.RunFor(duration);
-  EXPECT_TRUE(writer.Finalize(harness.retuner().actions(),
-                              harness.retuner().samples()));
-
+// Runs `run` live with capture attached, returns its action and mrc
+// trace projections, and leaves the capture at `capture_path`.
+LiveTieredRun RunLive(const std::string& capture_path, const RunConfig& run) {
+  std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, capture_path);
   LiveTieredRun result;
-  result.action_count = harness.retuner().actions().size();
-  EXPECT_TRUE(ActionLines(harness.trace().BufferedLines(),
+  result.action_count = harness->retuner().actions().size();
+  std::string error;
+  EXPECT_TRUE(ActionLines(harness->trace().BufferedLines(),
                           &result.action_lines, &error))
       << error;
-  result.mrc_lines = MrcLines(harness.trace().BufferedLines());
+  result.mrc_lines = MrcLines(harness->trace().BufferedLines());
   return result;
 }
 
@@ -179,7 +109,10 @@ bool AnyContains(const std::vector<std::string>& lines,
 
 TEST(TieredReplayTest, TierThrashReplayMatchesLiveActionAndMrcTraces) {
   const std::string path = TempPath("fglb_tiered_replay_thrash.fglbcap");
-  const LiveTieredRun live = RunLive(path, "", 1, 1, 450, DefaultTier());
+  // fglb_sim --scenario=tier-thrash --duration=450: the consolidation
+  // squeeze on engines with a 16384-page second tier.
+  const LiveTieredRun live =
+      RunLive(path, ScenarioRunConfig(Scenario::kTierThrash, 450));
   // The run must take the new rung, or byte-equality proves nothing
   // about it.
   ASSERT_GT(live.action_count, 0u);
@@ -206,11 +139,12 @@ TEST(TieredReplayTest, TierFailReplayMatchesLiveActionTrace) {
   const std::string path = TempPath("fglb_tiered_replay_fail.fglbcap");
   // fglb_sim's default tier-fail schedule for a 450s run: the SSD dies
   // cold mid-run, recovers, then later merely degrades.
-  const std::string fault_spec =
-      "tier@150:replica=0,mode=fail,duration=75;"
-      "tier@300:replica=0,mode=degrade,factor=10,duration=75";
-  const LiveTieredRun live =
-      RunLive(path, fault_spec, 1, 7, 450, DefaultTier());
+  RunConfig run = ScenarioRunConfig(Scenario::kTierFail, 450);
+  run.fault_seed = 7;
+  ASSERT_EQ(run.fault_spec,
+            "tier@150:replica=0,mode=fail,duration=75;"
+            "tier@300:replica=0,mode=degrade,factor=10,duration=75");
+  const LiveTieredRun live = RunLive(path, run);
   ASSERT_FALSE(live.action_lines.empty());
 
   const LiveTieredRun replayed = RunReplay(path);
@@ -229,45 +163,21 @@ TEST(TieredReplayTest, TierFailReplayMatchesLiveActionTrace) {
 
 TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
   const std::string path = TempPath("fglb_tiered_replay_info.fglbcap");
-  TierConfig tier;
-  tier.pages = 8192;
-  tier.read_us = 250;
-  tier.demote = true;
-
-  {
-    ClusterHarness harness;
-    AssembleTierThrash(&harness, 60, /*seed=*/3, tier,
-                       ReplacementPolicy::kArc);
-    CaptureWriter writer(&harness.sim());
-    CaptureInfo info;
-    info.seed = 3;
-    info.fault_seed = 1;
-    info.scenario = "tier-thrash";
-    info.duration_seconds = 60;
-    info.interval_seconds = harness.retuner().config().interval_seconds;
-    info.mrc_sample_rate = harness.retuner().config().mrc.sample_rate;
-    info.max_migrations_per_interval =
-        harness.retuner().config().max_migrations_per_interval;
-    info.tier_spec = tier.ToString();
-    info.replacement_spec = ReplacementPolicyName(ReplacementPolicy::kArc);
-    std::string error;
-    ASSERT_TRUE(writer.Open(path, info, SnapshotTopology(harness), &error))
-        << error;
-    harness.AttachRecorders(&writer, &writer);
-    harness.Start();
-    harness.RunFor(60);
-    ASSERT_TRUE(writer.Finalize(harness.retuner().actions(),
-                                harness.retuner().samples()));
-  }
+  RunConfig run = ScenarioRunConfig(Scenario::kTierThrash, 60);
+  run.seed = 3;
+  run.tier.pages = 8192;
+  run.tier.read_us = 250;
+  run.replacement = ReplacementPolicy::kArc;
+  RunLive(path, run);
 
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_EQ(capture.info.tier_spec, "pages=8192,read_us=250,demote=1");
-  EXPECT_EQ(capture.info.replacement_spec, std::string("arc"));
+  EXPECT_EQ(capture.run.tier.ToString(), "pages=8192,read_us=250,demote=1");
+  EXPECT_EQ(capture.run.replacement, ReplacementPolicy::kArc);
 
-  // Building the replay re-applies both specs as engine defaults before
-  // any replica exists, so the rebuilt engines carry the same hierarchy.
+  // Building the replay installs both as engine defaults before any
+  // replica exists, so the rebuilt engines carry the same hierarchy.
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   const TierConfig& rebuilt = runner.harness()->resources().engine_tier();

@@ -66,6 +66,21 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-live.jsonl" \
          --phase=action) \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos-replay.jsonl" \
          --phase=action)
+# A cold-start run whose controller provisions half-size replicas: the
+# capture's run config carries the pool size, so the strict replay
+# consumes every recorded execution and repeats every action.
+"./${PREFIX}/tools/fglb_sim" --scenario=cold-start --tpcw-clients=1000 \
+  --duration=150 --log-level=quiet \
+  --capture-out="${SMOKE_DIR}/cold.fglbcap" \
+  --trace-out="${SMOKE_DIR}/cold-live.jsonl" >/dev/null
+"./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/cold-live.jsonl" \
+  --phase=action | grep -q 'cpu_provision'
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/cold.fglbcap" \
+  --trace-out="${SMOKE_DIR}/cold-replay.jsonl"
+diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/cold-live.jsonl" \
+         --phase=action) \
+     <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/cold-replay.jsonl" \
+         --phase=action)
 # The other consumers must at least run clean on a real capture.
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if
@@ -171,6 +186,19 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
          --phase=mrc | sed 's/"dur_us":[0-9.]*,//') \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-replay.jsonl" \
          --phase=mrc | sed 's/"dur_us":[0-9.]*,//')
+# A tier read time that "%g" would round to 6 digits: the capture keeps
+# every digit, so the whole replayed trace matches, not only the
+# action projection (wall-clock mono_us/dur_us stripped).
+"./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --tier2-read-us=123.4567 \
+  --duration=600 --log-level=quiet \
+  --capture-out="${SMOKE_DIR}/tier-exact.fglbcap" \
+  --trace-out="${SMOKE_DIR}/tier-exact.jsonl" >/dev/null
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/tier-exact.fglbcap" \
+  --trace-out="${SMOKE_DIR}/tier-exact-replay.jsonl"
+diff <(sed -E 's/,"(mono_us|dur_us)":[^,}]*//g' \
+         "${SMOKE_DIR}/tier-exact.jsonl") \
+     <(sed -E 's/,"(mono_us|dur_us)":[^,}]*//g' \
+         "${SMOKE_DIR}/tier-exact-replay.jsonl")
 # Same contract with the tier itself failing and degrading mid-run.
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-fail --duration=450 \
   --fault-seed=7 --log-level=quiet \
@@ -272,7 +300,8 @@ cmake --build "${PREFIX}-e2e" -j "${JOBS}" \
 echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
 # The slab LRU, its probe table, the scramble tables and the
 # slice-by-8 CRC are index arithmetic: their differential tests run
-# here too.
+# here too, as do the run-config and k=v spec parsers that decode
+# capture files.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -281,9 +310,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   tiered_buffer_pool_test tiered_replay_test fglb_sim_cli \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
   recovery_test replay_codec_test storage_test workload_test \
-  common_random_test
+  common_random_test run_config_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \

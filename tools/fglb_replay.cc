@@ -10,11 +10,11 @@
 //   ./build/tools/fglb_replay run.fglbcap --what-if --horizon=60
 
 #include <cstdio>
-#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
+#include "common/kv_spec.h"
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "replay/what_if.h"
@@ -49,7 +49,8 @@ usage: fglb_replay CAPTURE [options]
                      (Chrome trace_event JSON; requires a capture whose
                      live run had span tracing on — byte-identical to
                      the live --spans-out file)
-  --summary          print the capture's metadata and stream counts
+  --summary          print the capture's run config (every key=value
+                     that decided the run) and stream counts
   --what-if          replay the first (or requested) violation window
                      against quota / migrate / no-op candidates and
                      rank them against the live controller's choice
@@ -103,7 +104,6 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
       }
       value = args[++i];
     }
-    char* end = nullptr;
     bool ok = true;
     if (key == "trace-out") {
       ok = !value.empty();
@@ -112,17 +112,14 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
       ok = !value.empty();
       out->spans_out = value;
     } else if (key == "window-start") {
-      out->window_start = std::strtod(value.c_str(), &end);
-      ok = end != nullptr && *end == '\0' && !value.empty();
+      ok = ParseKvNumber(value, &out->window_start);
     } else if (key == "horizon") {
-      out->horizon_seconds = std::strtod(value.c_str(), &end);
-      ok = end != nullptr && *end == '\0' && out->horizon_seconds > 0;
+      ok = ParseKvNumber(value, &out->horizon_seconds) &&
+           out->horizon_seconds > 0;
     } else if (key == "quota-pages") {
-      out->quota_pages = std::strtoull(value.c_str(), &end, 10);
-      ok = end != nullptr && *end == '\0' && !value.empty();
+      ok = ParseKvCount(value, &out->quota_pages);
     } else if (key == "mrc-threads") {
-      out->mrc_threads = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      ok = end != nullptr && *end == '\0' && out->mrc_threads >= 0;
+      ok = ParseKvCount(value, &out->mrc_threads);
     } else {
       *error = "unknown option --" + key;
       return false;
@@ -140,23 +137,11 @@ bool ParseArgs(const std::vector<std::string>& args, ReplayCliOptions* out,
 }
 
 void PrintSummary(const Capture& capture) {
-  const CaptureInfo& info = capture.info;
-  std::printf("capture of scenario '%s'\n", info.scenario.c_str());
-  std::printf("  duration            %.1f s (interval %.1f s)\n",
-              info.duration_seconds, info.interval_seconds);
-  std::printf("  seeds               workload=%llu fault=%llu\n",
-              static_cast<unsigned long long>(info.seed),
-              static_cast<unsigned long long>(info.fault_seed));
-  std::printf("  fault spec          %s\n",
-              info.fault_spec.empty() ? "(none)" : info.fault_spec.c_str());
-  std::printf("  controller          mrc-sample-rate=%g "
-              "max-migrations/interval=%d\n",
-              info.mrc_sample_rate, info.max_migrations_per_interval);
-  if (!info.tier_spec.empty() || !info.replacement_spec.empty()) {
-    std::printf("  buffer hierarchy    tier=%s replacement=%s\n",
-                info.tier_spec.empty() ? "(none)" : info.tier_spec.c_str(),
-                info.replacement_spec.empty() ? "lru"
-                                              : info.replacement_spec.c_str());
+  std::printf("capture of scenario '%s'\n  run config\n",
+              ScenarioName(capture.run.scenario));
+  std::istringstream run(capture.run.ToString());
+  for (std::string line; std::getline(run, line);) {
+    std::printf("    %s\n", line.c_str());
   }
   std::printf("  topology            %zu servers, %zu apps, %zu replicas\n",
               capture.topology.servers.size(), capture.topology.apps.size(),
@@ -239,10 +224,11 @@ int main(int argc, char** argv) {
   if (!options.spans_out.empty()) {
     SpanTracer* spans = runner.harness()->span_tracer();
     if (spans == nullptr) {
-      // The capture carries no span spec — tracing with an arbitrary
-      // sampling rate here could not be byte-compared to anything.
+      // The captured run had span tracing off — tracing with an
+      // arbitrary sampling rate here could not be byte-compared to
+      // anything.
       std::fprintf(stderr,
-                   "error: capture has no span spec (live run did not "
+                   "error: capture has no span config (live run did not "
                    "enable span tracing); --spans-out unavailable\n");
       return 1;
     }
