@@ -1,7 +1,6 @@
 #ifndef FGLB_CORE_LOG_ANALYZER_H_
 #define FGLB_CORE_LOG_ANALYZER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -9,6 +8,7 @@
 
 #include "common/metrics_registry.h"
 #include "common/thread_pool.h"
+#include "common/varint.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
 #include "core/stable_state.h"
@@ -88,22 +88,15 @@ class LogAnalyzer {
   const StableStateStore& stable_store() const { return stable_store_; }
   const MrcConfig& mrc_config() const { return mrc_config_; }
 
-  // Checkpoint support (FGLBCKPT1): iterate the classes whose trackers
-  // hold a stable MRC baseline, and reinstall one on restore. The
-  // restored tracker re-derives its parameters from the curve, so
-  // post-restore diagnoses are identical to the pre-crash ones.
-  void ForEachStableTracker(
-      const std::function<void(ClassKey, const MissRatioCurve&, size_t)>& fn)
-      const {
-    for (const auto& [key, tracker] : trackers_) {
-      if (!tracker->has_stable()) continue;
-      fn(key, tracker->stable_curve(), tracker->stable_trace_length());
-    }
-  }
-  void RestoreStableTracker(ClassKey key, const MissRatioCurve& curve,
-                            size_t trace_length) {
-    TrackerFor(key).RestoreStable(curve, trace_length);
-  }
+  // Checkpoint support (FGLBCKPT1): the stable signatures, then the
+  // stable MRC baselines as raw sampled curves. The restored tracker
+  // re-derives its parameters from the curve, so post-restore
+  // diagnoses are identical to the pre-crash ones.
+  void EncodeBaselines(std::string* out) const;
+  // Decodes one EncodeBaselines encoding into `into`, or skips it when
+  // `into` is null. False on malformed input, which may leave `into`
+  // partly restored.
+  static bool DecodeBaselines(Reader& r, LogAnalyzer* into);
 
  private:
   MrcTracker& TrackerFor(ClassKey key);

@@ -28,26 +28,28 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Decodes a checkpoint map of {varint key, value} entries, each at
-// least `min_entry_bytes` long; `read_value` decodes one value.
-template <typename Map, typename ReadValue>
-bool ReadMap(Reader& r, size_t min_entry_bytes, ReadValue read_value,
-             Map* out) {
-  const uint64_t n = r.U64();
-  if (!r.PlausibleCount(n, min_entry_bytes)) return false;
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto key = static_cast<typename Map::key_type>(r.U64());
-    (*out)[key] = read_value();
-  }
-  return true;
+// {"app":1,"cls":3 prefix of every per-class trace object (the caller
+// closes it).
+std::string ClassObject(ClassKey key) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "{\"app\":%u,\"cls\":%u", AppOf(key),
+                ClassOf(key));
+  return buf;
 }
 
-// {"app":1,"cls":3} fragment used by every per-class trace payload.
-void AppendClassFields(std::string* out, ClassKey key) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "\"app\":%u,\"cls\":%u", AppOf(key),
-                ClassOf(key));
-  *out += buf;
+// [a,b,...] with each element rendered by `render`.
+template <typename Items, typename Render>
+std::string JsonArray(const Items& items, Render render) {
+  std::string out = "[";
+  for (const auto& item : items) {
+    if (out.size() > 1) out += ',';
+    out += render(item);
+  }
+  return out + "]";
+}
+
+std::string ClassArray(const std::vector<ClassKey>& keys) {
+  return JsonArray(keys, [](ClassKey key) { return ClassObject(key) + "}"; });
 }
 
 }  // namespace
@@ -59,8 +61,7 @@ SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
       config_(config),
       channel_(sim, StatsChannelConfig{}),
       metrics_(config.metrics),
-      trace_(config.trace),
-      spans_(config.spans) {
+      trace_(config.trace) {
   assert(sim_ && resources_);
   channel_.BindObservability(metrics_, trace_);
   if (metrics_ != nullptr) {
@@ -71,25 +72,11 @@ SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
 }
 
 const char* SelectiveRetuner::ActionKindName(ActionKind kind) {
-  switch (kind) {
-    case ActionKind::kCpuProvision:
-      return "cpu_provision";
-    case ActionKind::kIoProvision:
-      return "io_provision";
-    case ActionKind::kCpuRelease:
-      return "cpu_release";
-    case ActionKind::kQuotaEnforced:
-      return "quota_enforced";
-    case ActionKind::kClassRescheduled:
-      return "class_rescheduled";
-    case ActionKind::kIoEviction:
-      return "io_eviction";
-    case ActionKind::kCoarseFallback:
-      return "coarse_fallback";
-    case ActionKind::kDemote:
-      return "demote";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+      "cpu_provision",     "io_provision", "cpu_release",     "quota_enforced",
+      "class_rescheduled", "io_eviction",  "coarse_fallback", "demote"};
+  const auto index = static_cast<size_t>(kind);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 void SelectiveRetuner::RegisterApplication(Scheduler* scheduler) {
@@ -97,16 +84,14 @@ void SelectiveRetuner::RegisterApplication(Scheduler* scheduler) {
   schedulers_.push_back(scheduler);
 }
 
-LogAnalyzer& SelectiveRetuner::AnalyzerFor(DatabaseEngine* engine) {
-  auto it = analyzers_.find(engine);
-  if (it == analyzers_.end()) {
-    it = analyzers_
-             .emplace(engine,
-                      std::make_unique<LogAnalyzer>(engine, config_.outlier,
-                                                    config_.mrc, metrics_))
-             .first;
+LogAnalyzer& SelectiveRetuner::AnalyzerFor(Replica* replica) {
+  std::unique_ptr<LogAnalyzer>& analyzer = analyzers_[replica->id()];
+  if (analyzer == nullptr) {
+    analyzer = std::make_unique<LogAnalyzer>(&replica->engine(),
+                                             config_.outlier, config_.mrc,
+                                             metrics_);
   }
-  return *it->second;
+  return *analyzer;
 }
 
 void SelectiveRetuner::Start() {
@@ -140,14 +125,8 @@ void SelectiveRetuner::Restart() {
 }
 
 void SelectiveRetuner::ResetControlState() {
+  state_ = {};
   analyzers_.clear();
-  violation_streak_.clear();
-  calm_streak_.clear();
-  last_topology_change_.clear();
-  last_replica_count_.clear();
-  last_placement_change_.clear();
-  last_coarse_fallback_.clear();
-  migrating_.clear();
   feeds_.clear();
   channel_.ResetReceiverState();
   scope_ = ViolationScope{};
@@ -157,15 +136,15 @@ void SelectiveRetuner::ResetControlState() {
   // nor abandoned.
 }
 
+void SelectiveRetuner::Count(const std::string& counter) {
+  if (metrics_ != nullptr) metrics_->counter(counter)->Increment();
+}
+
 void SelectiveRetuner::Log(ActionKind kind, AppId app,
                            std::string description) {
   actions_.push_back(Action{sim_->Now(), kind, app, std::move(description)});
   if (spans_ != nullptr) spans_->RecordPhase("action", app, sim_->Now());
-  if (metrics_ != nullptr) {
-    metrics_
-        ->counter(std::string("controller.actions.") + ActionKindName(kind))
-        ->Increment();
-  }
+  Count(std::string("controller.actions.") + ActionKindName(kind));
   // In-scope actions are emitted when the scope closes so the trace
   // keeps its phase order; out-of-scope ones (e.g. a clean interval
   // releasing capacity) go out immediately.
@@ -198,14 +177,14 @@ void SelectiveRetuner::BeginViolationScope(
       .Num("p95_latency", report.p95_latency)
       .Num("throughput", report.throughput)
       .Bool("sla_met", report.sla_met)
-      .Int("streak", violation_streak_[scope_.app])
+      .Int("streak", state_.apps[scope_.app].violation_streak)
       .Int("servers_used", resources_->ServersUsedBy(*scheduler))
       .Num("dur_us", end_interval_us);
   // Telemetry health of this app's replica set.
   double min_conf = 1.0;
   int stale = 0;
   for (Replica* r : scheduler->replicas()) {
-    const auto it = feeds_.find(r->id());
+    const auto it = feeds_.find(r);
     if (it == feeds_.end()) continue;
     min_conf = std::min(min_conf, it->second.confidence);
     if (!it->second.fresh) ++stale;
@@ -214,28 +193,16 @@ void SelectiveRetuner::BeginViolationScope(
   trace_->Emit(event);
 }
 
-bool SelectiveRetuner::FeedFresh(int replica_id) const {
-  const auto it = feeds_.find(replica_id);
-  return it == feeds_.end() || it->second.fresh;
-}
-
-double SelectiveRetuner::FeedConfidence(int replica_id) const {
-  const auto it = feeds_.find(replica_id);
-  return it == feeds_.end() ? 1.0 : it->second.confidence;
-}
-
 void SelectiveRetuner::EndViolationScope(const char* why) {
   if (!scope_.active) return;
   if (Tracing()) {
     // Back-fill the phases the cascade never reached so every violating
     // interval carries the complete sla->impact->iqr->mrc->action chain.
-    const char* skipped[3] = {
-        scope_.impact_emitted ? nullptr : "impact",
-        scope_.iqr_emitted ? nullptr : "iqr",
-        scope_.mrc_emitted ? nullptr : "mrc",
-    };
-    for (const char* phase : skipped) {
-      if (phase == nullptr) continue;
+    for (const auto& [emitted, phase] :
+         {std::pair{scope_.outliers_emitted, "impact"},
+          {scope_.outliers_emitted, "iqr"},
+          {scope_.mrc_emitted, "mrc"}}) {
+      if (emitted) continue;
       TraceEvent event(phase);
       event.Num("t", sim_->Now())
           .Uint("app", scope_.app)
@@ -264,40 +231,27 @@ void SelectiveRetuner::TraceOutlierPhases(AppId app, int replica_id,
                                           const OutlierReport& report) {
   // "impact": the weighted current/stable ratio vectors the fences see.
   // Metric order inside the arrays is kAllMetrics order.
-  std::string classes = "[";
-  bool first_class = true;
+  auto metric_array = [](const std::map<Metric, std::map<ClassKey, double>>&
+                             per_metric,
+                         ClassKey key) {
+    std::string out = "[";
+    for (size_t m = 0; m < kAllMetrics.size(); ++m) {
+      if (m > 0) out += ',';
+      const auto it = per_metric.find(kAllMetrics[m]);
+      out += JsonNumber(it != per_metric.end() && it->second.contains(key)
+                            ? it->second.at(key)
+                            : 0.0);
+    }
+    return out + "]";
+  };
   std::set<ClassKey> keys;
   for (const auto& [metric, per_class] : report.ratios) {
     for (const auto& [key, value] : per_class) keys.insert(key);
   }
-  for (ClassKey key : keys) {
-    if (!first_class) classes += ',';
-    first_class = false;
-    classes += '{';
-    AppendClassFields(&classes, key);
-    classes += ",\"ratio\":[";
-    for (size_t m = 0; m < kAllMetrics.size(); ++m) {
-      if (m > 0) classes += ',';
-      const auto metric_it = report.ratios.find(kAllMetrics[m]);
-      const double v = metric_it != report.ratios.end() &&
-                               metric_it->second.contains(key)
-                           ? metric_it->second.at(key)
-                           : 0.0;
-      classes += JsonNumber(v);
-    }
-    classes += "],\"impact\":[";
-    for (size_t m = 0; m < kAllMetrics.size(); ++m) {
-      if (m > 0) classes += ',';
-      const auto metric_it = report.impacts.find(kAllMetrics[m]);
-      const double v = metric_it != report.impacts.end() &&
-                               metric_it->second.contains(key)
-                           ? metric_it->second.at(key)
-                           : 0.0;
-      classes += JsonNumber(v);
-    }
-    classes += "]}";
-  }
-  classes += ']';
+  const std::string classes = JsonArray(keys, [&](ClassKey key) {
+    return ClassObject(key) + ",\"ratio\":" + metric_array(report.ratios, key) +
+           ",\"impact\":" + metric_array(report.impacts, key) + "}";
+  });
   TraceEvent impact("impact");
   impact.Num("t", sim_->Now())
       .Uint("app", app)
@@ -310,98 +264,66 @@ void SelectiveRetuner::TraceOutlierPhases(AppId app, int replica_id,
     impact.Raw("wait_profile", spans_->WaitProfileJson(app));
   }
   trace_->Emit(impact);
-  scope_.impact_emitted = true;
 
   // "iqr": the fences applied per metric plus the resulting verdicts.
-  std::string fences = "[";
-  for (size_t i = 0; i < report.fences.size(); ++i) {
-    const FenceSummary& f = report.fences[i];
-    if (i > 0) fences += ',';
-    fences += "{\"metric\":\"";
-    fences += MetricName(f.metric);
-    fences += "\",\"q1\":" + JsonNumber(f.q1) +
-              ",\"q3\":" + JsonNumber(f.q3) + ",\"iqr\":" + JsonNumber(f.iqr) +
-              ",\"inner_lo\":" + JsonNumber(f.inner_lo) +
-              ",\"inner_hi\":" + JsonNumber(f.inner_hi) +
-              ",\"outer_lo\":" + JsonNumber(f.outer_lo) +
-              ",\"outer_hi\":" + JsonNumber(f.outer_hi) + "}";
-  }
-  fences += ']';
-  std::string outliers = "[";
-  for (size_t i = 0; i < report.outliers.size(); ++i) {
-    const MetricOutlier& o = report.outliers[i];
-    if (i > 0) outliers += ',';
-    outliers += '{';
-    AppendClassFields(&outliers, o.key);
-    outliers += ",\"metric\":\"";
-    outliers += MetricName(o.metric);
-    outliers += "\",\"ratio\":" + JsonNumber(o.ratio) +
-                ",\"impact\":" + JsonNumber(o.impact) + ",\"degree\":\"" +
-                (o.degree == OutlierDegree::kExtreme ? "extreme" : "mild") +
-                "\",\"high\":" + (o.high_side ? "true" : "false") + "}";
-  }
-  outliers += ']';
-  std::string fresh = "[";
-  for (size_t i = 0; i < report.new_classes.size(); ++i) {
-    if (i > 0) fresh += ',';
-    fresh += '{';
-    AppendClassFields(&fresh, report.new_classes[i]);
-    fresh += '}';
-  }
-  fresh += ']';
+  const std::string fences =
+      JsonArray(report.fences, [](const FenceSummary& f) {
+        return "{\"metric\":\"" + std::string(MetricName(f.metric)) +
+               "\",\"q1\":" + JsonNumber(f.q1) + ",\"q3\":" + JsonNumber(f.q3) +
+               ",\"iqr\":" + JsonNumber(f.iqr) +
+               ",\"inner_lo\":" + JsonNumber(f.inner_lo) +
+               ",\"inner_hi\":" + JsonNumber(f.inner_hi) +
+               ",\"outer_lo\":" + JsonNumber(f.outer_lo) +
+               ",\"outer_hi\":" + JsonNumber(f.outer_hi) + "}";
+      });
+  const std::string outliers =
+      JsonArray(report.outliers, [](const MetricOutlier& o) {
+        return ClassObject(o.key) + ",\"metric\":\"" + MetricName(o.metric) +
+               "\",\"ratio\":" + JsonNumber(o.ratio) +
+               ",\"impact\":" + JsonNumber(o.impact) + ",\"degree\":\"" +
+               (o.degree == OutlierDegree::kExtreme ? "extreme" : "mild") +
+               "\",\"high\":" + (o.high_side ? "true" : "false") + "}";
+      });
   TraceEvent iqr("iqr");
   iqr.Num("t", sim_->Now())
       .Uint("app", app)
       .Int("replica", replica_id)
       .Raw("fences", fences)
       .Raw("outliers", outliers)
-      .Raw("new_classes", fresh)
+      .Raw("new_classes", ClassArray(report.new_classes))
       .Num("dur_us", report.fence_us);
   trace_->Emit(iqr);
-  scope_.iqr_emitted = true;
+  scope_.outliers_emitted = true;
 }
 
 void SelectiveRetuner::TraceMrcPhase(
-    AppId app, int replica_id, double dur_us, size_t candidates,
-    LogAnalyzer& analyzer, const LogAnalyzer::MemoryDiagnosis& diagnosis,
-    const TieredBufferPool* tier2) {
+    AppId app, Replica* replica, double dur_us, size_t candidates,
+    const LogAnalyzer::MemoryDiagnosis& diagnosis) {
+  LogAnalyzer& analyzer = AnalyzerFor(replica);
+  const TieredBufferPool* tier2 = replica->engine().tier2();
   auto profile_array = [&analyzer](
                            const std::vector<ClassMemoryProfile>& profiles) {
-    std::string out = "[";
-    for (size_t i = 0; i < profiles.size(); ++i) {
-      const ClassMemoryProfile& p = profiles[i];
-      if (i > 0) out += ',';
-      out += '{';
-      AppendClassFields(&out, p.key);
-      out += ",\"total_pages\":" + std::to_string(p.params.total_memory_pages);
-      out += ",\"acceptable_pages\":" +
-             std::to_string(p.params.acceptable_memory_pages);
+    return JsonArray(profiles, [&analyzer](const ClassMemoryProfile& p) {
+      std::string out = ClassObject(p.key) + ",\"total_pages\":" +
+                        std::to_string(p.params.total_memory_pages) +
+                        ",\"acceptable_pages\":" +
+                        std::to_string(p.params.acceptable_memory_pages);
       if (const MrcParameters* stable = analyzer.StableParamsOf(p.key)) {
         out += ",\"stable_total_pages\":" +
-               std::to_string(stable->total_memory_pages);
-        out += ",\"stable_acceptable_pages\":" +
+               std::to_string(stable->total_memory_pages) +
+               ",\"stable_acceptable_pages\":" +
                std::to_string(stable->acceptable_memory_pages);
       }
       if (p.regret_vs_opt >= 0) {
         out += ",\"regret_vs_opt\":" + JsonNumber(p.regret_vs_opt);
       }
-      out += '}';
-    }
-    out += ']';
-    return out;
+      return out + "}";
+    });
   };
-  std::string insufficient = "[";
-  for (size_t i = 0; i < diagnosis.insufficient_data.size(); ++i) {
-    if (i > 0) insufficient += ',';
-    insufficient += '{';
-    AppendClassFields(&insufficient, diagnosis.insufficient_data[i]);
-    insufficient += '}';
-  }
-  insufficient += ']';
   TraceEvent event("mrc");
   event.Num("t", sim_->Now())
       .Uint("app", app)
-      .Int("replica", replica_id);
+      .Int("replica", replica->id());
   if (tier2 != nullptr) {
     // Second-tier state at diagnosis time; absent on tierless engines
     // so pre-tier traces replay unchanged.
@@ -412,39 +334,47 @@ void SelectiveRetuner::TraceMrcPhase(
   event.Uint("candidates", candidates)
       .Raw("suspects", profile_array(diagnosis.suspects))
       .Raw("cleared", profile_array(diagnosis.cleared))
-      .Raw("insufficient", insufficient)
+      .Raw("insufficient", ClassArray(diagnosis.insufficient_data))
       .Num("dur_us", dur_us);
   trace_->Emit(event);
   scope_.mrc_emitted = true;
 }
 
-bool SelectiveRetuner::InWarmup(AppId app) const {
-  auto it = last_topology_change_.find(app);
-  if (it == last_topology_change_.end()) return false;
-  return sim_->Now() - it->second <
-         config_.warmup_intervals * config_.interval_seconds;
+ControlPolicy SelectiveRetuner::Policy() const {
+  return {.act = config_.enable_actions,
+          .shed_escalation = admission_ != nullptr,
+          .overload_shed_share = config_.overload_shed_share,
+          .warmup = config_.warmup_intervals * config_.interval_seconds,
+          .cooldown =
+              config_.placement_cooldown_intervals * config_.interval_seconds,
+          .move_budget = config_.max_migrations_per_interval,
+          .guard = channel_.config().guard,
+          .act_threshold = channel_.config().act_threshold};
 }
 
-bool SelectiveRetuner::InPlacementCooldown(ClassKey key) const {
-  auto it = last_placement_change_.find(key);
-  if (it == last_placement_change_.end()) return false;
-  return sim_->Now() - it->second <
-         config_.placement_cooldown_intervals * config_.interval_seconds;
-}
-
-void SelectiveRetuner::NotePlacementChange(ClassKey key) {
-  last_placement_change_[key] = sim_->Now();
-}
-
-void SelectiveRetuner::NoteTopologyChange(AppId app) {
-  last_topology_change_[app] = sim_->Now();
+bool SelectiveRetuner::Admit(const GateRequest& request) {
+  const Hold hold = PlacementGate(state_, Policy(), sim_->Now(), request);
+  if (hold == Hold::kLowConfidence) {
+    // The evidence is last-known-good, not measured: take no
+    // quota/demote/migration off it. Shed and CPU provisioning run on
+    // app-level latency and are never gated.
+    low_confidence_suppressed_ = true;
+    Count("controller.suppressed.low_confidence");
+  } else if (hold == Hold::kBudget) {
+    Count("controller.migration.budget_deferred");
+  }
+  return hold == Hold::kNone;
 }
 
 void SelectiveRetuner::Tick() {
   const auto tick_start = std::chrono::steady_clock::now();
   const double interval = config_.interval_seconds;
   migrations_this_interval_ = 0;
-  PruneDeadAnalyzers();
+  // Drop analyzers whose replica no longer exists (decommissioned or
+  // crash-destroyed): their engine pointers would dangle.
+  std::erase_if(analyzers_, [this](const auto& entry) {
+    return resources_->FindReplica(entry.first) == nullptr;
+  });
   IntervalSample sample;
   sample.time = sim_->Now();
 
@@ -453,8 +383,6 @@ void SelectiveRetuner::Tick() {
   // -> deliver -> collect through the stats channel, so the controller
   // sees the channel's (possibly stale) view.
   const std::vector<Replica*> replicas = resources_->AllReplicas();
-  std::map<Replica*, Snapshot> snapshots;
-  feeds_.clear();
   std::vector<int> live;
   live.reserve(replicas.size());
   for (Replica* r : replicas) live.push_back(r->id());
@@ -463,17 +391,11 @@ void SelectiveRetuner::Tick() {
     channel_.Publish(r->id(), r->engine().stats().EndInterval(interval),
                      interval);
   }
-  for (Replica* r : replicas) {
-    const StatsChannel::Feed feed = channel_.Collect(r->id());
-    snapshots.emplace(r, *feed.snapshot);
-    feeds_[r->id()] =
-        FeedState{feed.fresh, feed.stale_intervals, feed.confidence};
-  }
+  feeds_.clear();
+  for (Replica* r : replicas) feeds_[r] = channel_.Collect(r->id());
   for (const auto& server : resources_->servers()) {
-    ServerSample ss;
-    ss.server_id = server->id();
-    ss.cpu_utilization = server->CpuUtilization();
-    ss.io_utilization = server->IoUtilization();
+    const ServerSample ss{server->id(), server->CpuUtilization(),
+                          server->IoUtilization()};
     sample.servers.push_back(ss);
     if (metrics_ != nullptr) {
       const std::string prefix =
@@ -492,15 +414,9 @@ void SelectiveRetuner::Tick() {
     const Scheduler::IntervalReport report = s->EndInterval(interval);
     end_interval_us[s] = MicrosSince(end_start);
     reports.emplace(s, report);
-    AppSample as;
-    as.app = s->app().id;
-    as.queries = report.queries;
-    as.avg_latency = report.avg_latency;
-    as.p95_latency = report.p95_latency;
-    as.throughput = report.throughput;
-    as.sla_met = report.sla_met;
-    as.servers_used = resources_->ServersUsedBy(*s);
-    sample.apps.push_back(as);
+    sample.apps.push_back({s->app().id, report.queries, report.avg_latency,
+                           report.p95_latency, report.throughput,
+                           report.sla_met, resources_->ServersUsedBy(*s)});
   }
 
   // 3. Stable intervals refresh signatures and seed MRC baselines.
@@ -509,87 +425,57 @@ void SelectiveRetuner::Tick() {
   // baselines every missed interval.
   for (Scheduler* s : schedulers_) {
     const auto& report = reports.at(s);
-    if (report.sla_met && report.queries > 0) {
-      for (Replica* r : replicas) {
-        if (!FeedFresh(r->id())) continue;
-        AnalyzerFor(&r->engine())
-            .RecordStableInterval(s->app().id, snapshots.at(r), sim_->Now());
-      }
+    if (!report.sla_met || report.queries == 0) continue;
+    for (Replica* r : replicas) {
+      const StatsChannel::Feed& feed = feeds_.at(r);
+      if (!feed.fresh) continue;
+      AnalyzerFor(r).RecordStableInterval(s->app().id, *feed.snapshot,
+                                          sim_->Now());
     }
   }
 
   // 4. Track replica-set changes (warm-up windows start whenever an
-  // app's topology moved, including changes made outside this loop).
+  // app's topology moved, including changes made outside this loop; a
+  // freshly seen app with replicas has cold pools).
   for (Scheduler* s : schedulers_) {
-    const AppId app = s->app().id;
+    ControlState::App& app = state_.apps[s->app().id];
     const size_t count = s->replicas().size();
-    auto it = last_replica_count_.find(app);
-    if (it == last_replica_count_.end()) {
-      last_replica_count_[app] = count;
-      if (count > 0) NoteTopologyChange(app);  // freshly seen, cold pools
-    } else if (it->second != count) {
-      it->second = count;
-      NoteTopologyChange(app);
-    }
+    const bool changed = app.replicas_seen == ControlState::kUnseen
+                             ? count > 0
+                             : app.replicas_seen != count;
+    if (changed) app.topology_changed_at = sim_->Now();
+    app.replicas_seen = count;
   }
 
   // 5. Violations run the diagnosis cascade; clean intervals may
   // release over-provisioned capacity.
+  const ControlPolicy policy = Policy();
   for (Scheduler* s : schedulers_) {
     const auto& report = reports.at(s);
-    const AppId app = s->app().id;
-    // Sustained shedding outranks the SLA check: admission control
-    // fast-fails enough load to keep the *served* latency inside the
-    // SLA, so waiting for a latency violation would never provision.
-    const uint64_t offered = report.queries + report.shed;
-    const double shed_share =
-        offered > 0 ? static_cast<double>(report.shed) / offered : 0.0;
-    if (admission_ != nullptr && config_.enable_actions &&
-        shed_share >= config_.overload_shed_share && !InWarmup(app)) {
-      calm_streak_[app] = 0;
-      ++violation_streak_[app];
-      if (violations_ != nullptr) violations_->Increment();
-      BeginViolationScope(s, report, end_interval_us[s]);
-      Replica* fresh =
-          resources_->ProvisionReplica(s, config_.replica_pool_pages);
-      if (fresh != nullptr) {
-        NoteTopologyChange(app);
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "overload: %.0f%% of offered load shed; provisioned "
-                      "%s on %s (now %d servers)",
-                      100 * shed_share, fresh->name().c_str(),
-                      fresh->server().name().c_str(),
-                      resources_->ServersUsedBy(*s));
-        Log(ActionKind::kCpuProvision, app, buf);
-      }
-      EndViolationScope("overload_shed");
+    const IntervalView view{report.queries, report.shed, report.sla_met,
+                            !s->replicas().empty()};
+    const Verdict verdict =
+        JudgeInterval(policy, sim_->Now(), view, &state_.apps[s->app().id]);
+    if (verdict == Verdict::kCalm) {
+      MaybeRelease(s);
       continue;
     }
-    if (report.queries > 0 && !report.sla_met) {
-      calm_streak_[app] = 0;
-      if (violations_ != nullptr) violations_->Increment();
-      if (config_.enable_actions && s->replicas().empty()) {
-        // Bootstrap: an application with no capacity at all.
-        BeginViolationScope(s, report, end_interval_us[s]);
-        TryCpuProvisioning(s);
-        EndViolationScope("bootstrap");
-        continue;
-      }
-      if (InWarmup(app)) {
-        // Pools still filling; hold fire.
-        BeginViolationScope(s, report, end_interval_us[s]);
-        EndViolationScope("warmup");
-        continue;
-      }
-      ++violation_streak_[app];
-      BeginViolationScope(s, report, end_interval_us[s]);
-      EndViolationScope(HandleViolation(s, report, snapshots));
-    } else {
-      violation_streak_[app] = 0;
-      ++calm_streak_[app];
-      MaybeRelease(s);
+    if (violations_ != nullptr) violations_->Increment();
+    BeginViolationScope(s, report, end_interval_us[s]);
+    const char* why = "warmup";  // pools still filling; hold fire
+    if (verdict == Verdict::kOverloadShed) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "overload: %.0f%% of offered load shed; ",
+                    100 * view.shed_share());
+      Provision(s, ActionKind::kCpuProvision, buf, /*count_servers=*/true);
+      why = "overload_shed";
+    } else if (verdict == Verdict::kBootstrap) {
+      TryCpuProvisioning(s);
+      why = "bootstrap";
+    } else if (verdict == Verdict::kViolation) {
+      why = HandleViolation(s);
     }
+    EndViolationScope(why);
   }
 
   for (const auto& server : resources_->servers()) {
@@ -599,110 +485,100 @@ void SelectiveRetuner::Tick() {
   if (tick_us_ != nullptr) tick_us_->Record(MicrosSince(tick_start));
 }
 
-const char* SelectiveRetuner::HandleViolation(
-    Scheduler* scheduler, const Scheduler::IntervalReport& /*report*/,
-    const std::map<Replica*, Snapshot>& snapshots) {
+const char* SelectiveRetuner::HandleViolation(Scheduler* scheduler) {
   const AppId app = scheduler->app().id;
   low_confidence_suppressed_ = false;
   if (!config_.enable_actions) {
     // Monitoring only: run the diagnosis for the record, change nothing.
-    TryMemoryRetuning(scheduler, snapshots, /*act=*/false);
+    TryMemoryRetuning(scheduler, /*act=*/false);
     return "monitoring";
   }
-  if (!config_.enable_fine_grained) {
-    if (violation_streak_[app] >= config_.coarse_fallback_after) {
-      CoarseFallback(scheduler);
+  if (config_.enable_fine_grained) {
+    if (TryCpuProvisioning(scheduler)) return "no_action";
+    // Graceful degradation: with no per-class statistics for this app
+    // at all (stats-collector dropout, or every serving replica gone),
+    // the fine-grained cascade — and the coarse fallback it escalates
+    // to — would be reasoning about nothing. Skip with a reason; the
+    // next interval with data resumes the cascade.
+    const bool have_stats =
+        std::ranges::any_of(scheduler->replicas(), [&](Replica* r) {
+          const auto feed = feeds_.find(r);
+          if (feed == feeds_.end()) return false;
+          const StatsChannel::Snapshot& snap = *feed->second.snapshot;
+          const auto first = snap.lower_bound(MakeClassKey(app, 0));
+          return first != snap.end() && AppOf(first->first) == app;
+        });
+    if (!have_stats) {
+      Count("controller.skipped.no_stats");
+      return "no_stats";
     }
-    return "coarse_only";
-  }
-  if (TryCpuProvisioning(scheduler)) return "no_action";
-  // Graceful degradation: with no per-class statistics for this app at
-  // all (stats-collector dropout, or every serving replica gone), the
-  // fine-grained cascade — and the coarse fallback it escalates to —
-  // would be reasoning about nothing. Skip with a reason; the next
-  // interval with data resumes the cascade.
-  bool have_stats = false;
-  for (Replica* r : scheduler->replicas()) {
-    const auto it = snapshots.find(r);
-    if (it == snapshots.end()) continue;
-    for (const auto& [key, vec] : it->second) {
-      if (AppOf(key) == app) {
-        have_stats = true;
-        break;
-      }
+    if (TryMemoryRetuning(scheduler) || TryIoRetuning(scheduler)) {
+      return "no_action";
     }
-    if (have_stats) break;
   }
-  if (!have_stats) {
-    if (metrics_ != nullptr) {
-      metrics_->counter("controller.skipped.no_stats")->Increment();
-    }
-    return "no_stats";
-  }
-  if (TryMemoryRetuning(scheduler, snapshots)) return "no_action";
-  if (TryIoRetuning(scheduler, snapshots)) return "no_action";
-  if (violation_streak_[app] >= config_.coarse_fallback_after) {
+  if (state_.apps[app].violation_streak >= config_.coarse_fallback_after) {
     CoarseFallback(scheduler);
   }
+  if (!config_.enable_fine_grained) return "coarse_only";
   return low_confidence_suppressed_ ? "low_confidence" : "no_action";
+}
+
+bool SelectiveRetuner::Provision(Scheduler* scheduler, ActionKind kind,
+                                 const std::string& why, bool count_servers) {
+  Replica* fresh =
+      resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
+  if (fresh == nullptr) return false;  // pool exhausted
+  const AppId app = scheduler->app().id;
+  NoteTopologyChange(app);
+  std::string description = why + "provisioned " + fresh->name() + " on " +
+                            fresh->server().name();
+  if (count_servers) {
+    description += " (now " +
+                   std::to_string(resources_->ServersUsedBy(*scheduler)) +
+                   " servers)";
+  }
+  Log(kind, app, std::move(description));
+  return true;
 }
 
 bool SelectiveRetuner::TryCpuProvisioning(Scheduler* scheduler) {
   // An application with no replicas at all is trivially saturated.
-  bool saturated = scheduler->replicas().empty();
-  for (Replica* r : scheduler->replicas()) {
-    if (r->server().CpuUtilization() >= config_.cpu_saturation_threshold) {
-      saturated = true;
-      break;
-    }
-  }
-  if (!saturated) return false;
-  Replica* fresh =
-      resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
-  if (fresh == nullptr) return false;  // pool exhausted
-  NoteTopologyChange(scheduler->app().id);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "CPU saturation: provisioned %s on %s (now %d servers)",
-                fresh->name().c_str(), fresh->server().name().c_str(),
-                resources_->ServersUsedBy(*scheduler));
-  Log(ActionKind::kCpuProvision, scheduler->app().id, buf);
-  return true;
+  const bool saturated =
+      scheduler->replicas().empty() ||
+      std::ranges::any_of(scheduler->replicas(), [this](Replica* r) {
+        return r->server().CpuUtilization() >=
+               config_.cpu_saturation_threshold;
+      });
+  return saturated && Provision(scheduler, ActionKind::kCpuProvision,
+                                "CPU saturation: ", /*count_servers=*/true);
 }
 
-bool SelectiveRetuner::TryMemoryRetuning(
-    Scheduler* scheduler, const std::map<Replica*, Snapshot>& snapshots,
-    bool act) {
+bool SelectiveRetuner::TryMemoryRetuning(Scheduler* scheduler, bool act) {
   const AppId app = scheduler->app().id;
   bool acted = false;
   // Copy: dedications may mutate the replica list mid-loop.
   const std::vector<Replica*> app_replicas = scheduler->replicas();
   for (Replica* r : app_replicas) {
-    auto snap_it = snapshots.find(r);
-    if (snap_it == snapshots.end()) continue;
-    const Snapshot& snap = snap_it->second;
-    LogAnalyzer& analyzer = AnalyzerFor(&r->engine());
-    const double confidence = FeedConfidence(r->id());
-    const double fence_scale = channel_.FenceScale(confidence);
+    const auto feed = feeds_.find(r);
+    if (feed == feeds_.end()) continue;
+    const StatsChannel::Snapshot& snap = *feed->second.snapshot;
+    const double confidence = feed->second.confidence;
+    LogAnalyzer& analyzer = AnalyzerFor(r);
 
     // A replica whose engine never recorded a stable interval for this
     // application is still warming up after being provisioned; there is
     // no baseline to compare against, and flagging its classes as "new"
     // would be noise.
-    bool has_history = false;
-    for (ClassKey key : analyzer.stable_store().Keys()) {
-      if (AppOf(key) == app) {
-        has_history = true;
-        break;
-      }
+    if (std::ranges::none_of(analyzer.stable_store().Keys(),
+                             [app](ClassKey k) { return AppOf(k) == app; })) {
+      continue;
     }
-    if (!has_history) continue;
 
     // 4a. Outlier contexts over this app's classes on this engine.
     // Decayed confidence widens the fences: a snapshot that may be
     // stale must look a lot more anomalous before it names suspects.
     const OutlierReport outliers =
-        analyzer.DetectOutliers(app, snap, fence_scale);
+        analyzer.DetectOutliers(app, snap, channel_.FenceScale(confidence));
     if (spans_ != nullptr && scope_.active) {
       spans_->RecordPhase("impact", app, sim_->Now());
       spans_->RecordPhase("iqr", app, sim_->Now());
@@ -746,29 +622,13 @@ bool SelectiveRetuner::TryMemoryRetuning(
       spans_->RecordPhase("mrc", app, sim_->Now());
     }
     if (Tracing() && scope_.active) {
-      TraceMrcPhase(app, r->id(), MicrosSince(mrc_start), candidates.size(),
-                    analyzer, diagnosis, r->engine().tier2());
+      TraceMrcPhase(app, r, MicrosSince(mrc_start), candidates.size(),
+                    diagnosis);
     }
-    DiagnosisRecord record;
-    record.time = sim_->Now();
-    record.app = app;
-    record.replica_id = r->id();
-    record.outliers = outliers;
-    record.memory = diagnosis;
-    diagnoses_.push_back(std::move(record));
-    if (!act) continue;
-    if (!channel_.ConfidentToAct(confidence)) {
-      // This replica's numbers are last-known-good, not measured:
-      // record the diagnosis, take no quota/demote/migration off it.
-      // Shed and CPU provisioning run on app-level latency and are
-      // never gated here.
-      low_confidence_suppressed_ = true;
-      if (metrics_ != nullptr) {
-        metrics_->counter("controller.suppressed.low_confidence")
-            ->Increment();
-      }
-      continue;
-    }
+    diagnoses_.push_back({sim_->Now(), app, r->id(), outliers, diagnosis});
+    // The diagnosis is recorded either way; a stale feed drives no
+    // quota, demote or migration.
+    if (!act || !Admit({GateRequest::kEvidence, 0, confidence})) continue;
     if (diagnosis.suspects.empty()) continue;
 
     std::set<ClassKey> suspect_keys;
@@ -801,25 +661,20 @@ bool SelectiveRetuner::TryMemoryRetuning(
       // fixed quota — the paper's §5.3 action for the unindexed
       // BestSeller.
       for (const auto& suspect : diagnosis.suspects) {
-        if (InWarmup(AppOf(suspect.key))) continue;
+        if (!Admit({GateRequest::kQuota, suspect.key, confidence})) continue;
         auto vec_it = snap.find(suspect.key);
         if (vec_it == snap.end()) continue;
         if (At(vec_it->second, Metric::kReadAheads) < 10) continue;
         const uint64_t quota =
             std::max(suspect.params.acceptable_memory_pages,
                      planner_.min_quota_pages());
-        if (r->engine().SetQuota(suspect.key, quota)) {
-          analyzer.AdoptRecomputation(suspect.key);
-          NoteTopologyChange(AppOf(suspect.key));
-          char buf[160];
-          std::snprintf(buf, sizeof(buf),
-                        "scan pollution: containment quota %llu pages for "
-                        "%s on %s",
-                        static_cast<unsigned long long>(quota),
-                        ClassLabel(suspect.key).c_str(), r->name().c_str());
-          Log(ActionKind::kQuotaEnforced, AppOf(suspect.key), buf);
-          acted = true;
-        }
+        if (!r->engine().SetQuota(suspect.key, quota)) continue;
+        analyzer.AdoptRecomputation(suspect.key);
+        NoteTopologyChange(AppOf(suspect.key));
+        Log(ActionKind::kQuotaEnforced, AppOf(suspect.key),
+            "scan pollution: containment quota " + std::to_string(quota) +
+                " pages for " + ClassLabel(suspect.key) + " on " + r->name());
+        acted = true;
       }
       continue;
     }
@@ -828,23 +683,19 @@ bool SelectiveRetuner::TryMemoryRetuning(
     // right first step; the streak-based coarse fallback catches
     // whatever remains.
 
-    // One plan is one coherent decision: snapshot the warmup guard
-    // before applying it, so enforcing the first class's quota (which
-    // starts the owner app's warmup) cannot block the rest of the same
-    // plan — notably a demote paired behind another class's quota.
-    std::map<AppId, bool> warm_before;
+    // One plan is one coherent decision: gate every quota before
+    // applying any, so enforcing the first class's quota (which starts
+    // the owner app's warmup) cannot block the rest of the same plan —
+    // notably a demote paired behind another class's quota.
+    std::vector<bool> admitted;
     for (const auto& [key, pages] : plan.quotas) {
-      if (!warm_before.count(AppOf(key))) {
-        warm_before[AppOf(key)] = InWarmup(AppOf(key));
-      }
+      admitted.push_back(Admit({GateRequest::kQuota, key, confidence}));
     }
+    size_t next = 0;
     for (const auto& [key, pages] : plan.quotas) {
-      // Cross-application actions respect the owner app's cooldown.
-      if (warm_before[AppOf(key)]) continue;
-      if (!r->engine().SetQuota(key, pages)) continue;
+      if (!admitted[next++] || !r->engine().SetQuota(key, pages)) continue;
       analyzer.AdoptRecomputation(key);
       NoteTopologyChange(AppOf(key));
-      char buf[160];
       // Demote rung: the plan pairs the DRAM cap with a tier-2 quota
       // for the working-set overflow — cheaper than migrating the
       // class off the engine. A tier quota the pool cannot grant
@@ -852,46 +703,23 @@ bool SelectiveRetuner::TryMemoryRetuning(
       const auto tier_it = plan.tier2_quotas.find(key);
       if (tier_it != plan.tier2_quotas.end() &&
           r->engine().SetTierQuota(key, tier_it->second)) {
-        std::snprintf(buf, sizeof(buf),
-                      "memory interference: demoted %s to %llu dram + "
-                      "%llu tier2 pages on %s",
-                      ClassLabel(key).c_str(),
-                      static_cast<unsigned long long>(pages),
-                      static_cast<unsigned long long>(tier_it->second),
-                      r->name().c_str());
-        Log(ActionKind::kDemote, AppOf(key), buf);
+        Log(ActionKind::kDemote, AppOf(key),
+            "memory interference: demoted " + ClassLabel(key) + " to " +
+                std::to_string(pages) + " dram + " +
+                std::to_string(tier_it->second) + " tier2 pages on " +
+                r->name());
       } else {
-        std::snprintf(buf, sizeof(buf),
-                      "memory interference: quota %llu pages for %s on %s",
-                      static_cast<unsigned long long>(pages),
-                      ClassLabel(key).c_str(), r->name().c_str());
-        Log(ActionKind::kQuotaEnforced, AppOf(key), buf);
+        Log(ActionKind::kQuotaEnforced, AppOf(key),
+            "memory interference: quota " + std::to_string(pages) +
+                " pages for " + ClassLabel(key) + " on " + r->name());
       }
       acted = true;
     }
     for (ClassKey key : plan.reschedule) {
-      if (InPlacementCooldown(key) || InWarmup(AppOf(key))) continue;
-      const auto profile_it =
-          std::find_if(diagnosis.suspects.begin(), diagnosis.suspects.end(),
-                       [key](const ClassMemoryProfile& p) {
-                         return p.key == key;
-                       });
-      if (profile_it == diagnosis.suspects.end()) continue;
-      Scheduler* owner = nullptr;
-      for (Scheduler* s : schedulers_) {
-        if (s->app().id == AppOf(key)) owner = s;
-      }
-      if (owner == nullptr) continue;
-      Replica* target = FindPlacementTarget(owner, r, *profile_it);
-      if (target == nullptr) continue;
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "memory interference: rescheduled %s from %s to %s",
-                    ClassLabel(key).c_str(), r->name().c_str(),
-                    target->name().c_str());
-      if (StartMigration(owner, r, target, key,
-                         ActionKind::kClassRescheduled, buf,
-                         /*adopt_recomputation=*/true, *profile_it)) {
+      const auto profile = std::ranges::find(diagnosis.suspects, key,
+                                             &ClassMemoryProfile::key);
+      if (profile != diagnosis.suspects.end() &&
+          TryMove(key, r, ActionKind::kClassRescheduled, *profile)) {
         acted = true;
       }
     }
@@ -899,8 +727,7 @@ bool SelectiveRetuner::TryMemoryRetuning(
   return acted;
 }
 
-bool SelectiveRetuner::TryIoRetuning(
-    Scheduler* scheduler, const std::map<Replica*, Snapshot>& snapshots) {
+bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
   bool acted = false;
   std::set<const PhysicalServer*> visited;
   const std::vector<Replica*> app_replicas = scheduler->replicas();
@@ -915,9 +742,9 @@ bool SelectiveRetuner::TryIoRetuning(
     std::map<ClassKey, double> rates;
     double total_requests = 0;
     for (Replica* rr : resources_->ReplicasOn(server)) {
-      auto it = snapshots.find(rr);
-      if (it == snapshots.end()) continue;
-      for (const auto& [key, vec] : it->second) {
+      const auto feed = feeds_.find(rr);
+      if (feed == feeds_.end()) continue;
+      for (const auto& [key, vec] : *feed->second.snapshot) {
         const double requests = At(vec, Metric::kIoRequests);
         rates[key] += requests;
         total_requests += requests;
@@ -941,77 +768,65 @@ bool SelectiveRetuner::TryIoRetuning(
     // class. A uniformly loaded channel is a capacity shortage: give
     // the application another replica instead.
     if (top_rate / io_util < config_.io_skew_share) {
-      Replica* fresh =
-          resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
-      if (fresh == nullptr) continue;
-      NoteTopologyChange(scheduler->app().id);
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "I/O saturation on %s (unskewed): provisioned %s on %s",
-                    server->name().c_str(), fresh->name().c_str(),
-                    fresh->server().name().c_str());
-      Log(ActionKind::kIoProvision, scheduler->app().id, buf);
-      acted = true;
+      if (Provision(scheduler, ActionKind::kIoProvision,
+                    "I/O saturation on " + server->name() + " (unskewed): ",
+                    /*count_servers=*/false)) {
+        acted = true;
+      }
       continue;
     }
 
     // Skewed: move the heaviest movable class off this server (one per
     // server per interval; the next interval re-evaluates).
-    const std::vector<ClassKey> evict =
-        PlanIoEviction(rates, io_util, config_.io_target_utilization);
-    for (ClassKey key : evict) {
-      if (InPlacementCooldown(key) || InWarmup(AppOf(key))) continue;
-      Scheduler* owner = nullptr;
-      for (Scheduler* s : schedulers_) {
-        if (s->app().id == AppOf(key)) owner = s;
-      }
-      if (owner == nullptr) continue;
+    for (ClassKey key :
+         PlanIoEviction(rates, io_util, config_.io_target_utilization)) {
       // The replica on this server currently running the class.
       Replica* source = nullptr;
       for (Replica* rr : resources_->ReplicasOn(server)) {
-        auto it = snapshots.find(rr);
-        if (it != snapshots.end() && it->second.contains(key)) source = rr;
+        const auto feed = feeds_.find(rr);
+        if (feed != feeds_.end() && feed->second.snapshot->contains(key)) {
+          source = rr;
+        }
       }
       if (source == nullptr) continue;
-      if (!channel_.ConfidentToAct(FeedConfidence(source->id()))) {
-        // Evicting by per-class I/O shares computed from stale stats
-        // moves the wrong class; wait for the feed to recover.
-        low_confidence_suppressed_ = true;
-        if (metrics_ != nullptr) {
-          metrics_->counter("controller.suppressed.low_confidence")
-              ->Increment();
-        }
-        continue;
-      }
       ClassMemoryProfile incoming;
       incoming.key = key;
       if (const MrcParameters* stable =
-              AnalyzerFor(&source->engine()).StableParamsOf(key)) {
+              AnalyzerFor(source).StableParamsOf(key)) {
         incoming.params = *stable;
       }
-      Replica* target = FindPlacementTarget(owner, source, incoming);
-      if (target == nullptr || &target->server() == server) continue;
-      // Moving the class only helps if the destination channel has
-      // headroom; shuffling between two saturated disks is thrash.
-      if (target->server().IoUtilization() >=
-          config_.io_saturation_threshold) {
-        continue;
+      if (TryMove(key, source, ActionKind::kIoEviction, incoming)) {
+        acted = true;
+        break;  // one eviction per server per interval
       }
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "I/O interference on %s: moved %s to %s",
-                    server->name().c_str(), ClassLabel(key).c_str(),
-                    target->name().c_str());
-      if (!StartMigration(owner, source, target, key,
-                          ActionKind::kIoEviction, buf,
-                          /*adopt_recomputation=*/false, incoming)) {
-        continue;
-      }
-      acted = true;
-      break;  // one eviction per server per interval
     }
   }
   return acted;
+}
+
+Scheduler* SelectiveRetuner::OwnerOf(AppId app) const {
+  const auto it =
+      std::find_if(schedulers_.rbegin(), schedulers_.rend(),
+                   [app](Scheduler* s) { return s->app().id == app; });
+  return it == schedulers_.rend() ? nullptr : *it;
+}
+
+bool SelectiveRetuner::SharedWithOthers(const Scheduler* scheduler,
+                                        Replica* r, bool same_server) const {
+  std::vector<Replica*> probe =
+      same_server ? resources_->ReplicasOn(&r->server())
+                  : std::vector<Replica*>{};
+  probe.push_back(r);
+  for (const Scheduler* other : schedulers_) {
+    if (other == scheduler) continue;
+    const auto& routed = other->replicas();
+    for (Replica* p : probe) {
+      if (std::find(routed.begin(), routed.end(), p) != routed.end()) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 Replica* SelectiveRetuner::FindPlacementTarget(
@@ -1022,15 +837,11 @@ Replica* SelectiveRetuner::FindPlacementTarget(
     if (admission_ != nullptr && admission_->BreakerOpen(candidate->id())) {
       // A replica already tripping circuit breakers is the last place
       // to migrate more load into.
-      if (metrics_ != nullptr) {
-        metrics_->counter("controller.migration.breaker_suppressed")
-            ->Increment();
-      }
+      Count("controller.migration.breaker_suppressed");
       continue;
     }
-    LogAnalyzer& analyzer = AnalyzerFor(&candidate->engine());
     const std::vector<ClassMemoryProfile> existing =
-        analyzer.StableProfilesExcept({});
+        AnalyzerFor(candidate).StableProfilesExcept({});
     if (QuotaPlanner::FitsOn(candidate->engine().pool().capacity(), incoming,
                              existing)) {
       return candidate;
@@ -1039,33 +850,40 @@ Replica* SelectiveRetuner::FindPlacementTarget(
   return resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
 }
 
-bool SelectiveRetuner::StartMigration(Scheduler* owner, Replica* source,
-                                      Replica* target, ClassKey key,
-                                      ActionKind kind, std::string description,
-                                      bool adopt_recomputation,
-                                      const ClassMemoryProfile& profile) {
-  if (migrating_.contains(key)) return false;  // one in flight per class
-  if (config_.max_migrations_per_interval > 0 &&
-      migrations_this_interval_ >= config_.max_migrations_per_interval) {
-    if (metrics_ != nullptr) {
-      metrics_->counter("controller.migration.budget_deferred")->Increment();
-    }
+bool SelectiveRetuner::TryMove(ClassKey key, Replica* source, ActionKind kind,
+                               const ClassMemoryProfile& profile) {
+  Scheduler* owner = OwnerOf(AppOf(key));
+  if (owner == nullptr ||
+      !Admit({GateRequest::kMove, key, feeds_.at(source).confidence,
+              migrations_this_interval_})) {
     return false;
+  }
+  Replica* target = FindPlacementTarget(owner, source, profile);
+  if (target == nullptr) return false;
+  std::string description;
+  if (kind == ActionKind::kIoEviction) {
+    // Moving the class only helps if the destination channel has
+    // headroom; shuffling between two saturated disks is thrash.
+    if (&target->server() == &source->server() ||
+        target->server().IoUtilization() >= config_.io_saturation_threshold) {
+      return false;
+    }
+    description = "I/O interference on " + source->server().name() +
+                  ": moved " + ClassLabel(key) + " to " + target->name();
+  } else {
+    description = "memory interference: rescheduled " + ClassLabel(key) +
+                  " from " + source->name() + " to " + target->name();
   }
   ++migrations_this_interval_;
   ++migration_stats_.started;
-  migrating_.insert(key);
-  PendingMigration m;
-  m.key = key;
-  m.app = owner->app().id;
-  m.source_id = source != nullptr ? source->id() : -1;
-  m.target_id = target != nullptr ? target->id() : -1;
-  m.kind = kind;
-  m.description = std::move(description);
-  m.adopt_recomputation = adopt_recomputation;
-  m.profile = profile;
-  m.started = sim_->Now();
-  AttemptMigration(std::move(m));
+  state_.in_flight.insert(key);
+  AttemptMigration({.key = key,
+                    .source_id = source->id(),
+                    .target_id = target->id(),
+                    .kind = kind,
+                    .description = std::move(description),
+                    .profile = profile,
+                    .started = sim_->Now()});
   return true;
 }
 
@@ -1081,15 +899,12 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
     AbandonMigration(m, "timeout");
     return;
   }
-  MigrationOutcome outcome;
-  if (config_.migration_interceptor) {
-    outcome = config_.migration_interceptor(m.key, m.attempt);
-  }
+  const auto outcome = migration_interceptor_
+                           ? migration_interceptor_(m.key, m.attempt)
+                           : FaultInjector::MigrationDecision{};
   if (outcome.fail) {
     ++migration_stats_.failed_attempts;
-    if (metrics_ != nullptr) {
-      metrics_->counter("controller.migration.retries")->Increment();
-    }
+    Count("controller.migration.retries");
     const double backoff = config_.migration_retry_backoff_seconds *
                            std::ldexp(1.0, m.attempt - 1);
     const uint64_t epoch = epoch_;
@@ -1104,9 +919,7 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
   }
   if (outcome.delay_seconds > 0) {
     ++migration_stats_.delayed;
-    if (metrics_ != nullptr) {
-      metrics_->counter("controller.migration.delayed")->Increment();
-    }
+    Count("controller.migration.delayed");
     const uint64_t epoch = epoch_;
     sim_->ScheduleAfter(
         outcome.delay_seconds, [this, epoch, m = std::move(m)] {
@@ -1123,10 +936,7 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
 }
 
 bool SelectiveRetuner::ApplyMigration(const PendingMigration& m) {
-  Scheduler* owner = nullptr;
-  for (Scheduler* s : schedulers_) {
-    if (s->app().id == m.app) owner = s;
-  }
+  Scheduler* owner = OwnerOf(AppOf(m.key));
   if (owner == nullptr) return false;
   Replica* source = resources_->FindReplica(m.source_id);
   Replica* target = resources_->FindReplica(m.target_id);
@@ -1139,13 +949,16 @@ bool SelectiveRetuner::ApplyMigration(const PendingMigration& m) {
   owner->DedicateReplica(ClassOf(m.key), target);
   if (source != nullptr) {
     source->engine().DropQuota(m.key);
-    if (m.adopt_recomputation) {
-      AnalyzerFor(&source->engine()).AdoptRecomputation(m.key);
+    source->engine().DropTierQuota(m.key);
+    // A memory reschedule adopts the recomputed MRC as the source's
+    // new baseline; an I/O eviction changed nothing about memory.
+    if (m.kind == ActionKind::kClassRescheduled) {
+      AnalyzerFor(source).AdoptRecomputation(m.key);
     }
   }
-  migrating_.erase(m.key);
+  state_.in_flight.erase(m.key);
   ++migration_stats_.applied;
-  NotePlacementChange(m.key);
+  state_.placed_at[m.key] = sim_->Now();
   NoteTopologyChange(owner->app().id);
   Log(m.kind, AppOf(m.key), m.description);
   return true;
@@ -1153,18 +966,16 @@ bool SelectiveRetuner::ApplyMigration(const PendingMigration& m) {
 
 void SelectiveRetuner::AbandonMigration(const PendingMigration& m,
                                         const char* why) {
-  migrating_.erase(m.key);
+  state_.in_flight.erase(m.key);
   ++migration_stats_.abandoned;
   // Cooldown: the class that just failed to move must not be re-issued
   // by the very next interval — that is exactly re-placement flapping.
-  NotePlacementChange(m.key);
-  if (metrics_ != nullptr) {
-    metrics_->counter("controller.migration.abandoned")->Increment();
-  }
+  state_.placed_at[m.key] = sim_->Now();
+  Count("controller.migration.abandoned");
   if (Tracing()) {
     TraceEvent event("migration");
     event.Num("t", sim_->Now())
-        .Uint("app", m.app)
+        .Uint("app", AppOf(m.key))
         .Uint("cls", ClassOf(m.key))
         .Str("outcome", "abandoned")
         .Str("why", why)
@@ -1173,28 +984,15 @@ void SelectiveRetuner::AbandonMigration(const PendingMigration& m,
   }
 }
 
-void SelectiveRetuner::PruneDeadAnalyzers() {
-  std::set<const DatabaseEngine*> live;
-  for (Replica* r : resources_->AllReplicas()) live.insert(&r->engine());
-  for (auto it = analyzers_.begin(); it != analyzers_.end();) {
-    if (live.contains(it->first)) {
-      ++it;
-    } else {
-      it = analyzers_.erase(it);
-    }
-  }
-}
-
 void SelectiveRetuner::CoarseFallback(Scheduler* scheduler) {
   const AppId app = scheduler->app().id;
+  ControlState::App& state = state_.apps[app];
   // Coarse isolation is expensive; do not repeat it for the same app in
   // quick succession (a chronically unattainable SLA would otherwise
   // trigger it every few intervals).
   const SimTime now = sim_->Now();
-  auto last = last_coarse_fallback_.find(app);
-  if (last != last_coarse_fallback_.end() &&
-      now - last->second <
-          3 * config_.coarse_fallback_after * config_.interval_seconds) {
+  if (now - state.coarse_fallback_at <
+      3 * config_.coarse_fallback_after * config_.interval_seconds) {
     return;
   }
   Replica* fresh =
@@ -1205,263 +1003,95 @@ void SelectiveRetuner::CoarseFallback(Scheduler* scheduler) {
   // replicas).
   const std::vector<Replica*> current = scheduler->replicas();
   for (Replica* r : current) {
-    if (r == fresh) continue;
-    bool shared = false;
-    for (Scheduler* other : schedulers_) {
-      if (other == scheduler) continue;
-      const auto& others = other->replicas();
-      if (std::find(others.begin(), others.end(), r) != others.end()) {
-        shared = true;
-      }
-      for (Replica* rr : resources_->ReplicasOn(&r->server())) {
-        if (rr == r) continue;
-        if (std::find(others.begin(), others.end(), rr) != others.end()) {
-          shared = true;
-        }
-      }
+    if (r != fresh && SharedWithOthers(scheduler, r, /*same_server=*/true)) {
+      scheduler->RemoveReplica(r);
     }
-    if (shared) scheduler->RemoveReplica(r);
   }
   NoteTopologyChange(app);
-  last_coarse_fallback_[app] = now;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "coarse fallback: isolated app %u onto %s (%s)", app,
-                fresh->name().c_str(), fresh->server().name().c_str());
-  Log(ActionKind::kCoarseFallback, app, buf);
-  violation_streak_[app] = 0;
+  state.coarse_fallback_at = now;
+  Log(ActionKind::kCoarseFallback, app,
+      "coarse fallback: isolated app " + std::to_string(app) + " onto " +
+          fresh->name() + " (" + fresh->server().name() + ")");
+  state.violation_streak = 0;
 }
 
 void SelectiveRetuner::MaybeRelease(Scheduler* scheduler) {
   if (!config_.enable_actions) return;
   const AppId app = scheduler->app().id;
-  if (calm_streak_[app] < config_.release_after) return;
+  if (state_.apps[app].calm_streak < config_.release_after) return;
   const std::vector<Replica*> default_set = scheduler->DefaultSet();
   if (default_set.size() <= 1) return;
 
   double util_sum = 0;
-  int servers = 0;
   std::set<const PhysicalServer*> seen;
   for (Replica* r : scheduler->replicas()) {
     if (seen.insert(&r->server()).second) {
       util_sum += std::max(r->server().CpuUtilization(),
                            r->server().IoUtilization());
-      ++servers;
     }
   }
-  if (servers == 0) return;
-  if (util_sum / servers >= config_.cpu_release_threshold) return;
+  if (seen.empty() || util_sum / seen.size() >= config_.cpu_release_threshold) {
+    return;
+  }
 
   // Release a default-set replica used only by this application.
   Replica* victim = nullptr;
   for (Replica* r : default_set) {
-    bool shared = false;
-    for (Scheduler* other : schedulers_) {
-      if (other == scheduler) continue;
-      const auto& others = other->replicas();
-      if (std::find(others.begin(), others.end(), r) != others.end()) {
-        shared = true;
-      }
-    }
-    if (shared) continue;
+    if (SharedWithOthers(scheduler, r, /*same_server=*/false)) continue;
     if (victim == nullptr || r->inflight() < victim->inflight()) victim = r;
   }
   if (victim == nullptr) return;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "low load: released %s (now %d servers)",
-                victim->name().c_str(),
-                resources_->ServersUsedBy(*scheduler) - 1);
-  Log(ActionKind::kCpuRelease, app, buf);
-  // The engine dies with the replica; drop its analyzer so a future
-  // engine reusing the address cannot inherit stale state.
-  analyzers_.erase(&victim->engine());
+  Log(ActionKind::kCpuRelease, app,
+      "low load: released " + victim->name() + " (now " +
+          std::to_string(resources_->ServersUsedBy(*scheduler) - 1) +
+          " servers)");
   resources_->Decommission(scheduler, victim);
-  calm_streak_[app] = 0;
+  state_.apps[app].calm_streak = 0;
 }
 
 void SelectiveRetuner::SerializeControlState(std::string* out) const {
-  auto put_time = [out](SimTime t) { PutFixed64(out, DoubleToBits(t)); };
-  PutVarint64(out, violation_streak_.size());
-  for (const auto& [app, streak] : violation_streak_) {
-    PutVarint64(out, app);
-    PutVarint64(out, ZigZagEncode(streak));
+  state_.Encode(out);
+  // Then each live replica's analyzer baselines, by replica id: the
+  // engines outlive a controller crash, the analyzers do not. Replicas
+  // gone since the last tick's prune are left out.
+  std::string baselines;
+  uint64_t count = 0;
+  for (const auto& [replica_id, analyzer] : analyzers_) {
+    if (resources_->FindReplica(replica_id) == nullptr) continue;
+    ++count;
+    PutVarint64(&baselines, ZigZagEncode(replica_id));
+    analyzer->EncodeBaselines(&baselines);
   }
-  PutVarint64(out, calm_streak_.size());
-  for (const auto& [app, streak] : calm_streak_) {
-    PutVarint64(out, app);
-    PutVarint64(out, ZigZagEncode(streak));
-  }
-  PutVarint64(out, last_topology_change_.size());
-  for (const auto& [app, t] : last_topology_change_) {
-    PutVarint64(out, app);
-    put_time(t);
-  }
-  PutVarint64(out, last_replica_count_.size());
-  for (const auto& [app, count] : last_replica_count_) {
-    PutVarint64(out, app);
-    PutVarint64(out, count);
-  }
-  PutVarint64(out, last_placement_change_.size());
-  for (const auto& [key, t] : last_placement_change_) {
-    PutVarint64(out, key);
-    put_time(t);
-  }
-  PutVarint64(out, last_coarse_fallback_.size());
-  for (const auto& [app, t] : last_coarse_fallback_) {
-    PutVarint64(out, app);
-    put_time(t);
-  }
-  PutVarint64(out, migrating_.size());
-  for (ClassKey key : migrating_) PutVarint64(out, key);
-
-  // Per-replica analyzer state, keyed by replica id: the engines
-  // outlive a controller crash but the analyzer map (keyed by engine
-  // pointer) does not, so the blob re-binds by id at restore time.
-  std::vector<std::pair<int, const LogAnalyzer*>> by_replica;
-  for (Replica* r : resources_->AllReplicas()) {
-    const auto it = analyzers_.find(&r->engine());
-    if (it != analyzers_.end()) by_replica.emplace_back(r->id(), it->second.get());
-  }
-  PutVarint64(out, by_replica.size());
-  for (const auto& [replica_id, analyzer] : by_replica) {
-    PutVarint64(out, ZigZagEncode(replica_id));
-    const auto& signatures = analyzer->stable_store().Entries();
-    PutVarint64(out, signatures.size());
-    for (const auto& [key, sig] : signatures) {
-      PutVarint64(out, key);
-      for (double v : sig.averages) PutFixed64(out, DoubleToBits(v));
-      put_time(sig.recorded_at);
-      PutVarint64(out, sig.intervals_observed);
-    }
-    // Stable MRC baselines travel as their raw sampled curves; the
-    // restored tracker re-derives parameters from the curve, so the
-    // post-restore diagnosis is bit-identical to the pre-crash one.
-    struct StableCurve {
-      ClassKey key;
-      const MissRatioCurve* curve;
-      size_t trace_length;
-    };
-    std::vector<StableCurve> curves;
-    analyzer->ForEachStableTracker(
-        [&curves](ClassKey key, const MissRatioCurve& curve,
-                  size_t trace_length) {
-          curves.push_back({key, &curve, trace_length});
-        });
-    PutVarint64(out, curves.size());
-    for (const StableCurve& sc : curves) {
-      PutVarint64(out, sc.key);
-      PutVarint64(out, sc.trace_length);
-      PutVarint64(out, sc.curve->total_accesses());
-      const std::vector<double>& raw = sc.curve->raw_miss_ratios();
-      PutVarint64(out, raw.size());
-      for (double v : raw) PutFixed64(out, DoubleToBits(v));
-    }
-  }
+  PutVarint64(out, count);
+  out->append(baselines);
 }
 
 bool SelectiveRetuner::RestoreControlState(const uint8_t* p,
                                            const uint8_t* limit) {
+  // Decodes straight into the (reset) controller; a rejected blob is
+  // not half-applied because ControllerCheckpoint::Restore resets the
+  // control plane again.
   Reader r{p, limit};
-  // Decode everything into locals first: a truncated blob must not
-  // leave the controller half-restored. Every count is checked against
-  // the bytes left before it sizes a loop or an allocation (entry sizes
-  // are lower bounds: a varint takes at least one byte, a double 8).
-  std::map<AppId, int> violation, calm;
-  std::map<AppId, SimTime> topology, coarse;
-  std::map<AppId, size_t> replica_counts;
-  std::map<ClassKey, SimTime> placement;
-  std::vector<ClassKey> in_flight;
-  auto streak = [&r] { return static_cast<int>(r.S64()); };
-  auto when = [&r] { return r.F64(); };
-  auto count = [&r] { return static_cast<size_t>(r.U64()); };
-  if (!ReadMap(r, 2, streak, &violation) || !ReadMap(r, 2, streak, &calm) ||
-      !ReadMap(r, 9, when, &topology) ||
-      !ReadMap(r, 2, count, &replica_counts) ||
-      !ReadMap(r, 9, when, &placement) || !ReadMap(r, 9, when, &coarse)) {
-    return false;
-  }
-  const uint64_t n = r.U64();
-  if (!r.PlausibleCount(n, 1)) return false;
-  for (uint64_t i = 0; i < n; ++i) in_flight.push_back(r.U64());
-
-  struct RestoredSignature {
-    ClassKey key;
-    StableStateSignature sig;
-  };
-  struct RestoredCurve {
-    ClassKey key;
-    std::vector<double> raw;
-    uint64_t total_accesses;
-    size_t trace_length;
-  };
-  struct RestoredAnalyzer {
-    int replica_id;
-    std::vector<RestoredSignature> signatures;
-    std::vector<RestoredCurve> curves;
-  };
-  std::vector<RestoredAnalyzer> restored;
-  const uint64_t analyzers = r.U64();
-  if (!r.PlausibleCount(analyzers, 3)) return false;
-  for (uint64_t a = 0; a < analyzers; ++a) {
-    RestoredAnalyzer ra;
-    ra.replica_id = static_cast<int>(r.S64());
-    const uint64_t sigs = r.U64();
-    if (!r.PlausibleCount(sigs, 10)) return false;
-    for (uint64_t i = 0; i < sigs; ++i) {
-      RestoredSignature rs;
-      rs.key = r.U64();
-      for (double& v : rs.sig.averages) v = r.F64();
-      rs.sig.recorded_at = r.F64();
-      rs.sig.intervals_observed = r.U64();
-      ra.signatures.push_back(std::move(rs));
-    }
-    const uint64_t curves = r.U64();
-    if (!r.PlausibleCount(curves, 4)) return false;
-    for (uint64_t i = 0; i < curves; ++i) {
-      RestoredCurve rc;
-      rc.key = r.U64();
-      rc.trace_length = static_cast<size_t>(r.U64());
-      rc.total_accesses = r.U64();
-      const uint64_t samples = r.U64();
-      if (!r.PlausibleCount(samples, 8)) return false;
-      rc.raw.resize(static_cast<size_t>(samples));
-      for (double& v : rc.raw) v = r.F64();
-      ra.curves.push_back(std::move(rc));
-    }
-    restored.push_back(std::move(ra));
-  }
-  if (!r.ok) return false;
-
-  // Commit.
-  violation_streak_ = std::move(violation);
-  calm_streak_ = std::move(calm);
-  last_topology_change_ = std::move(topology);
-  last_replica_count_ = std::move(replica_counts);
-  last_placement_change_ = std::move(placement);
-  last_coarse_fallback_ = std::move(coarse);
+  if (!ControlState::Decode(r, &state_)) return false;
   // Migrations in flight at checkpoint time died with the controller's
   // callbacks. Restoring them as placement cooldowns (not as pending
   // migrations) guarantees the restarted controller neither duplicates
   // the move nor re-issues it inside the flap window; the next
   // violating interval re-diagnoses from live data.
-  for (ClassKey key : in_flight) {
-    last_placement_change_[key] = sim_->Now();
-  }
-  for (const RestoredAnalyzer& ra : restored) {
-    Replica* r = resources_->FindReplica(ra.replica_id);
-    if (r == nullptr) continue;  // the replica died while we were down
-    LogAnalyzer& analyzer = AnalyzerFor(&r->engine());
-    for (const RestoredSignature& rs : ra.signatures) {
-      analyzer.stable_store().Restore(rs.key, rs.sig);
-    }
-    for (const RestoredCurve& rc : ra.curves) {
-      analyzer.RestoreStableTracker(
-          rc.key, MissRatioCurve::FromRaw(rc.raw, rc.total_accesses),
-          rc.trace_length);
+  for (ClassKey key : state_.in_flight) state_.placed_at[key] = sim_->Now();
+  state_.in_flight.clear();
+  const uint64_t analyzers = r.U64();
+  if (!r.PlausibleCount(analyzers, 3)) return false;
+  for (uint64_t a = 0; a < analyzers; ++a) {
+    // A replica that died while the controller was down has its
+    // baselines decoded and dropped.
+    Replica* replica = resources_->FindReplica(static_cast<int>(r.S64()));
+    if (!LogAnalyzer::DecodeBaselines(
+            r, replica != nullptr ? &AnalyzerFor(replica) : nullptr)) {
+      return false;
     }
   }
-  return true;
+  return r.ok;
 }
 
 }  // namespace fglb

@@ -13,24 +13,17 @@
 #include "cluster/stats_channel.h"
 #include "common/metrics_registry.h"
 #include "common/trace_log.h"
+#include "core/control_state.h"
 #include "core/log_analyzer.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
 #include "mrc/miss_ratio_curve.h"
+#include "sim/fault_injector.h"
 #include "sim/simulator.h"
 
 namespace fglb {
 
 class SpanTracer;
-
-// Fate of one controller migration attempt, as decided by an optional
-// interceptor (the fault injector, in chaos runs): the attempt may fail
-// outright (the controller retries with backoff) or be applied only
-// after a delay (a slow migration).
-struct MigrationOutcome {
-  bool fail = false;
-  double delay_seconds = 0;
-};
 
 // The paper's selective retuning control loop (§3.2): every
 // measurement interval it checks each application's SLA, refreshes
@@ -114,10 +107,6 @@ class SelectiveRetuner {
     // Migrations the controller may *start* per interval; 0 = unlimited
     // (the default keeps fault-free behaviour unchanged).
     int max_migrations_per_interval = 0;
-    // Consulted once per migration attempt; unset means every attempt
-    // applies immediately (the fault-free fast path).
-    std::function<MigrationOutcome(ClassKey, int attempt)>
-        migration_interceptor;
 
     // Observability hooks, both optional. `metrics` registers
     // controller.* instruments (tick/phase durations, violation and
@@ -126,10 +115,6 @@ class SelectiveRetuner {
     // violating interval (sla -> impact -> iqr -> mrc -> action).
     MetricsRegistry* metrics = nullptr;
     TraceLog* trace = nullptr;
-    // Sampled span tracer: phase=impact events carry its measured
-    // per-class wait profile, and controller phase marks land on its
-    // exported timeline.
-    SpanTracer* spans = nullptr;
   };
 
   enum class ActionKind {
@@ -152,6 +137,7 @@ class SelectiveRetuner {
     ActionKind kind = ActionKind::kCpuProvision;
     AppId app = 0;
     std::string description;
+    bool operator==(const Action&) const = default;
   };
 
   struct AppSample {
@@ -201,14 +187,18 @@ class SelectiveRetuner {
   // tests and trace-driven benchmarks; Start() calls it periodically).
   void Tick();
 
-  // The per-engine analyzer, created on first use.
-  LogAnalyzer& AnalyzerFor(DatabaseEngine* engine);
+  // The replica's engine analyzer, created on first use and keyed by
+  // replica id (ids are never reused).
+  LogAnalyzer& AnalyzerFor(Replica* replica);
 
-  // Installs/replaces the migration interceptor after construction (the
-  // harness wires the fault injector in once both exist).
-  void set_migration_interceptor(
-      std::function<MigrationOutcome(ClassKey, int)> interceptor) {
-    config_.migration_interceptor = std::move(interceptor);
+  // Decides the fate of each migration attempt: it may fail outright
+  // (retried with backoff) or apply only after a delay (a slow
+  // migration). Unset (the default) applies every attempt immediately,
+  // the fault-free fast path; the harness wires the fault injector in.
+  using MigrationInterceptor =
+      std::function<FaultInjector::MigrationDecision(ClassKey, int attempt)>;
+  void set_migration_interceptor(MigrationInterceptor interceptor) {
+    migration_interceptor_ = std::move(interceptor);
   }
 
   // Overload-protection coupling: sustained shedding escalates straight
@@ -218,8 +208,10 @@ class SelectiveRetuner {
     admission_ = admission;
   }
 
-  // Late-binds the span tracer (the harness enables tracing after
-  // construction). Null detaches.
+  // Late-binds the sampled span tracer (the harness enables tracing
+  // after construction): phase=impact events carry its measured
+  // per-class wait profile, and controller phase marks land on its
+  // exported timeline. Null detaches.
   void set_span_tracer(SpanTracer* spans) { spans_ = spans; }
 
   // Telemetry transport: Tick publishes every replica's interval
@@ -247,14 +239,12 @@ class SelectiveRetuner {
   void Restart();
   void ResetControlState();
 
-  // Checkpoint support (FGLBCKPT1): the retuner section — violation/
-  // calm streaks, warmup and cooldown clocks, and per-replica analyzer
-  // state (stable signatures + stable MRC baselines, keyed by replica
-  // id so the blob survives the engine pointers dying with the
-  // controller). In-flight migrations are recorded by class key and
-  // restored as placement cooldowns: their callbacks died with the
-  // crash, and the cooldown guarantees the restarted controller cannot
-  // re-issue the same move inside the flap window.
+  // Checkpoint support (FGLBCKPT1): the retuner section — the
+  // ControlState encoding, then per-replica analyzer state (stable
+  // signatures + stable MRC baselines, by replica id). In-flight
+  // migrations are restored as placement cooldowns: their callbacks
+  // died with the crash, and the cooldown guarantees the restarted
+  // controller cannot re-issue the same move inside the flap window.
   void SerializeControlState(std::string* out) const;
   bool RestoreControlState(const uint8_t* p, const uint8_t* limit);
 
@@ -278,28 +268,37 @@ class SelectiveRetuner {
   static const char* ActionKindName(ActionKind kind);
 
  private:
-  using Snapshot = std::map<ClassKey, MetricVector>;
-
   // Returns the reason the interval acted on nothing ("monitoring",
-  // "coarse_only", "no_stats", "no_action"); used as the skip-with-
-  // reason `why` when the scope closes without actions.
-  const char* HandleViolation(Scheduler* scheduler,
-                              const Scheduler::IntervalReport& report,
-                              const std::map<Replica*, Snapshot>& snapshots);
+  // "coarse_only", "no_stats", "no_action", "low_confidence"); used as
+  // the skip-with-reason `why` when the scope closes without actions.
+  const char* HandleViolation(Scheduler* scheduler);
   bool TryCpuProvisioning(Scheduler* scheduler);
   // `act` false = diagnose and record only (monitoring mode).
-  bool TryMemoryRetuning(Scheduler* scheduler,
-                         const std::map<Replica*, Snapshot>& snapshots,
-                         bool act = true);
-  bool TryIoRetuning(Scheduler* scheduler,
-                     const std::map<Replica*, Snapshot>& snapshots);
+  bool TryMemoryRetuning(Scheduler* scheduler, bool act = true);
+  bool TryIoRetuning(Scheduler* scheduler);
   void CoarseFallback(Scheduler* scheduler);
   void MaybeRelease(Scheduler* scheduler);
 
+  // Provisions a replica for `scheduler`, opens its app's warmup window
+  // and logs `kind` as `why` + "provisioned R on S" (+ the new server
+  // count when `count_servers`).
+  bool Provision(Scheduler* scheduler, ActionKind kind, const std::string& why,
+                 bool count_servers);
   // Finds (or provisions) a replica of `scheduler`'s app, other than
   // `avoid`, that passes the acceptable-memory fit test for `incoming`.
   Replica* FindPlacementTarget(Scheduler* scheduler, Replica* avoid,
                                const ClassMemoryProfile& incoming);
+  Scheduler* OwnerOf(AppId app) const;
+  // Whether another application routes to `r` (or, with `same_server`,
+  // to any other replica on r's server).
+  bool SharedWithOthers(const Scheduler* scheduler, Replica* r,
+                        bool same_server) const;
+
+  // The placement gate over the live control state, plus its
+  // bookkeeping: a low-confidence hold marks the interval
+  // why="low_confidence", a budget hold counts a deferred migration.
+  bool Admit(const GateRequest& request);
+  ControlPolicy Policy() const;
 
   // --- migration state machine ---
   // Every class re-placement goes through here. Replicas are carried by
@@ -308,46 +307,28 @@ class SelectiveRetuner {
   // exact same action stream as direct application used to.
   struct PendingMigration {
     ClassKey key = 0;
-    AppId app = 0;  // owner application
     int source_id = -1;
     int target_id = -1;
     ActionKind kind = ActionKind::kClassRescheduled;
     std::string description;
-    bool adopt_recomputation = false;
     ClassMemoryProfile profile;  // for re-finding a lost target
     SimTime started = 0;
     int attempt = 0;
   };
-  // False when the per-interval budget or an in-flight migration of the
-  // same class blocks the start.
-  bool StartMigration(Scheduler* owner, Replica* source, Replica* target,
-                      ClassKey key, ActionKind kind, std::string description,
-                      bool adopt_recomputation,
-                      const ClassMemoryProfile& profile);
+  // The one move path (memory reschedule and I/O eviction): owner
+  // lookup, gate, target search, start. True when the move started.
+  bool TryMove(ClassKey key, Replica* source, ActionKind kind,
+               const ClassMemoryProfile& profile);
   void AttemptMigration(PendingMigration m);
   bool ApplyMigration(const PendingMigration& m);
   void AbandonMigration(const PendingMigration& m, const char* why);
-
-  // Drops analyzers whose engine no longer exists (decommissioned or
-  // crash-destroyed); a new engine reusing the address must not inherit
-  // stale state, and the analyzer's engine pointer would dangle.
-  void PruneDeadAnalyzers();
 
   // Arms the periodic ticker for the current epoch; Stop() bumps the
   // epoch, so a stranded callback fires once and does nothing.
   void ArmTicker();
 
-  // The controller's view of one replica's telemetry feed this tick
-  // (all-fresh defaults when the replica is unknown).
-  struct FeedState {
-    bool fresh = true;
-    uint64_t stale_intervals = 0;
-    double confidence = 1.0;
-  };
-  bool FeedFresh(int replica_id) const;
-  double FeedConfidence(int replica_id) const;
-
   void Log(ActionKind kind, AppId app, std::string description);
+  void Count(const std::string& counter);
 
   // --- decision tracing ---
   // A violating interval opens a scope (emitting the "sla" event); the
@@ -364,45 +345,38 @@ class SelectiveRetuner {
   bool Tracing() const { return trace_ != nullptr && trace_->enabled(); }
   void TraceOutlierPhases(AppId app, int replica_id,
                           const OutlierReport& report);
-  // `tier2` non-null adds the engine's second-tier state to the event
+  // A tiered engine adds its second-tier state to the event
   // (tier2_pages/tier2_resident/tier2_read_us); tierless traces are
   // byte-identical to before the tier existed.
-  void TraceMrcPhase(AppId app, int replica_id, double dur_us,
-                     size_t candidates, LogAnalyzer& analyzer,
-                     const LogAnalyzer::MemoryDiagnosis& diagnosis,
-                     const TieredBufferPool* tier2);
+  void TraceMrcPhase(AppId app, Replica* replica, double dur_us,
+                     size_t candidates,
+                     const LogAnalyzer::MemoryDiagnosis& diagnosis);
   void EmitActionEvent(const Action& action);
 
-  // Whether the app's pools are still warming after a topology change.
-  bool InWarmup(AppId app) const;
-  // Whether the class was re-placed too recently to move again.
-  bool InPlacementCooldown(ClassKey key) const;
-  void NotePlacementChange(ClassKey key);
-  void NoteTopologyChange(AppId app);
+  void NoteTopologyChange(AppId app) {
+    state_.apps[app].topology_changed_at = sim_->Now();
+  }
 
   Simulator* sim_;
   ResourceManager* resources_;
   Config config_;
+  MigrationInterceptor migration_interceptor_;
   AdmissionController* admission_ = nullptr;
   QuotaPlanner planner_;
   std::vector<Scheduler*> schedulers_;
-  std::map<DatabaseEngine*, std::unique_ptr<LogAnalyzer>> analyzers_;
-  std::map<AppId, int> violation_streak_;
-  std::map<AppId, int> calm_streak_;
-  std::map<AppId, SimTime> last_topology_change_;
-  std::map<AppId, size_t> last_replica_count_;
-  std::map<ClassKey, SimTime> last_placement_change_;
-  std::map<AppId, SimTime> last_coarse_fallback_;
+  ControlState state_;
+  std::map<int, std::unique_ptr<LogAnalyzer>> analyzers_;  // by replica id
   std::vector<Action> actions_;
   std::vector<IntervalSample> samples_;
   std::vector<DiagnosisRecord> diagnoses_;
   bool started_ = false;
   MigrationStats migration_stats_;
   int migrations_this_interval_ = 0;
-  std::set<ClassKey> migrating_;  // classes with an in-flight migration
 
   StatsChannel channel_;
-  std::map<int, FeedState> feeds_;  // rebuilt each tick, keyed by replica id
+  // This tick's view of every replica's telemetry (fresh or
+  // last-known-good snapshot, staleness, confidence), rebuilt each tick.
+  std::map<Replica*, StatsChannel::Feed> feeds_;
   // Bumped by Stop(): scheduled callbacks capture the epoch they were
   // armed under and no-op if the controller crashed since.
   uint64_t epoch_ = 0;
@@ -418,8 +392,7 @@ class SelectiveRetuner {
   struct ViolationScope {
     bool active = false;
     AppId app = 0;
-    bool impact_emitted = false;
-    bool iqr_emitted = false;
+    bool outliers_emitted = false;  // impact + iqr
     bool mrc_emitted = false;
     size_t actions_before = 0;
   };

@@ -170,35 +170,41 @@ bool DecodeTopology(Reader& r, CaptureTopology* topo) {
   return r.AtEnd();
 }
 
-void EncodeActions(const std::vector<CaptureAction>& actions,
+void EncodeActions(const std::vector<SelectiveRetuner::Action>& actions,
                    std::string* out) {
   PutVarint64(out, actions.size());
   for (const auto& a : actions) {
-    PutDouble(out, a.t);
+    PutDouble(out, a.time);
     out->push_back(static_cast<char>(a.kind));
     PutVarint64(out, a.app);
     PutString(out, a.description);
   }
 }
 
-bool DecodeActions(Reader& r, std::vector<CaptureAction>* actions) {
+bool DecodeActions(Reader& r,
+                   std::vector<SelectiveRetuner::Action>* actions) {
   const uint64_t n = r.U64();
   if (!r.PlausibleCount(n, 10)) return false;
   actions->resize(n);
   for (auto& a : *actions) {
-    a.t = r.F64();
-    a.kind = r.U8();
+    a.time = r.F64();
+    const uint8_t kind = r.U8();
+    if (kind > static_cast<uint8_t>(SelectiveRetuner::ActionKind::kDemote)) {
+      return false;
+    }
+    a.kind = static_cast<SelectiveRetuner::ActionKind>(kind);
     a.app = static_cast<AppId>(r.U64());
     a.description = r.Str();
   }
   return r.AtEnd();
 }
 
-void EncodeSamples(const std::vector<CaptureSample>& samples,
-                   std::string* out) {
+void EncodeSamples(
+    const std::vector<SelectiveRetuner::IntervalSample>& samples,
+    std::string* out) {
   PutVarint64(out, samples.size());
   for (const auto& s : samples) {
-    PutDouble(out, s.t);
+    PutDouble(out, s.time);
     PutVarint64(out, s.apps.size());
     for (const auto& a : s.apps) {
       PutVarint64(out, a.app);
@@ -218,12 +224,13 @@ void EncodeSamples(const std::vector<CaptureSample>& samples,
   }
 }
 
-bool DecodeSamples(Reader& r, std::vector<CaptureSample>* samples) {
+bool DecodeSamples(Reader& r,
+                   std::vector<SelectiveRetuner::IntervalSample>* samples) {
   const uint64_t n = r.U64();
   if (!r.PlausibleCount(n, 10)) return false;
   samples->resize(n);
   for (auto& s : *samples) {
-    s.t = r.F64();
+    s.time = r.F64();
     uint64_t na = r.U64();
     if (!r.PlausibleCount(na, 10)) return false;
     s.apps.resize(na);
@@ -405,37 +412,11 @@ bool CaptureWriter::Finalize(
   if (file_ == nullptr) return false;
   FlushEvents(true);
 
-  std::vector<CaptureAction> out_actions;
-  out_actions.reserve(actions.size());
-  for (const auto& a : actions) {
-    CaptureAction ca;
-    ca.t = a.time;
-    ca.kind = static_cast<uint8_t>(a.kind);
-    ca.app = a.app;
-    ca.description = a.description;
-    out_actions.push_back(std::move(ca));
-  }
   std::string payload;
-  EncodeActions(out_actions, &payload);
+  EncodeActions(actions, &payload);
   WriteBlock(kBlockActions, payload);
-
-  std::vector<CaptureSample> out_samples;
-  out_samples.reserve(samples.size());
-  for (const auto& s : samples) {
-    CaptureSample cs;
-    cs.t = s.time;
-    for (const auto& a : s.apps) {
-      cs.apps.push_back({a.app, a.queries, a.avg_latency, a.p95_latency,
-                         a.throughput, a.sla_met, a.servers_used});
-    }
-    for (const auto& sv : s.servers) {
-      cs.servers.push_back({sv.server_id, sv.cpu_utilization,
-                            sv.io_utilization});
-    }
-    out_samples.push_back(std::move(cs));
-  }
   payload.clear();
-  EncodeSamples(out_samples, &payload);
+  EncodeSamples(samples, &payload);
   WriteBlock(kBlockSamples, payload);
 
   WriteBlock(kBlockEnd, std::string());

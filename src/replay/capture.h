@@ -95,37 +95,6 @@ struct CaptureExecution {
   uint32_t access_count = 0;
 };
 
-struct CaptureAction {
-  double t = 0;
-  uint8_t kind = 0;  // SelectiveRetuner::ActionKind
-  AppId app = 0;
-  std::string description;
-};
-
-// Mirrors SelectiveRetuner::IntervalSample (stored so summaries and
-// what-if window selection need no re-simulation).
-struct CaptureAppSample {
-  AppId app = 0;
-  uint64_t queries = 0;
-  double avg_latency = 0;
-  double p95_latency = 0;
-  double throughput = 0;
-  bool sla_met = true;
-  int servers_used = 0;
-};
-
-struct CaptureServerSample {
-  int server_id = 0;
-  double cpu_utilization = 0;
-  double io_utilization = 0;
-};
-
-struct CaptureSample {
-  double t = 0;
-  std::vector<CaptureAppSample> apps;
-  std::vector<CaptureServerSample> servers;
-};
-
 // A fully loaded capture.
 struct Capture {
   RunConfig run;
@@ -133,8 +102,10 @@ struct Capture {
   std::vector<CaptureArrival> arrivals;
   std::vector<CaptureExecution> executions;
   std::vector<PageAccess> accesses;  // flat pool for executions
-  std::vector<CaptureAction> actions;
-  std::vector<CaptureSample> samples;
+  // The live controller's action log and interval series (stored so
+  // summaries and what-if window selection need no re-simulation).
+  std::vector<SelectiveRetuner::Action> actions;
+  std::vector<SelectiveRetuner::IntervalSample> samples;
 
   const ApplicationSpec* FindApp(AppId app) const;
 };

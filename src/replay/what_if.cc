@@ -20,9 +20,6 @@ int ActionCost(const std::string& name) {
   return 2;
 }
 
-constexpr uint8_t kKindQuotaEnforced = 3;   // ActionKind::kQuotaEnforced
-constexpr uint8_t kKindClassRescheduled = 4;  // ActionKind::kClassRescheduled
-
 // Per-interval reports of one candidate replay, keyed (time, app).
 struct IntervalPoint {
   double t = 0;
@@ -137,11 +134,11 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
   double window_start = options_.window_start;
   AppId target_app = 0;
   bool found = false;
-  for (const CaptureSample& s : capture_->samples) {
-    if (window_start >= 0 && s.t <= window_start + 1e-9) continue;
-    for (const CaptureAppSample& a : s.apps) {
+  for (const SelectiveRetuner::IntervalSample& s : capture_->samples) {
+    if (window_start >= 0 && s.time <= window_start + 1e-9) continue;
+    for (const SelectiveRetuner::AppSample& a : s.apps) {
       if (!a.sla_met) {
-        if (window_start < 0) window_start = s.t - dt;
+        if (window_start < 0) window_start = s.time - dt;
         target_app = a.app;
         found = true;
         break;
@@ -350,13 +347,14 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
 
   // --- what the live controller did in the window ---
   result->live_choice = "noop";
-  for (const CaptureAction& a : capture_->actions) {
-    if (a.t <= window_start + 1e-9 || a.t > window_end + 1e-9) continue;
-    if (a.kind == kKindClassRescheduled) {
+  using ActionKind = SelectiveRetuner::ActionKind;
+  for (const SelectiveRetuner::Action& a : capture_->actions) {
+    if (a.time <= window_start + 1e-9 || a.time > window_end + 1e-9) continue;
+    if (a.kind == ActionKind::kClassRescheduled) {
       result->live_choice = "migrate";
       break;  // a re-placement dominates any quota in the same window
     }
-    if (a.kind == kKindQuotaEnforced) result->live_choice = "quota";
+    if (a.kind == ActionKind::kQuotaEnforced) result->live_choice = "quota";
   }
   result->agrees_with_live =
       !result->candidates.empty() &&

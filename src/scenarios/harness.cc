@@ -259,9 +259,7 @@ FaultInjector* ClusterHarness::InjectFaults(FaultSpec spec, uint64_t seed) {
   }
   retuner_.set_migration_interceptor(
       [injector = fault_injector_.get()](ClassKey key, int attempt) {
-        const FaultInjector::MigrationDecision d =
-            injector->OnMigrationAttempt(key, attempt);
-        return MigrationOutcome{d.fail, d.delay_seconds};
+        return injector->OnMigrationAttempt(key, attempt);
       });
   retuner_.stats_channel().set_net_hook(
       [injector = fault_injector_.get()](int replica_id, uint64_t seq) {

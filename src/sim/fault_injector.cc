@@ -3,34 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/kv_spec.h"
 
 namespace fglb {
 
 namespace {
-
-// %g keeps the canonical serialization short and round-trippable for
-// the magnitudes the grammar deals in (seconds, factors, rates).
-std::string Num(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
-bool ParseDouble(const std::string& value, double* out) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0') return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntField(const std::string& value, int* out) {
-  double d = 0;
-  if (!ParseDouble(value, &d) || d != static_cast<int>(d)) return false;
-  *out = static_cast<int>(d);
-  return true;
-}
 
 bool ParseKind(const std::string& name, FaultKind* out) {
   if (name == "crash") *out = FaultKind::kCrash;
@@ -43,28 +21,6 @@ bool ParseKind(const std::string& name, FaultKind* out) {
   else if (name == "ctl") *out = FaultKind::kCtl;
   else return false;
   return true;
-}
-
-std::vector<std::string> Split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= text.size()) {
-    const size_t end = text.find(sep, start);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return parts;
-}
-
-std::string Trim(const std::string& text) {
-  size_t begin = text.find_first_not_of(" \t\n");
-  if (begin == std::string::npos) return "";
-  size_t end = text.find_last_not_of(" \t\n");
-  return text.substr(begin, end - begin + 1);
 }
 
 std::vector<const FaultEvent*> SortedByTime(
@@ -108,36 +64,41 @@ std::string FaultSpec::ToString() const {
   for (const FaultEvent* e : SortedByTime(events)) {
     if (!out.empty()) out += ';';
     out += FaultKindName(e->kind);
-    out += '@' + Num(e->time) + ':';
+    out += '@' + FormatKvNumber(e->time) + ':';
     switch (e->kind) {
       case FaultKind::kCrash:
         out += "replica=" + std::to_string(e->replica);
-        if (e->restart_after >= 0) out += ",restart=" + Num(e->restart_after);
+        if (e->restart_after >= 0) {
+          out += ",restart=" + FormatKvNumber(e->restart_after);
+        }
         break;
       case FaultKind::kDisk:
         out += "server=" + std::to_string(e->server) +
-               ",factor=" + Num(e->factor);
-        if (e->duration > 0) out += ",duration=" + Num(e->duration);
+               ",factor=" + FormatKvNumber(e->factor);
+        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
         break;
       case FaultKind::kSlow:
         out += "replica=" + std::to_string(e->replica) +
-               ",factor=" + Num(e->factor);
-        if (e->duration > 0) out += ",duration=" + Num(e->duration);
+               ",factor=" + FormatKvNumber(e->factor);
+        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
         break;
       case FaultKind::kStats:
         out += "replica=" + std::to_string(e->replica) + ",mode=" +
                (e->stats_mode == kStatsPartial ? "partial" : "drop");
-        if (e->duration > 0) out += ",duration=" + Num(e->duration);
+        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
         break;
       case FaultKind::kMigration:
-        out += "delay=" + Num(e->delay_seconds) + ",fail=" + Num(e->fail_rate);
-        if (e->duration > 0) out += ",duration=" + Num(e->duration);
+        out += "delay=" + FormatKvNumber(e->delay_seconds) +
+               ",fail=" + FormatKvNumber(e->fail_rate);
+        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
         break;
       case FaultKind::kTier:
         out += "replica=" + std::to_string(e->replica) + ",mode=" +
                (e->tier_mode == kTierDegrade ? "degrade" : "fail");
-        if (e->tier_mode == kTierDegrade) out += ",factor=" + Num(e->factor);
-        if (e->duration > 0) out += ",duration=" + Num(e->duration);
+        if (e->tier_mode == kTierDegrade) {
+          out += ",factor=" + FormatKvNumber(e->factor);
+        }
+        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
         break;
       case FaultKind::kNet: {
         // Zero-valued effects are omitted; the canonical form carries
@@ -146,7 +107,7 @@ std::string FaultSpec::ToString() const {
         auto add = [&fields](const char* key, double v) {
           if (v <= 0) return;
           if (!fields.empty()) fields += ',';
-          fields += std::string(key) + "=" + Num(v);
+          fields += std::string(key) + "=" + FormatKvNumber(v);
         };
         add("drop", e->drop_rate);
         add("dup", e->dup_rate);
@@ -158,7 +119,9 @@ std::string FaultSpec::ToString() const {
         break;
       }
       case FaultKind::kCtl:
-        if (e->restart_after >= 0) out += "restart=" + Num(e->restart_after);
+        if (e->restart_after >= 0) {
+          out += "restart=" + FormatKvNumber(e->restart_after);
+        }
         break;
     }
   }
@@ -168,76 +131,48 @@ std::string FaultSpec::ToString() const {
 bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
                       std::string* error) {
   FaultSpec spec;
-  for (const std::string& raw_entry : Split(text, ';')) {
-    const std::string entry = Trim(raw_entry);
-    if (entry.empty()) continue;
+  for (size_t begin = 0; !text.empty() && begin <= text.size();) {
+    const size_t end = std::min(text.find(';', begin), text.size());
+    const std::string entry = text.substr(begin, end - begin);
+    begin = end + 1;
+    if (entry.empty()) return KvError(error, "empty fault entry in: " + text);
     const size_t at = entry.find('@');
     const size_t colon = entry.find(':', at == std::string::npos ? 0 : at);
     if (at == std::string::npos || colon == std::string::npos) {
-      *error = "fault entry needs kind@time:params, got: " + entry;
-      return false;
+      return KvError(error,
+                     "fault entry needs kind@time:params, got: " + entry);
     }
     FaultEvent event;
     // The grammar requires an explicit factor where one matters (the
     // struct default 1.0 would make a forgotten factor a silent no-op).
     event.factor = 0;
     if (!ParseKind(entry.substr(0, at), &event.kind)) {
-      *error = "unknown fault kind: " + entry.substr(0, at);
-      return false;
+      return KvError(error, "unknown fault kind: " + entry.substr(0, at));
     }
-    if (!ParseDouble(entry.substr(at + 1, colon - at - 1), &event.time) ||
+    if (!ParseKvNumber(entry.substr(at + 1, colon - at - 1), &event.time) ||
         event.time < 0) {
-      *error = "bad fault time in: " + entry;
+      return KvError(error, "bad fault time in: " + entry);
+    }
+    // An empty param list is zero pairs ("ctl@400:").
+    KvItems params;
+    if (!SplitKvSpec(entry.substr(colon + 1), ',', "fault param", &params,
+                     error)) {
       return false;
     }
-    // An empty param list is zero pairs ("ctl@400:"), not one empty
-    // pair; inside a non-empty list an empty pair names either a
-    // trailing comma or a doubled one.
-    const std::string params = entry.substr(colon + 1);
-    const std::vector<std::string> pairs =
-        params.empty() ? std::vector<std::string>() : Split(params, ',');
-    std::vector<std::string> seen_keys;
-    for (size_t pi = 0; pi < pairs.size(); ++pi) {
-      const std::string pair = Trim(pairs[pi]);
-      if (pair.empty()) {
-        *error = pi + 1 == pairs.size()
-                     ? "trailing comma in fault entry: " + entry
-                     : "empty fault param in entry: " + entry;
-        return false;
-      }
-      const size_t eq = pair.find('=');
-      if (eq == std::string::npos) {
-        *error = "fault param needs key=value, got: " + pair;
-        return false;
-      }
-      const std::string key = Trim(pair.substr(0, eq));
-      const std::string value = Trim(pair.substr(eq + 1));
-      if (key.empty()) {
-        *error = "empty key in fault param: " + pair;
-        return false;
-      }
-      if (value.empty()) {
-        *error = "empty value for fault param " + key + " in: " + entry;
-        return false;
-      }
-      if (std::find(seen_keys.begin(), seen_keys.end(), key) !=
-          seen_keys.end()) {
-        *error = "duplicate fault param key " + key + " in: " + entry;
-        return false;
-      }
-      seen_keys.push_back(key);
+    for (const auto& [key, value] : params) {
       bool ok = true;
-      if (key == "replica") ok = ParseIntField(value, &event.replica);
-      else if (key == "server") ok = ParseIntField(value, &event.server);
-      else if (key == "factor") ok = ParseDouble(value, &event.factor);
-      else if (key == "duration") ok = ParseDouble(value, &event.duration);
-      else if (key == "restart") ok = ParseDouble(value, &event.restart_after);
-      else if (key == "delay") ok = ParseDouble(value, &event.delay_seconds);
-      else if (key == "fail") ok = ParseDouble(value, &event.fail_rate);
-      else if (key == "drop") ok = ParseDouble(value, &event.drop_rate);
-      else if (key == "dup") ok = ParseDouble(value, &event.dup_rate);
-      else if (key == "corrupt") ok = ParseDouble(value, &event.corrupt_rate);
-      else if (key == "reorder") ok = ParseDouble(value, &event.reorder_rate);
+      if (key == "replica") ok = ParseKvCount(value, &event.replica);
+      else if (key == "server") ok = ParseKvCount(value, &event.server);
+      else if (key == "factor") ok = ParseKvNumber(value, &event.factor);
+      else if (key == "duration") ok = ParseKvNumber(value, &event.duration);
+      else if (key == "restart")
+        ok = ParseKvNumber(value, &event.restart_after);
+      else if (key == "delay") ok = ParseKvNumber(value, &event.delay_seconds);
+      else if (key == "fail") ok = ParseKvNumber(value, &event.fail_rate);
+      else if (key == "drop") ok = ParseKvNumber(value, &event.drop_rate);
+      else if (key == "dup") ok = ParseKvNumber(value, &event.dup_rate);
+      else if (key == "corrupt") ok = ParseKvNumber(value, &event.corrupt_rate);
+      else if (key == "reorder") ok = ParseKvNumber(value, &event.reorder_rate);
       else if (key == "mode") {
         if (value == "drop") event.stats_mode = kStatsDropAll;
         else if (value == "partial") event.stats_mode = kStatsPartial;
@@ -245,12 +180,11 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
         else if (value == "degrade") event.tier_mode = kTierDegrade;
         else ok = false;
       } else {
-        *error = "unknown fault param: " + key;
-        return false;
+        return KvError(error, "unknown fault param: " + key);
       }
       if (!ok) {
-        *error = "bad value for fault param " + key + ": " + value;
-        return false;
+        return KvError(error,
+                       "bad value for fault param " + key + ": " + value);
       }
     }
     // Kind-specific required fields.
@@ -296,9 +230,8 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
         break;  // restart is optional; absent = controller stays down
     }
     if (missing != nullptr) {
-      *error = std::string("fault entry missing/invalid ") + missing + ": " +
-               entry;
-      return false;
+      return KvError(error, std::string("fault entry missing/invalid ") +
+                                missing + ": " + entry);
     }
     spec.events.push_back(event);
   }

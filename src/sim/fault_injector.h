@@ -95,14 +95,17 @@ struct FaultSpec {
   bool empty() const { return events.empty(); }
 
   // Canonical serialization: events sorted by (time, insertion order),
-  // fields in a fixed order. Two specs describing the same schedule
-  // serialize byte-identically — the determinism tests compare these.
+  // fields in a fixed order, numbers in the shortest form that parses
+  // back exactly. Two specs describing the same schedule serialize
+  // byte-identically — the determinism tests compare these.
   std::string ToString() const;
 
-  // Parses the grammar above. Duplicate keys, empty keys/values and
-  // trailing commas inside an entry are rejected with a message naming
-  // the offending token. On failure returns false with a one-line
-  // message in *error; *out is left untouched.
+  // Parses the grammar above; params use the common/kv_spec grammar.
+  // Numbers must be finite, ids digit strings, and nothing may carry a
+  // space; an empty entry or param, a repeated key or a trailing comma
+  // is rejected with a message naming the offending token. On failure
+  // returns false with a one-line message in *error; *out is left
+  // untouched.
   static bool Parse(const std::string& text, FaultSpec* out,
                     std::string* error);
 };

@@ -8,6 +8,7 @@
 
 #include "cluster/stats_channel.h"
 #include "common/varint.h"
+#include "core/control_state.h"
 #include "scenarios/scenario.h"
 
 namespace fglb {
@@ -183,7 +184,7 @@ TEST(ControllerCheckpointTest, ImplausibleSampleCountLeavesColdState) {
   std::string meta;
   PutFixed64(&meta, DoubleToBits(100.0));
   std::string retuner;
-  for (int map = 0; map < 7; ++map) PutVarint64(&retuner, 0);  // all empty
+  ControlState{}.Encode(&retuner);            // empty control state
   PutVarint64(&retuner, 1);                   // one analyzer
   PutVarint64(&retuner, ZigZagEncode(0));     // replica id
   PutVarint64(&retuner, 0);                   // no signatures

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -155,12 +156,95 @@ TEST(FaultSpecTest, ParseRejectsMalformedEntries) {
       "stats@10:replica=0,mode=half",   // unknown dropout mode
       "migration@10:delay=1,fail=1.5",  // fail rate out of range
       "crash@10:color=red",             // unknown param
+      "disk@nan:server=0,factor=8,duration=10",  // non-finite time
+      "disk@inf:server=0,factor=8",              // non-finite time
+      "disk@20:server=0,factor=nan,duration=10",  // non-finite factor
+      "disk@20:server=0,factor=inf",              // non-finite factor
+      "migration@10:delay=1,fail=nan",            // non-finite rate
+      "crash@10:replica=2.0",                     // id not a digit string
+      "crash@10: replica=1",                      // space in a key
+      "crash@10:replica=1;",                      // trailing empty entry
+      "crash@10:replica=1;;disk@20:server=0,factor=8",  // empty entry
   };
   for (const char* text : bad) {
     FaultSpec spec;
     std::string error;
     EXPECT_FALSE(FaultSpec::Parse(text, &spec, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+// Every field the canonical form carries for `a`'s kind.
+void ExpectSameSchedule(const FaultEvent& a, const FaultEvent& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.duration, b.duration);
+  switch (a.kind) {
+    case FaultKind::kCrash:
+    case FaultKind::kCtl:
+      EXPECT_EQ(a.replica, b.replica);
+      EXPECT_EQ(a.restart_after, b.restart_after);
+      break;
+    case FaultKind::kDisk:
+      EXPECT_EQ(a.server, b.server);
+      EXPECT_EQ(a.factor, b.factor);
+      break;
+    case FaultKind::kSlow:
+      EXPECT_EQ(a.replica, b.replica);
+      EXPECT_EQ(a.factor, b.factor);
+      break;
+    case FaultKind::kStats:
+      EXPECT_EQ(a.replica, b.replica);
+      EXPECT_EQ(a.stats_mode, b.stats_mode);
+      break;
+    case FaultKind::kMigration:
+      EXPECT_EQ(a.delay_seconds, b.delay_seconds);
+      EXPECT_EQ(a.fail_rate, b.fail_rate);
+      break;
+    case FaultKind::kTier:
+      EXPECT_EQ(a.replica, b.replica);
+      EXPECT_EQ(a.tier_mode, b.tier_mode);
+      if (a.tier_mode == kTierDegrade) {
+        EXPECT_EQ(a.factor, b.factor);
+      }
+      break;
+    case FaultKind::kNet:
+      EXPECT_EQ(a.drop_rate, b.drop_rate);
+      EXPECT_EQ(a.dup_rate, b.dup_rate);
+      EXPECT_EQ(a.corrupt_rate, b.corrupt_rate);
+      EXPECT_EQ(a.reorder_rate, b.reorder_rate);
+      EXPECT_EQ(a.delay_seconds, b.delay_seconds);
+      break;
+  }
+}
+
+TEST(FaultSpecTest, RandomSpecsRoundTripBitExactly) {
+  // Seed-generated schedules carry full-precision doubles; the
+  // canonical form must keep every bit of them, not 6 digits.
+  RandomFaultProfile profile;
+  profile.replicas = 3;
+  profile.servers = 3;
+  profile.tier_faults = 2;
+  profile.net_windows = 2;
+  profile.ctl_crashes = 1;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const FaultSpec spec = MakeRandomFaultSpec(seed, 1000 + seed, profile);
+    FaultSpec reparsed;
+    std::string error;
+    ASSERT_TRUE(FaultSpec::Parse(spec.ToString(), &reparsed, &error))
+        << spec.ToString() << ": " << error;
+    ASSERT_EQ(reparsed.events.size(), spec.events.size());
+    // ToString sorts by time; compare in that order.
+    std::vector<FaultEvent> sorted = spec.events;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const FaultEvent& a, const FaultEvent& b) {
+                       return a.time < b.time;
+                     });
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " event " << i);
+      ExpectSameSchedule(sorted[i], reparsed.events[i]);
+    }
+    EXPECT_EQ(reparsed.ToString(), spec.ToString());
   }
 }
 

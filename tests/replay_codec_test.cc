@@ -332,8 +332,12 @@ TEST(ReplayCodecTest, RandomTraceCorruptionAlwaysDetected) {
 // --- capture format: round-trip and corruption ---
 
 // A small capture written through the real writer, with events spread
-// over simulated time so the time-delta chain is exercised.
-std::string WriteSampleCapture(const std::string& path, uint64_t seed) {
+// over simulated time so the time-delta chain is exercised. The second
+// action is a `second_kind`.
+std::string WriteSampleCapture(
+    const std::string& path, uint64_t seed,
+    SelectiveRetuner::ActionKind second_kind =
+        SelectiveRetuner::ActionKind::kClassRescheduled) {
   Simulator sim;
   CaptureWriter writer(&sim);
 
@@ -403,7 +407,7 @@ std::string WriteSampleCapture(const std::string& path, uint64_t seed) {
   actions[0].app = 1;
   actions[0].description = "quota 512 pages";
   actions[1].time = 20;
-  actions[1].kind = SelectiveRetuner::ActionKind::kClassRescheduled;
+  actions[1].kind = second_kind;
   actions[1].app = 1;
   actions[1].description = "rescheduled";
   std::vector<SelectiveRetuner::IntervalSample> samples(3);
@@ -474,6 +478,18 @@ TEST(ReplayCodecTest, CaptureRoundTripsExactly) {
   }
   std::remove(path.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(ReplayCodecTest, ActionKindPastTheLastKindIsRejected) {
+  // A correctly sealed actions block whose second action carries kind
+  // byte 8, one past kDemote: no retuner action has that kind.
+  const std::string path = TempPath("fglb_codec_capture_bad_kind.bin");
+  WriteSampleCapture(path, 5, static_cast<SelectiveRetuner::ActionKind>(8));
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadCapture(path, &capture, &error));
+  EXPECT_NE(error.find("bad actions block"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 TEST(ReplayCodecTest, InfoBlockThatIsNotARunConfigIsRejected) {

@@ -147,8 +147,8 @@ TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {
   const auto& replayed = runner.harness()->retuner().actions();
   ASSERT_EQ(replayed.size(), capture.actions.size());
   for (size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(replayed[i].time, capture.actions[i].t);
-    EXPECT_EQ(static_cast<uint8_t>(replayed[i].kind), capture.actions[i].kind);
+    EXPECT_EQ(replayed[i].time, capture.actions[i].time);
+    EXPECT_EQ(replayed[i].kind, capture.actions[i].kind);
     EXPECT_EQ(replayed[i].app, capture.actions[i].app);
     EXPECT_EQ(replayed[i].description, capture.actions[i].description);
   }

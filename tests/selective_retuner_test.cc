@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "scenarios/harness.h"
+#include "scenarios/scenario.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
@@ -40,9 +41,40 @@ TEST(SelectiveRetunerTest, AnalyzerPerEngineIsStable) {
   h.AddServers(1);
   Replica* r = h.resources().CreateReplica(h.resources().servers()[0].get(),
                                            1024);
-  LogAnalyzer& a = h.retuner().AnalyzerFor(&r->engine());
-  LogAnalyzer& b = h.retuner().AnalyzerFor(&r->engine());
+  LogAnalyzer& a = h.retuner().AnalyzerFor(r);
+  LogAnalyzer& b = h.retuner().AnalyzerFor(r);
   EXPECT_EQ(&a, &b);
+}
+
+TEST(SelectiveRetunerTest, MigratingAClassOffAnEngineDropsItsTierQuota) {
+  // tier-thrash seed 1: app=2/class=4 is demoted on replica-0 (a DRAM
+  // quota plus a tier-2 quota), then moved to replica-1 by an I/O
+  // eviction. The source's tier must stop dedicating pages to a class
+  // it no longer serves.
+  RunConfig run = ScenarioRunConfig(Scenario::kTierThrash, 900);
+  run.seed = 1;
+  std::unique_ptr<ClusterHarness> h = MakeHarness(run, 1);
+  AssembleScenario(run, h.get());
+  std::string error;
+  ASSERT_TRUE(ArmRun(run, h.get(), &error)) << error;
+  h->Start();
+  h->RunFor(400);
+  int demoted = 0;
+  int moved = 0;
+  for (const auto& action : h->retuner().actions()) {
+    if (action.description.find("app=2/class=4") == std::string::npos) {
+      continue;
+    }
+    demoted += action.kind == ActionKind::kDemote;
+    moved += action.kind == ActionKind::kIoEviction ||
+             action.kind == ActionKind::kClassRescheduled;
+  }
+  ASSERT_GE(demoted, 1);
+  ASSERT_GE(moved, 1);
+  Replica* source = h->resources().FindReplica(0);
+  ASSERT_NE(source, nullptr);
+  ASSERT_NE(source->engine().tier2(), nullptr);
+  EXPECT_EQ(source->engine().tier2()->QuotaOf(MakeClassKey(2, 4)), 0u);
 }
 
 TEST(SelectiveRetunerTest, SamplesAccumulateEachInterval) {

@@ -41,6 +41,14 @@ echo "=== chaos smoke: deterministic fault injection under trace ==="
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" \
   --phase=action >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" --summary
+# A fault spec with a non-finite time must be rejected up front, not
+# fired at arm time.
+if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=30 \
+  --log-level=quiet --fault-spec='disk@nan:server=0,factor=8' \
+  >/dev/null 2>&1; then
+  echo "fglb_sim accepted a fault spec with a NaN time" >&2
+  exit 1
+fi
 
 echo "=== replay smoke: capture -> deterministic replay -> diff ==="
 # Capture a live consolidation run, replay it, and require the replayed
@@ -186,6 +194,16 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
          --phase=mrc | sed 's/"dur_us":[0-9.]*,//') \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier-replay.jsonl" \
          --phase=mrc | sed 's/"dur_us":[0-9.]*,//')
+# A class migrated off an engine gives up its tier-2 quota there: at
+# 900 s, app=2/class=4 is demoted on replica-0 and then moved to
+# replica-1, after which engine-0's tier dedicates no pages. (The 450 s
+# run above demotes the class but never moves it.)
+"./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --duration=900 \
+  --log-level=quiet --output=actions-csv \
+  --metrics-out="${SMOKE_DIR}/tier-moved.json" >"${SMOKE_DIR}/tier-moved.csv"
+grep -q 'moved app=2/class=4' "${SMOKE_DIR}/tier-moved.csv"
+grep -q '"engine.engine-0.tier.dedicated_pages":0' \
+  "${SMOKE_DIR}/tier-moved.json"
 # A tier read time that "%g" would round to 6 digits: the capture keeps
 # every digit, so the whole replayed trace matches, not only the
 # action projection (wall-clock mono_us/dur_us stripped).
@@ -300,8 +318,8 @@ cmake --build "${PREFIX}-e2e" -j "${JOBS}" \
 echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
 # The slab LRU, its probe table, the scramble tables and the
 # slice-by-8 CRC are index arithmetic: their differential tests run
-# here too, as do the run-config and k=v spec parsers that decode
-# capture files.
+# here too, as do the run-config, k=v and fault spec parsers that
+# decode capture files and the ControlState codec and gate properties.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -310,9 +328,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   tiered_buffer_pool_test tiered_replay_test fglb_sim_cli \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
   recovery_test replay_codec_test storage_test workload_test \
-  common_random_test run_config_test
+  common_random_test run_config_test retuner_property_test \
+  fault_injector_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|RetunerProperty|ControlState|FaultSpec'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \

@@ -158,7 +158,7 @@ void PrintSummary(const Capture& capture) {
   std::printf("  controller log      %zu actions, %zu interval samples\n",
               capture.actions.size(), capture.samples.size());
   int violations = 0;
-  for (const CaptureSample& s : capture.samples) {
+  for (const SelectiveRetuner::IntervalSample& s : capture.samples) {
     for (const auto& a : s.apps) {
       if (!a.sla_met) ++violations;
     }
@@ -255,21 +255,7 @@ int main(int argc, char** argv) {
               capture.actions.size());
   // Cheap in-process cross-check of the action logs (the byte-level
   // check compares trace projections via fglb_tracecat).
-  size_t mismatches = 0;
-  const size_t n = retuner.actions().size();
-  if (n != capture.actions.size()) {
-    ++mismatches;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const auto& a = retuner.actions()[i];
-      const auto& b = capture.actions[i];
-      if (a.time != b.t || static_cast<uint8_t>(a.kind) != b.kind ||
-          a.app != b.app || a.description != b.description) {
-        ++mismatches;
-      }
-    }
-  }
-  if (mismatches == 0) {
+  if (retuner.actions() == capture.actions) {
     std::printf("action log matches the captured live run exactly\n");
   } else {
     std::printf("action log DIVERGES from the captured live run\n");
