@@ -54,8 +54,7 @@ double RunLive(const std::string& capture_path,
   std::unique_ptr<CaptureWriter> writer;
   if (!capture_path.empty()) {
     writer = std::make_unique<CaptureWriter>(&harness.sim());
-    if (!writer->Open(capture_path, run, SnapshotTopology(harness),
-                      &error)) {
+    if (!writer->Open(capture_path, run, &error)) {
       std::fprintf(stderr, "bench: %s\n", error.c_str());
       std::exit(1);
     }

@@ -84,7 +84,7 @@ void ResourceManager::set_metrics(MetricsRegistry* registry) {
   }
 }
 
-void ResourceManager::PublishMetrics() const {
+void ResourceManager::PublishMetrics() {
   if (metrics_ == nullptr) return;
   for (const auto& replica : replicas_) {
     replica->engine().PublishMetrics();

@@ -117,7 +117,7 @@ class ResourceManager {
   void set_replica_observer(std::function<void(Replica*)> observer);
 
   // Publishes every engine's buffer-pool stats into the bound registry.
-  void PublishMetrics() const;
+  void PublishMetrics();
 
  private:
   Simulator* sim_;

@@ -59,7 +59,7 @@ struct Reader {
 
   uint64_t U64() {
     uint64_t v = 0;
-    const size_t n = GetVarint64(p, limit, &v);
+    const size_t n = ok ? GetVarint64(p, limit, &v) : 0;
     if (n == 0) {
       ok = false;
       return 0;

@@ -16,6 +16,48 @@ namespace fglb {
 
 namespace {
 
+// Saturation thresholds, as a fraction of a server's CPU / I/O
+// capacity.
+constexpr double kCpuSaturationThreshold = 0.85;
+constexpr double kIoSaturationThreshold = 0.85;
+// An I/O eviction plans down to this utilization.
+constexpr double kIoTargetUtilization = 0.60;
+// Class-eviction is only the right response when I/O is *skewed*: the
+// heaviest class must contribute at least this share of the channel's
+// utilization. Unskewed saturation is a capacity problem and gets a
+// replica instead.
+constexpr double kIoSkewShare = 0.4;
+
+// De-provision a replica when the app meets its SLA with average CPU
+// utilization below kCpuReleaseThreshold for kReleaseAfter intervals.
+constexpr double kCpuReleaseThreshold = 0.30;
+constexpr int kReleaseAfter = 3;
+
+// After the replica set of an application changes (bootstrap,
+// provisioning, isolation), give buffer pools this many intervals to
+// warm before diagnosing anything beyond CPU saturation.
+constexpr int kWarmupIntervals = 3;
+
+// Consecutive violating intervals before coarse fallback.
+constexpr int kCoarseFallbackAfter = 4;
+
+// Overload escalation: when admission control fast-fails at least this
+// share of an application's offered load over an interval, the cluster
+// is short on capacity no matter what the (shed-protected) latency
+// says — skip the diagnosis cascade and provision a replica directly.
+constexpr double kOverloadShedShare = 0.25;
+
+// "Similar algorithms on the top-k heavyweight queries" when no
+// outlier contexts are found.
+constexpr size_t kTopKFallback = 3;
+
+// The first migration retry waits this long; each further retry
+// doubles it.
+constexpr double kMigrationRetryBackoffSeconds = 2;
+// A migration not applied within this window of its start is
+// abandoned, whatever its retry budget still holds.
+constexpr double kMigrationTimeoutSeconds = 30;
+
 std::string ClassLabel(ClassKey key) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "app=%u/class=%u", AppOf(key), ClassOf(key));
@@ -343,10 +385,9 @@ void SelectiveRetuner::TraceMrcPhase(
 ControlPolicy SelectiveRetuner::Policy() const {
   return {.act = config_.enable_actions,
           .shed_escalation = admission_ != nullptr,
-          .overload_shed_share = config_.overload_shed_share,
-          .warmup = config_.warmup_intervals * config_.interval_seconds,
-          .cooldown =
-              config_.placement_cooldown_intervals * config_.interval_seconds,
+          .overload_shed_share = kOverloadShedShare,
+          .warmup = kWarmupIntervals * config_.interval_seconds,
+          .cooldown = kPlacementCooldownIntervals * config_.interval_seconds,
           .move_budget = config_.max_migrations_per_interval,
           .guard = channel_.config().guard,
           .act_threshold = channel_.config().act_threshold};
@@ -516,7 +557,7 @@ const char* SelectiveRetuner::HandleViolation(Scheduler* scheduler) {
       return "no_action";
     }
   }
-  if (state_.apps[app].violation_streak >= config_.coarse_fallback_after) {
+  if (state_.apps[app].violation_streak >= kCoarseFallbackAfter) {
     CoarseFallback(scheduler);
   }
   if (!config_.enable_fine_grained) return "coarse_only";
@@ -546,8 +587,7 @@ bool SelectiveRetuner::TryCpuProvisioning(Scheduler* scheduler) {
   const bool saturated =
       scheduler->replicas().empty() ||
       std::ranges::any_of(scheduler->replicas(), [this](Replica* r) {
-        return r->server().CpuUtilization() >=
-               config_.cpu_saturation_threshold;
+        return r->server().CpuUtilization() >= kCpuSaturationThreshold;
       });
   return saturated && Provision(scheduler, ActionKind::kCpuProvision,
                                 "CPU saturation: ", /*count_servers=*/true);
@@ -598,8 +638,7 @@ bool SelectiveRetuner::TryMemoryRetuning(Scheduler* scheduler, bool act) {
         heavy.emplace_back(At(vec, Metric::kBufferMisses), key);
       }
       std::sort(heavy.rbegin(), heavy.rend());
-      for (size_t i = 0; i < std::min(config_.top_k_fallback, heavy.size());
-           ++i) {
+      for (size_t i = 0; i < std::min(kTopKFallback, heavy.size()); ++i) {
         if (heavy[i].first > 0) candidates.insert(heavy[i].second);
       }
     }
@@ -735,7 +774,7 @@ bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
     PhysicalServer* server = &r->server();
     if (!visited.insert(server).second) continue;
     const double io_util = server->IoUtilization();
-    if (io_util < config_.io_saturation_threshold) continue;
+    if (io_util < kIoSaturationThreshold) continue;
 
     // Estimate each class's utilization contribution from its share of
     // I/O block requests on this server (all engines, all apps).
@@ -767,7 +806,7 @@ bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
     // Eviction only helps when the I/O is skewed toward a culprit
     // class. A uniformly loaded channel is a capacity shortage: give
     // the application another replica instead.
-    if (top_rate / io_util < config_.io_skew_share) {
+    if (top_rate / io_util < kIoSkewShare) {
       if (Provision(scheduler, ActionKind::kIoProvision,
                     "I/O saturation on " + server->name() + " (unskewed): ",
                     /*count_servers=*/false)) {
@@ -779,7 +818,7 @@ bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
     // Skewed: move the heaviest movable class off this server (one per
     // server per interval; the next interval re-evaluates).
     for (ClassKey key :
-         PlanIoEviction(rates, io_util, config_.io_target_utilization)) {
+         PlanIoEviction(rates, io_util, kIoTargetUtilization)) {
       // The replica on this server currently running the class.
       Replica* source = nullptr;
       for (Replica* rr : resources_->ReplicasOn(server)) {
@@ -865,7 +904,7 @@ bool SelectiveRetuner::TryMove(ClassKey key, Replica* source, ActionKind kind,
     // Moving the class only helps if the destination channel has
     // headroom; shuffling between two saturated disks is thrash.
     if (&target->server() == &source->server() ||
-        target->server().IoUtilization() >= config_.io_saturation_threshold) {
+        target->server().IoUtilization() >= kIoSaturationThreshold) {
       return false;
     }
     description = "I/O interference on " + source->server().name() +
@@ -891,11 +930,11 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
   ++m.attempt;
   migration_stats_.max_attempts_observed =
       std::max(migration_stats_.max_attempts_observed, m.attempt);
-  if (m.attempt > 1 + config_.migration_max_retries) {
+  if (m.attempt > 1 + kMigrationMaxRetries) {
     AbandonMigration(m, "retry_budget");
     return;
   }
-  if (sim_->Now() - m.started > config_.migration_timeout_seconds) {
+  if (sim_->Now() - m.started > kMigrationTimeoutSeconds) {
     AbandonMigration(m, "timeout");
     return;
   }
@@ -905,7 +944,7 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
   if (outcome.fail) {
     ++migration_stats_.failed_attempts;
     Count("controller.migration.retries");
-    const double backoff = config_.migration_retry_backoff_seconds *
+    const double backoff = kMigrationRetryBackoffSeconds *
                            std::ldexp(1.0, m.attempt - 1);
     const uint64_t epoch = epoch_;
     sim_->ScheduleAfter(backoff, [this, epoch, m = std::move(m)] {
@@ -924,7 +963,7 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
     sim_->ScheduleAfter(
         outcome.delay_seconds, [this, epoch, m = std::move(m)] {
           if (epoch != epoch_) return;
-          if (sim_->Now() - m.started > config_.migration_timeout_seconds) {
+          if (sim_->Now() - m.started > kMigrationTimeoutSeconds) {
             AbandonMigration(m, "timeout");
           } else if (!ApplyMigration(m)) {
             AbandonMigration(m, "target_lost");
@@ -992,7 +1031,7 @@ void SelectiveRetuner::CoarseFallback(Scheduler* scheduler) {
   // trigger it every few intervals).
   const SimTime now = sim_->Now();
   if (now - state.coarse_fallback_at <
-      3 * config_.coarse_fallback_after * config_.interval_seconds) {
+      3 * kCoarseFallbackAfter * config_.interval_seconds) {
     return;
   }
   Replica* fresh =
@@ -1018,7 +1057,7 @@ void SelectiveRetuner::CoarseFallback(Scheduler* scheduler) {
 void SelectiveRetuner::MaybeRelease(Scheduler* scheduler) {
   if (!config_.enable_actions) return;
   const AppId app = scheduler->app().id;
-  if (state_.apps[app].calm_streak < config_.release_after) return;
+  if (state_.apps[app].calm_streak < kReleaseAfter) return;
   const std::vector<Replica*> default_set = scheduler->DefaultSet();
   if (default_set.size() <= 1) return;
 
@@ -1030,7 +1069,7 @@ void SelectiveRetuner::MaybeRelease(Scheduler* scheduler) {
                            r->server().IoUtilization());
     }
   }
-  if (seen.empty() || util_sum / seen.size() >= config_.cpu_release_threshold) {
+  if (seen.empty() || util_sum / seen.size() >= kCpuReleaseThreshold) {
     return;
   }
 

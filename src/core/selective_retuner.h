@@ -42,50 +42,20 @@ class SpanTracer;
 // sample series, which the benchmarks print as the paper's figures.
 class SelectiveRetuner {
  public:
+  // A class placed on a new replica is not moved again for this many
+  // intervals (anti-thrash).
+  static constexpr int kPlacementCooldownIntervals = 9;
+  // A class migration gets 1 initial attempt plus this many retries
+  // before it is abandoned (and its class cools down).
+  static constexpr int kMigrationMaxRetries = 2;
+
   struct Config {
     double interval_seconds = 10;
-
-    double cpu_saturation_threshold = 0.85;
-    // De-provision a replica when the app meets its SLA with average
-    // CPU utilization below this for `release_after` intervals.
-    double cpu_release_threshold = 0.30;
-    int release_after = 3;
-
-    double io_saturation_threshold = 0.85;
-    double io_target_utilization = 0.60;
-    // Class-eviction is only the right response when I/O is *skewed*:
-    // the heaviest class must contribute at least this share of the
-    // channel's utilization. Unskewed saturation is a capacity problem
-    // and gets a replica instead.
-    double io_skew_share = 0.4;
-
-    // After the replica set of an application changes (bootstrap,
-    // provisioning, isolation), give buffer pools this many intervals
-    // to warm before diagnosing anything beyond CPU saturation.
-    int warmup_intervals = 3;
-
-    // A class placed on a new replica is not moved again for this many
-    // intervals (anti-thrash).
-    int placement_cooldown_intervals = 9;
-
-    // Consecutive violating intervals before coarse fallback.
-    int coarse_fallback_after = 4;
-
-    // Overload escalation: when admission control fast-fails at least
-    // this share of an application's offered load over an interval, the
-    // cluster is short on capacity no matter what the (shed-protected)
-    // latency says — skip the diagnosis cascade and provision a replica
-    // directly.
-    double overload_shed_share = 0.25;
 
     uint64_t replica_pool_pages = 8192;
 
     OutlierConfig outlier;
     MrcConfig mrc;
-
-    // "Similar algorithms on the top-k heavyweight queries" when no
-    // outlier contexts are found.
-    size_t top_k_fallback = 3;
 
     // Ablation knob: disable the fine-grained paths entirely (every
     // violation goes straight to coarse provisioning).
@@ -95,15 +65,6 @@ class SelectiveRetuner {
     // action at all (benchmarks use this to measure the broken state).
     bool enable_actions = true;
 
-    // --- migration hardening (fault tolerance) ---
-    // A class migration gets 1 initial attempt plus this many retries
-    // before it is abandoned (and its class cools down).
-    int migration_max_retries = 2;
-    // The first retry waits this long; each further retry doubles it.
-    double migration_retry_backoff_seconds = 2;
-    // A migration not applied within this window of its start is
-    // abandoned, whatever its retry budget still holds.
-    double migration_timeout_seconds = 30;
     // Migrations the controller may *start* per interval; 0 = unlimited
     // (the default keeps fault-free behaviour unchanged).
     int max_migrations_per_interval = 0;

@@ -153,7 +153,7 @@ void DatabaseEngine::BindMetrics(MetricsRegistry* registry) {
   timeouts_counter_ = registry->counter(prefix + "timeouts");
 }
 
-void DatabaseEngine::PublishMetrics() const {
+void DatabaseEngine::PublishMetrics() {
   if (metrics_ == nullptr) return;
   pool_.PublishMetrics(metrics_, "engine." + name_ + ".bufferpool.");
   if (tier2_ != nullptr) {

@@ -75,7 +75,7 @@ class DatabaseEngine {
 
   // Copies cumulative buffer-pool stats into the bound registry
   // ("engine.<name>.bufferpool.*"). Called once per sampling interval.
-  void PublishMetrics() const;
+  void PublishMetrics();
 
   const std::string& name() const { return name_; }
   PartitionedBufferPool& pool() { return pool_; }

@@ -4,16 +4,15 @@
 #include <cstring>
 
 #include "common/varint.h"
-#include "scenarios/harness.h"
 
 namespace fglb {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'G', 'L', 'B', 'C', 'A', 'P', '1'};
 
-// Block types.
+// Block types. Type 2 is retired: older captures carry it, and it
+// stays unknown so they are rejected instead of misread.
 constexpr uint8_t kBlockInfo = 1;
-constexpr uint8_t kBlockTopology = 2;
 constexpr uint8_t kBlockEvents = 3;
 constexpr uint8_t kBlockActions = 4;
 constexpr uint8_t kBlockSamples = 5;
@@ -41,134 +40,6 @@ uint8_t AccessFlags(const PageAccess& a) {
 }
 
 // --- section encoders ---
-
-void EncodeTopology(const CaptureTopology& topo, std::string* out) {
-  PutVarint64(out, topo.servers.size());
-  for (const auto& s : topo.servers) {
-    PutVarint64(out, static_cast<uint64_t>(s.cores));
-    PutVarint64(out, s.memory_pages);
-    PutDouble(out, s.random_read_seconds);
-    PutDouble(out, s.extent_read_seconds);
-    PutDouble(out, s.page_write_seconds);
-  }
-  PutVarint64(out, topo.apps.size());
-  for (const auto& app : topo.apps) {
-    PutVarint64(out, app.id);
-    PutString(out, app.name);
-    PutVarint64(out, app.templates.size());
-    for (const auto& t : app.templates) {
-      PutVarint64(out, t.id);
-      PutString(out, t.name);
-      PutVarint64(out, t.components.size());
-      for (const auto& c : t.components) {
-        PutVarint64(out, c.table);
-        PutVarint64(out, c.table_pages);
-        PutVarint64(out, c.region_offset);
-        PutVarint64(out, c.region_pages);
-        out->push_back(static_cast<char>(c.kind));
-        PutDouble(out, c.zipf_theta);
-        PutDouble(out, c.mean_pages);
-        PutDouble(out, c.write_fraction);
-      }
-      PutDouble(out, t.fixed_cpu_seconds);
-      PutDouble(out, t.cpu_seconds_per_page);
-      out->push_back(t.is_update ? 1 : 0);
-      PutDouble(out, t.commit_hold_seconds);
-    }
-    PutVarint64(out, app.mix_weights.size());
-    for (double w : app.mix_weights) PutDouble(out, w);
-    PutDouble(out, app.think_time_seconds);
-    PutDouble(out, app.sla_latency_seconds);
-  }
-  PutVarint64(out, topo.replicas.size());
-  for (const auto& rep : topo.replicas) {
-    PutVarint64(out, static_cast<uint64_t>(rep.id));
-    PutVarint64(out, static_cast<uint64_t>(rep.server));
-    PutVarint64(out, rep.pool_pages);
-    PutVarint64(out, rep.engine_seed);
-  }
-  PutVarint64(out, topo.placements.size());
-  for (const auto& pl : topo.placements) {
-    PutVarint64(out, pl.app);
-    PutVarint64(out, pl.replica_ids.size());
-    for (int id : pl.replica_ids) PutVarint64(out, static_cast<uint64_t>(id));
-  }
-}
-
-bool DecodeTopology(Reader& r, CaptureTopology* topo) {
-  uint64_t n = r.U64();
-  if (!r.PlausibleCount(n, 1)) return false;
-  topo->servers.resize(n);
-  for (auto& s : topo->servers) {
-    s.cores = static_cast<int>(r.U64());
-    s.memory_pages = r.U64();
-    s.random_read_seconds = r.F64();
-    s.extent_read_seconds = r.F64();
-    s.page_write_seconds = r.F64();
-  }
-  n = r.U64();
-  if (!r.PlausibleCount(n, 1)) return false;
-  topo->apps.resize(n);
-  for (auto& app : topo->apps) {
-    app.id = static_cast<AppId>(r.U64());
-    app.name = r.Str();
-    uint64_t nt = r.U64();
-    if (!r.PlausibleCount(nt, 1)) return false;
-    app.templates.resize(nt);
-    for (auto& t : app.templates) {
-      t.id = static_cast<QueryClassId>(r.U64());
-      t.name = r.Str();
-      uint64_t nc = r.U64();
-      if (!r.PlausibleCount(nc, 1)) return false;
-      t.components.resize(nc);
-      for (auto& c : t.components) {
-        c.table = static_cast<TableId>(r.U64());
-        c.table_pages = r.U64();
-        c.region_offset = r.U64();
-        c.region_pages = r.U64();
-        const uint8_t kind = r.U8();
-        if (kind > 1) {
-          r.ok = false;
-          return false;
-        }
-        c.kind = static_cast<AccessComponent::Kind>(kind);
-        c.zipf_theta = r.F64();
-        c.mean_pages = r.F64();
-        c.write_fraction = r.F64();
-      }
-      t.fixed_cpu_seconds = r.F64();
-      t.cpu_seconds_per_page = r.F64();
-      t.is_update = r.U8() != 0;
-      t.commit_hold_seconds = r.F64();
-    }
-    uint64_t nw = r.U64();
-    if (!r.PlausibleCount(nw, 8)) return false;
-    app.mix_weights.resize(nw);
-    for (double& w : app.mix_weights) w = r.F64();
-    app.think_time_seconds = r.F64();
-    app.sla_latency_seconds = r.F64();
-  }
-  n = r.U64();
-  if (!r.PlausibleCount(n, 1)) return false;
-  topo->replicas.resize(n);
-  for (auto& rep : topo->replicas) {
-    rep.id = static_cast<int>(r.U64());
-    rep.server = static_cast<int>(r.U64());
-    rep.pool_pages = r.U64();
-    rep.engine_seed = r.U64();
-  }
-  n = r.U64();
-  if (!r.PlausibleCount(n, 1)) return false;
-  topo->placements.resize(n);
-  for (auto& pl : topo->placements) {
-    pl.app = static_cast<AppId>(r.U64());
-    uint64_t ni = r.U64();
-    if (!r.PlausibleCount(ni, 1)) return false;
-    pl.replica_ids.resize(ni);
-    for (int& id : pl.replica_ids) id = static_cast<int>(r.U64());
-  }
-  return r.AtEnd();
-}
 
 void EncodeActions(const std::vector<SelectiveRetuner::Action>& actions,
                    std::string* out) {
@@ -307,13 +178,6 @@ bool DecodeEvents(Reader& r, uint64_t* prev_time_bits, Capture* out) {
 
 }  // namespace
 
-const ApplicationSpec* Capture::FindApp(AppId app) const {
-  for (const auto& spec : topology.apps) {
-    if (spec.id == app) return &spec;
-  }
-  return nullptr;
-}
-
 // --- CaptureWriter ---
 
 CaptureWriter::CaptureWriter(Simulator* sim) : sim_(sim) {
@@ -341,7 +205,7 @@ bool CaptureWriter::WriteBlock(uint8_t type, const std::string& payload) {
 }
 
 bool CaptureWriter::Open(const std::string& path, const RunConfig& run,
-                         const CaptureTopology& topology, std::string* error) {
+                         std::string* error) {
   assert(file_ == nullptr);
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -353,9 +217,6 @@ bool CaptureWriter::Open(const std::string& path, const RunConfig& run,
   }
   bytes_written_ += sizeof(kMagic);
   WriteBlock(kBlockInfo, run.ToString());
-  std::string payload;
-  EncodeTopology(topology, &payload);
-  WriteBlock(kBlockTopology, payload);
   if (failed_ && error != nullptr) *error = "write error on " + path;
   return !failed_;
 }
@@ -455,7 +316,6 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
   const uint8_t* limit = reinterpret_cast<const uint8_t*>(body.data()) +
                          body.size();
   bool seen_info = false;
-  bool seen_topology = false;
   bool seen_actions = false;
   bool seen_samples = false;
   uint64_t prev_time_bits = 0;
@@ -481,10 +341,14 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
     }
     Reader r{p, p + len};
     p += len;
+    if (!seen_info && type != kBlockInfo) {
+      return fail(path + ": block type " + std::to_string(type) +
+                  " before the info block");
+    }
 
     switch (type) {
       case kBlockInfo: {
-        if (seen_info || seen_topology) return fail(path + ": stray info block");
+        if (seen_info) return fail(path + ": stray info block");
         const std::string text(reinterpret_cast<const char*>(r.p),
                                r.remaining());
         std::string info_error;
@@ -494,41 +358,26 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
         seen_info = true;
         break;
       }
-      case kBlockTopology:
-        if (!seen_info || seen_topology) {
-          return fail(path + ": misplaced topology block");
-        }
-        if (!DecodeTopology(r, &out->topology)) {
-          return fail(path + ": bad topology block");
-        }
-        seen_topology = true;
-        break;
       case kBlockEvents:
-        if (!seen_topology) return fail(path + ": events before topology");
         if (!DecodeEvents(r, &prev_time_bits, out)) {
           return fail(path + ": bad events block");
         }
         break;
       case kBlockActions:
-        if (!seen_topology || seen_actions) {
-          return fail(path + ": misplaced actions block");
-        }
+        if (seen_actions) return fail(path + ": duplicate actions block");
         if (!DecodeActions(r, &out->actions)) {
           return fail(path + ": bad actions block");
         }
         seen_actions = true;
         break;
       case kBlockSamples:
-        if (!seen_topology || seen_samples) {
-          return fail(path + ": misplaced samples block");
-        }
+        if (seen_samples) return fail(path + ": duplicate samples block");
         if (!DecodeSamples(r, &out->samples)) {
           return fail(path + ": bad samples block");
         }
         seen_samples = true;
         break;
       case kBlockEnd:
-        if (!seen_topology) return fail(path + ": end before topology");
         if (len != 0) return fail(path + ": bad end block");
         if (p != limit) {
           return fail(path + ": trailing garbage after end block");
@@ -538,42 +387,6 @@ bool ReadCapture(const std::string& path, Capture* out, std::string* error) {
         return fail(path + ": unknown block type " + std::to_string(type));
     }
   }
-}
-
-// --- SnapshotTopology ---
-
-CaptureTopology SnapshotTopology(ClusterHarness& harness) {
-  CaptureTopology topo;
-  for (const auto& server : harness.resources().servers()) {
-    const PhysicalServer::Options& o = server->options();
-    CaptureServerSpec s;
-    s.cores = o.cores;
-    s.memory_pages = o.memory_pages;
-    s.random_read_seconds = o.disk.random_read_seconds;
-    s.extent_read_seconds = o.disk.extent_read_seconds;
-    s.page_write_seconds = o.disk.page_write_seconds;
-    topo.servers.push_back(s);
-  }
-  for (const auto& scheduler : harness.schedulers()) {
-    topo.apps.push_back(scheduler->app());
-  }
-  for (Replica* replica : harness.resources().AllReplicas()) {
-    CaptureReplicaSpec rep;
-    rep.id = replica->id();
-    rep.server = replica->server().id();
-    rep.pool_pages = replica->engine().pool().capacity();
-    rep.engine_seed = replica->engine().options().seed;
-    topo.replicas.push_back(rep);
-  }
-  for (const auto& scheduler : harness.schedulers()) {
-    CapturePlacement pl;
-    pl.app = scheduler->app().id;
-    for (const Replica* r : scheduler->replicas()) {
-      pl.replica_ids.push_back(r->id());
-    }
-    topo.placements.push_back(std::move(pl));
-  }
-  return topo;
 }
 
 }  // namespace fglb

@@ -10,16 +10,13 @@
 #include "scenarios/run_config.h"
 #include "sim/simulator.h"
 #include "storage/page.h"
-#include "workload/application.h"
 #include "workload/capture_hooks.h"
 #include "workload/query_class.h"
 
 namespace fglb {
 
-class ClusterHarness;
-
 // Workload capture: a versioned, compact binary recording of one full
-// cluster run — initial topology, every query arrival, every
+// cluster run — its run config, every query arrival, every
 // execution's concrete page-access string, plus the controller's
 // action log and interval series — from which the replay subsystem can
 // re-drive the engine/scheduler/controller deterministically and
@@ -28,13 +25,13 @@ class ClusterHarness;
 // File layout (magic "FGLBCAP1", then a sequence of blocks):
 //
 //   block   := type:u8  payload_len:fixed32  crc32:fixed32  payload
-//   types      1 info, 2 topology, 3 events (repeats), 4 actions,
-//              5 samples, 6 end
+//   types      1 info, 3 events (repeats), 4 actions, 5 samples, 6 end
 //
 // The info payload is the run's RunConfig::ToString() text: everything
 // that decides the run, which the replayer rebuilds through the same
-// MakeHarness/ArmRun calls the live run used. Other payload scalars
-// are varints; signed deltas are zigzag varints;
+// MakeHarness/AssembleCluster/ArmRun calls the live run used, so the
+// capture is sufficient with the build that wrote it. Other payload
+// scalars are varints; signed deltas are zigzag varints;
 // doubles travel as fixed64 IEEE bit patterns, except event timestamps
 // which are zigzag-varint deltas of consecutive bit patterns (the
 // stream is time-ordered, so consecutive patterns are close and the
@@ -43,38 +40,6 @@ class ClusterHarness;
 // Every block's payload is CRC-32 guarded; a reader rejects truncated
 // files (no end block), trailing garbage, unknown block types and any
 // checksum mismatch.
-
-// Initial cluster assembly (block type 2), sufficient to rebuild the
-// pre-Start() state: replicas created later (provisioning, restarts)
-// are reproduced by the replayed controller itself.
-struct CaptureServerSpec {
-  int cores = 4;
-  uint64_t memory_pages = 16384;
-  double random_read_seconds = 0.002;
-  double extent_read_seconds = 0.006;
-  double page_write_seconds = 0.001;
-};
-
-struct CaptureReplicaSpec {
-  int id = 0;
-  int server = 0;
-  uint64_t pool_pages = 0;
-  uint64_t engine_seed = 1;
-};
-
-// Replica ids attached to one application's scheduler, in AddReplica
-// order (the order feeds the scheduler's round-robin state).
-struct CapturePlacement {
-  AppId app = 0;
-  std::vector<int> replica_ids;
-};
-
-struct CaptureTopology {
-  std::vector<CaptureServerSpec> servers;
-  std::vector<ApplicationSpec> apps;  // registration order
-  std::vector<CaptureReplicaSpec> replicas;
-  std::vector<CapturePlacement> placements;
-};
 
 // One recorded query arrival at a scheduler.
 struct CaptureArrival {
@@ -98,7 +63,6 @@ struct CaptureExecution {
 // A fully loaded capture.
 struct Capture {
   RunConfig run;
-  CaptureTopology topology;
   std::vector<CaptureArrival> arrivals;
   std::vector<CaptureExecution> executions;
   std::vector<PageAccess> accesses;  // flat pool for executions
@@ -106,8 +70,6 @@ struct Capture {
   // summaries and what-if window selection need no re-simulation).
   std::vector<SelectiveRetuner::Action> actions;
   std::vector<SelectiveRetuner::IntervalSample> samples;
-
-  const ApplicationSpec* FindApp(AppId app) const;
 };
 
 // Streaming capture writer. Hook it into a live run via
@@ -121,10 +83,10 @@ class CaptureWriter : public ArrivalRecorder, public ExecutionRecorder {
   CaptureWriter(const CaptureWriter&) = delete;
   CaptureWriter& operator=(const CaptureWriter&) = delete;
 
-  // Opens `path` and writes the info (`run`) + topology blocks.
-  // Returns false with a message in *error on I/O failure.
+  // Opens `path` and writes the info block (`run`). Returns false with
+  // a message in *error on I/O failure.
   bool Open(const std::string& path, const RunConfig& run,
-            const CaptureTopology& topology, std::string* error);
+            std::string* error);
 
   // Recorder hooks (stamped with the simulator's current time).
   void OnArrival(const QueryInstance& query) override;
@@ -162,10 +124,6 @@ class CaptureWriter : public ArrivalRecorder, public ExecutionRecorder {
 // truncation, checksum mismatch or trailing garbage; *out is left in
 // an unspecified state on failure.
 bool ReadCapture(const std::string& path, Capture* out, std::string* error);
-
-// Snapshots a fully assembled (pre-Start) harness into the topology
-// section the writer needs.
-CaptureTopology SnapshotTopology(ClusterHarness& harness);
 
 }  // namespace fglb
 

@@ -36,69 +36,9 @@ bool CaptureAccessSource::NextAccesses(ClassKey key,
 std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     const Capture& capture, const ReplayBuildOptions& options,
     CaptureAccessSource* source, std::string* error) {
-  auto fail = [error](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return nullptr;
-  };
-
   std::unique_ptr<ClusterHarness> harness =
       MakeHarness(capture.run, options.mrc_threads);
-
-  for (const CaptureServerSpec& s : capture.topology.servers) {
-    PhysicalServer::Options server_options;
-    server_options.cores = s.cores;
-    server_options.memory_pages = s.memory_pages;
-    server_options.disk.random_read_seconds = s.random_read_seconds;
-    server_options.disk.extent_read_seconds = s.extent_read_seconds;
-    server_options.disk.page_write_seconds = s.page_write_seconds;
-    harness->resources().AddServer(server_options);
-  }
-
-  std::map<AppId, Scheduler*> schedulers;
-  for (const ApplicationSpec& app : capture.topology.apps) {
-    schedulers[app.id] = harness->AddApplication(app);
-  }
-
-  // Replicas must come back with their recorded ids: the controller's
-  // replayed decisions and the fault schedule both address them by id,
-  // and ResourceManager hands out ids in creation order.
-  for (const CaptureReplicaSpec& spec : capture.topology.replicas) {
-    if (spec.server < 0 ||
-        spec.server >=
-            static_cast<int>(harness->resources().servers().size())) {
-      return fail("capture replica " + std::to_string(spec.id) +
-                  " references unknown server " +
-                  std::to_string(spec.server));
-    }
-    Replica* replica = harness->resources().CreateReplica(
-        harness->resources().servers()[spec.server].get(), spec.pool_pages,
-        spec.engine_seed);
-    if (replica == nullptr) {
-      return fail("capture replica " + std::to_string(spec.id) +
-                  " does not fit on server " + std::to_string(spec.server));
-    }
-    if (replica->id() != spec.id) {
-      return fail("cannot reproduce replica id " + std::to_string(spec.id) +
-                  " (got " + std::to_string(replica->id()) + ")");
-    }
-  }
-
-  for (const CapturePlacement& placement : capture.topology.placements) {
-    auto it = schedulers.find(placement.app);
-    if (it == schedulers.end()) {
-      return fail("capture placement references unknown app " +
-                  std::to_string(placement.app));
-    }
-    for (int id : placement.replica_ids) {
-      Replica* replica = harness->resources().FindReplica(id);
-      if (replica == nullptr) {
-        return fail("capture placement references unknown replica " +
-                    std::to_string(id));
-      }
-      it->second->AddReplica(replica);
-    }
-  }
-
+  AssembleCluster(capture.run, harness.get());
   if (source != nullptr) {
     // Existing replicas immediately; replicas the replayed controller
     // provisions (or fault restarts re-create) at creation.
@@ -106,7 +46,6 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
       replica->engine().SetAccessReplaySource(source);
     });
   }
-
   if (!ArmRun(capture.run, harness.get(), error)) return nullptr;
   return harness;
 }

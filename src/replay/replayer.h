@@ -13,15 +13,14 @@
 namespace fglb {
 
 // Re-drives a captured run deterministically: the cluster is rebuilt
-// from the capture's RunConfig and topology block (fault schedule and
-// seed included), recorded arrivals are re-submitted
-// open-loop at their bit-exact times, and every engine consumes the
-// recorded per-class page-access strings instead of generating fresh
-// ones. Since the simulator itself is deterministic (events ordered by
-// time then scheduling sequence), the controller then sees identical
-// inputs and produces an identical action trace — the replay tests and
-// ci.sh assert byte equality of the ActionLines projection against the
-// live run.
+// from the capture's RunConfig (fault schedule and seed included),
+// recorded arrivals are re-submitted open-loop at their bit-exact
+// times, and every engine consumes the recorded per-class page-access
+// strings instead of generating fresh ones. Since the simulator itself
+// is deterministic (events ordered by time then scheduling sequence),
+// the controller then sees identical inputs and produces an identical
+// action trace — the replay tests and ci.sh assert byte equality of
+// the ActionLines projection against the live run.
 
 struct ReplayBuildOptions {
   // MRC analysis threads for the replayed controller (results are
@@ -59,15 +58,14 @@ class CaptureAccessSource : public AccessReplaySource {
 };
 
 // Rebuilds a harness from a capture through the live run's own
-// builder: MakeHarness(capture.run), then the captured topology in
-// place of AssembleScenario — servers, applications, replicas (with
-// their recorded engine seeds) and scheduler placements — then
-// `source`, then ArmRun(capture.run) (admission, spans, stats channel,
+// builder: MakeHarness(capture.run), AssembleCluster(capture.run) —
+// the same servers, applications, replicas (engine seeds included) and
+// scheduler placements, with no client populations — then `source`,
+// then ArmRun(capture.run) (admission, spans, stats channel,
 // checkpointing, the identical fault schedule). `source`, if non-null,
 // is wired into every engine, including replicas the replayed
 // controller provisions mid-run. Returns null with *error set when the
-// capture is internally inconsistent (e.g. replica ids that cannot be
-// reproduced).
+// fault spec does not parse.
 std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     const Capture& capture, const ReplayBuildOptions& options,
     CaptureAccessSource* source, std::string* error);

@@ -32,6 +32,8 @@ struct IntervalPoint {
 // fire the candidate's apply hook at window_start.
 struct CandidateRun {
   std::vector<IntervalPoint> points;
+  // Every application's SLA, read from the rebuilt cluster.
+  std::map<AppId, double> sla_seconds;
   bool feasible = true;
   std::string detail;
 };
@@ -51,6 +53,8 @@ bool RunCandidate(const Capture& capture, double window_end,
   std::map<AppId, Scheduler*> schedulers;
   for (const auto& scheduler : harness->schedulers()) {
     schedulers[scheduler->app().id] = scheduler.get();
+    out->sla_seconds[scheduler->app().id] =
+        scheduler->app().sla_latency_seconds;
   }
 
   // The live controller stays off (harness->Start() is never called),
@@ -293,9 +297,10 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
   }
 
   // --- scoring against the noop baseline ---
-  const ApplicationSpec* target_spec = capture_->FindApp(target_app);
+  const std::map<AppId, double>& sla_seconds = runs[0].sla_seconds;
+  const auto target_sla_it = sla_seconds.find(target_app);
   const double target_sla =
-      target_spec != nullptr ? target_spec->sla_latency_seconds : 1.0;
+      target_sla_it != sla_seconds.end() ? target_sla_it->second : 1.0;
   const int v_noop =
       Violations(runs[0].points, target_app, window_start, window_end);
   const double l_noop =
@@ -311,9 +316,9 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
         Violations(runs[i].points, target_app, window_start, window_end);
     c.avg_latency =
         MeanLatency(runs[i].points, target_app, window_start, window_end);
-    for (const ApplicationSpec& app : capture_->topology.apps) {
-      c.app_latency[app.id] =
-          MeanLatency(runs[i].points, app.id, window_start, window_end);
+    for (const auto& [app, sla] : sla_seconds) {
+      c.app_latency[app] =
+          MeanLatency(runs[i].points, app, window_start, window_end);
     }
     if (!c.feasible) {
       c.score = -1e18;
@@ -323,14 +328,13 @@ bool WhatIfRunner::Run(WhatIfResult* result, std::string* error) {
       c.recovery = static_cast<double>(v_noop - c.violations) +
                    Clamp((l_noop - c.avg_latency) / target_sla, -1, 1);
       c.interference = 0;
-      for (const ApplicationSpec& app : capture_->topology.apps) {
-        if (app.id == target_app) continue;
+      for (const auto& [app, sla] : sla_seconds) {
+        if (app == target_app) continue;
         const double delta =
-            c.app_latency[app.id] -
-            MeanLatency(runs[0].points, app.id, window_start, window_end);
-        if (delta > 0 && app.sla_latency_seconds > 0) {
-          c.interference =
-              std::max(c.interference, delta / app.sla_latency_seconds);
+            c.app_latency[app] -
+            MeanLatency(runs[0].points, app, window_start, window_end);
+        if (delta > 0 && sla > 0) {
+          c.interference = std::max(c.interference, delta / sla);
         }
       }
       c.score = c.recovery - 0.5 * c.interference;

@@ -59,8 +59,8 @@ usage: fglb_sim [options]
                     diagnosed class (phase=mrc "regret_vs_opt")
   --trace-out=FILE  write the controller's JSONL decision trace
                     (one event per diagnosis phase per interval)
-  --capture-out=FILE  record the full workload stream (arrivals,
-                    page accesses, topology, actions) for fglb_replay
+  --capture-out=FILE  record the full workload stream (run config,
+                    arrivals, page accesses, actions) for fglb_replay
   --metrics-out=FILE  write a final metrics-registry JSON snapshot
   --metrics-interval=SEC  engine-stats sampling period;
                     0 = the retuner interval                 (default 0)

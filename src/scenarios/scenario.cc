@@ -185,49 +185,42 @@ std::unique_ptr<ClusterHarness> MakeHarness(const RunConfig& run,
   return harness;
 }
 
-void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
+void AssembleCluster(const RunConfig& run, ClusterHarness* harness) {
   harness->AddServers(run.servers);
-  PhysicalServer* first = harness->resources().servers()[0].get();
-  // The populations are already scaled by --clients-scale, so the
-  // overload scenario's 7.5x below scales with them.
-  const double tpcw_clients = run.tpcw_clients;
-  const double rubis_clients = run.rubis_clients;
+  ResourceManager& resources = harness->resources();
+  PhysicalServer* first = resources.servers()[0].get();
+  RubisOptions rubis_options;
+  rubis_options.app_id = 2;
 
   switch (run.scenario) {
-    case Scenario::kSteady: {
+    case Scenario::kSteady:
+    case Scenario::kBurst:
+    case Scenario::kOverload: {
       Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
-      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
-                                  EmulatorOptions(run, tpcw_clients));
+      tpcw->AddReplica(resources.CreateReplica(first, 8192));
       break;
     }
-    case Scenario::kBurst: {
+    case Scenario::kColdStart: {
+      // A half-size DRAM pool with everything cold at t=0: the tier
+      // fills via demotions and then absorbs misses the shrunken DRAM
+      // can no longer hold.
       Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
-      // Quarter load, then the full client count from one third in.
-      harness->AddClients(
-          tpcw,
-          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
-              {0, tpcw_clients / 4},
-              {run.duration_seconds / 3, tpcw_clients}}),
-          run.seed, EmulatorOptions(run, tpcw_clients));
+      tpcw->AddReplica(resources.CreateReplica(first, 4096));
       break;
     }
-    case Scenario::kConsolidation: {
+    case Scenario::kConsolidation:
+    case Scenario::kTierThrash:
+    case Scenario::kTierFail: {
+      // TPC-W and RUBiS share one replica. On the tier-* scenarios the
+      // engines carry a second tier: where the tierless run reschedules
+      // the arriving heavy RUBiS class to another replica, there the
+      // cheaper rung is to cap its DRAM quota and demote the
+      // working-set overflow into the tier.
       Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      RubisOptions rubis_options;
-      rubis_options.app_id = 2;
       Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-      Replica* shared = harness->resources().CreateReplica(first, 8192);
+      Replica* shared = resources.CreateReplica(first, 8192);
       tpcw->AddReplica(shared);
       rubis->AddReplica(shared);
-      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
-                                  EmulatorOptions(run, tpcw_clients));
-      harness->AddClients(
-          rubis,
-          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
-              {run.duration_seconds / 3, rubis_clients}}),
-          run.seed + 1, EmulatorOptions(run, rubis_clients));
       break;
     }
     case Scenario::kIoContention: {
@@ -238,65 +231,8 @@ void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
       b.table_base = 21;
       Scheduler* rubis1 = harness->AddApplication(MakeRubis(a));
       Scheduler* rubis2 = harness->AddApplication(MakeRubis(b));
-      rubis1->AddReplica(harness->resources().CreateReplica(first, 8192, 51));
-      rubis2->AddReplica(harness->resources().CreateReplica(first, 8192, 52));
-      harness->AddConstantClients(rubis1, rubis_clients, run.seed,
-                                  EmulatorOptions(run, rubis_clients));
-      harness->AddClients(
-          rubis2,
-          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
-              {run.duration_seconds / 3, rubis_clients}}),
-          run.seed + 1, EmulatorOptions(run, rubis_clients));
-      break;
-    }
-    case Scenario::kOverload: {
-      // ~3x one replica's saturation point (~300 clients at TPC-W's 1s
-      // think time): far past capacity, so without admission control
-      // the queue (and every class's latency) collapses together.
-      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      tpcw->AddReplica(harness->resources().CreateReplica(first, 8192));
-      const double clients = 7.5 * tpcw_clients;
-      harness->AddConstantClients(tpcw, clients, run.seed,
-                                  EmulatorOptions(run, clients));
-      break;
-    }
-    case Scenario::kTierThrash:
-    case Scenario::kTierFail: {
-      // The consolidation squeeze, but the engines carry a second
-      // tier: where the tierless run reschedules the arriving heavy
-      // RUBiS class to another replica, here the cheaper rung is to
-      // cap its DRAM quota and demote the working-set overflow into
-      // the tier.
-      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      RubisOptions rubis_options;
-      rubis_options.app_id = 2;
-      Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-      Replica* shared = harness->resources().CreateReplica(first, 8192);
-      tpcw->AddReplica(shared);
-      rubis->AddReplica(shared);
-      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
-                                  EmulatorOptions(run, tpcw_clients));
-      // A sharper arrival than consolidation's: the squeeze must break
-      // SLA within a controller interval of the step, while the heavy
-      // class is still a suspect rather than an adopted baseline (the
-      // tier's own cushioning otherwise delays the violation past the
-      // stability window and the diagnosis clears everyone).
-      const double rubis_step = 4.0 / 3.0 * rubis_clients;
-      harness->AddClients(
-          rubis,
-          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
-              {run.duration_seconds / 3, rubis_step}}),
-          run.seed + 1, EmulatorOptions(run, rubis_step));
-      break;
-    }
-    case Scenario::kColdStart: {
-      // Steady TPC-W on a half-size DRAM pool with everything cold at
-      // t=0: the tier fills via demotions and then absorbs misses the
-      // shrunken DRAM can no longer hold.
-      Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      tpcw->AddReplica(harness->resources().CreateReplica(first, 4096));
-      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
-                                  EmulatorOptions(run, tpcw_clients));
+      rubis1->AddReplica(resources.CreateReplica(first, 8192, 51));
+      rubis2->AddReplica(resources.CreateReplica(first, 8192, 52));
       break;
     }
     case Scenario::kChaosReplica:
@@ -306,22 +242,89 @@ void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
       // Consolidation topology plus a second TPC-W replica so a crash
       // degrades capacity instead of zeroing it.
       Scheduler* tpcw = harness->AddApplication(MakeTpcw());
-      RubisOptions rubis_options;
-      rubis_options.app_id = 2;
       Scheduler* rubis = harness->AddApplication(MakeRubis(rubis_options));
-      Replica* shared = harness->resources().CreateReplica(first, 8192);
+      Replica* shared = resources.CreateReplica(first, 8192);
       PhysicalServer* second =
-          run.servers > 1 ? harness->resources().servers()[1].get() : first;
-      Replica* spare = harness->resources().CreateReplica(second, 8192, 2);
+          run.servers > 1 ? resources.servers()[1].get() : first;
+      Replica* spare = resources.CreateReplica(second, 8192, 2);
       tpcw->AddReplica(shared);
       tpcw->AddReplica(spare);
       rubis->AddReplica(shared);
-      harness->AddConstantClients(tpcw, tpcw_clients, run.seed,
-                                  EmulatorOptions(run, tpcw_clients));
-      harness->AddConstantClients(rubis, rubis_clients, run.seed + 1,
-                                  EmulatorOptions(run, rubis_clients));
       break;
     }
+  }
+}
+
+void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
+  AssembleCluster(run, harness);
+  // Applications in registration order: TPC-W first, RUBiS second (io
+  // runs two RUBiS domains).
+  Scheduler* first = harness->schedulers()[0].get();
+  Scheduler* second = harness->schedulers().size() > 1
+                          ? harness->schedulers()[1].get()
+                          : nullptr;
+  // The populations are already scaled by --clients-scale, so the
+  // overload scenario's 7.5x below scales with them.
+  const double tpcw_clients = run.tpcw_clients;
+  const double rubis_clients = run.rubis_clients;
+  auto add_constant = [&](Scheduler* app, double clients, uint64_t seed) {
+    harness->AddConstantClients(app, clients, seed,
+                                EmulatorOptions(run, clients));
+  };
+  // The second application steps in at one third of the run.
+  const double step_at = run.duration_seconds / 3;
+  auto add_step = [&](Scheduler* app, double clients) {
+    harness->AddClients(
+        app,
+        std::make_unique<StepLoad>(
+            std::vector<std::pair<SimTime, double>>{{step_at, clients}}),
+        run.seed + 1, EmulatorOptions(run, clients));
+  };
+
+  switch (run.scenario) {
+    case Scenario::kSteady:
+    case Scenario::kColdStart:
+      add_constant(first, tpcw_clients, run.seed);
+      break;
+    case Scenario::kBurst:
+      // Quarter load, then the full client count from one third in.
+      harness->AddClients(
+          first,
+          std::make_unique<StepLoad>(std::vector<std::pair<SimTime, double>>{
+              {0, tpcw_clients / 4}, {step_at, tpcw_clients}}),
+          run.seed, EmulatorOptions(run, tpcw_clients));
+      break;
+    case Scenario::kOverload:
+      // ~3x one replica's saturation point (~300 clients at TPC-W's 1s
+      // think time): far past capacity, so without admission control
+      // the queue (and every class's latency) collapses together.
+      add_constant(first, 7.5 * tpcw_clients, run.seed);
+      break;
+    case Scenario::kConsolidation:
+      add_constant(first, tpcw_clients, run.seed);
+      add_step(second, rubis_clients);
+      break;
+    case Scenario::kIoContention:
+      add_constant(first, rubis_clients, run.seed);
+      add_step(second, rubis_clients);
+      break;
+    case Scenario::kTierThrash:
+    case Scenario::kTierFail:
+      add_constant(first, tpcw_clients, run.seed);
+      // A sharper arrival than consolidation's: the squeeze must break
+      // SLA within a controller interval of the step, while the heavy
+      // class is still a suspect rather than an adopted baseline (the
+      // tier's own cushioning otherwise delays the violation past the
+      // stability window and the diagnosis clears everyone).
+      add_step(second, 4.0 / 3.0 * rubis_clients);
+      break;
+    case Scenario::kChaosReplica:
+    case Scenario::kChaosDisk:
+    case Scenario::kChaosNet:
+    case Scenario::kChaosCtl:
+      add_constant(first, tpcw_clients, run.seed);
+      add_constant(second, rubis_clients, run.seed + 1);
+      break;
   }
 }
 

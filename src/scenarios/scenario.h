@@ -17,7 +17,10 @@ namespace fglb {
 //   MakeHarness -> [trace file, metrics sampler] -> AssembleScenario
 //   -> ArmRun -> [spans file, capture] -> ClusterHarness::Start
 //
-// A replay puts the captured topology where AssembleScenario goes.
+// A replay calls AssembleCluster where AssembleScenario goes: the
+// capture's RunConfig rebuilds the same servers, applications,
+// replicas and placements, and the recorded arrivals stand in for the
+// client populations.
 
 // fglb_sim's defaults for a scenario: tier-* and cold-start run a
 // 16384-page second tier, cold-start provisions 4096-page replicas,
@@ -37,7 +40,13 @@ bool RunConfigFromCli(const CliOptions& options, RunConfig* run,
 std::unique_ptr<ClusterHarness> MakeHarness(const RunConfig& run,
                                             int analysis_threads);
 
-// The servers, applications, replicas and clients of run.scenario.
+// The servers, applications, replicas and scheduler placements of
+// run.scenario, on a fresh harness, in the order that fixes their ids
+// (ResourceManager numbers replicas in creation order; the controller
+// and the fault schedule address them by id).
+void AssembleCluster(const RunConfig& run, ClusterHarness* harness);
+
+// AssembleCluster, then the client populations of run.scenario.
 void AssembleScenario(const RunConfig& run, ClusterHarness* harness);
 
 // Turns on, in order, admission, span tracing, the stats channel

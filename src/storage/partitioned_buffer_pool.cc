@@ -68,6 +68,7 @@ void PartitionedBufferPool::DropQuota(PartitionKey key) {
   if (it == dedicated_.end()) return;
   dedicated_total_ -= it->second->capacity();
   dedicated_.erase(it);
+  dropped_.insert(key);
   shared_->Resize(capacity_ - dedicated_total_);
 }
 
@@ -100,6 +101,13 @@ bool PartitionedBufferPool::Insert(PartitionKey key, PageId page) {
 
 bool PartitionedBufferPool::Contains(PartitionKey key, PageId page) const {
   return PoolFor(key)->Contains(page);
+}
+
+std::string PartitionMetricsPrefix(const std::string& prefix,
+                                   PartitionKey key) {
+  // PartitionKey is a ClassKey: (app << 32) | class.
+  return prefix + "class_" + std::to_string(key >> 32) + "_" +
+         std::to_string(key & 0xFFFFFFFFULL) + ".";
 }
 
 const BufferPoolStats& PartitionedBufferPool::StatsOf(PartitionKey key) const {
@@ -138,19 +146,23 @@ void PublishPool(MetricsRegistry* registry, const std::string& prefix,
 }  // namespace
 
 void PartitionedBufferPool::PublishMetrics(MetricsRegistry* registry,
-                                           const std::string& prefix) const {
+                                           const std::string& prefix) {
   if (registry == nullptr) return;
+  // Zeroed first, so a partition dropped and set again since the last
+  // publish reports its live values below.
+  for (PartitionKey key : dropped_) {
+    const std::string part = PartitionMetricsPrefix(prefix, key);
+    registry->gauge(part + "resident_pages")->Set(0);
+    registry->gauge(part + "capacity_pages")->Set(0);
+  }
+  dropped_.clear();
   PublishPool(registry, prefix + "shared.", *shared_);
   registry->gauge(prefix + "partitions")
       ->Set(static_cast<double>(dedicated_.size()));
   registry->gauge(prefix + "dedicated_pages")
       ->Set(static_cast<double>(dedicated_total_));
   for (const auto& [key, pool] : dedicated_) {
-    // PartitionKey is a ClassKey: (app << 32) | class.
-    const std::string part =
-        prefix + "class_" + std::to_string(key >> 32) + "_" +
-        std::to_string(key & 0xFFFFFFFFULL) + ".";
-    PublishPool(registry, part, *pool);
+    PublishPool(registry, PartitionMetricsPrefix(prefix, key), *pool);
   }
 }
 

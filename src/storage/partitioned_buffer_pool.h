@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,11 @@ namespace fglb {
 // partition holding every class without a dedicated quota.
 using PartitionKey = uint64_t;
 inline constexpr PartitionKey kSharedPartition = 0;
+
+// "<prefix>class_<app>_<cls>.": where the per-class metrics of
+// partition `key` live.
+std::string PartitionMetricsPrefix(const std::string& prefix,
+                                   PartitionKey key);
 
 // A buffer pool divided into a shared region plus zero or more
 // dedicated per-query-class partitions with fixed page quotas — the
@@ -93,10 +99,10 @@ class PartitionedBufferPool {
   // Publishes cumulative stats into `registry` under `prefix`
   // ("<prefix>shared.misses", "<prefix>class_<app>_<cls>.hits", ...,
   // plus "<prefix>partitions" / "<prefix>dedicated_pages" gauges).
-  // Called once per sampling interval, not per access, so the hot
-  // access path stays untouched.
-  void PublishMetrics(MetricsRegistry* registry,
-                      const std::string& prefix) const;
+  // A partition dropped since the last call publishes 0 resident and
+  // capacity pages. Called once per sampling interval, not per access,
+  // so the hot access path stays untouched.
+  void PublishMetrics(MetricsRegistry* registry, const std::string& prefix);
 
  private:
   PageCache* PoolFor(PartitionKey key);
@@ -113,6 +119,9 @@ class PartitionedBufferPool {
   EvictionListener listener_;
   std::unique_ptr<PageCache> shared_;
   std::map<PartitionKey, std::unique_ptr<PageCache>> dedicated_;
+  // Partitions dropped since the last PublishMetrics (a set: bounded by
+  // the class count even when nothing publishes).
+  std::set<PartitionKey> dropped_;
 };
 
 }  // namespace fglb

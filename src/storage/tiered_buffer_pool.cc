@@ -68,6 +68,7 @@ void TieredBufferPool::DropQuota(PartitionKey key) {
   if (it == dedicated_.end()) return;
   dedicated_total_ -= it->second->capacity();
   dedicated_.erase(it);
+  dropped_.insert(key);
   shared_.Resize(config_.pages - dedicated_total_);
 }
 
@@ -125,8 +126,16 @@ uint64_t TieredBufferPool::resident_pages() const {
 }
 
 void TieredBufferPool::PublishMetrics(MetricsRegistry* registry,
-                                      const std::string& prefix) const {
+                                      const std::string& prefix) {
   if (registry == nullptr) return;
+  // Zeroed first, so a partition dropped and set again since the last
+  // publish reports its live values below.
+  for (PartitionKey key : dropped_) {
+    const std::string part = PartitionMetricsPrefix(prefix, key);
+    registry->gauge(part + "quota_pages")->Set(0);
+    registry->gauge(part + "resident_pages")->Set(0);
+  }
+  dropped_.clear();
   registry->counter(prefix + "demotions")->Set(demotions_);
   registry->counter(prefix + "dropped_demotions")->Set(dropped_demotions_);
   registry->counter(prefix + "promotions")->Set(promotions_);
@@ -142,9 +151,7 @@ void TieredBufferPool::PublishMetrics(MetricsRegistry* registry,
   registry->gauge(prefix + "latency_factor")->Set(latency_factor_);
   registry->gauge(prefix + "failed")->Set(failed_ ? 1.0 : 0.0);
   for (const auto& [key, pool] : dedicated_) {
-    const std::string part =
-        prefix + "class_" + std::to_string(key >> 32) + "_" +
-        std::to_string(key & 0xFFFFFFFFULL) + ".";
+    const std::string part = PartitionMetricsPrefix(prefix, key);
     registry->gauge(part + "quota_pages")
         ->Set(static_cast<double>(pool->capacity()));
     registry->gauge(part + "resident_pages")

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "common/metrics_registry.h"
@@ -102,9 +103,9 @@ class TieredBufferPool {
   uint64_t tier_misses() const { return tier_misses_; }
 
   // Publishes tier.* counters and gauges under `prefix` (cumulative;
-  // per sampling interval, never per access).
-  void PublishMetrics(MetricsRegistry* registry,
-                      const std::string& prefix) const;
+  // per sampling interval, never per access). A partition dropped since
+  // the last call publishes 0 quota and resident pages.
+  void PublishMetrics(MetricsRegistry* registry, const std::string& prefix);
 
  private:
   BufferPool* PoolFor(PartitionKey key);
@@ -122,6 +123,8 @@ class TieredBufferPool {
   // of DRAM cast-offs, not a policy under study.
   BufferPool shared_;
   std::map<PartitionKey, std::unique_ptr<BufferPool>> dedicated_;
+  // Partitions dropped since the last PublishMetrics.
+  std::set<PartitionKey> dropped_;
 };
 
 }  // namespace fglb

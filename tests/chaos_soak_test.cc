@@ -86,7 +86,7 @@ SoakResult RunSoak(uint64_t seed, const RandomFaultProfile& profile,
   // cap, and the per-interval start budget bounds total starts.
   const auto& stats = h.retuner().migration_stats();
   EXPECT_LE(stats.max_attempts_observed,
-            1 + h.retuner().config().migration_max_retries);
+            1 + SelectiveRetuner::kMigrationMaxRetries);
   EXPECT_LE(stats.applied + stats.abandoned, stats.started);
   EXPECT_LE(stats.started, 2 * h.retuner().samples().size());
 

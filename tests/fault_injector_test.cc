@@ -514,7 +514,7 @@ TEST(ChaosRecoveryTest, SlaReMetAfterCrashWindowWithBoundedMigrations) {
   EXPECT_LE(migrations, 10);
   const auto& stats = h.retuner().migration_stats();
   EXPECT_LE(stats.max_attempts_observed,
-            1 + h.retuner().config().migration_max_retries);
+            1 + SelectiveRetuner::kMigrationMaxRetries);
   EXPECT_LE(stats.applied + stats.abandoned, stats.started);
 }
 

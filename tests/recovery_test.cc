@@ -105,7 +105,7 @@ TEST(RecoveryTest, RestartResumesWithinOneIntervalFromCheckpoint) {
   // class from being re-migrated within the cooldown window, crash or
   // no crash.
   const double cooldown =
-      h->retuner().config().placement_cooldown_intervals * interval;
+      SelectiveRetuner::kPlacementCooldownIntervals * interval;
   std::map<std::string, double> last_move;
   for (const auto& event : events) {
     if (event.StringOr("phase", "") != "action") continue;

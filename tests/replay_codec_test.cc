@@ -75,6 +75,22 @@ TEST(ReplayCodecTest, VarintRejectsTruncation) {
   }
 }
 
+TEST(ReplayCodecTest, ReaderReadsNothingAfterAFailedRead) {
+  // One byte: too short for a fixed64, a whole varint on its own. Once
+  // the double fails, every later read returns a zero value and leaves
+  // the byte where it is.
+  const std::vector<uint8_t> bytes = {0x05};
+  Reader r{bytes.data(), bytes.data() + bytes.size()};
+  EXPECT_EQ(r.F64(), 0.0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.U64(), 0u);
+  EXPECT_EQ(r.S64(), 0);
+  EXPECT_EQ(r.Str(), "");
+  EXPECT_EQ(r.U8(), 0u);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.remaining(), 1u);
+}
+
 TEST(ReplayCodecTest, VarintRejectsOverlongEncoding) {
   // 11 continuation bytes never terminate a valid varint.
   const std::string overlong(11, '\x80');
@@ -160,8 +176,7 @@ std::string WriteTraceCapture(const std::string& path,
   Simulator sim;
   CaptureWriter writer(&sim);
   std::string error;
-  EXPECT_TRUE(writer.Open(path, RunConfig{}, CaptureTopology{}, &error))
-      << error;
+  EXPECT_TRUE(writer.Open(path, RunConfig{}, &error)) << error;
   for (size_t i = 0; i < executions.size(); ++i) {
     const TracedExecution* e = &executions[i];
     sim.ScheduleAt(1e-3 * static_cast<double>(i), [&writer, e] {
@@ -351,31 +366,13 @@ std::string WriteSampleCapture(
   run.mrc_sample_rate = 0.5;
   run.max_migrations_per_interval = 2;
 
-  CaptureTopology topo;
-  topo.servers.push_back({8, 32768, 0.002, 0.006, 0.001});
-  ApplicationSpec app;
-  app.id = 1;
-  app.name = "app-one";
+  std::string error;
+  EXPECT_TRUE(writer.Open(path, run, &error)) << error;
+
   QueryTemplate tmpl;
   tmpl.id = 3;
-  tmpl.name = "scan";
-  AccessComponent component;
-  component.table = 2;
-  component.table_pages = 1000;
-  component.kind = AccessComponent::Kind::kSequentialScan;
-  component.mean_pages = 16;
-  tmpl.components.push_back(component);
-  app.templates.push_back(tmpl);
-  app.mix_weights.push_back(1.0);
-  topo.apps.push_back(app);
-  topo.replicas.push_back({0, 0, 8192, 17});
-  topo.placements.push_back({1, {0}});
-
-  std::string error;
-  EXPECT_TRUE(writer.Open(path, run, topo, &error)) << error;
-
   std::mt19937_64 rng(seed);
-  QueryTemplate* tmpl_ptr = &topo.apps[0].templates[0];
+  const QueryTemplate* tmpl_ptr = &tmpl;
   for (int i = 0; i < 200; ++i) {
     const double t = static_cast<double>(i) * 0.1 +
                      static_cast<double>(rng() % 1000) * 1e-6;
@@ -441,16 +438,6 @@ TEST(ReplayCodecTest, CaptureRoundTripsExactly) {
   EXPECT_EQ(capture.run.fault_spec, "disk@10:server=0,factor=2,duration=5");
   EXPECT_DOUBLE_EQ(capture.run.mrc_sample_rate, 0.5);
   EXPECT_EQ(capture.run.max_migrations_per_interval, 2);
-  ASSERT_EQ(capture.topology.servers.size(), 1u);
-  EXPECT_EQ(capture.topology.servers[0].cores, 8);
-  ASSERT_EQ(capture.topology.apps.size(), 1u);
-  EXPECT_EQ(capture.topology.apps[0].name, "app-one");
-  ASSERT_EQ(capture.topology.apps[0].templates.size(), 1u);
-  EXPECT_EQ(capture.topology.apps[0].templates[0].components[0].kind,
-            AccessComponent::Kind::kSequentialScan);
-  ASSERT_EQ(capture.topology.replicas.size(), 1u);
-  EXPECT_EQ(capture.topology.replicas[0].engine_seed, 17u);
-  ASSERT_EQ(capture.topology.placements.size(), 1u);
 
   EXPECT_EQ(capture.arrivals.size(), 200u);
   EXPECT_EQ(capture.executions.size(), 200u);
@@ -492,6 +479,14 @@ TEST(ReplayCodecTest, ActionKindPastTheLastKindIsRejected) {
   std::remove(path.c_str());
 }
 
+// One correctly framed and sealed FGLBCAP1 block.
+std::string SealedBlock(uint8_t type, const std::string& payload) {
+  std::string block(1, static_cast<char>(type));
+  PutFixed32(&block, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&block, Crc32(payload.data(), payload.size()));
+  return block + payload;
+}
+
 TEST(ReplayCodecTest, InfoBlockThatIsNotARunConfigIsRejected) {
   // Before the info block held a RunConfig it held varint seeds and
   // length-prefixed spec strings. Such a capture no longer loads.
@@ -501,15 +496,26 @@ TEST(ReplayCodecTest, InfoBlockThatIsNotARunConfigIsRejected) {
   PutVarint64(&payload, 1);  // fault seed
   PutVarint64(&payload, 13);
   payload += "consolidation";
-  std::string file = "FGLBCAP1";
-  file.push_back(1);  // info block
-  PutFixed32(&file, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&file, Crc32(payload.data(), payload.size()));
-  WriteBytes(path, file + payload);
+  WriteBytes(path, "FGLBCAP1" + SealedBlock(1, payload));
   Capture capture;
   std::string error;
   EXPECT_FALSE(ReadCapture(path, &capture, &error));
   EXPECT_NE(error.find("bad info block"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(ReplayCodecTest, TopologyBlockIsRejected) {
+  // Captures once carried a topology block (type 2) after the info
+  // block; the RunConfig fixes the cluster, so the type is unknown now.
+  // Its payload here is an empty topology: four zero counts.
+  const std::string path = TempPath("fglb_codec_capture_topology.bin");
+  WriteBytes(path, "FGLBCAP1" + SealedBlock(1, RunConfig{}.ToString()) +
+                       SealedBlock(2, std::string(4, '\0')) +
+                       SealedBlock(6, ""));
+  Capture capture;
+  std::string error;
+  EXPECT_FALSE(ReadCapture(path, &capture, &error));
+  EXPECT_NE(error.find("unknown block type 2"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

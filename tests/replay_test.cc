@@ -1,10 +1,11 @@
 // Deterministic replay: a capture of a live run, replayed through
 // ReplayRunner, must reproduce the controller's decision trace
 // byte-for-byte (the --phase=action projection), for a clean scenario,
-// for one running under an injected fault schedule and for one whose
-// controller provisions replicas. Live runs are built by the same
-// scenario builder fglb_sim uses. Plus the what-if evaluator's
-// agreement with the live controller's choice.
+// for one running under an injected fault schedule, for one whose
+// controller provisions replicas and, at a short duration, for every
+// scenario. Live runs are built by the same scenario builder fglb_sim
+// uses. Plus the what-if evaluator's agreement with the live
+// controller's choice.
 
 #include <cstdio>
 #include <filesystem>
@@ -54,9 +55,10 @@ RunConfig Scenario300s(Scenario scenario, uint64_t seed) {
 }
 
 // Replays `capture_path` strictly and returns the replayed run's
-// action-trace projection.
-std::vector<std::string> RunReplay(const std::string& capture_path,
-                                   size_t* actions_out) {
+// action-trace projection; *actions_out receives its action log.
+std::vector<std::string> RunReplay(
+    const std::string& capture_path,
+    std::vector<SelectiveRetuner::Action>* actions_out) {
   Capture capture;
   std::string error;
   EXPECT_TRUE(ReadCapture(capture_path, &capture, &error)) << error;
@@ -66,7 +68,7 @@ std::vector<std::string> RunReplay(const std::string& capture_path,
   EXPECT_TRUE(runner.Run(&error)) << error;
   EXPECT_EQ(runner.source()->misses(), 0u);
   EXPECT_EQ(runner.source()->remaining(), 0u);
-  *actions_out = runner.harness()->retuner().actions().size();
+  *actions_out = runner.harness()->retuner().actions();
   std::vector<std::string> lines;
   EXPECT_TRUE(ActionLines(runner.harness()->trace().BufferedLines(), &lines,
                           &error))
@@ -83,9 +85,9 @@ TEST(ReplayTest, ConsolidationReplayMatchesLiveActionTrace) {
   ASSERT_GT(live.actions.size(), 0u);
   ASSERT_FALSE(live.action_lines.empty());
 
-  size_t replay_actions = 0;
+  std::vector<SelectiveRetuner::Action> replay_actions;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
-  EXPECT_EQ(replay_actions, live.actions.size());
+  EXPECT_EQ(replay_actions, live.actions);
   ASSERT_EQ(replayed.size(), live.action_lines.size());
   for (size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
@@ -103,9 +105,9 @@ TEST(ReplayTest, ChaosReplayWithFaultSpecMatchesLiveActionTrace) {
   const LiveRun live = RunLive(path, run);
   ASSERT_FALSE(live.action_lines.empty());
 
-  size_t replay_actions = 0;
+  std::vector<SelectiveRetuner::Action> replay_actions;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
-  EXPECT_EQ(replay_actions, live.actions.size());
+  EXPECT_EQ(replay_actions, live.actions);
   ASSERT_EQ(replayed.size(), live.action_lines.size());
   for (size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i], live.action_lines[i]) << "action line " << i;
@@ -129,11 +131,29 @@ TEST(ReplayTest, ColdStartProvisioningReplaysExactly) {
   }
   ASSERT_GE(provisions, 1u);
 
-  size_t replay_actions = 0;
+  std::vector<SelectiveRetuner::Action> replay_actions;
   const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
-  EXPECT_EQ(replay_actions, live.actions.size());
+  EXPECT_EQ(replay_actions, live.actions);
   EXPECT_EQ(replayed, live.action_lines);
   std::remove(path.c_str());
+}
+
+TEST(ReplayTest, EveryScenarioReplaysExactly) {
+  // A capture holds no topology: the replayer rebuilds each scenario's
+  // cluster from the RunConfig alone. Every scenario must then repeat
+  // its live actions, consume every recorded execution and regenerate
+  // none (RunReplay checks both counts).
+  for (int i = 0; i <= static_cast<int>(Scenario::kColdStart); ++i) {
+    const Scenario scenario = static_cast<Scenario>(i);
+    SCOPED_TRACE(ScenarioName(scenario));
+    const std::string path = TempPath("fglb_replay_every_scenario.fglbcap");
+    const LiveRun live = RunLive(path, ScenarioRunConfig(scenario, 120));
+    std::vector<SelectiveRetuner::Action> replay_actions;
+    const std::vector<std::string> replayed = RunReplay(path, &replay_actions);
+    EXPECT_EQ(replay_actions, live.actions);
+    EXPECT_EQ(replayed, live.action_lines);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {

@@ -28,9 +28,7 @@ inline std::unique_ptr<ClusterHarness> RunAndCapture(
     harness->span_tracer()->EnableBuffering();
   }
   CaptureWriter writer(&harness->sim());
-  EXPECT_TRUE(
-      writer.Open(capture_path, run, SnapshotTopology(*harness), &error))
-      << error;
+  EXPECT_TRUE(writer.Open(capture_path, run, &error)) << error;
   harness->AttachRecorders(&writer, &writer);
   harness->Start();
   harness->RunFor(run.duration_seconds);

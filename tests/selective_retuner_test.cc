@@ -146,7 +146,7 @@ TEST(SelectiveRetunerTest, CoarseFallbackRateLimited) {
   h.AddConstantClients(tpcw, 20, 4);
   h.Start();
   h.RunFor(2000);  // 200 intervals
-  // Cooldown is 3 * coarse_fallback_after (= 12) intervals; with the
+  // Cooldown is 3 * kCoarseFallbackAfter (= 12) intervals; with the
   // initial streak ramp the bound is ~200/12 + 1.
   EXPECT_GE(CountActions(h.retuner(), ActionKind::kCoarseFallback), 1);
   EXPECT_LE(CountActions(h.retuner(), ActionKind::kCoarseFallback), 18);
@@ -163,7 +163,7 @@ TEST(SelectiveRetunerTest, WarmupSuppressesEarlyDiagnosis) {
   tpcw->AddReplica(r);
   h.AddConstantClients(tpcw, 150, 5);
   h.Start();
-  h.RunFor(30);  // warmup_intervals = 3
+  h.RunFor(30);  // kWarmupIntervals = 3
   for (const auto& action : h.retuner().actions()) {
     EXPECT_NE(action.kind, ActionKind::kQuotaEnforced);
     EXPECT_NE(action.kind, ActionKind::kClassRescheduled);

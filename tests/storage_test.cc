@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics_registry.h"
 #include "common/random.h"
 #include "storage/disk_model.h"
 #include "storage/page.h"
 #include "storage/partitioned_buffer_pool.h"
+#include "workload/query_class.h"
 
 namespace fglb {
 namespace {
@@ -317,6 +319,32 @@ TEST(PartitionedPoolTest, SharedEvictionDoesNotTouchDedicated) {
   // Flood the shared region (capacity 4).
   for (uint64_t i = 0; i < 50; ++i) pool.Access(2, MakePageId(2, i));
   EXPECT_TRUE(pool.Contains(1, MakePageId(1, 100)));
+}
+
+TEST(PartitionedPoolTest, DroppedPartitionPublishesZeroPages) {
+  // A class that leaves the engine must stop reporting its partition,
+  // and one dropped and set again before the next publish reports its
+  // live partition.
+  MetricsRegistry registry;
+  PartitionedBufferPool pool(10);
+  const PartitionKey key = MakeClassKey(2, 4);
+  ASSERT_TRUE(pool.SetQuota(key, 4));
+  pool.Access(key, MakePageId(1, 1));
+  pool.PublishMetrics(&registry, "bp.");
+  EXPECT_EQ(registry.gauge("bp.class_2_4.capacity_pages")->value(), 4);
+  EXPECT_EQ(registry.gauge("bp.class_2_4.resident_pages")->value(), 1);
+
+  pool.DropQuota(key);
+  pool.PublishMetrics(&registry, "bp.");
+  EXPECT_EQ(registry.gauge("bp.partitions")->value(), 0);
+  EXPECT_EQ(registry.gauge("bp.class_2_4.capacity_pages")->value(), 0);
+  EXPECT_EQ(registry.gauge("bp.class_2_4.resident_pages")->value(), 0);
+
+  ASSERT_TRUE(pool.SetQuota(key, 2));
+  pool.DropQuota(key);
+  ASSERT_TRUE(pool.SetQuota(key, 3));
+  pool.PublishMetrics(&registry, "bp.");
+  EXPECT_EQ(registry.gauge("bp.class_2_4.capacity_pages")->value(), 3);
 }
 
 TEST(DiskModelTest, ServiceDemandComposition) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics_registry.h"
 #include "core/quota_planner.h"
 #include "mrc/miss_ratio_curve.h"
 #include "storage/tiered_buffer_pool.h"
@@ -121,6 +122,25 @@ TEST(TieredBufferPoolTest, QuotasPartitionTheTier) {
   tier.DropQuota(hot);
   EXPECT_EQ(tier.QuotaOf(hot), 0u);
   EXPECT_EQ(tier.dedicated_total(), 64u);
+}
+
+TEST(TieredBufferPoolTest, DroppedPartitionPublishesZeroPages) {
+  // A class that leaves the engine gives up its tier-2 quota, and its
+  // per-class gauges must say so.
+  MetricsRegistry registry;
+  TieredBufferPool tier(MakeTier(128));
+  const PartitionKey key = MakeClassKey(2, 4);
+  ASSERT_TRUE(tier.SetQuota(key, 64));
+  tier.Demote(key, 7);
+  tier.PublishMetrics(&registry, "tier.");
+  EXPECT_EQ(registry.gauge("tier.class_2_4.quota_pages")->value(), 64);
+  EXPECT_EQ(registry.gauge("tier.class_2_4.resident_pages")->value(), 1);
+
+  tier.DropQuota(key);
+  tier.PublishMetrics(&registry, "tier.");
+  EXPECT_EQ(registry.gauge("tier.partitions")->value(), 0);
+  EXPECT_EQ(registry.gauge("tier.class_2_4.quota_pages")->value(), 0);
+  EXPECT_EQ(registry.gauge("tier.class_2_4.resident_pages")->value(), 0);
 }
 
 TEST(TieredBufferPoolTest, SharedRegionEvictsLeastRecentlyDemoted) {

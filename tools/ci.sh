@@ -89,14 +89,25 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/cold-live.jsonl" \
          --phase=action) \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/cold-replay.jsonl" \
          --phase=action)
-# The other consumers must at least run clean on a real capture.
-"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary
-"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if
+# The other consumers rebuild the cluster from the capture's run
+# config: --summary must list consolidation's topology and --what-if
+# must rank the live controller's migration first.
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --summary \
+  >"${SMOKE_DIR}/summary.txt"
+grep -q '4 servers, 2 apps, 1 replicas' "${SMOKE_DIR}/summary.txt"
+grep -q "app 1 'TPC-W': 14 classes" "${SMOKE_DIR}/summary.txt"
+grep -q "app 2 'RUBiS': 12 classes" "${SMOKE_DIR}/summary.txt"
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/live.fglbcap" --what-if \
+  >"${SMOKE_DIR}/what-if.txt"
+grep -q 'problem app=2/class=4' "${SMOKE_DIR}/what-if.txt"
+grep -q 'live controller chose: migrate (ranked first here too)' \
+  "${SMOKE_DIR}/what-if.txt"
 
 echo "=== overload smoke: admission control + capture/replay ==="
 # The overload scenario turns admission on automatically; its trace must
 # carry phase=admission events, pass the schema check, and replay byte
-# for byte. An unknown --phase name must be rejected, not ignored.
+# for byte. An unknown --phase name and a non-numeric --app must be
+# rejected, not ignored.
 "./${PREFIX}/tools/fglb_sim" --scenario=overload --duration=420 \
   --log-level=quiet --capture-out="${SMOKE_DIR}/overload.fglbcap" \
   --trace-out="${SMOKE_DIR}/overload.jsonl" >/dev/null
@@ -108,6 +119,11 @@ test -n "$("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
 if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
   --phase=bogus 2>/dev/null; then
   echo "fglb_tracecat accepted an unknown --phase name" >&2
+  exit 1
+fi
+if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
+  --app=abc 2>/dev/null; then
+  echo "fglb_tracecat accepted a non-numeric --app" >&2
   exit 1
 fi
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/overload.fglbcap" \
@@ -196,13 +212,18 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/tier.jsonl" \
          --phase=mrc | sed 's/"dur_us":[0-9.]*,//')
 # A class migrated off an engine gives up its tier-2 quota there: at
 # 900 s, app=2/class=4 is demoted on replica-0 and then moved to
-# replica-1, after which engine-0's tier dedicates no pages. (The 450 s
-# run above demotes the class but never moves it.)
+# replica-1, after which engine-0's tier dedicates no pages and the
+# class's own DRAM and tier-2 gauges there read 0. (The 450 s run above
+# demotes the class but never moves it.)
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --duration=900 \
   --log-level=quiet --output=actions-csv \
   --metrics-out="${SMOKE_DIR}/tier-moved.json" >"${SMOKE_DIR}/tier-moved.csv"
 grep -q 'moved app=2/class=4' "${SMOKE_DIR}/tier-moved.csv"
 grep -q '"engine.engine-0.tier.dedicated_pages":0' \
+  "${SMOKE_DIR}/tier-moved.json"
+grep -q '"engine.engine-0.bufferpool.class_2_4.capacity_pages":0' \
+  "${SMOKE_DIR}/tier-moved.json"
+grep -q '"engine.engine-0.tier.class_2_4.quota_pages":0' \
   "${SMOKE_DIR}/tier-moved.json"
 # A tier read time that "%g" would round to 6 digits: the capture keeps
 # every digit, so the whole replayed trace matches, not only the

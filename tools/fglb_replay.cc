@@ -10,6 +10,7 @@
 //   ./build/tools/fglb_replay run.fglbcap --what-if --horizon=60
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "replay/capture.h"
 #include "replay/replayer.h"
 #include "replay/what_if.h"
+#include "scenarios/scenario.h"
 
 namespace {
 
@@ -50,7 +52,8 @@ usage: fglb_replay CAPTURE [options]
                      live run had span tracing on — byte-identical to
                      the live --spans-out file)
   --summary          print the capture's run config (every key=value
-                     that decided the run) and stream counts
+                     that decided the run), the cluster it builds and
+                     stream counts
   --what-if          replay the first (or requested) violation window
                      against quota / migrate / no-op candidates and
                      rank them against the live controller's choice
@@ -143,10 +146,15 @@ void PrintSummary(const Capture& capture) {
   for (std::string line; std::getline(run, line);) {
     std::printf("    %s\n", line.c_str());
   }
+  // The topology is what the run config builds before Start().
+  std::unique_ptr<ClusterHarness> cluster = MakeHarness(capture.run, 1);
+  AssembleCluster(capture.run, cluster.get());
   std::printf("  topology            %zu servers, %zu apps, %zu replicas\n",
-              capture.topology.servers.size(), capture.topology.apps.size(),
-              capture.topology.replicas.size());
-  for (const ApplicationSpec& app : capture.topology.apps) {
+              cluster->resources().servers().size(),
+              cluster->schedulers().size(),
+              cluster->resources().AllReplicas().size());
+  for (const auto& scheduler : cluster->schedulers()) {
+    const ApplicationSpec& app = scheduler->app();
     std::printf("    app %u '%s': %zu classes, SLA %.2f s\n", app.id,
                 app.name.c_str(), app.templates.size(),
                 app.sla_latency_seconds);

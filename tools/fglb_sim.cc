@@ -90,8 +90,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<CaptureWriter> capture_writer;
   if (!options.capture_out.empty()) {
     capture_writer = std::make_unique<CaptureWriter>(&harness.sim());
-    if (!capture_writer->Open(options.capture_out, run,
-                              SnapshotTopology(harness), &error)) {
+    if (!capture_writer->Open(options.capture_out, run, &error)) {
       LogError("cannot open --capture-out file: %s", error.c_str());
       return 1;
     }

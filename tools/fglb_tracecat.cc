@@ -21,8 +21,8 @@
 // kind; it exits non-zero if the file is not a well-formed trace array.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/kv_spec.h"
 #include "common/trace_check.h"
 
 namespace {
@@ -76,6 +77,17 @@ usage: fglb_tracecat FILE [options]
   --help         this text
 )";
 
+// An app or class id: a plain digit string (the kv_spec count
+// grammar) that fits uint32.
+bool ParseId(const std::string& value, uint32_t* out) {
+  uint64_t parsed = 0;
+  if (!fglb::ParseKvCount(value, &parsed) || parsed > UINT32_MAX) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(parsed);
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, TracecatOptions* options,
                std::string* error) {
   for (int i = 1; i < argc; ++i) {
@@ -108,12 +120,16 @@ bool ParseArgs(int argc, char** argv, TracecatOptions* options,
       options->phase = value;
     } else if (key == "app") {
       options->has_app = true;
-      options->app = static_cast<uint32_t>(std::strtoul(value.c_str(),
-                                                        nullptr, 10));
+      if (!ParseId(value, &options->app)) {
+        *error = "invalid --app: " + value;
+        return false;
+      }
     } else if (key == "class") {
       options->has_class = true;
-      options->cls = static_cast<uint32_t>(std::strtoul(value.c_str(),
-                                                        nullptr, 10));
+      if (!ParseId(value, &options->cls)) {
+        *error = "invalid --class: " + value;
+        return false;
+      }
     } else if (key == "summary") {
       options->summary = true;
     } else if (key == "check") {
