@@ -86,6 +86,11 @@ void ResourceManager::set_metrics(MetricsRegistry* registry) {
 
 void ResourceManager::PublishMetrics() {
   if (metrics_ == nullptr) return;
+  for (const std::string& engine : destroyed_engines_) {
+    metrics_->ZeroGauges("engine." + engine + ".bufferpool.");
+    metrics_->ZeroGauges("engine." + engine + ".tier.");
+  }
+  destroyed_engines_.clear();
   for (const auto& replica : replicas_) {
     replica->engine().PublishMetrics();
   }
@@ -136,6 +141,9 @@ void ResourceManager::DestroyReplica(Replica* replica) {
       replicas_.begin(), replicas_.end(),
       [replica](const std::unique_ptr<Replica>& r) { return r.get() == replica; });
   if (it == replicas_.end()) return;
+  if (metrics_ != nullptr) {
+    destroyed_engines_.push_back(replica->engine().name());
+  }
   if (replica->inflight() == 0) {
     replicas_.erase(it);
     return;

@@ -117,6 +117,9 @@ class ResourceManager {
   void set_replica_observer(std::function<void(Replica*)> observer);
 
   // Publishes every engine's buffer-pool stats into the bound registry.
+  // The first publish after a replica is destroyed (released, crashed
+  // or parked as a zombie) sets its engine's bufferpool and tier gauges
+  // to 0 once; its counters keep their totals.
   void PublishMetrics();
 
  private:
@@ -130,6 +133,8 @@ class ResourceManager {
   std::vector<std::unique_ptr<PhysicalServer>> servers_;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<std::unique_ptr<Replica>> zombies_;
+  // Engines of replicas destroyed since the last PublishMetrics.
+  std::vector<std::string> destroyed_engines_;
   int next_replica_id_ = 0;
   double drain_timeout_seconds_ = 60;
 };

@@ -76,6 +76,14 @@ Counter* MetricsRegistry::counter(const std::string& name) {
   return it->second.get();
 }
 
+void MetricsRegistry::ZeroGauges(const std::string& prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = gauges_.lower_bound(prefix);
+       it != gauges_.end() && it->first.starts_with(prefix); ++it) {
+    it->second->Set(0);
+  }
+}
+
 Gauge* MetricsRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);

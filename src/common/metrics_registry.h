@@ -119,6 +119,10 @@ class MetricsRegistry {
   MaxGauge* max_gauge(const std::string& name);
   LatencyHistogram* histogram(const std::string& name);
 
+  // Sets every gauge whose name starts with `prefix` to 0 (the
+  // instruments of something that no longer exists).
+  void ZeroGauges(const std::string& prefix);
+
   size_t counter_count() const;
   size_t gauge_count() const;
   size_t max_gauge_count() const;

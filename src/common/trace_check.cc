@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 
 namespace fglb {
 
@@ -17,6 +18,95 @@ bool KnownRecoveryWhy(const std::string& why) {
          why == "stats_resync" || why == "report_lost";
 }
 
+// The decision chain of one violating interval: an `sla` event, then
+// its app's `impact`/`iqr`/`mrc` events at its t — each measured impact
+// followed at once by its replica's iqr, each measured mrc after its
+// replica's iqr and at most once per replica, skipped:true back-fills
+// after every measured phase, once each and only for a phase that
+// never ran — then one or more `action` events at its t. Actions match
+// by t alone: an action names the acted-on class's app. Any other
+// event closes the chain, which must hold an action by then.
+struct ChainCheck {
+  // Feeds one event: a violation's message, or "" when it fits.
+  std::string Next(const JsonValue& event, size_t line) {
+    const std::string phase = event.StringOr("phase", "");
+    const double t = event.NumberOr("t", -1);
+    const int bit = phase == "impact" ? 1
+                    : phase == "iqr"  ? 2
+                    : phase == "mrc"  ? 4
+                                      : 0;
+    if (phase == "action") {
+      if (!open || acted) {
+        open = open && t == sla_t;  // else an action outside every chain
+        return "";
+      }
+      if (t != sla_t) return "action at another t than its sla";
+      if (pending >= 0) return "action before the iqr of its impact";
+      if ((measured | backfilled) != 7) {
+        return "action before its impact, iqr and mrc";
+      }
+      acted = true;
+      return "";
+    }
+    if (open && !acted && bit == 0) {
+      return phase + " before the action of the sla at line " +
+             std::to_string(sla_line);
+    }
+    if (bit == 0) {
+      *this = phase == "sla" ? ChainCheck{true, false, line,
+                                           event.NumberOr("app", -1), t}
+                             : ChainCheck{};
+      return "";
+    }
+    const std::string fail = phase + " ";
+    if (!open || acted) return fail + "outside a decision chain";
+    if (event.NumberOr("app", -1) != app || t != sla_t) {
+      return fail + "of another app or t than its sla";
+    }
+    const auto replica = static_cast<int64_t>(event.NumberOr("replica", -1));
+    const bool skipped = event.BoolOr("skipped", false);
+    if (pending >= 0 && (bit != 2 || replica != pending || skipped)) {
+      return fail + "between an impact and its iqr";
+    }
+    if (skipped) {
+      if (measured & bit) return fail + "back-filled after it ran";
+      if (backfilled & bit) return fail + "back-filled twice";
+      backfilled |= bit;
+      return "";
+    }
+    if (backfilled != 0) return fail + "measured after a back-fill";
+    measured |= bit;
+    if (bit == 1) {
+      pending = replica;
+    } else if (bit == 2) {
+      if (pending < 0) return fail + "without its impact";
+      pending = -1;
+      iqr_replicas.insert(replica);
+    } else if (!iqr_replicas.contains(replica)) {
+      return fail + "before the iqr of its replica";
+    } else if (!mrc_replicas.insert(replica).second) {
+      return fail + "twice for one replica";
+    }
+    return "";
+  }
+
+  // The trace ended: a chain still open must have acted.
+  std::string End() const {
+    return open && !acted ? "sla chain ends without an action" : "";
+  }
+
+  bool open = false;
+  bool acted = false;
+  size_t sla_line = 0;
+  double app = -1;
+  double sla_t = -1;
+  int64_t pending = -1;  // a measured impact's replica, awaiting its iqr
+  int measured = 0;      // measured phases: impact 1 | iqr 2 | mrc 4
+  int backfilled = 0;    // back-filled phases, likewise
+  std::set<int64_t> iqr_replicas{};
+  std::set<int64_t> mrc_replicas{};
+};
+
 }  // namespace
 
 bool CheckTraceLines(const std::vector<std::string>& lines,
@@ -28,6 +118,7 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
   // staleness episode (a stats_resync ends the episode).
   std::map<int64_t, int64_t> last_report_seq;
   std::map<int64_t, int64_t> last_stale;
+  ChainCheck chain;
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& line = lines[i];
     if (line.empty()) continue;
@@ -154,8 +245,15 @@ bool CheckTraceLines(const std::vector<std::string>& lines,
         }
       }
     }
+    const std::string violation = chain.Next(event, i + 1);
+    if (!violation.empty()) {
+      *error = LineError(i + 1, violation);
+      return false;
+    }
   }
-  return true;
+  const std::string open = chain.End();
+  if (!open.empty()) *error = LineError(chain.sla_line, open);
+  return open.empty();
 }
 
 std::string FormatActionEventLine(const JsonValue& event) {

@@ -15,7 +15,9 @@ namespace fglb {
 
 // Validates every line against the TraceLog schema: well-formed JSON
 // object, "v" == 1, "seq" gapless from 0, "mono_us" present, non-empty
-// "phase". Empty lines are skipped. On failure returns false with a
+// "phase"; recovery continuity and the mrc tier fields; and the order
+// of every violating interval's sla -> impact -> iqr -> mrc -> action
+// chain. Empty lines are skipped. On failure returns false with a
 // one-line "line N: ..." message in *error.
 bool CheckTraceLines(const std::vector<std::string>& lines,
                      std::string* error);

@@ -7,10 +7,8 @@
 #include <cstdio>
 
 #include "cluster/stats_channel.h"
-#include "common/json.h"
 #include "common/span_tracer.h"
 #include "common/varint.h"
-#include "core/io_interference.h"
 
 namespace fglb {
 
@@ -20,13 +18,6 @@ namespace {
 // capacity.
 constexpr double kCpuSaturationThreshold = 0.85;
 constexpr double kIoSaturationThreshold = 0.85;
-// An I/O eviction plans down to this utilization.
-constexpr double kIoTargetUtilization = 0.60;
-// Class-eviction is only the right response when I/O is *skewed*: the
-// heaviest class must contribute at least this share of the channel's
-// utilization. Unskewed saturation is a capacity problem and gets a
-// replica instead.
-constexpr double kIoSkewShare = 0.4;
 
 // De-provision a replica when the app meets its SLA with average CPU
 // utilization below kCpuReleaseThreshold for kReleaseAfter intervals.
@@ -47,10 +38,6 @@ constexpr int kCoarseFallbackAfter = 4;
 // says — skip the diagnosis cascade and provision a replica directly.
 constexpr double kOverloadShedShare = 0.25;
 
-// "Similar algorithms on the top-k heavyweight queries" when no
-// outlier contexts are found.
-constexpr size_t kTopKFallback = 3;
-
 // The first migration retry waits this long; each further retry
 // doubles it.
 constexpr double kMigrationRetryBackoffSeconds = 2;
@@ -70,30 +57,6 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// {"app":1,"cls":3 prefix of every per-class trace object (the caller
-// closes it).
-std::string ClassObject(ClassKey key) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "{\"app\":%u,\"cls\":%u", AppOf(key),
-                ClassOf(key));
-  return buf;
-}
-
-// [a,b,...] with each element rendered by `render`.
-template <typename Items, typename Render>
-std::string JsonArray(const Items& items, Render render) {
-  std::string out = "[";
-  for (const auto& item : items) {
-    if (out.size() > 1) out += ',';
-    out += render(item);
-  }
-  return out + "]";
-}
-
-std::string ClassArray(const std::vector<ClassKey>& keys) {
-  return JsonArray(keys, [](ClassKey key) { return ClassObject(key) + "}"; });
-}
-
 }  // namespace
 
 SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
@@ -111,14 +74,6 @@ SelectiveRetuner::SelectiveRetuner(Simulator* sim, ResourceManager* resources,
     violations_ = metrics_->counter("controller.violations");
     planner_.BindMetrics(metrics_);
   }
-}
-
-const char* SelectiveRetuner::ActionKindName(ActionKind kind) {
-  static constexpr const char* kNames[] = {
-      "cpu_provision",     "io_provision", "cpu_release",     "quota_enforced",
-      "class_rescheduled", "io_eviction",  "coarse_fallback", "demote"};
-  const auto index = static_cast<size_t>(kind);
-  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
 void SelectiveRetuner::RegisterApplication(Scheduler* scheduler) {
@@ -169,9 +124,7 @@ void SelectiveRetuner::Restart() {
 void SelectiveRetuner::ResetControlState() {
   state_ = {};
   analyzers_.clear();
-  feeds_.clear();
   channel_.ResetReceiverState();
-  scope_ = ViolationScope{};
   // actions_/samples_/diagnoses_/migration_stats_ survive: they are
   // the run's observability history, not control state. Migrations
   // whose callbacks died with the controller count as neither applied
@@ -187,199 +140,13 @@ void SelectiveRetuner::Log(ActionKind kind, AppId app,
   actions_.push_back(Action{sim_->Now(), kind, app, std::move(description)});
   if (spans_ != nullptr) spans_->RecordPhase("action", app, sim_->Now());
   Count(std::string("controller.actions.") + ActionKindName(kind));
-  // In-scope actions are emitted when the scope closes so the trace
-  // keeps its phase order; out-of-scope ones (e.g. a clean interval
-  // releasing capacity) go out immediately.
-  if (!scope_.active && Tracing()) EmitActionEvent(actions_.back());
 }
 
-void SelectiveRetuner::EmitActionEvent(const Action& action) {
-  TraceEvent event("action");
-  event.Num("t", action.time)
-      .Uint("app", action.app)
-      .Str("kind", ActionKindName(action.kind))
-      .Str("desc", action.description);
-  trace_->Emit(event);
-}
-
-void SelectiveRetuner::BeginViolationScope(
-    Scheduler* scheduler, const Scheduler::IntervalReport& report,
-    double end_interval_us) {
-  scope_ = ViolationScope{};
-  scope_.active = true;
-  scope_.app = scheduler->app().id;
-  scope_.actions_before = actions_.size();
-  if (spans_ != nullptr) spans_->RecordPhase("sla", scope_.app, sim_->Now());
+void SelectiveRetuner::TraceActions(size_t first) {
   if (!Tracing()) return;
-  TraceEvent event("sla");
-  event.Num("t", sim_->Now())
-      .Uint("app", scope_.app)
-      .Uint("queries", report.queries)
-      .Num("avg_latency", report.avg_latency)
-      .Num("p95_latency", report.p95_latency)
-      .Num("throughput", report.throughput)
-      .Bool("sla_met", report.sla_met)
-      .Int("streak", state_.apps[scope_.app].violation_streak)
-      .Int("servers_used", resources_->ServersUsedBy(*scheduler))
-      .Num("dur_us", end_interval_us);
-  // Telemetry health of this app's replica set.
-  double min_conf = 1.0;
-  int stale = 0;
-  for (Replica* r : scheduler->replicas()) {
-    const auto it = feeds_.find(r);
-    if (it == feeds_.end()) continue;
-    min_conf = std::min(min_conf, it->second.confidence);
-    if (!it->second.fresh) ++stale;
+  for (size_t i = first; i < actions_.size(); ++i) {
+    trace_->Emit(ActionEvent(actions_[i]));
   }
-  event.Num("stats_conf", min_conf).Int("stale_replicas", stale);
-  trace_->Emit(event);
-}
-
-void SelectiveRetuner::EndViolationScope(const char* why) {
-  if (!scope_.active) return;
-  if (Tracing()) {
-    // Back-fill the phases the cascade never reached so every violating
-    // interval carries the complete sla->impact->iqr->mrc->action chain.
-    for (const auto& [emitted, phase] :
-         {std::pair{scope_.outliers_emitted, "impact"},
-          {scope_.outliers_emitted, "iqr"},
-          {scope_.mrc_emitted, "mrc"}}) {
-      if (emitted) continue;
-      TraceEvent event(phase);
-      event.Num("t", sim_->Now())
-          .Uint("app", scope_.app)
-          .Bool("skipped", true)
-          .Str("why", why)
-          .Num("dur_us", 0);
-      trace_->Emit(event);
-    }
-    if (actions_.size() == scope_.actions_before) {
-      TraceEvent event("action");
-      event.Num("t", sim_->Now())
-          .Uint("app", scope_.app)
-          .Str("kind", "none")
-          .Str("why", why);
-      trace_->Emit(event);
-    } else {
-      for (size_t i = scope_.actions_before; i < actions_.size(); ++i) {
-        EmitActionEvent(actions_[i]);
-      }
-    }
-  }
-  scope_ = ViolationScope{};
-}
-
-void SelectiveRetuner::TraceOutlierPhases(AppId app, int replica_id,
-                                          const OutlierReport& report) {
-  // "impact": the weighted current/stable ratio vectors the fences see.
-  // Metric order inside the arrays is kAllMetrics order.
-  auto metric_array = [](const std::map<Metric, std::map<ClassKey, double>>&
-                             per_metric,
-                         ClassKey key) {
-    std::string out = "[";
-    for (size_t m = 0; m < kAllMetrics.size(); ++m) {
-      if (m > 0) out += ',';
-      const auto it = per_metric.find(kAllMetrics[m]);
-      out += JsonNumber(it != per_metric.end() && it->second.contains(key)
-                            ? it->second.at(key)
-                            : 0.0);
-    }
-    return out + "]";
-  };
-  std::set<ClassKey> keys;
-  for (const auto& [metric, per_class] : report.ratios) {
-    for (const auto& [key, value] : per_class) keys.insert(key);
-  }
-  const std::string classes = JsonArray(keys, [&](ClassKey key) {
-    return ClassObject(key) + ",\"ratio\":" + metric_array(report.ratios, key) +
-           ",\"impact\":" + metric_array(report.impacts, key) + "}";
-  });
-  TraceEvent impact("impact");
-  impact.Num("t", sim_->Now())
-      .Uint("app", app)
-      .Int("replica", replica_id)
-      .Raw("classes", classes)
-      .Num("dur_us", report.impact_us);
-  if (spans_ != nullptr) {
-    // Measured latency breakdown alongside the inferred ratios: every
-    // value derives from simulated time, so replays reproduce it.
-    impact.Raw("wait_profile", spans_->WaitProfileJson(app));
-  }
-  trace_->Emit(impact);
-
-  // "iqr": the fences applied per metric plus the resulting verdicts.
-  const std::string fences =
-      JsonArray(report.fences, [](const FenceSummary& f) {
-        return "{\"metric\":\"" + std::string(MetricName(f.metric)) +
-               "\",\"q1\":" + JsonNumber(f.q1) + ",\"q3\":" + JsonNumber(f.q3) +
-               ",\"iqr\":" + JsonNumber(f.iqr) +
-               ",\"inner_lo\":" + JsonNumber(f.inner_lo) +
-               ",\"inner_hi\":" + JsonNumber(f.inner_hi) +
-               ",\"outer_lo\":" + JsonNumber(f.outer_lo) +
-               ",\"outer_hi\":" + JsonNumber(f.outer_hi) + "}";
-      });
-  const std::string outliers =
-      JsonArray(report.outliers, [](const MetricOutlier& o) {
-        return ClassObject(o.key) + ",\"metric\":\"" + MetricName(o.metric) +
-               "\",\"ratio\":" + JsonNumber(o.ratio) +
-               ",\"impact\":" + JsonNumber(o.impact) + ",\"degree\":\"" +
-               (o.degree == OutlierDegree::kExtreme ? "extreme" : "mild") +
-               "\",\"high\":" + (o.high_side ? "true" : "false") + "}";
-      });
-  TraceEvent iqr("iqr");
-  iqr.Num("t", sim_->Now())
-      .Uint("app", app)
-      .Int("replica", replica_id)
-      .Raw("fences", fences)
-      .Raw("outliers", outliers)
-      .Raw("new_classes", ClassArray(report.new_classes))
-      .Num("dur_us", report.fence_us);
-  trace_->Emit(iqr);
-  scope_.outliers_emitted = true;
-}
-
-void SelectiveRetuner::TraceMrcPhase(
-    AppId app, Replica* replica, double dur_us, size_t candidates,
-    const LogAnalyzer::MemoryDiagnosis& diagnosis) {
-  LogAnalyzer& analyzer = AnalyzerFor(replica);
-  const TieredBufferPool* tier2 = replica->engine().tier2();
-  auto profile_array = [&analyzer](
-                           const std::vector<ClassMemoryProfile>& profiles) {
-    return JsonArray(profiles, [&analyzer](const ClassMemoryProfile& p) {
-      std::string out = ClassObject(p.key) + ",\"total_pages\":" +
-                        std::to_string(p.params.total_memory_pages) +
-                        ",\"acceptable_pages\":" +
-                        std::to_string(p.params.acceptable_memory_pages);
-      if (const MrcParameters* stable = analyzer.StableParamsOf(p.key)) {
-        out += ",\"stable_total_pages\":" +
-               std::to_string(stable->total_memory_pages) +
-               ",\"stable_acceptable_pages\":" +
-               std::to_string(stable->acceptable_memory_pages);
-      }
-      if (p.regret_vs_opt >= 0) {
-        out += ",\"regret_vs_opt\":" + JsonNumber(p.regret_vs_opt);
-      }
-      return out + "}";
-    });
-  };
-  TraceEvent event("mrc");
-  event.Num("t", sim_->Now())
-      .Uint("app", app)
-      .Int("replica", replica->id());
-  if (tier2 != nullptr) {
-    // Second-tier state at diagnosis time; absent on tierless engines
-    // so pre-tier traces replay unchanged.
-    event.Uint("tier2_pages", tier2->capacity())
-        .Uint("tier2_resident", tier2->resident_pages())
-        .Num("tier2_read_us", tier2->config().read_us);
-  }
-  event.Uint("candidates", candidates)
-      .Raw("suspects", profile_array(diagnosis.suspects))
-      .Raw("cleared", profile_array(diagnosis.cleared))
-      .Raw("insufficient", ClassArray(diagnosis.insufficient_data))
-      .Num("dur_us", dur_us);
-  trace_->Emit(event);
-  scope_.mrc_emitted = true;
 }
 
 ControlPolicy SelectiveRetuner::Policy() const {
@@ -393,24 +160,23 @@ ControlPolicy SelectiveRetuner::Policy() const {
           .act_threshold = channel_.config().act_threshold};
 }
 
-bool SelectiveRetuner::Admit(const GateRequest& request) {
+Hold SelectiveRetuner::Admit(const GateRequest& request) {
   const Hold hold = PlacementGate(state_, Policy(), sim_->Now(), request);
   if (hold == Hold::kLowConfidence) {
     // The evidence is last-known-good, not measured: take no
     // quota/demote/migration off it. Shed and CPU provisioning run on
     // app-level latency and are never gated.
-    low_confidence_suppressed_ = true;
     Count("controller.suppressed.low_confidence");
   } else if (hold == Hold::kBudget) {
     Count("controller.migration.budget_deferred");
   }
-  return hold == Hold::kNone;
+  return hold;
 }
 
 void SelectiveRetuner::Tick() {
   const auto tick_start = std::chrono::steady_clock::now();
   const double interval = config_.interval_seconds;
-  migrations_this_interval_ = 0;
+  TickContext tick;
   // Drop analyzers whose replica no longer exists (decommissioned or
   // crash-destroyed): their engine pointers would dangle.
   std::erase_if(analyzers_, [this](const auto& entry) {
@@ -432,8 +198,7 @@ void SelectiveRetuner::Tick() {
     channel_.Publish(r->id(), r->engine().stats().EndInterval(interval),
                      interval);
   }
-  feeds_.clear();
-  for (Replica* r : replicas) feeds_[r] = channel_.Collect(r->id());
+  for (Replica* r : replicas) tick.feeds[r] = channel_.Collect(r->id());
   for (const auto& server : resources_->servers()) {
     const ServerSample ss{server->id(), server->CpuUtilization(),
                           server->IoUtilization()};
@@ -468,7 +233,7 @@ void SelectiveRetuner::Tick() {
     const auto& report = reports.at(s);
     if (!report.sla_met || report.queries == 0) continue;
     for (Replica* r : replicas) {
-      const StatsChannel::Feed& feed = feeds_.at(r);
+      const StatsChannel::Feed& feed = tick.feeds.at(r);
       if (!feed.fresh) continue;
       AnalyzerFor(r).RecordStableInterval(s->app().id, *feed.snapshot,
                                           sim_->Now());
@@ -488,8 +253,10 @@ void SelectiveRetuner::Tick() {
     app.replicas_seen = count;
   }
 
-  // 5. Violations run the diagnosis cascade; clean intervals may
-  // release over-provisioned capacity.
+  // 5. Violations run the diagnosis cascade, one application at a time
+  // in registration order (an earlier app's quota on a later app's
+  // class opens that app's warmup for this very tick); clean intervals
+  // may release over-provisioned capacity.
   const ControlPolicy policy = Policy();
   for (Scheduler* s : schedulers_) {
     const auto& report = reports.at(s);
@@ -498,25 +265,33 @@ void SelectiveRetuner::Tick() {
     const Verdict verdict =
         JudgeInterval(policy, sim_->Now(), view, &state_.apps[s->app().id]);
     if (verdict == Verdict::kCalm) {
+      const size_t first = actions_.size();
       MaybeRelease(s);
+      TraceActions(first);
       continue;
     }
     if (violations_ != nullptr) violations_->Increment();
-    BeginViolationScope(s, report, end_interval_us[s]);
-    const char* why = "warmup";  // pools still filling; hold fire
+    Decision d = OpenDecision(s, report, verdict, end_interval_us[s], tick);
+    const size_t first = actions_.size();
     if (verdict == Verdict::kOverloadShed) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "overload: %.0f%% of offered load shed; ",
                     100 * view.shed_share());
-      Provision(s, ActionKind::kCpuProvision, buf, /*count_servers=*/true);
-      why = "overload_shed";
+      Provision(s, ActionKind::kCpuProvision, buf, /*count_servers=*/true, d);
     } else if (verdict == Verdict::kBootstrap) {
-      TryCpuProvisioning(s);
-      why = "bootstrap";
+      // No replica at all is trivially saturated.
+      Provision(s, ActionKind::kCpuProvision, "CPU saturation: ",
+                /*count_servers=*/true, d);
     } else if (verdict == Verdict::kViolation) {
-      why = HandleViolation(s);
+      HandleViolation(s, tick, d);
     }
-    EndViolationScope(why);
+    d.actions.assign(actions_.begin() + first, actions_.end());
+    if (Tracing()) {
+      for (const TraceEvent& event : RenderDecision(d)) trace_->Emit(event);
+    }
+    for (EngineDiagnosis& e : d.engines) {
+      if (e.candidates > 0) diagnoses_.push_back(std::move(e));
+    }
   }
 
   for (const auto& server : resources_->servers()) {
@@ -526,49 +301,81 @@ void SelectiveRetuner::Tick() {
   if (tick_us_ != nullptr) tick_us_->Record(MicrosSince(tick_start));
 }
 
-const char* SelectiveRetuner::HandleViolation(Scheduler* scheduler) {
+Decision SelectiveRetuner::OpenDecision(
+    Scheduler* scheduler, const Scheduler::IntervalReport& report,
+    Verdict verdict, double end_interval_us, const TickContext& tick) {
   const AppId app = scheduler->app().id;
-  low_confidence_suppressed_ = false;
-  if (!config_.enable_actions) {
-    // Monitoring only: run the diagnosis for the record, change nothing.
-    TryMemoryRetuning(scheduler, /*act=*/false);
-    return "monitoring";
+  Decision d{.t = sim_->Now(),
+             .app = app,
+             .verdict = verdict,
+             .monitoring = !config_.enable_actions,
+             .coarse_only = !config_.enable_fine_grained,
+             .queries = report.queries,
+             .avg_latency = report.avg_latency,
+             .p95_latency = report.p95_latency,
+             .throughput = report.throughput,
+             .sla_met = report.sla_met,
+             .streak = state_.apps[app].violation_streak,
+             .servers_used = resources_->ServersUsedBy(*scheduler),
+             .end_interval_us = end_interval_us};
+  for (Replica* r : scheduler->replicas()) {
+    const auto it = tick.feeds.find(r);
+    if (it == tick.feeds.end()) continue;
+    d.stats_conf = std::min(d.stats_conf, it->second.confidence);
+    if (!it->second.fresh) ++d.stale_replicas;
   }
-  if (config_.enable_fine_grained) {
-    if (TryCpuProvisioning(scheduler)) return "no_action";
+  if (spans_ != nullptr) spans_->RecordPhase("sla", app, d.t);
+  return d;
+}
+
+void SelectiveRetuner::HandleViolation(Scheduler* scheduler, TickContext& tick,
+                                       Decision& d) {
+  if (d.monitoring) {
+    // Monitoring only: run the diagnosis for the record, change nothing.
+    MemoryRung(scheduler, tick, /*act=*/false, d);
+    return;
+  }
+  if (!d.coarse_only) {
+    if (std::ranges::any_of(scheduler->replicas(), [](Replica* r) {
+          return r->server().CpuUtilization() >= kCpuSaturationThreshold;
+        })) {
+      Provision(scheduler, ActionKind::kCpuProvision, "CPU saturation: ",
+                /*count_servers=*/true, d);
+    }
+    if (d.Acted()) return;
     // Graceful degradation: with no per-class statistics for this app
     // at all (stats-collector dropout, or every serving replica gone),
     // the fine-grained cascade — and the coarse fallback it escalates
     // to — would be reasoning about nothing. Skip with a reason; the
     // next interval with data resumes the cascade.
-    const bool have_stats =
-        std::ranges::any_of(scheduler->replicas(), [&](Replica* r) {
-          const auto feed = feeds_.find(r);
-          if (feed == feeds_.end()) return false;
-          const StatsChannel::Snapshot& snap = *feed->second.snapshot;
-          const auto first = snap.lower_bound(MakeClassKey(app, 0));
-          return first != snap.end() && AppOf(first->first) == app;
-        });
-    if (!have_stats) {
+    d.no_stats = std::ranges::none_of(scheduler->replicas(), [&](Replica* r) {
+      const auto feed = tick.feeds.find(r);
+      if (feed == tick.feeds.end()) return false;
+      const StatsChannel::Snapshot& snap = *feed->second.snapshot;
+      const auto first = snap.lower_bound(MakeClassKey(d.app, 0));
+      return first != snap.end() && AppOf(first->first) == d.app;
+    });
+    if (d.no_stats) {
       Count("controller.skipped.no_stats");
-      return "no_stats";
+      return;
     }
-    if (TryMemoryRetuning(scheduler) || TryIoRetuning(scheduler)) {
-      return "no_action";
-    }
+    MemoryRung(scheduler, tick, /*act=*/true, d);
+    if (!d.Acted()) IoRung(scheduler, tick, d);
+    if (d.Acted()) return;
   }
-  if (state_.apps[app].violation_streak >= kCoarseFallbackAfter) {
+  if (state_.apps[d.app].violation_streak >= kCoarseFallbackAfter) {
     CoarseFallback(scheduler);
   }
-  if (!config_.enable_fine_grained) return "coarse_only";
-  return low_confidence_suppressed_ ? "low_confidence" : "no_action";
 }
 
-bool SelectiveRetuner::Provision(Scheduler* scheduler, ActionKind kind,
-                                 const std::string& why, bool count_servers) {
+void SelectiveRetuner::Provision(Scheduler* scheduler, ActionKind kind,
+                                 const std::string& why, bool count_servers,
+                                 Decision& d) {
+  Proposal& p = d.proposals.emplace_back();
   Replica* fresh =
       resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
-  if (fresh == nullptr) return false;  // pool exhausted
+  if (fresh == nullptr) return;  // pool exhausted
+  p.committed = true;
   const AppId app = scheduler->app().id;
   NoteTopologyChange(app);
   std::string description = why + "provisioned " + fresh->name() + " on " +
@@ -579,28 +386,15 @@ bool SelectiveRetuner::Provision(Scheduler* scheduler, ActionKind kind,
                    " servers)";
   }
   Log(kind, app, std::move(description));
-  return true;
 }
 
-bool SelectiveRetuner::TryCpuProvisioning(Scheduler* scheduler) {
-  // An application with no replicas at all is trivially saturated.
-  const bool saturated =
-      scheduler->replicas().empty() ||
-      std::ranges::any_of(scheduler->replicas(), [this](Replica* r) {
-        return r->server().CpuUtilization() >= kCpuSaturationThreshold;
-      });
-  return saturated && Provision(scheduler, ActionKind::kCpuProvision,
-                                "CPU saturation: ", /*count_servers=*/true);
-}
-
-bool SelectiveRetuner::TryMemoryRetuning(Scheduler* scheduler, bool act) {
-  const AppId app = scheduler->app().id;
-  bool acted = false;
+void SelectiveRetuner::MemoryRung(Scheduler* scheduler, TickContext& tick,
+                                  bool act, Decision& d) {
   // Copy: dedications may mutate the replica list mid-loop.
   const std::vector<Replica*> app_replicas = scheduler->replicas();
   for (Replica* r : app_replicas) {
-    const auto feed = feeds_.find(r);
-    if (feed == feeds_.end()) continue;
+    const auto feed = tick.feeds.find(r);
+    if (feed == tick.feeds.end()) continue;
     const StatsChannel::Snapshot& snap = *feed->second.snapshot;
     const double confidence = feed->second.confidence;
     LogAnalyzer& analyzer = AnalyzerFor(r);
@@ -610,75 +404,61 @@ bool SelectiveRetuner::TryMemoryRetuning(Scheduler* scheduler, bool act) {
     // no baseline to compare against, and flagging its classes as "new"
     // would be noise.
     if (std::ranges::none_of(analyzer.stable_store().Keys(),
-                             [app](ClassKey k) { return AppOf(k) == app; })) {
+                             [&d](ClassKey k) { return AppOf(k) == d.app; })) {
       continue;
     }
 
-    // 4a. Outlier contexts over this app's classes on this engine.
-    // Decayed confidence widens the fences: a snapshot that may be
-    // stale must look a lot more anomalous before it names suspects.
-    const OutlierReport outliers =
-        analyzer.DetectOutliers(app, snap, channel_.FenceScale(confidence));
-    if (spans_ != nullptr && scope_.active) {
-      spans_->RecordPhase("impact", app, sim_->Now());
-      spans_->RecordPhase("iqr", app, sim_->Now());
+    // Outlier contexts over this app's classes on this engine. Decayed
+    // confidence widens the fences: a snapshot that may be stale must
+    // look a lot more anomalous before it names suspects.
+    EngineDiagnosis& e = d.engines.emplace_back(
+        EngineDiagnosis{.time = d.t, .app = d.app, .replica_id = r->id()});
+    e.outliers =
+        analyzer.DetectOutliers(d.app, snap, channel_.FenceScale(confidence));
+    if (spans_ != nullptr) {
+      spans_->RecordPhase("impact", d.app, d.t);
+      spans_->RecordPhase("iqr", d.app, d.t);
+      if (Tracing()) e.wait_profile = spans_->WaitProfileJson(d.app);
     }
-    if (Tracing() && scope_.active) {
-      TraceOutlierPhases(app, r->id(), outliers);
-    }
-    std::set<ClassKey> candidates = outliers.MemoryProblemContexts();
-    for (ClassKey key : outliers.new_classes) candidates.insert(key);
-
-    // 4b. No outliers: fall back to the top-k heavyweight classes in
-    // memory metrics.
-    if (candidates.empty()) {
-      std::vector<std::pair<double, ClassKey>> heavy;
-      for (const auto& [key, vec] : snap) {
-        if (AppOf(key) != app) continue;
-        heavy.emplace_back(At(vec, Metric::kBufferMisses), key);
-      }
-      std::sort(heavy.rbegin(), heavy.rend());
-      for (size_t i = 0; i < std::min(kTopKFallback, heavy.size()); ++i) {
-        if (heavy[i].first > 0) candidates.insert(heavy[i].second);
-      }
-    }
-
-    // 4c. Newly added classes of *other* applications sharing this
-    // engine are potential problem classes too (§5.4: the RUBiS classes
-    // that just arrived in TPC-W's buffer pool).
-    for (const auto& [key, vec] : snap) {
-      if (AppOf(key) != app && analyzer.StableParamsOf(key) == nullptr) {
-        candidates.insert(key);
-      }
-    }
+    const std::set<ClassKey> candidates =
+        MemoryCandidates(d.app, e.outliers, snap, [&analyzer](ClassKey key) {
+          return analyzer.StableParamsOf(key) != nullptr;
+        });
     if (candidates.empty()) continue;
 
     // 4d. MRC recomputation narrows candidates to true suspects.
     const auto mrc_start = std::chrono::steady_clock::now();
-    LogAnalyzer::MemoryDiagnosis diagnosis =
-        analyzer.DiagnoseMemory(candidates);
-    if (spans_ != nullptr && scope_.active) {
-      spans_->RecordPhase("mrc", app, sim_->Now());
+    e.memory = analyzer.DiagnoseMemory(candidates);
+    e.mrc_us = MicrosSince(mrc_start);
+    e.candidates = candidates.size();
+    if (spans_ != nullptr) spans_->RecordPhase("mrc", d.app, d.t);
+    for (const auto* profiles : {&e.memory.suspects, &e.memory.cleared}) {
+      for (const ClassMemoryProfile& p : *profiles) {
+        if (const MrcParameters* stable = analyzer.StableParamsOf(p.key)) {
+          e.stable.emplace(p.key, *stable);
+        }
+      }
     }
-    if (Tracing() && scope_.active) {
-      TraceMrcPhase(app, r, MicrosSince(mrc_start), candidates.size(),
-                    diagnosis);
+    const TieredBufferPool* tier2 = r->engine().tier2();
+    if (tier2 != nullptr) {
+      e.tier2 = TierView{tier2->capacity(), tier2->resident_pages(),
+                         tier2->config().read_us};
     }
-    diagnoses_.push_back({sim_->Now(), app, r->id(), outliers, diagnosis});
-    // The diagnosis is recorded either way; a stale feed drives no
-    // quota, demote or migration.
-    if (!act || !Admit({GateRequest::kEvidence, 0, confidence})) continue;
-    if (diagnosis.suspects.empty()) continue;
+    // Rule 5: the evidence gate runs once per diagnosed engine, before
+    // planning. The diagnosis is recorded either way; a stale feed
+    // drives no quota, demote or migration.
+    if (!act) continue;
+    e.evidence = Admit({GateRequest::kEvidence, 0, confidence});
+    if (e.evidence != Hold::kNone || e.memory.suspects.empty()) continue;
 
     std::set<ClassKey> suspect_keys;
-    for (const auto& p : diagnosis.suspects) suspect_keys.insert(p.key);
+    for (const auto& p : e.memory.suspects) suspect_keys.insert(p.key);
     const std::vector<ClassMemoryProfile> others =
         analyzer.StableProfilesExcept(suspect_keys);
 
     // 4e. Quota fit test and plan. Engines backed by a second tier
     // plan (dram, tier2) quota pairs against the blended latency model
     // — the demote rung; tierless engines keep the DRAM-only fit test.
-    const TieredBufferPool* tier2 = r->engine().tier2();
     QuotaPlan plan;
     if (tier2 != nullptr) {
       TierCostModel cost;
@@ -686,88 +466,69 @@ bool SelectiveRetuner::TryMemoryRetuning(Scheduler* scheduler, bool act) {
       cost.t_disk_us =
           r->engine().disk_model().random_read_seconds * 1e6;
       plan = planner_.PlanTiered(r->engine().pool().capacity(),
-                                 tier2->capacity(), diagnosis.suspects,
-                                 others, cost);
+                                 tier2->capacity(), e.memory.suspects, others,
+                                 cost);
     } else {
-      plan = planner_.Plan(r->engine().pool().capacity(),
-                           diagnosis.suspects, others);
+      plan = planner_.Plan(r->engine().pool().capacity(), e.memory.suspects,
+                           others);
     }
-    if (plan.placement_fits) {
-      // The pool can hold everyone's working set, but a scan-style
-      // suspect still pollutes it: prefetched extents evict other
-      // classes' pages while contributing nothing to the scan's own
-      // reuse (its MRC is flat). Contain such classes with a small
-      // fixed quota — the paper's §5.3 action for the unindexed
-      // BestSeller.
-      for (const auto& suspect : diagnosis.suspects) {
-        if (!Admit({GateRequest::kQuota, suspect.key, confidence})) continue;
-        auto vec_it = snap.find(suspect.key);
-        if (vec_it == snap.end()) continue;
-        if (At(vec_it->second, Metric::kReadAheads) < 10) continue;
-        const uint64_t quota =
-            std::max(suspect.params.acceptable_memory_pages,
-                     planner_.min_quota_pages());
-        if (!r->engine().SetQuota(suspect.key, quota)) continue;
-        analyzer.AdoptRecomputation(suspect.key);
-        NoteTopologyChange(AppOf(suspect.key));
-        Log(ActionKind::kQuotaEnforced, AppOf(suspect.key),
-            "scan pollution: containment quota " + std::to_string(quota) +
-                " pages for " + ClassLabel(suspect.key) + " on " + r->name());
-        acted = true;
+    std::vector<Proposal> proposals =
+        ProposeMemory(e.memory, plan, snap, planner_.min_quota_pages());
+    // Rule 1: one plan is one coherent decision. Its quotas are gated
+    // together on the state before any applies, so the first quota's
+    // warmup (its owner app's topology changed) cannot block the rest of
+    // the plan — notably a demote paired behind another class's quota.
+    for (Proposal& p : proposals) {
+      if (p.kind == Proposal::kQuota) {
+        p.hold = Admit({GateRequest::kQuota, p.key, confidence});
       }
-      continue;
     }
-    // Even when the plan is flagged infeasible (this engine cannot
-    // satisfy everyone no matter what), its reschedules are still the
-    // right first step; the streak-based coarse fallback catches
-    // whatever remains.
-
-    // One plan is one coherent decision: gate every quota before
-    // applying any, so enforcing the first class's quota (which starts
-    // the owner app's warmup) cannot block the rest of the same plan —
-    // notably a demote paired behind another class's quota.
-    std::vector<bool> admitted;
-    for (const auto& [key, pages] : plan.quotas) {
-      admitted.push_back(Admit({GateRequest::kQuota, key, confidence}));
-    }
-    size_t next = 0;
-    for (const auto& [key, pages] : plan.quotas) {
-      if (!admitted[next++] || !r->engine().SetQuota(key, pages)) continue;
-      analyzer.AdoptRecomputation(key);
-      NoteTopologyChange(AppOf(key));
-      // Demote rung: the plan pairs the DRAM cap with a tier-2 quota
-      // for the working-set overflow — cheaper than migrating the
-      // class off the engine. A tier quota the pool cannot grant
-      // degrades to the plain DRAM quota action.
-      const auto tier_it = plan.tier2_quotas.find(key);
-      if (tier_it != plan.tier2_quotas.end() &&
-          r->engine().SetTierQuota(key, tier_it->second)) {
-        Log(ActionKind::kDemote, AppOf(key),
-            "memory interference: demoted " + ClassLabel(key) + " to " +
-                std::to_string(pages) + " dram + " +
-                std::to_string(tier_it->second) + " tier2 pages on " +
-                r->name());
+    for (Proposal& p : proposals) {
+      if (p.kind == Proposal::kReschedule) {
+        TryMove(p, r, confidence,
+                *std::ranges::find(e.memory.suspects, p.key,
+                                   &ClassMemoryProfile::key),
+                tick);
       } else {
-        Log(ActionKind::kQuotaEnforced, AppOf(key),
-            "memory interference: quota " + std::to_string(pages) +
-                " pages for " + ClassLabel(key) + " on " + r->name());
+        // Rule 2: containment quotas are gated one at a time, each on
+        // the state the previous one left.
+        if (p.kind == Proposal::kContainment) {
+          p.hold = Admit({GateRequest::kQuota, p.key, confidence});
+        }
+        p.committed = p.hold == Hold::kNone && ApplyQuota(r, analyzer, p);
       }
-      acted = true;
-    }
-    for (ClassKey key : plan.reschedule) {
-      const auto profile = std::ranges::find(diagnosis.suspects, key,
-                                             &ClassMemoryProfile::key);
-      if (profile != diagnosis.suspects.end() &&
-          TryMove(key, r, ActionKind::kClassRescheduled, *profile)) {
-        acted = true;
-      }
+      d.proposals.push_back(std::move(p));
     }
   }
-  return acted;
 }
 
-bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
-  bool acted = false;
+bool SelectiveRetuner::ApplyQuota(Replica* r, LogAnalyzer& analyzer,
+                                  const Proposal& p) {
+  if (!r->engine().SetQuota(p.key, p.pages)) return false;
+  analyzer.AdoptRecomputation(p.key);
+  NoteTopologyChange(AppOf(p.key));
+  const std::string pages = std::to_string(p.pages);
+  const std::string on = " on " + r->name();
+  if (p.kind == Proposal::kContainment) {
+    Log(ActionKind::kQuotaEnforced, AppOf(p.key),
+        "scan pollution: containment quota " + pages + " pages for " +
+            ClassLabel(p.key) + on);
+  } else if (p.tier2_pages && r->engine().SetTierQuota(p.key, *p.tier2_pages)) {
+    Log(ActionKind::kDemote, AppOf(p.key),
+        "memory interference: demoted " + ClassLabel(p.key) + " to " + pages +
+            " dram + " + std::to_string(*p.tier2_pages) + " tier2 pages" + on);
+  } else {
+    // A tier quota the pool cannot grant degrades to the plain DRAM
+    // quota action.
+    Log(ActionKind::kQuotaEnforced, AppOf(p.key),
+        "memory interference: quota " + pages + " pages for " +
+            ClassLabel(p.key) + on);
+  }
+  return true;
+}
+
+void SelectiveRetuner::IoRung(Scheduler* scheduler, TickContext& tick,
+                              Decision& d) {
   std::set<const PhysicalServer*> visited;
   const std::vector<Replica*> app_replicas = scheduler->replicas();
   for (Replica* r : app_replicas) {
@@ -776,54 +537,32 @@ bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
     const double io_util = server->IoUtilization();
     if (io_util < kIoSaturationThreshold) continue;
 
-    // Estimate each class's utilization contribution from its share of
-    // I/O block requests on this server (all engines, all apps).
-    std::map<ClassKey, double> rates;
-    double total_requests = 0;
+    // Each class's I/O block requests on this server (all engines, all
+    // apps).
+    std::map<ClassKey, double> requests;
     for (Replica* rr : resources_->ReplicasOn(server)) {
-      const auto feed = feeds_.find(rr);
-      if (feed == feeds_.end()) continue;
+      const auto feed = tick.feeds.find(rr);
+      if (feed == tick.feeds.end()) continue;
       for (const auto& [key, vec] : *feed->second.snapshot) {
-        const double requests = At(vec, Metric::kIoRequests);
-        rates[key] += requests;
-        total_requests += requests;
+        requests[key] += At(vec, Metric::kIoRequests);
       }
     }
-    if (total_requests <= 0) continue;
-    double top_rate = 0;
-    int significant_classes = 0;
-    for (auto& [key, value] : rates) {
-      value *= io_util / total_requests;
-      top_rate = std::max(top_rate, value);
-      if (value > 0.10 * io_util) ++significant_classes;
-    }
-
-    // Eviction protects the *other* contexts on the server. If only
-    // one class matters here (e.g. an already-isolated heavy class
-    // saturating its own disk), moving it helps nobody.
-    if (significant_classes < 2) continue;
-
-    // Eviction only helps when the I/O is skewed toward a culprit
-    // class. A uniformly loaded channel is a capacity shortage: give
-    // the application another replica instead.
-    if (top_rate / io_util < kIoSkewShare) {
-      if (Provision(scheduler, ActionKind::kIoProvision,
-                    "I/O saturation on " + server->name() + " (unskewed): ",
-                    /*count_servers=*/false)) {
-        acted = true;
-      }
+    const IoChoice choice = ChooseIo(requests, io_util);
+    if (choice.replica) {
+      Provision(scheduler, ActionKind::kIoProvision,
+                "I/O saturation on " + server->name() + " (unskewed): ",
+                /*count_servers=*/false, d);
       continue;
     }
-
-    // Skewed: move the heaviest movable class off this server (one per
-    // server per interval; the next interval re-evaluates).
-    for (ClassKey key :
-         PlanIoEviction(rates, io_util, kIoTargetUtilization)) {
+    // Rule 4: a saturated server gets at most one started eviction per
+    // interval (the next interval re-evaluates).
+    for (ClassKey key : choice.evict) {
       // The replica on this server currently running the class.
       Replica* source = nullptr;
       for (Replica* rr : resources_->ReplicasOn(server)) {
-        const auto feed = feeds_.find(rr);
-        if (feed != feeds_.end() && feed->second.snapshot->contains(key)) {
+        const auto feed = tick.feeds.find(rr);
+        if (feed != tick.feeds.end() &&
+            feed->second.snapshot->contains(key)) {
           source = rr;
         }
       }
@@ -834,13 +573,12 @@ bool SelectiveRetuner::TryIoRetuning(Scheduler* scheduler) {
               AnalyzerFor(source).StableParamsOf(key)) {
         incoming.params = *stable;
       }
-      if (TryMove(key, source, ActionKind::kIoEviction, incoming)) {
-        acted = true;
-        break;  // one eviction per server per interval
-      }
+      Proposal& p = d.proposals.emplace_back(
+          Proposal{.kind = Proposal::kEviction, .key = key});
+      TryMove(p, source, tick.feeds.at(source).confidence, incoming, tick);
+      if (p.committed) break;
     }
   }
-  return acted;
 }
 
 Scheduler* SelectiveRetuner::OwnerOf(AppId app) const {
@@ -889,41 +627,46 @@ Replica* SelectiveRetuner::FindPlacementTarget(
   return resources_->ProvisionReplica(scheduler, config_.replica_pool_pages);
 }
 
-bool SelectiveRetuner::TryMove(ClassKey key, Replica* source, ActionKind kind,
-                               const ClassMemoryProfile& profile) {
-  Scheduler* owner = OwnerOf(AppOf(key));
-  if (owner == nullptr ||
-      !Admit({GateRequest::kMove, key, feeds_.at(source).confidence,
-              migrations_this_interval_})) {
-    return false;
-  }
+void SelectiveRetuner::TryMove(Proposal& p, Replica* source, double confidence,
+                               const ClassMemoryProfile& profile,
+                               TickContext& tick) {
+  // Rule 3: a move is gated before its target search (a blocked move
+  // provisions nothing); it counts against the interval's budget and
+  // enters the in-flight set only once a target is found.
+  Scheduler* owner = OwnerOf(AppOf(p.key));
+  if (owner == nullptr) return;
+  p.hold = Admit({GateRequest::kMove, p.key, confidence, tick.moves_started});
+  if (p.hold != Hold::kNone) return;
   Replica* target = FindPlacementTarget(owner, source, profile);
-  if (target == nullptr) return false;
+  if (target == nullptr) return;
+  const ActionKind kind = p.kind == Proposal::kEviction
+                              ? ActionKind::kIoEviction
+                              : ActionKind::kClassRescheduled;
   std::string description;
   if (kind == ActionKind::kIoEviction) {
     // Moving the class only helps if the destination channel has
     // headroom; shuffling between two saturated disks is thrash.
     if (&target->server() == &source->server() ||
         target->server().IoUtilization() >= kIoSaturationThreshold) {
-      return false;
+      return;
     }
     description = "I/O interference on " + source->server().name() +
-                  ": moved " + ClassLabel(key) + " to " + target->name();
+                  ": moved " + ClassLabel(p.key) + " to " + target->name();
   } else {
-    description = "memory interference: rescheduled " + ClassLabel(key) +
+    description = "memory interference: rescheduled " + ClassLabel(p.key) +
                   " from " + source->name() + " to " + target->name();
   }
-  ++migrations_this_interval_;
+  p.committed = true;
+  ++tick.moves_started;
   ++migration_stats_.started;
-  state_.in_flight.insert(key);
-  AttemptMigration({.key = key,
+  state_.in_flight.insert(p.key);
+  AttemptMigration({.key = p.key,
                     .source_id = source->id(),
                     .target_id = target->id(),
                     .kind = kind,
                     .description = std::move(description),
                     .profile = profile,
                     .started = sim_->Now()});
-  return true;
 }
 
 void SelectiveRetuner::AttemptMigration(PendingMigration m) {
@@ -941,34 +684,36 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
   const auto outcome = migration_interceptor_
                            ? migration_interceptor_(m.key, m.attempt)
                            : FaultInjector::MigrationDecision{};
+  // A later step runs outside every interval's decision, so it traces
+  // the actions it logs itself. One armed before a controller crash
+  // must not fire into the restarted controller: the checkpoint already
+  // converted the migration into a placement cooldown.
+  auto later = [this](double delay, auto step) {
+    sim_->ScheduleAfter(delay, [this, epoch = epoch_, step = std::move(step)] {
+      if (epoch != epoch_) return;
+      const size_t first = actions_.size();
+      step();
+      TraceActions(first);
+    });
+  };
   if (outcome.fail) {
     ++migration_stats_.failed_attempts;
     Count("controller.migration.retries");
     const double backoff = kMigrationRetryBackoffSeconds *
                            std::ldexp(1.0, m.attempt - 1);
-    const uint64_t epoch = epoch_;
-    sim_->ScheduleAfter(backoff, [this, epoch, m = std::move(m)] {
-      // A retry armed before a controller crash must not fire into the
-      // restarted controller: the checkpoint already converted the
-      // migration into a placement cooldown.
-      if (epoch != epoch_) return;
-      AttemptMigration(m);
-    });
+    later(backoff, [this, m = std::move(m)] { AttemptMigration(m); });
     return;
   }
   if (outcome.delay_seconds > 0) {
     ++migration_stats_.delayed;
     Count("controller.migration.delayed");
-    const uint64_t epoch = epoch_;
-    sim_->ScheduleAfter(
-        outcome.delay_seconds, [this, epoch, m = std::move(m)] {
-          if (epoch != epoch_) return;
-          if (sim_->Now() - m.started > kMigrationTimeoutSeconds) {
-            AbandonMigration(m, "timeout");
-          } else if (!ApplyMigration(m)) {
-            AbandonMigration(m, "target_lost");
-          }
-        });
+    later(outcome.delay_seconds, [this, m = std::move(m)] {
+      if (sim_->Now() - m.started > kMigrationTimeoutSeconds) {
+        AbandonMigration(m, "timeout");
+      } else if (!ApplyMigration(m)) {
+        AbandonMigration(m, "target_lost");
+      }
+    });
     return;
   }
   if (!ApplyMigration(m)) AbandonMigration(m, "target_lost");

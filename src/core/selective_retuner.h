@@ -14,6 +14,7 @@
 #include "common/metrics_registry.h"
 #include "common/trace_log.h"
 #include "core/control_state.h"
+#include "core/decision.h"
 #include "core/log_analyzer.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
@@ -38,8 +39,12 @@ class SpanTracer;
 //   still failing         -> coarse-grained fallback: new replicas and
 //                            application isolation
 //
-// Every decision is appended to an action log and every interval to a
-// sample series, which the benchmarks print as the paper's figures.
+// Each rung's choice comes from the pure decision core
+// (core/decision.h); this class gathers its evidence, gates and commits
+// what it proposes, and records each violating interval as a Decision
+// whose rendering is the interval's trace. Every action is appended to
+// an action log and every interval to a sample series, which the
+// benchmarks print as the paper's figures.
 class SelectiveRetuner {
  public:
   // A class placed on a new replica is not moved again for this many
@@ -78,28 +83,8 @@ class SelectiveRetuner {
     TraceLog* trace = nullptr;
   };
 
-  enum class ActionKind {
-    kCpuProvision,
-    kIoProvision,
-    kCpuRelease,
-    kQuotaEnforced,
-    kClassRescheduled,
-    kIoEviction,
-    kCoarseFallback,
-    // Cheapest memory rung on tiered engines: cap the class's DRAM
-    // quota and give its working-set overflow a tier-2 quota instead
-    // of migrating it. Appended last — captures persist the kind as a
-    // small integer.
-    kDemote,
-  };
-
-  struct Action {
-    SimTime time = 0;
-    ActionKind kind = ActionKind::kCpuProvision;
-    AppId app = 0;
-    std::string description;
-    bool operator==(const Action&) const = default;
-  };
+  using ActionKind = fglb::ActionKind;
+  using Action = fglb::Action;
 
   struct AppSample {
     AppId app = 0;
@@ -123,16 +108,10 @@ class SelectiveRetuner {
     std::vector<ServerSample> servers;
   };
 
-  // One memory-diagnosis pass, recorded for inspection: the outlier
-  // report the violating interval produced on one engine, and the MRC
-  // verdict per candidate.
-  struct DiagnosisRecord {
-    SimTime time = 0;
-    AppId app = 0;
-    int replica_id = -1;
-    OutlierReport outliers;
-    LogAnalyzer::MemoryDiagnosis memory;
-  };
+  // One memory-diagnosis pass, recorded for inspection: the engine's
+  // record from its interval's Decision — the outlier report, the MRC
+  // verdict per candidate, the baselines it was judged against.
+  using DiagnosisRecord = EngineDiagnosis;
 
   SelectiveRetuner(Simulator* sim, ResourceManager* resources, Config config);
   SelectiveRetuner(const SelectiveRetuner&) = delete;
@@ -226,25 +205,42 @@ class SelectiveRetuner {
   };
   const MigrationStats& migration_stats() const { return migration_stats_; }
 
-  static const char* ActionKindName(ActionKind kind);
+  static const char* ActionKindName(ActionKind kind) {
+    return fglb::ActionKindName(kind);
+  }
 
  private:
-  // Returns the reason the interval acted on nothing ("monitoring",
-  // "coarse_only", "no_stats", "no_action", "low_confidence"); used as
-  // the skip-with-reason `why` when the scope closes without actions.
-  const char* HandleViolation(Scheduler* scheduler);
-  bool TryCpuProvisioning(Scheduler* scheduler);
+  // What one tick's cascades share across applications: every replica's
+  // telemetry (fresh or last-known-good snapshot, staleness,
+  // confidence) and the re-placements started so far.
+  struct TickContext {
+    std::map<Replica*, StatsChannel::Feed> feeds;
+    int moves_started = 0;
+  };
+
+  // The cascade of one violating interval (§3.2): each rung gathers its
+  // evidence, takes its choice from the decision core, gates and
+  // commits it, and records it in `d`.
+  Decision OpenDecision(Scheduler* scheduler,
+                        const Scheduler::IntervalReport& report,
+                        Verdict verdict, double end_interval_us,
+                        const TickContext& tick);
+  void HandleViolation(Scheduler* scheduler, TickContext& tick, Decision& d);
   // `act` false = diagnose and record only (monitoring mode).
-  bool TryMemoryRetuning(Scheduler* scheduler, bool act = true);
-  bool TryIoRetuning(Scheduler* scheduler);
+  void MemoryRung(Scheduler* scheduler, TickContext& tick, bool act,
+                  Decision& d);
+  void IoRung(Scheduler* scheduler, TickContext& tick, Decision& d);
   void CoarseFallback(Scheduler* scheduler);
   void MaybeRelease(Scheduler* scheduler);
 
   // Provisions a replica for `scheduler`, opens its app's warmup window
   // and logs `kind` as `why` + "provisioned R on S" (+ the new server
   // count when `count_servers`).
-  bool Provision(Scheduler* scheduler, ActionKind kind, const std::string& why,
-                 bool count_servers);
+  void Provision(Scheduler* scheduler, ActionKind kind, const std::string& why,
+                 bool count_servers, Decision& d);
+  // The one quota path: a containment quota, a plan's quota or a
+  // demote on `r`. False when the engine refused the DRAM quota.
+  bool ApplyQuota(Replica* r, LogAnalyzer& analyzer, const Proposal& p);
   // Finds (or provisions) a replica of `scheduler`'s app, other than
   // `avoid`, that passes the acceptable-memory fit test for `incoming`.
   Replica* FindPlacementTarget(Scheduler* scheduler, Replica* avoid,
@@ -255,10 +251,9 @@ class SelectiveRetuner {
   bool SharedWithOthers(const Scheduler* scheduler, Replica* r,
                         bool same_server) const;
 
-  // The placement gate over the live control state, plus its
-  // bookkeeping: a low-confidence hold marks the interval
-  // why="low_confidence", a budget hold counts a deferred migration.
-  bool Admit(const GateRequest& request);
+  // The placement gate over the live control state, counting the
+  // low-confidence and budget holds.
+  Hold Admit(const GateRequest& request);
   ControlPolicy Policy() const;
 
   // --- migration state machine ---
@@ -276,10 +271,10 @@ class SelectiveRetuner {
     SimTime started = 0;
     int attempt = 0;
   };
-  // The one move path (memory reschedule and I/O eviction): owner
-  // lookup, gate, target search, start. True when the move started.
-  bool TryMove(ClassKey key, Replica* source, ActionKind kind,
-               const ClassMemoryProfile& profile);
+  // The one move path (memory reschedule and I/O eviction) for `p` off
+  // `source`: gate, target search, start. Sets p.hold and p.committed.
+  void TryMove(Proposal& p, Replica* source, double confidence,
+               const ClassMemoryProfile& profile, TickContext& tick);
   void AttemptMigration(PendingMigration m);
   bool ApplyMigration(const PendingMigration& m);
   void AbandonMigration(const PendingMigration& m, const char* why);
@@ -288,31 +283,13 @@ class SelectiveRetuner {
   // epoch, so a stranded callback fires once and does nothing.
   void ArmTicker();
 
+  // Records an action: the action log, a span mark, a per-kind counter.
+  // A violating interval traces its actions by rendering its Decision;
+  // other callers trace theirs with TraceActions(first logged index).
   void Log(ActionKind kind, AppId app, std::string description);
+  void TraceActions(size_t first);
   void Count(const std::string& counter);
-
-  // --- decision tracing ---
-  // A violating interval opens a scope (emitting the "sla" event); the
-  // cascade emits "impact"/"iqr"/"mrc" events as those phases run;
-  // closing the scope back-fills skipped:true events for phases that
-  // never ran and then emits the interval's "action" events (deferred
-  // so phase order in the trace is always sla, impact, iqr, mrc,
-  // action) — or a single kind:"none" action carrying `why` when the
-  // interval acted on nothing.
-  void BeginViolationScope(Scheduler* scheduler,
-                           const Scheduler::IntervalReport& report,
-                           double end_interval_us);
-  void EndViolationScope(const char* why);
   bool Tracing() const { return trace_ != nullptr && trace_->enabled(); }
-  void TraceOutlierPhases(AppId app, int replica_id,
-                          const OutlierReport& report);
-  // A tiered engine adds its second-tier state to the event
-  // (tier2_pages/tier2_resident/tier2_read_us); tierless traces are
-  // byte-identical to before the tier existed.
-  void TraceMrcPhase(AppId app, Replica* replica, double dur_us,
-                     size_t candidates,
-                     const LogAnalyzer::MemoryDiagnosis& diagnosis);
-  void EmitActionEvent(const Action& action);
 
   void NoteTopologyChange(AppId app) {
     state_.apps[app].topology_changed_at = sim_->Now();
@@ -332,32 +309,17 @@ class SelectiveRetuner {
   std::vector<DiagnosisRecord> diagnoses_;
   bool started_ = false;
   MigrationStats migration_stats_;
-  int migrations_this_interval_ = 0;
 
   StatsChannel channel_;
-  // This tick's view of every replica's telemetry (fresh or
-  // last-known-good snapshot, staleness, confidence), rebuilt each tick.
-  std::map<Replica*, StatsChannel::Feed> feeds_;
   // Bumped by Stop(): scheduled callbacks capture the epoch they were
   // armed under and no-op if the controller crashed since.
   uint64_t epoch_ = 0;
-  // Set while a violation's actions were withheld for stale telemetry;
-  // the scope closes with why="low_confidence" instead of "no_action".
-  bool low_confidence_suppressed_ = false;
 
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   SpanTracer* spans_ = nullptr;
   LatencyHistogram* tick_us_ = nullptr;
   Counter* violations_ = nullptr;
-  struct ViolationScope {
-    bool active = false;
-    AppId app = 0;
-    bool outliers_emitted = false;  // impact + iqr
-    bool mrc_emitted = false;
-    size_t actions_before = 0;
-  };
-  ViolationScope scope_;
 };
 
 }  // namespace fglb

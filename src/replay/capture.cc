@@ -178,6 +178,13 @@ bool DecodeEvents(Reader& r, uint64_t* prev_time_bits, Capture* out) {
 
 }  // namespace
 
+std::string EncodeSamples(
+    const std::vector<SelectiveRetuner::IntervalSample>& samples) {
+  std::string out;
+  EncodeSamples(samples, &out);
+  return out;
+}
+
 // --- CaptureWriter ---
 
 CaptureWriter::CaptureWriter(Simulator* sim) : sim_(sim) {

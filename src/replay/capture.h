@@ -119,6 +119,11 @@ class CaptureWriter : public ArrivalRecorder, public ExecutionRecorder {
   bool failed_ = false;
 };
 
+// The samples block's payload for `samples`: every double as its
+// IEEE-754 bits, so equal encodings mean bit-identical series.
+std::string EncodeSamples(
+    const std::vector<SelectiveRetuner::IntervalSample>& samples);
+
 // Loads a capture file written by CaptureWriter. Returns false with a
 // one-line message in *error on I/O error, version mismatch,
 // truncation, checksum mismatch or trailing garbage; *out is left in

@@ -55,22 +55,28 @@ void FeedArrivals(const Capture* capture, Simulator* sim,
                   uint64_t* fed, size_t index) {
   if (index >= capture->arrivals.size()) return;
   sim->ScheduleAt(capture->arrivals[index].t,
-                  [capture, sim, schedulers, fed, index] {
-    const CaptureArrival& arrival = capture->arrivals[index];
-    auto it = schedulers->find(arrival.app);
-    if (it != schedulers->end()) {
+                  [capture, sim, schedulers, fed, index]() mutable {
+    // Arrivals recorded at one instant were submitted back to back by
+    // one event (a cohort batch): submit them the same way, before any
+    // event their queries schedule.
+    const SimTime t = capture->arrivals[index].t;
+    for (; index < capture->arrivals.size() &&
+           capture->arrivals[index].t == t;
+         ++index) {
+      const CaptureArrival& arrival = capture->arrivals[index];
+      auto it = schedulers->find(arrival.app);
+      if (it == schedulers->end()) continue;
       const QueryTemplate* tmpl = it->second->app().FindTemplate(arrival.cls);
-      if (tmpl != nullptr) {
-        QueryInstance query;
-        query.app = arrival.app;
-        query.tmpl = tmpl;
-        query.client_id = arrival.client_id;
-        query.submit_time = sim->Now();
-        it->second->Submit(query, nullptr);
-        if (fed != nullptr) ++*fed;
-      }
+      if (tmpl == nullptr) continue;
+      QueryInstance query;
+      query.app = arrival.app;
+      query.tmpl = tmpl;
+      query.client_id = arrival.client_id;
+      query.submit_time = sim->Now();
+      it->second->Submit(query, nullptr);
+      if (fed != nullptr) ++*fed;
     }
-    FeedArrivals(capture, sim, schedulers, fed, index + 1);
+    FeedArrivals(capture, sim, schedulers, fed, index);
   });
 }
 
@@ -131,6 +137,14 @@ bool ReplayRunner::Run(std::string* error) {
     if (source_->remaining() > 0) {
       return fail("replay diverged: " + std::to_string(source_->remaining()) +
                   " recorded executions were never consumed");
+    }
+    // The interval series must match bit for bit: --what-if picks its
+    // window from the captured one.
+    const auto& replayed = harness_->retuner().samples();
+    if (EncodeSamples(replayed) != EncodeSamples(capture_->samples)) {
+      return fail("replay diverged: " + std::to_string(replayed.size()) +
+                  " replayed interval samples differ from the " +
+                  std::to_string(capture_->samples.size()) + " captured");
     }
   }
   return true;

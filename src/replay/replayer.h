@@ -71,10 +71,11 @@ std::unique_ptr<ClusterHarness> BuildClusterFromCapture(
     CaptureAccessSource* source, std::string* error);
 
 // Re-submits capture->arrivals[index...] open-loop at their recorded
-// times. Each arrival's event schedules the next, so equal-time
-// arrivals keep their recorded order. Arrivals whose app or class is
-// unknown are skipped; `fed`, if non-null, counts the rest. Every
-// pointer must outlive the simulation run.
+// times. The arrivals recorded at one instant are submitted by one
+// event, in their recorded order — as a cohort batch submitted them
+// live — and that event schedules the next instant's. Arrivals whose
+// app or class is unknown are skipped; `fed`, if non-null, counts the
+// rest. Every pointer must outlive the simulation run.
 void FeedArrivals(const Capture* capture, Simulator* sim,
                   const std::map<AppId, Scheduler*>* schedulers,
                   uint64_t* fed, size_t index = 0);
@@ -91,8 +92,9 @@ class ReplayRunner {
 
   // Feeds every recorded arrival and runs to the captured duration.
   // In strict (non-lenient) mode, fails if any engine had to fall back
-  // to generated accesses or recorded executions went unconsumed —
-  // either means the replay diverged from the live run.
+  // to generated accesses, recorded executions went unconsumed or the
+  // interval samples differ from the captured ones — each means the
+  // replay diverged from the live run.
   bool Run(std::string* error);
 
   ClusterHarness* harness() { return harness_.get(); }

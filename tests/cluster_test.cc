@@ -5,6 +5,7 @@
 #include "cluster/physical_server.h"
 #include "cluster/replica.h"
 #include "cluster/resource_manager.h"
+#include "common/metrics_registry.h"
 #include "workload/rubis.h"
 #include "workload/tpcw.h"
 
@@ -210,6 +211,37 @@ TEST_F(ClusterTest, DecommissionRemovesFromScheduler) {
   resources_.Decommission(&scheduler, b);
   EXPECT_EQ(scheduler.replicas().size(), 1u);
   EXPECT_EQ(resources_.AllReplicas().size(), 1u);
+}
+
+TEST_F(ClusterTest, DestroyedReplicaPublishesZeroGaugesOnce) {
+  MetricsRegistry registry;
+  resources_.set_metrics(&registry);
+  Scheduler scheduler(&sim_, &app_);
+  Replica* kept = NewReplica();
+  Replica* released = NewReplica();
+  scheduler.AddReplica(kept);
+  scheduler.AddReplica(released);
+  for (Replica* r : {kept, released}) r->Run(Query(kTpcwHome), nullptr);
+  sim_.RunToCompletion();
+  const std::string kept_pool = "engine." + kept->engine().name() +
+                                ".bufferpool.shared.";
+  const std::string gone_pool = "engine." + released->engine().name() +
+                                ".bufferpool.shared.";
+  resources_.PublishMetrics();
+  ASSERT_GT(registry.gauge(gone_pool + "resident_pages")->value(), 0);
+  const uint64_t accesses = registry.counter(gone_pool + "accesses")->value();
+  ASSERT_GT(accesses, 0u);
+
+  resources_.Decommission(&scheduler, released);
+  resources_.PublishMetrics();
+  EXPECT_EQ(registry.gauge(gone_pool + "resident_pages")->value(), 0);
+  EXPECT_EQ(registry.gauge(gone_pool + "capacity_pages")->value(), 0);
+  EXPECT_GT(registry.gauge(kept_pool + "resident_pages")->value(), 0);
+  EXPECT_EQ(registry.counter(gone_pool + "accesses")->value(), accesses);
+  // Once: a later publish leaves the dead engine's instruments alone.
+  registry.gauge(gone_pool + "capacity_pages")->Set(7);
+  resources_.PublishMetrics();
+  EXPECT_EQ(registry.gauge(gone_pool + "capacity_pages")->value(), 7);
 }
 
 TEST_F(ClusterTest, SharedEngineServesTwoApps) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/io_interference.h"
+#include "core/decision.h"
 
 namespace fglb {
 namespace {

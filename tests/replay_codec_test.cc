@@ -1,9 +1,11 @@
 // Property/fuzz coverage of the byte-level codec under the FGLBCAP1
 // capture format, which is also the repo's page-access trace format:
-// random streams must round-trip exactly, and random byte corruption
-// must be detected by the checksums — never a crash, never silently
-// wrong data.
+// random streams must round-trip exactly, random byte corruption must
+// be detected by the checksums, and mutated blocks re-sealed behind a
+// valid checksum must be decoded or rejected — never a crash, never
+// silently wrong data.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,8 @@
 
 #include "common/varint.h"
 #include "replay/capture.h"
+#include "replay/replayer.h"
+#include "run_and_capture.h"
 #include "sim/simulator.h"
 
 namespace fglb {
@@ -535,6 +539,65 @@ TEST(ReplayCodecTest, CaptureCorruptionAlwaysDetected) {
     EXPECT_FALSE(ReadCapture(path, &capture, &error))
         << "byte " << pos << " ^ " << int{xor_mask};
   }
+  std::remove(path.c_str());
+}
+
+TEST(ReplayCodecTest, ResealedBlockMutantsNeverCrashTheDecoders) {
+  // Behind the CRC: each block type's payload of a short live capture
+  // is mutated (byte flips, a truncation, inserted varint continuation
+  // bytes) and re-sealed, so the decoders meet the hostile bytes.
+  // ReadCapture must return either way, and a samples-block mutant that
+  // decodes to another series must fail strict replay.
+  const std::string path = TempPath("fglb_codec_resealed.fglbcap");
+  RunAndCapture(ScenarioRunConfig(Scenario::kConsolidation, 60), path);
+  const CaptureBlocks clean = SplitCapture(ReadFileBytes(path));
+  Capture original;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &original, &error)) << error;
+  const std::string original_samples = EncodeSamples(original.samples);
+  std::mt19937_64 rng(2207);
+  int replayed = 0;
+  for (uint8_t type : {1, 3, 4, 5, 6}) {  // info events actions samples end
+    const auto block = std::ranges::find(clean, type,
+                                         &CaptureBlocks::value_type::first);
+    ASSERT_NE(block, clean.end()) << "block type " << int{type};
+    for (int trial = 0; trial < 40; ++trial) {
+      CaptureBlocks mutant = clean;
+      std::string& payload = mutant[block - clean.begin()].second;
+      const size_t at = payload.empty() ? 0 : rng() % payload.size();
+      switch (trial % 3) {
+        case 0:
+          for (int flips = 1 + trial % 4; flips > 0 && !payload.empty();
+               --flips) {
+            payload[rng() % payload.size()] ^= static_cast<char>(1 + rng() % 255);
+          }
+          break;
+        case 1:
+          payload.resize(at);
+          break;
+        default:
+          payload.insert(at, 1 + trial % 3,
+                         static_cast<char>(0x80 | (rng() & 0x7f)));
+          break;
+      }
+      WriteFileBytes(path, SealCapture(mutant));
+      Capture capture;
+      error.clear();
+      if (!ReadCapture(path, &capture, &error)) {
+        EXPECT_FALSE(error.empty());
+        continue;
+      }
+      if (type != 5 || replayed == 3 ||
+          EncodeSamples(capture.samples) == original_samples) {
+        continue;
+      }
+      ++replayed;
+      ReplayRunner strict(&capture, ReplayBuildOptions{});
+      EXPECT_FALSE(strict.Run(&error)) << "samples trial " << trial;
+      EXPECT_EQ(error.rfind("replay diverged: ", 0), 0u) << error;
+    }
+  }
+  EXPECT_EQ(replayed, 3);
   std::remove(path.c_str());
 }
 

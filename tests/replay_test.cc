@@ -7,6 +7,7 @@
 // uses. Plus the what-if evaluator's agreement with the live
 // controller's choice.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -172,6 +173,35 @@ TEST(ReplayTest, ReplayedActionLogMatchesCaptureActions) {
     EXPECT_EQ(replayed[i].app, capture.actions[i].app);
     EXPECT_EQ(replayed[i].description, capture.actions[i].description);
   }
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, AlteredSamplesBlockFailsStrictReplay) {
+  // One bit flipped in the middle of a consolidation capture's samples
+  // block, its length and CRC re-sealed: the file still reads, and
+  // every action still replays, but the interval series no longer
+  // matches the live run's. Strict replay rejects it; lenient replay
+  // does not look.
+  const std::string path = TempPath("fglb_replay_altered_samples.fglbcap");
+  RunLive(path, Scenario300s(Scenario::kConsolidation, 1));
+  CaptureBlocks blocks = SplitCapture(ReadFileBytes(path));
+  const auto samples = std::ranges::find(blocks, uint8_t{5},
+                                         &CaptureBlocks::value_type::first);
+  ASSERT_NE(samples, blocks.end());
+  samples->second[samples->second.size() / 2] ^= 1;
+  WriteFileBytes(path, SealCapture(blocks));
+  Capture capture;
+  std::string error;
+  ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
+
+  ReplayRunner strict(&capture, ReplayBuildOptions{});
+  EXPECT_FALSE(strict.Run(&error));
+  EXPECT_EQ(error.rfind("replay diverged: ", 0), 0u) << error;
+  EXPECT_NE(error.find("interval samples"), std::string::npos) << error;
+  EXPECT_EQ(strict.harness()->retuner().actions(), capture.actions);
+
+  ReplayRunner lenient(&capture, ReplayBuildOptions{.lenient = true});
+  EXPECT_TRUE(lenient.Run(&error)) << error;
   std::remove(path.c_str());
 }
 

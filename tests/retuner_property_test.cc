@@ -1,21 +1,28 @@
 // Property tests for the retuner's decision core: the ControlState
-// codec, the interval verdict and the placement gate, driven with
-// seeded random states and requests. Nothing here builds a Simulator
-// or a cluster; every loop is bounded.
+// codec, the interval verdict, the placement gate and each rung's
+// choice (decision.h), driven with seeded random states, requests and
+// evidence and checked against test-local restatements; every random
+// Decision must render to a trace the checker accepts. Nothing here
+// builds a Simulator or a cluster; every loop is bounded.
 
 #include "core/control_state.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/trace_check.h"
+#include "common/trace_log.h"
 #include "common/varint.h"
+#include "core/decision.h"
 
 namespace fglb {
 namespace {
@@ -405,6 +412,365 @@ TEST(RetunerPropertyTest, RestoredStateDecidesExactlyLikeTheOriginal) {
         << "iteration " << i;
     EXPECT_EQ(original, restored) << "iteration " << i;
   }
+}
+
+// --- the rung choices (decision.h) ---
+
+// Random evidence: three apps' classes on one engine, each metric a
+// small integer (so ties and zeros are common) or, for read-aheads, a
+// value around the scan threshold of 10.
+ClassSnapshot RandomSnapshot(Rng& rng) {
+  ClassSnapshot snapshot;
+  const int classes = static_cast<int>(rng() % 12);
+  for (int i = 0; i < classes; ++i) {
+    MetricVector& v = snapshot[MakeClassKey(1 + rng() % 3, rng() % 8)];
+    for (Metric m : kAllMetrics) At(v, m) = static_cast<double>(rng() % 6);
+    At(v, Metric::kReadAheads) = rng() % 4 == 0 ? 9.5 : rng() % 20;
+  }
+  return snapshot;
+}
+
+ClassKey RandomKeyOf(Rng& rng, const ClassSnapshot& snapshot) {
+  if (snapshot.empty() || rng() % 5 == 0) {
+    return MakeClassKey(1 + rng() % 3, rng() % 8);
+  }
+  auto it = snapshot.begin();
+  std::advance(it, rng() % snapshot.size());
+  return it->first;
+}
+
+OutlierReport RandomReport(Rng& rng, const ClassSnapshot& snapshot) {
+  OutlierReport report;
+  const int outliers = rng() % 2 == 0 ? 0 : static_cast<int>(rng() % 4);
+  for (int i = 0; i < outliers; ++i) {
+    MetricOutlier o;
+    o.key = RandomKeyOf(rng, snapshot);
+    o.metric = kAllMetrics[rng() % kAllMetrics.size()];
+    o.high_side = rng() % 3 != 0;
+    report.outliers.push_back(o);
+  }
+  if (rng() % 4 == 0) report.new_classes.push_back(RandomKeyOf(rng, snapshot));
+  return report;
+}
+
+std::set<ClassKey> ExpectedCandidates(AppId app, const OutlierReport& report,
+                                      const ClassSnapshot& snapshot,
+                                      const std::set<ClassKey>& baselines) {
+  std::set<ClassKey> expected = report.MemoryProblemContexts();
+  expected.insert(report.new_classes.begin(), report.new_classes.end());
+  if (expected.empty()) {
+    // The app's three heaviest classes by buffer misses (ties to the
+    // larger key), each with misses.
+    std::vector<ClassKey> heavy;
+    for (const auto& [key, v] : snapshot) {
+      if (AppOf(key) == app) heavy.push_back(key);
+    }
+    auto misses = [&](ClassKey k) {
+      return At(snapshot.at(k), Metric::kBufferMisses);
+    };
+    std::ranges::stable_sort(heavy, [&](ClassKey a, ClassKey b) {
+      return misses(a) != misses(b) ? misses(a) > misses(b) : a > b;
+    });
+    for (size_t i = 0; i < heavy.size() && i < 3; ++i) {
+      if (misses(heavy[i]) > 0) expected.insert(heavy[i]);
+    }
+  }
+  for (const auto& [key, v] : snapshot) {
+    if (AppOf(key) != app && !baselines.contains(key)) expected.insert(key);
+  }
+  return expected;
+}
+
+TEST(RetunerPropertyTest, MemoryCandidatesMatchTheirRestatement) {
+  Rng rng(51);
+  int fallbacks = 0;
+  for (int i = 0; i < kIterations * 2; ++i) {
+    const ClassSnapshot snapshot = RandomSnapshot(rng);
+    const OutlierReport report = RandomReport(rng, snapshot);
+    std::set<ClassKey> baselines;
+    for (const auto& [key, v] : snapshot) {
+      if (rng() % 2 == 0) baselines.insert(key);
+    }
+    const AppId app = 1 + rng() % 3;
+    const auto has_baseline = [&](ClassKey k) { return baselines.contains(k); };
+    const std::set<ClassKey> got =
+        MemoryCandidates(app, report, snapshot, has_baseline);
+    ASSERT_EQ(got, ExpectedCandidates(app, report, snapshot, baselines))
+        << "iteration " << i;
+    EXPECT_EQ(MemoryCandidates(app, report, snapshot, has_baseline), got);
+    fallbacks += report.MemoryProblemContexts().empty() &&
+                 report.new_classes.empty();
+  }
+  EXPECT_GT(fallbacks, kIterations / 2);
+}
+
+ClassMemoryProfile RandomProfile(Rng& rng, ClassKey key) {
+  ClassMemoryProfile p;
+  p.key = key;
+  p.params.acceptable_memory_pages = rng() % 600;
+  p.params.total_memory_pages = p.params.acceptable_memory_pages + rng() % 900;
+  if (rng() % 3 == 0) p.regret_vs_opt = Uniform(rng, 0, 0.5);
+  return p;
+}
+
+LogAnalyzer::MemoryDiagnosis RandomDiagnosis(Rng& rng,
+                                             const ClassSnapshot& snapshot) {
+  LogAnalyzer::MemoryDiagnosis diagnosis;
+  std::set<ClassKey> used;
+  for (int i = static_cast<int>(rng() % 5); i > 0; --i) {
+    const ClassKey key = RandomKeyOf(rng, snapshot);
+    if (!used.insert(key).second) continue;
+    (rng() % 3 == 0 ? diagnosis.cleared : diagnosis.suspects)
+        .push_back(RandomProfile(rng, key));
+  }
+  if (rng() % 3 == 0) diagnosis.insufficient_data.push_back(RandomKeyOf(rng, snapshot));
+  return diagnosis;
+}
+
+QuotaPlan RandomPlan(Rng& rng, const LogAnalyzer::MemoryDiagnosis& diagnosis,
+                     const ClassSnapshot& snapshot) {
+  QuotaPlan plan;
+  plan.placement_fits = rng() % 3 == 0;
+  plan.infeasible = rng() % 4 == 0;
+  for (int i = static_cast<int>(rng() % 4); i > 0; --i) {
+    const ClassKey key = rng() % 2 == 0 && !diagnosis.suspects.empty()
+                             ? diagnosis.suspects[rng() % diagnosis.suspects.size()].key
+                             : RandomKeyOf(rng, snapshot);
+    plan.quotas[key] = 256 + rng() % 4000;
+    if (rng() % 2 == 0) plan.tier2_quotas[key] = rng() % 9000;
+  }
+  for (int i = static_cast<int>(rng() % 3); i > 0; --i) {
+    plan.reschedule.push_back(
+        rng() % 2 == 0 && !diagnosis.suspects.empty()
+            ? diagnosis.suspects[rng() % diagnosis.suspects.size()].key
+            : RandomKeyOf(rng, snapshot));
+  }
+  return plan;
+}
+
+std::vector<Proposal> ExpectedProposals(
+    const LogAnalyzer::MemoryDiagnosis& diagnosis, const QuotaPlan& plan,
+    const ClassSnapshot& snapshot) {
+  std::vector<Proposal> expected;
+  if (plan.placement_fits) {
+    for (const ClassMemoryProfile& s : diagnosis.suspects) {
+      const auto v = snapshot.find(s.key);
+      if (v == snapshot.end() || !(At(v->second, Metric::kReadAheads) >= 10)) {
+        continue;
+      }
+      Proposal p;
+      p.kind = Proposal::kContainment;
+      p.key = s.key;
+      p.pages = std::max<uint64_t>(s.params.acceptable_memory_pages, 256);
+      expected.push_back(p);
+    }
+    return expected;
+  }
+  for (const auto& [key, pages] : plan.quotas) {
+    Proposal p;
+    p.kind = Proposal::kQuota;
+    p.key = key;
+    p.pages = pages;
+    if (plan.tier2_quotas.contains(key)) p.tier2_pages = plan.tier2_quotas.at(key);
+    expected.push_back(p);
+  }
+  for (ClassKey key : plan.reschedule) {
+    for (const ClassMemoryProfile& s : diagnosis.suspects) {
+      if (s.key != key) continue;
+      Proposal p;
+      p.kind = Proposal::kReschedule;
+      p.key = key;
+      expected.push_back(p);
+      break;
+    }
+  }
+  return expected;
+}
+
+TEST(RetunerPropertyTest, ProposeMemoryMatchesItsRestatement) {
+  Rng rng(52);
+  int containments = 0, demotes = 0, plain_quotas = 0, moves = 0;
+  for (int i = 0; i < kIterations * 2; ++i) {
+    const ClassSnapshot snapshot = RandomSnapshot(rng);
+    const LogAnalyzer::MemoryDiagnosis diagnosis =
+        RandomDiagnosis(rng, snapshot);
+    const QuotaPlan plan = RandomPlan(rng, diagnosis, snapshot);
+    const std::vector<Proposal> got =
+        ProposeMemory(diagnosis, plan, snapshot, 256);
+    ASSERT_EQ(got, ExpectedProposals(diagnosis, plan, snapshot))
+        << "iteration " << i;
+    EXPECT_EQ(ProposeMemory(diagnosis, plan, snapshot, 256), got);
+    for (const Proposal& p : got) {
+      EXPECT_EQ(p.hold, Hold::kNone);
+      EXPECT_FALSE(p.committed);
+      containments += p.kind == Proposal::kContainment;
+      demotes += p.kind == Proposal::kQuota && p.tier2_pages.has_value();
+      plain_quotas += p.kind == Proposal::kQuota && !p.tier2_pages;
+      moves += p.kind == Proposal::kReschedule;
+    }
+  }
+  EXPECT_GT(containments, 0);
+  EXPECT_GT(demotes, 0);
+  EXPECT_GT(plain_quotas, 0);
+  EXPECT_GT(moves, 0);
+}
+
+TEST(RetunerPropertyTest, IoChoiceMatchesItsRestatement) {
+  Rng rng(53);
+  int seen[3] = {};  // nothing, replica, eviction
+  int lone_heavy = 0;
+  for (int i = 0; i < kIterations * 4; ++i) {
+    std::map<ClassKey, double> requests;
+    for (int c = static_cast<int>(rng() % 6); c > 0; --c) {
+      requests[MakeClassKey(1 + rng() % 2, rng() % 10)] +=
+          rng() % 4 == 0 ? 0 : static_cast<double>(rng() % (rng() % 2 ? 50 : 1000));
+    }
+    const double io_util = Uniform(rng, 0.85, 1.0);
+    double total = 0;
+    for (const auto& [key, n] : requests) total += n;
+    IoChoice expected;
+    std::map<ClassKey, double> rates;
+    int significant = 0;
+    double top = 0;
+    for (const auto& [key, n] : requests) {
+      rates[key] = n * (io_util / total);
+      significant += rates[key] > 0.1 * io_util;
+      top = std::max(top, rates[key]);
+    }
+    if (total > 0 && significant >= 2) {
+      if (top / io_util < 0.4) {
+        expected.replica = true;
+      } else {
+        expected.evict = PlanIoEviction(rates, io_util, 0.6);
+      }
+    }
+    lone_heavy += total > 0 && significant == 1 && top / io_util >= 0.4;
+    const IoChoice got = ChooseIo(requests, io_util);
+    ASSERT_EQ(got, expected) << "iteration " << i;
+    EXPECT_EQ(ChooseIo(requests, io_util), got);
+    ++seen[got.replica ? 1 : got.evict.empty() ? 0 : 2];
+  }
+  for (int k = 0; k < 3; ++k) EXPECT_GT(seen[k], 0) << "choice " << k;
+  EXPECT_GT(lone_heavy, 0);
+}
+
+// A random Decision: its verdict, mode flags, diagnosed engines,
+// proposals and actions, each consistent with what the shell records.
+Decision RandomDecision(Rng& rng, SimTime t) {
+  static constexpr Verdict kVerdicts[] = {
+      Verdict::kOverloadShed, Verdict::kBootstrap, Verdict::kWarmup,
+      Verdict::kViolation};
+  static constexpr Hold kHolds[] = {Hold::kNone, Hold::kWarmup,
+                                    Hold::kCooldown, Hold::kLowConfidence,
+                                    Hold::kInFlight, Hold::kBudget};
+  Decision d;
+  d.t = t;
+  d.app = 1 + rng() % 3;
+  d.verdict = kVerdicts[rng() % 4];
+  d.monitoring = rng() % 8 == 0;
+  d.coarse_only = rng() % 8 == 0;
+  d.no_stats = rng() % 6 == 0;
+  d.queries = rng() % 500;
+  d.streak = static_cast<int>(rng() % 6);
+  d.stats_conf = Uniform(rng, 0, 1);
+  if (d.verdict == Verdict::kViolation && !d.no_stats && !d.coarse_only) {
+    const ClassSnapshot snapshot = RandomSnapshot(rng);
+    for (int e = static_cast<int>(rng() % 4); e > 0; --e) {
+      EngineDiagnosis& engine = d.engines.emplace_back();
+      engine.replica_id = static_cast<int>(d.engines.size()) * 3 - 1;
+      engine.outliers = RandomReport(rng, snapshot);
+      if (rng() % 2 == 0) continue;  // the mrc phase never ran
+      engine.memory = RandomDiagnosis(rng, snapshot);
+      engine.candidates = 1 + engine.memory.suspects.size() +
+                          engine.memory.cleared.size();
+      for (const ClassMemoryProfile& p : engine.memory.suspects) {
+        if (rng() % 2 == 0) engine.stable[p.key] = RandomProfile(rng, p.key).params;
+      }
+      if (rng() % 3 == 0) {
+        engine.tier2 = TierView{16384, rng() % 16385, 100};
+      }
+      engine.evidence =
+          rng() % 4 == 0 ? Hold::kLowConfidence : Hold::kNone;
+    }
+  }
+  if (!d.monitoring && !d.no_stats) {
+    for (int p = static_cast<int>(rng() % 4); p > 0; --p) {
+      Proposal& proposal = d.proposals.emplace_back();
+      proposal.kind = static_cast<Proposal::Kind>(rng() % 5);
+      proposal.hold = kHolds[rng() % 6];
+      proposal.committed = proposal.hold == Hold::kNone && rng() % 2 == 0;
+    }
+  }
+  for (int a = static_cast<int>(rng() % 3); a > 0; --a) {
+    d.actions.push_back({t, static_cast<ActionKind>(rng() % 8),
+                         static_cast<AppId>(1 + rng() % 3), "did something"});
+  }
+  return d;
+}
+
+// The cascade's reason, as its control flow runs: a verdict that held
+// fire names itself; monitoring; coarse only; a fine-grained rung that
+// acted; no statistics; then a held stale piece of evidence, or nothing.
+std::string ExpectedWhy(const Decision& d) {
+  if (d.verdict == Verdict::kOverloadShed) return "overload_shed";
+  if (d.verdict == Verdict::kBootstrap) return "bootstrap";
+  if (d.verdict == Verdict::kWarmup) return "warmup";
+  if (d.monitoring) return "monitoring";
+  if (!d.coarse_only) {
+    for (const Proposal& p : d.proposals) {
+      if (p.committed) return "no_action";
+    }
+    if (d.no_stats) return "no_stats";
+  } else {
+    return "coarse_only";
+  }
+  bool stale = false;
+  for (const EngineDiagnosis& e : d.engines) {
+    stale |= e.evidence == Hold::kLowConfidence;
+  }
+  for (const Proposal& p : d.proposals) {
+    stale |= p.hold == Hold::kLowConfidence;
+  }
+  return stale ? "low_confidence" : "no_action";
+}
+
+TEST(RetunerPropertyTest, WhyFollowsTheCascadeRule) {
+  Rng rng(54);
+  std::set<std::string> seen;
+  for (int i = 0; i < kIterations * 4; ++i) {
+    const Decision d = RandomDecision(rng, 10.0 * i);
+    ASSERT_EQ(Why(d), ExpectedWhy(d)) << "iteration " << i;
+    seen.insert(Why(d));
+  }
+  EXPECT_EQ(seen.size(), 8u);  // every reason
+}
+
+TEST(RetunerPropertyTest, EveryDecisionRendersToACheckedChain) {
+  Rng rng(55);
+  TraceLog trace;
+  trace.EnableBuffering();
+  for (int i = 0; i < kIterations; ++i) {
+    const SimTime t = 10.0 * (i / 2);  // two apps decide per tick
+    const Decision d = RandomDecision(rng, t);
+    const std::vector<TraceEvent> events = RenderDecision(d);
+    // sla, then impact+iqr per engine, mrc per recomputation and three
+    // phases' back-fills at most, then the actions or one "none".
+    size_t recomputed = 0;
+    for (const EngineDiagnosis& e : d.engines) recomputed += e.candidates > 0;
+    const size_t phases = 2 * d.engines.size() + recomputed +
+                          (d.engines.empty() ? 2 : 0) + (recomputed ? 0 : 1);
+    EXPECT_EQ(events.size(),
+              1 + phases + std::max<size_t>(d.actions.size(), 1));
+    for (const TraceEvent& event : events) trace.Emit(event);
+    // Actions outside every decision (a release, a delayed migration)
+    // and other phases may follow a chain.
+    if (rng() % 4 == 0) {
+      trace.Emit(ActionEvent({t, ActionKind::kCpuRelease, 1, "released"}));
+    }
+    if (rng() % 4 == 0) trace.Emit(TraceEvent("migration").Num("t", t));
+  }
+  std::string error;
+  EXPECT_TRUE(CheckTraceLines(trace.BufferedLines(), &error)) << error;
 }
 
 }  // namespace

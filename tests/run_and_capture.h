@@ -1,11 +1,17 @@
 #ifndef FGLB_TESTS_RUN_AND_CAPTURE_H_
 #define FGLB_TESTS_RUN_AND_CAPTURE_H_
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/varint.h"
 #include "replay/capture.h"
 #include "scenarios/scenario.h"
 
@@ -35,6 +41,47 @@ inline std::unique_ptr<ClusterHarness> RunAndCapture(
   EXPECT_TRUE(writer.Finalize(harness->retuner().actions(),
                               harness->retuner().samples()));
   return harness;
+}
+
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+inline void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// An FGLBCAP1 file image as its blocks (type, payload), and sealed back
+// with fresh lengths and CRCs: a test that alters a payload and
+// re-seals it reaches the block decoders instead of the checksum.
+using CaptureBlocks = std::vector<std::pair<uint8_t, std::string>>;
+
+inline CaptureBlocks SplitCapture(const std::string& image) {
+  CaptureBlocks blocks;
+  const auto* p = reinterpret_cast<const uint8_t*>(image.data());
+  size_t at = 8;  // the magic
+  uint32_t size = 0;
+  while (at + 9 <= image.size() &&
+         GetFixed32(p + at + 1, p + image.size(), &size) &&
+         at + 9 + size <= image.size()) {
+    blocks.emplace_back(p[at], image.substr(at + 9, size));
+    at += 9 + size;
+  }
+  return blocks;
+}
+
+inline std::string SealCapture(const CaptureBlocks& blocks) {
+  std::string image = "FGLBCAP1";
+  for (const auto& [type, payload] : blocks) {
+    image.push_back(static_cast<char>(type));
+    PutFixed32(&image, static_cast<uint32_t>(payload.size()));
+    PutFixed32(&image, Crc32(payload.data(), payload.size()));
+    image += payload;
+  }
+  return image;
 }
 
 }  // namespace fglb

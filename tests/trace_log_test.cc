@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/trace_check.h"
 
 namespace fglb {
 namespace {
@@ -134,6 +135,107 @@ TEST(TraceLogTest, OpenFileFailureReportsError) {
   EXPECT_FALSE(log.OpenFile("/nonexistent-dir/zzz/trace.jsonl", &error));
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(log.enabled());
+}
+
+// --- the decision-chain rule of CheckTraceLines ---
+
+TraceEvent Sla(double t, int app = 1) {
+  return TraceEvent("sla").Num("t", t).Int("app", app);
+}
+
+TraceEvent Measured(const char* phase, int replica, double t = 10,
+                    int app = 1) {
+  return TraceEvent(phase).Num("t", t).Int("app", app).Int("replica", replica);
+}
+
+TraceEvent Skipped(const char* phase, double t = 10, int app = 1) {
+  return TraceEvent(phase).Num("t", t).Int("app", app).Bool("skipped", true);
+}
+
+TraceEvent Act(double t = 10, int app = 1) {
+  return TraceEvent("action").Num("t", t).Int("app", app).Str("kind", "none");
+}
+
+// CheckTraceLines' message for `events` written as one trace; empty
+// when the trace passes.
+std::string ChainError(const std::vector<TraceEvent>& events) {
+  TraceLog log;
+  log.EnableBuffering();
+  for (const TraceEvent& event : events) log.Emit(event);
+  std::string error;
+  return CheckTraceLines(log.BufferedLines(), &error) ? "" : error;
+}
+
+TEST(TraceCheckTest, CompleteChainsAndLooseActionsPass) {
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 0),
+                        Measured("mrc", 0), Measured("impact", 2),
+                        Measured("iqr", 2), Act(10), Act(10, 2),
+                        TraceEvent("migration").Num("t", 12), Act(12),
+                        Sla(20), Skipped("impact", 20), Skipped("iqr", 20),
+                        Skipped("mrc", 20), Act(20), Act(30)}),
+            "");
+  // Measured impact and iqr, the mrc back-filled; a new chain closes
+  // one that acted.
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 1), Measured("iqr", 1),
+                        Skipped("mrc"), Act(10), Sla(10, 2),
+                        Skipped("impact", 10, 2), Skipped("iqr", 10, 2),
+                        Skipped("mrc", 10, 2), Act(10, 2)}),
+            "");
+}
+
+TEST(TraceCheckTest, OnlyItsPhasesMayComeBeforeTheChainsAction) {
+  EXPECT_EQ(ChainError({Sla(10), TraceEvent("migration").Num("t", 10)}),
+            "line 2: migration before the action of the sla at line 1");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0, 10, 2)}),
+            "line 2: impact of another app or t than its sla");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 0),
+                        Skipped("mrc"), Act(10), Measured("impact", 0)}),
+            "line 6: impact outside a decision chain");
+}
+
+TEST(TraceCheckTest, MeasuredImpactIsFollowedAtOnceByItsIqr) {
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("mrc", 0)}),
+            "line 3: mrc between an impact and its iqr");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 1)}),
+            "line 3: iqr between an impact and its iqr");
+  EXPECT_EQ(ChainError({Sla(10), Measured("iqr", 0)}),
+            "line 2: iqr without its impact");
+}
+
+TEST(TraceCheckTest, MeasuredMrcFollowsItsReplicasIqrOnce) {
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 0),
+                        Measured("mrc", 1)}),
+            "line 4: mrc before the iqr of its replica");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 0),
+                        Measured("mrc", 0), Measured("mrc", 0)}),
+            "line 5: mrc twice for one replica");
+}
+
+TEST(TraceCheckTest, BackFillsComeLastOnceEachAndOnlyForPhasesThatNeverRan) {
+  EXPECT_EQ(ChainError({Sla(10), Skipped("mrc"), Measured("impact", 0)}),
+            "line 3: impact measured after a back-fill");
+  EXPECT_EQ(ChainError({Sla(10), Skipped("impact"), Skipped("impact")}),
+            "line 3: impact back-filled twice");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Measured("iqr", 0),
+                        Skipped("iqr")}),
+            "line 4: iqr back-filled after it ran");
+}
+
+TEST(TraceCheckTest, TheChainEndsInActionsAtItsT) {
+  EXPECT_EQ(ChainError({Sla(10), Act(10)}),
+            "line 2: action before its impact, iqr and mrc");
+  EXPECT_EQ(ChainError({Sla(10), Skipped("impact"), Skipped("iqr"),
+                        Skipped("mrc"), Act(20)}),
+            "line 5: action at another t than its sla");
+  EXPECT_EQ(ChainError({Sla(10), Measured("impact", 0), Act(10)}),
+            "line 3: action before the iqr of its impact");
+}
+
+TEST(TraceCheckTest, AChainMustActBeforeItCloses) {
+  EXPECT_EQ(ChainError({Sla(10), Skipped("impact"), Sla(20)}),
+            "line 3: sla before the action of the sla at line 1");
+  EXPECT_EQ(ChainError({Act(5), Sla(10), Skipped("impact")}),
+            "line 2: sla chain ends without an action");
 }
 
 }  // namespace

@@ -29,6 +29,18 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
   --phase=action >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/trace.jsonl" --summary
 test -s "${SMOKE_DIR}/metrics.json"
+# --check enforces each violating interval's sla -> impact -> iqr ->
+# mrc -> action order: an action ahead of its impact must be rejected.
+printf '%s\n' \
+  '{"v":1,"seq":0,"mono_us":1,"phase":"sla","t":10,"app":1}' \
+  '{"v":1,"seq":1,"mono_us":2,"phase":"action","t":10,"app":1,"kind":"none","why":"no_action"}' \
+  '{"v":1,"seq":2,"mono_us":3,"phase":"impact","t":10,"app":1,"replica":0}' \
+  > "${SMOKE_DIR}/broken-chain.jsonl"
+if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/broken-chain.jsonl" \
+  --check 2>/dev/null; then
+  echo "fglb_tracecat accepted an action before its impact" >&2
+  exit 1
+fi
 
 echo "=== chaos smoke: deterministic fault injection under trace ==="
 # A chaos scenario run end to end: the injected crash/stats/migration
@@ -36,11 +48,16 @@ echo "=== chaos smoke: deterministic fault injection under trace ==="
 # run itself must survive the churn.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-replica --duration=600 \
   --fault-seed=7 --log-level=quiet \
-  --trace-out="${SMOKE_DIR}/chaos.jsonl" >/dev/null
+  --trace-out="${SMOKE_DIR}/chaos.jsonl" \
+  --metrics-out="${SMOKE_DIR}/chaos-metrics.json" >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" --check
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" \
   --phase=action >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/chaos.jsonl" --summary
+# The run releases replica-1 at t=80: its engine stops reporting a warm
+# pool.
+grep -q '"engine.engine-1.bufferpool.shared.resident_pages":0' \
+  "${SMOKE_DIR}/chaos-metrics.json"
 # A fault spec with a non-finite time must be rejected up front, not
 # fired at arm time.
 if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=30 \
@@ -102,6 +119,12 @@ grep -q "app 2 'RUBiS': 12 classes" "${SMOKE_DIR}/summary.txt"
 grep -q 'problem app=2/class=4' "${SMOKE_DIR}/what-if.txt"
 grep -q 'live controller chose: migrate (ranked first here too)' \
   "${SMOKE_DIR}/what-if.txt"
+
+echo "=== determinism: compare_builds.sh, one build against itself ==="
+# Every output the byte-identity contract covers (actions, samples,
+# stripped traces, captures, metrics, replays, what-if, summary, spans)
+# must repeat run to run; this also keeps the script itself working.
+tools/compare_builds.sh "${PREFIX}" "${PREFIX}" consolidation chaos-net
 
 echo "=== overload smoke: admission control + capture/replay ==="
 # The overload scenario turns admission on automatically; its trace must
