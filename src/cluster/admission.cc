@@ -5,73 +5,9 @@
 #include <limits>
 #include <vector>
 
-#include "common/kv_spec.h"
 #include "common/varint.h"
 
 namespace fglb {
-
-std::string AdmissionConfig::ToString() const {
-  std::string out;
-  out += "target=" + FormatKvNumber(target_delay);
-  out += ",interval=" + FormatKvNumber(codel_interval_seconds);
-  out += ",queue=" + std::to_string(max_queue_depth);
-  out += ",retry_ratio=" + FormatKvNumber(retry_budget_ratio);
-  out += ",retry_burst=" + FormatKvNumber(retry_burst);
-  out += ",breaker_threshold=" + std::to_string(breaker_failure_threshold);
-  out += ",breaker_open=" + FormatKvNumber(breaker_open_seconds);
-  out += ",probes=" + std::to_string(breaker_half_open_probes);
-  out += ",timeout_factor=" + FormatKvNumber(timeout_factor);
-  out += ",alpha=" + FormatKvNumber(ewma_alpha);
-  return out;
-}
-
-bool AdmissionConfig::Parse(const std::string& text, AdmissionConfig* config,
-                            std::string* error) {
-  KvItems items;
-  if (!SplitKvSpec(text, ',', "admission spec", &items, error)) return false;
-  AdmissionConfig parsed;
-  for (const auto& [key, value] : items) {
-    bool ok = true;
-    if (key == "target") {
-      ok = ParseKvNumber(value, &parsed.target_delay) &&
-           parsed.target_delay > 0;
-    } else if (key == "interval") {
-      ok = ParseKvNumber(value, &parsed.codel_interval_seconds) &&
-           parsed.codel_interval_seconds > 0;
-    } else if (key == "queue") {
-      ok = ParseKvCount(value, &parsed.max_queue_depth) &&
-           parsed.max_queue_depth >= 1;
-    } else if (key == "retry_ratio") {
-      ok = ParseKvNumber(value, &parsed.retry_budget_ratio) &&
-           parsed.retry_budget_ratio >= 0;
-    } else if (key == "retry_burst") {
-      ok = ParseKvNumber(value, &parsed.retry_burst) &&
-           parsed.retry_burst >= 0;
-    } else if (key == "breaker_threshold") {
-      ok = ParseKvCount(value, &parsed.breaker_failure_threshold) &&
-           parsed.breaker_failure_threshold >= 1;
-    } else if (key == "breaker_open") {
-      ok = ParseKvNumber(value, &parsed.breaker_open_seconds) &&
-           parsed.breaker_open_seconds > 0;
-    } else if (key == "probes") {
-      ok = ParseKvCount(value, &parsed.breaker_half_open_probes) &&
-           parsed.breaker_half_open_probes >= 1;
-    } else if (key == "timeout_factor") {
-      ok = ParseKvNumber(value, &parsed.timeout_factor) &&
-           parsed.timeout_factor > 0;
-    } else if (key == "alpha") {
-      ok = ParseKvNumber(value, &parsed.ewma_alpha) &&
-           parsed.ewma_alpha > 0 && parsed.ewma_alpha <= 1;
-    } else {
-      return KvError(error, "unknown admission spec key: " + key);
-    }
-    if (!ok) {
-      return KvError(error, "bad admission spec value: " + key + "=" + value);
-    }
-  }
-  *config = parsed;
-  return true;
-}
 
 AdmissionController::AdmissionController(Simulator* sim,
                                          const AdmissionConfig& config)

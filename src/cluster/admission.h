@@ -13,10 +13,10 @@
 
 namespace fglb {
 
-// Tuning knobs of the overload-protection subsystem. The canonical
-// string form (ToString/Parse, same k=v grammar family as FaultSpec)
-// travels inside workload captures so a replayed run rebuilds the
-// exact same admission behaviour.
+// Tuning knobs of the overload-protection subsystem. A run turns
+// admission on or off (RunConfig::admission) and always runs these
+// defaults, so a capture needs no copy of them; tests and benches
+// construct the controller with their own.
 struct AdmissionConfig {
   // CoDel-style shedding: per-replica windows of
   // `codel_interval_seconds`; when even the *minimum* SLA-normalized
@@ -52,14 +52,6 @@ struct AdmissionConfig {
   // Smoothing for the per-class normalized-latency estimate that ranks
   // classes by SLA headroom (shedding order).
   double ewma_alpha = 0.2;
-
-  // Canonical "target=0.5,interval=5,..." form (common/kv_spec.h);
-  // Parse accepts the keys ToString emits, in any order, and rejects
-  // unknown and repeated keys.
-  std::string ToString() const;
-  static bool Parse(const std::string& text, AdmissionConfig* config,
-                    std::string* error);
-  bool operator==(const AdmissionConfig&) const = default;
 };
 
 // Per-replica admission control, load shedding and circuit breaking

@@ -67,10 +67,6 @@ std::vector<Replica*> Scheduler::DefaultSet() const {
   return result;
 }
 
-bool Scheduler::IsDedicatedTarget(const Replica* replica) const {
-  return dedicated_targets_.contains(replica);
-}
-
 std::vector<Replica*> Scheduler::PlacementOf(QueryClassId cls) const {
   auto it = dedicated_placement_.find(cls);
   if (it != dedicated_placement_.end()) return {it->second};

@@ -55,7 +55,6 @@ class Scheduler final : public QuerySink {
   std::vector<Replica*> PlacementOf(QueryClassId cls) const;
   const std::vector<Replica*>& replicas() const { return replicas_; }
   std::vector<Replica*> DefaultSet() const;
-  bool IsDedicatedTarget(const Replica* replica) const;
 
   // --- Query routing ---
 

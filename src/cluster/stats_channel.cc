@@ -5,15 +5,22 @@
 #include <set>
 #include <utility>
 
-#include "common/kv_spec.h"
 #include "common/varint.h"
 
 namespace fglb {
 
 namespace {
 
-// Even a fully dark feed keeps a sliver of confidence so FenceScale
-// stays finite and a resync can climb back.
+// With the guard on, confidence is multiplied by kDecay per missed
+// interval and raised by kRecover per fresh report (clamped to 1). The
+// asymmetric recovery is the flap damping: alternating lost/fresh
+// intervals oscillate confidence in [kDecay, kDecay + kRecover] —
+// strictly below the placement gate's 0.9 act threshold — so a
+// flapping link can never ping-pong actions. Even a fully dark feed
+// keeps a sliver of confidence so FenceScale stays finite and a resync
+// can climb back.
+constexpr double kDecay = 0.5;
+constexpr double kRecover = 0.25;
 constexpr double kMinConfidence = 1.0 / 1024;
 constexpr double kMaxFenceScale = 8.0;
 
@@ -40,53 +47,6 @@ bool GetSnapshot(Reader& r, StatsChannel::Snapshot* out) {
 }
 
 }  // namespace
-
-std::string StatsChannelConfig::ToString() const {
-  const StatsChannelConfig defaults;
-  std::string out;
-  auto add = [&out](const std::string& field) {
-    if (!out.empty()) out += ',';
-    out += field;
-  };
-  if (guard != defaults.guard) add(std::string("guard=") + (guard ? "on" : "off"));
-  if (decay != defaults.decay) add("decay=" + FormatKvNumber(decay));
-  if (recover != defaults.recover) add("recover=" + FormatKvNumber(recover));
-  if (act_threshold != defaults.act_threshold) {
-    add("threshold=" + FormatKvNumber(act_threshold));
-  }
-  return out;
-}
-
-bool StatsChannelConfig::Parse(const std::string& text,
-                               StatsChannelConfig* config,
-                               std::string* error) {
-  KvItems items;
-  if (!SplitKvSpec(text, ',', "stats spec", &items, error)) return false;
-  StatsChannelConfig parsed;
-  for (const auto& [key, value] : items) {
-    bool ok = true;
-    if (key == "guard") {
-      ok = value == "on" || value == "off" || value == "1" || value == "0";
-      parsed.guard = value == "on" || value == "1";
-    } else if (key == "decay") {
-      ok = ParseKvNumber(value, &parsed.decay) && parsed.decay > 0 &&
-           parsed.decay < 1;
-    } else if (key == "recover") {
-      ok = ParseKvNumber(value, &parsed.recover) && parsed.recover > 0 &&
-           parsed.recover <= 1;
-    } else if (key == "threshold") {
-      ok = ParseKvNumber(value, &parsed.act_threshold) &&
-           parsed.act_threshold > 0 && parsed.act_threshold <= 1;
-    } else {
-      return KvError(error, "unknown stats spec key: " + key);
-    }
-    if (!ok) {
-      return KvError(error, "bad stats spec value: " + key + "=" + value);
-    }
-  }
-  *config = parsed;
-  return true;
-}
 
 StatsChannel::StatsChannel(Simulator* sim, StatsChannelConfig config)
     : sim_(sim), config_(config) {
@@ -211,7 +171,7 @@ StatsChannel::Feed StatsChannel::Collect(int replica_id) {
     rs.has_pending = false;
     rs.stale_intervals = 0;
     rs.confidence = config_.guard
-                        ? std::min(1.0, rs.confidence + config_.recover)
+                        ? std::min(1.0, rs.confidence + kRecover)
                         : 1.0;
     if (was_stale > 0) {
       if (resyncs_ != nullptr) resyncs_->Increment();
@@ -222,7 +182,7 @@ StatsChannel::Feed StatsChannel::Collect(int replica_id) {
   } else {
     ++rs.stale_intervals;
     rs.confidence = config_.guard
-                        ? std::max(rs.confidence * config_.decay,
+                        ? std::max(rs.confidence * kDecay,
                                    kMinConfidence)
                         : 1.0;
     if (stale_collects_ != nullptr) stale_collects_->Increment();

@@ -16,29 +16,16 @@
 
 namespace fglb {
 
-// Controller-side handling of a degraded statistics feed. The knobs
-// ride FGLBCAP1 captures as the `stats` line of the run's RunConfig;
-// the all-defaults config encodes as "".
+// Controller-side handling of a degraded statistics feed. A run
+// records the guard as the stats_guard row of its RunConfig.
 struct StatsChannelConfig {
   // When false the receiver silently substitutes last-known-good stats
   // for missing reports at full confidence — the ablation arm that
-  // flaps. When true, confidence decays while reports are missing,
-  // IQR fences widen by 1/confidence, and migrate/demote/quota actions
-  // are suppressed below act_threshold (shed never is).
+  // flaps. When true, confidence decays while reports are missing
+  // (kDecay and kRecover in stats_channel.cc), IQR fences widen by
+  // 1/confidence, and the placement gate holds migrate/demote/quota
+  // actions below ControlPolicy::act_threshold (shed never is).
   bool guard = true;
-  // Confidence is multiplied by `decay` per missed interval and raised
-  // by `recover` per fresh report (clamped to 1). The asymmetric
-  // recovery is the flap damping: alternating lost/fresh intervals
-  // oscillate confidence in [decay, decay + recover] — strictly below
-  // act_threshold — so a flapping link can never ping-pong actions.
-  double decay = 0.5;
-  double recover = 0.25;
-  double act_threshold = 0.9;
-
-  std::string ToString() const;
-  static bool Parse(const std::string& text, StatsChannelConfig* config,
-                    std::string* error);
-  bool operator==(const StatsChannelConfig&) const = default;
 };
 
 // The transport between StatsCollector::EndInterval and the
@@ -92,12 +79,6 @@ class StatsChannel {
   // updating staleness and confidence. Call once per replica per
   // diagnosis interval, after Publish.
   Feed Collect(int replica_id);
-
-  // True when `confidence` clears the action threshold (always true
-  // with the guard off — the unguarded arm acts on anything).
-  bool ConfidentToAct(double confidence) const {
-    return !config_.guard || confidence >= config_.act_threshold;
-  }
 
   // IQR fence multiplier for a replica at `confidence`: 1 at full
   // confidence, wider as confidence decays (capped so a long outage

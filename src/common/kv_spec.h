@@ -8,15 +8,15 @@
 
 namespace fglb {
 
-// The one "key=value" grammar behind every config spec string: items
-// separated by `separator` ("," inside a spec such as "pages=16384,
-// read_us=100", "\n" between the lines of a RunConfig), the key being
-// everything before an item's first '='. The specs travel inside
-// FGLBCAP1 captures, so splitting is strict: an empty item (a leading,
-// doubled or trailing separator), an item without '=', an empty key
-// and a repeated key are all rejected, with a message that names the
-// token and the spec (`what`, e.g. "tier spec"). Items come back in
-// input order.
+// The one "key=value" grammar behind the two config texts a capture
+// carries: items separated by `separator` ("\n" between the rows of a
+// RunConfig, "," between the params of a FaultSpec entry such as
+// "replica=1,restart=60"), the key being everything before an item's
+// first '='. Both travel inside FGLBCAP1 captures, so splitting is
+// strict: an empty item (a leading, doubled or trailing separator), an
+// item without '=', an empty key and a repeated key are all rejected,
+// with a message that names the token and the text (`what`, e.g.
+// "run config"). Items come back in input order.
 using KvItems = std::vector<std::pair<std::string, std::string>>;
 bool SplitKvSpec(const std::string& text, char separator,
                  const std::string& what, KvItems* items, std::string* error);

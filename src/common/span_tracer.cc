@@ -1,7 +1,6 @@
 #include "common/span_tracer.h"
 
 #include "common/json.h"
-#include "common/kv_spec.h"
 
 namespace fglb {
 namespace {
@@ -71,27 +70,6 @@ const char* SpanSegmentName(SpanSegment segment) {
       break;
   }
   return "unknown";
-}
-
-std::string SpanConfig::ToString() const {
-  return "sample=" + std::to_string(sample_every);
-}
-
-bool SpanConfig::Parse(const std::string& text, SpanConfig* config,
-                       std::string* error) {
-  KvItems items;
-  if (!SplitKvSpec(text, ',', "span spec", &items, error)) return false;
-  SpanConfig parsed;
-  for (const auto& [key, value] : items) {
-    if (key != "sample") return KvError(error, "unknown span spec key: " + key);
-    if (!ParseKvCount(value, &parsed.sample_every) ||
-        parsed.sample_every == 0) {
-      return KvError(error, "bad span spec value: " + key + "=" + value +
-                  " (sample must be a positive integer)");
-    }
-  }
-  *config = parsed;
-  return true;
 }
 
 SpanTracer::SpanTracer(const SpanConfig& config) : config_(config) {

@@ -62,18 +62,13 @@ constexpr size_t kSpanSegmentCount = static_cast<size_t>(SpanSegment::kCount);
 
 const char* SpanSegmentName(SpanSegment segment);
 
-// Sampling knobs; the canonical string form (the common/kv_spec.h
-// grammar) travels in a FGLBCAP1 capture's RunConfig so a replayed
-// capture samples the identical queries.
+// Sampling knobs. A run records the rate as the span_sample row of its
+// RunConfig (0 = no tracer), so a replayed capture samples the
+// identical queries.
 struct SpanConfig {
   // Deterministic 1-in-N sampling by global submit sequence; 1 = every
-  // query.
+  // query. The default is fglb_sim's rate for --spans-out.
   uint64_t sample_every = 64;
-
-  std::string ToString() const;  // "sample=64"
-  static bool Parse(const std::string& text, SpanConfig* config,
-                    std::string* error);
-  bool operator==(const SpanConfig&) const = default;
 };
 
 // One sampled query's recorder. Pool-allocated by the tracer; the

@@ -60,7 +60,7 @@ struct ControlPolicy {
   SimTime cooldown = 90;  // seconds a re-placed class stays put
   int move_budget = 0;    // moves started per interval; 0 = no cap
   bool guard = true;      // gate placement on feed confidence
-  double act_threshold = 0.9;
+  double act_threshold = 0.9;  // the confidence a guarded gate needs
 };
 
 // The application-level numbers of one measurement interval.

@@ -73,9 +73,9 @@ OutlierReport OutlierDetector::Detect(
       const double stb = At(stable.Find(key)->averages, metric);
       double ratio;
       if (stb > kEps) {
-        ratio = std::min(cur / stb, config_.ratio_cap);
+        ratio = std::min(cur / stb, kRatioCap);
       } else {
-        ratio = cur > kEps ? config_.ratio_cap : 1.0;
+        ratio = cur > kEps ? kRatioCap : 1.0;
       }
       report.ratios[metric][key] = ratio;
       if (cur > kEps) min_positive_current = std::min(min_positive_current,
@@ -104,7 +104,7 @@ OutlierReport OutlierDetector::Detect(
     report.impact_us += MicrosSince(impact_start);
 
     // 3. IQR fencing across the application's classes.
-    if (impacts.size() < config_.min_classes) continue;
+    if (impacts.size() < kMinClasses) continue;
     const auto fence_start = std::chrono::steady_clock::now();
     const QuartileSummary q = Quartiles(impacts);
     const double inner_lo = q.q1 - mild_fence * q.iqr;

@@ -22,11 +22,6 @@ struct OutlierConfig {
   // metric (normalized to the least value across classes). Disabling
   // this is the A1 ablation.
   bool use_weights = true;
-  // Minimum classes with signatures needed for meaningful quartiles.
-  size_t min_classes = 4;
-  // Ratios are capped here when the stable value is ~0 (new behaviour
-  // appearing from nothing would otherwise divide by zero).
-  double ratio_cap = 100.0;
 };
 
 enum class OutlierDegree { kNone = 0, kMild = 1, kExtreme = 2 };
@@ -91,6 +86,12 @@ struct OutlierReport {
 // one server.
 class OutlierDetector {
  public:
+  // Minimum classes with signatures needed for meaningful quartiles.
+  static constexpr size_t kMinClasses = 4;
+  // Ratios are capped here when the stable value is ~0 (new behaviour
+  // appearing from nothing would otherwise divide by zero).
+  static constexpr double kRatioCap = 100.0;
+
   explicit OutlierDetector(OutlierConfig config = {}) : config_(config) {}
 
   // `current` holds this interval's per-class metric vectors for one

@@ -156,8 +156,7 @@ ControlPolicy SelectiveRetuner::Policy() const {
           .warmup = kWarmupIntervals * config_.interval_seconds,
           .cooldown = kPlacementCooldownIntervals * config_.interval_seconds,
           .move_budget = config_.max_migrations_per_interval,
-          .guard = channel_.config().guard,
-          .act_threshold = channel_.config().act_threshold};
+          .guard = channel_.config().guard};
 }
 
 Hold SelectiveRetuner::Admit(const GateRequest& request) {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 
-#include "common/kv_spec.h"
 #include "mrc/sampled_mattson_stack.h"
 
 namespace fglb {
@@ -18,28 +17,6 @@ std::string MrcParameters::ToString() const {
                 static_cast<unsigned long long>(acceptable_memory_pages),
                 acceptable_miss_ratio);
   return buf;
-}
-
-std::string MrcSpecString(const MrcConfig& config) {
-  return config.opt_regret ? "opt_regret=1" : "";
-}
-
-bool ParseMrcSpec(const std::string& text, MrcConfig* config,
-                  std::string* error) {
-  KvItems items;
-  if (!SplitKvSpec(text, ',', "mrc spec", &items, error)) return false;
-  MrcConfig parsed = *config;
-  for (const auto& [key, value] : items) {
-    if (key != "opt_regret") {
-      return KvError(error, "unknown mrc spec key: " + key);
-    }
-    if (value != "0" && value != "1") {
-      return KvError(error, "opt_regret must be 0 or 1: " + value);
-    }
-    parsed.opt_regret = value == "1";
-  }
-  *config = parsed;
-  return true;
 }
 
 MissRatioCurve MissRatioCurve::FromStack(const MattsonStack& stack) {
@@ -122,7 +99,7 @@ MrcParameters MissRatioCurve::ComputeParameters(const MrcConfig& config) const {
   // Total memory needed: smallest size (<= cap) already at the floor.
   uint64_t total = cap;
   for (uint64_t m = 0; m <= std::min<uint64_t>(cap, max_pages()); ++m) {
-    if (MissRatioAt(m) <= floor + config.flatten_epsilon) {
+    if (MissRatioAt(m) <= floor + kFlattenEpsilon) {
       total = m;
       break;
     }
@@ -145,9 +122,8 @@ MrcParameters MissRatioCurve::ComputeParameters(const MrcConfig& config) const {
 }
 
 bool MissRatioCurve::SignificantChange(const MrcParameters& stable,
-                                       const MrcParameters& current,
-                                       const MrcConfig& config) {
-  auto changed = [&config](uint64_t before, uint64_t now) {
+                                       const MrcParameters& current) {
+  auto changed = [](uint64_t before, uint64_t now) {
     const uint64_t abs_delta = now > before ? now - before : before - now;
     // Small working sets jitter by large *relative* amounts while being
     // irrelevant in absolute terms; require a change that also matters
@@ -155,7 +131,7 @@ bool MissRatioCurve::SignificantChange(const MrcParameters& stable,
     if (abs_delta < 512) return false;
     if (before == 0) return true;
     return static_cast<double>(abs_delta) / static_cast<double>(before) >
-           config.significant_change_fraction;
+           kSignificantChangeFraction;
   };
   return changed(stable.total_memory_pages, current.total_memory_pages) ||
          changed(stable.acceptable_memory_pages,

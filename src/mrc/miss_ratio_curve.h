@@ -35,19 +35,13 @@ struct MrcConfig {
   uint64_t max_server_pages = 8192;
   // "Acceptable" = within this absolute miss-ratio distance of ideal.
   double acceptable_threshold = 0.02;
-  // Curve is considered flat once within this of its final value.
-  double flatten_epsilon = 1e-4;
-  // Relative change (either direction) in total/acceptable memory that
-  // counts as a "significant change" during diagnosis (§5.3 flags the
-  // no-index BestSeller whose acceptable memory *shrank*).
-  double significant_change_fraction = 0.5;
   // Hash-sampling rate for Mattson replay (rounded to 1/k): 1.0
   // replays every reference exactly; smaller rates replay only the
   // hash-sampled pages and scale counts back up (SHARDS-style),
   // cutting recomputation cost ~rate-fold. Parameters derived from a
   // sampled curve carry a small relative error (see the accuracy
-  // tests), which is why significant_change_fraction is much larger
-  // than any sensible rate's error.
+  // tests), which is why MissRatioCurve::kSignificantChangeFraction is
+  // much larger than any sensible rate's error.
   double sample_rate = 1.0;
   // Concurrency of the diagnosis fan-out in LogAnalyzer: total
   // threads including the caller; 1 = fully serial, 0 = use hardware
@@ -59,16 +53,6 @@ struct MrcConfig {
   // trace events.
   bool opt_regret = false;
 };
-
-// The run-level MRC knob (opt_regret) as a "k=v,k=v" spec in the
-// common/kv_spec.h grammar; it is the `mrc` line of a RunConfig. The
-// all-defaults config encodes as "". The parser reads a FGLBCAP1
-// field, so it rejects unknown keys, empty items (a leading, doubled
-// or trailing comma), duplicate keys and bad values, each with an
-// error naming the token, and then leaves `config` untouched.
-std::string MrcSpecString(const MrcConfig& config);
-bool ParseMrcSpec(const std::string& text, MrcConfig* config,
-                  std::string* error);
 
 // An LRU miss-ratio curve: miss ratio as a function of cache size in
 // pages, derived from Mattson stack hit counts. MR(0) = 1 by
@@ -142,17 +126,23 @@ class MissRatioCurve {
     return curve;
   }
 
+  // The curve counts as flat once within this of its final value.
+  static constexpr double kFlattenEpsilon = 1e-4;
+  // Relative change (either direction) in total/acceptable memory that
+  // counts as a "significant change" during diagnosis (§5.3 flags the
+  // no-index BestSeller whose acceptable memory *shrank*).
+  static constexpr double kSignificantChangeFraction = 0.5;
+
   // Derives the paper's per-context parameters from this curve.
   MrcParameters ComputeParameters(const MrcConfig& config) const;
 
   // True when `current` shows a significant change in memory need
-  // versus `stable` under `config` (the paper's trigger for keeping a
-  // query class a memory-interference suspect). Both directions count:
-  // a grown working set signals interference pressure, a collapsed one
-  // signals a plan/access-pattern change at the root of the problem.
+  // versus `stable` (the paper's trigger for keeping a query class a
+  // memory-interference suspect). Both directions count: a grown
+  // working set signals interference pressure, a collapsed one signals
+  // a plan/access-pattern change at the root of the problem.
   static bool SignificantChange(const MrcParameters& stable,
-                                const MrcParameters& current,
-                                const MrcConfig& config);
+                                const MrcParameters& current);
 
  private:
   // miss_ratio_[m] = miss ratio with m pages of cache; index 0 is 1.0.

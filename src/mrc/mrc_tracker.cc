@@ -26,7 +26,7 @@ MrcTracker::Recomputation MrcTracker::Recompute(
   result.params = result.curve.ComputeParameters(config_);
   result.suspect =
       !stable_.has_value() ||
-      MissRatioCurve::SignificantChange(*stable_, result.params, config_);
+      MissRatioCurve::SignificantChange(*stable_, result.params);
   return result;
 }
 

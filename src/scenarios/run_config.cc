@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/kv_spec.h"
-#include "mrc/miss_ratio_curve.h"
 #include "sim/fault_injector.h"
 
 namespace fglb {
@@ -22,57 +21,48 @@ constexpr const char* kScenarioNames[] = {
 static_assert(std::size(kScenarioNames) ==
               static_cast<size_t>(Scenario::kColdStart) + 1);
 
-// How each field type prints and parses; a field's codec follows from
-// its type. Sub-configs go through their own ToString/Parse, and an
-// absent optional sub-config prints as "".
+// How each field type prints and parses; a row's codec follows from
+// its field's type. A switch prints as "on" / "off" and also parses
+// from "1" / "0".
 std::string Print(double value) { return FormatKvNumber(value); }
 std::string Print(uint64_t value) { return std::to_string(value); }
 std::string Print(int value) { return std::to_string(value); }
+std::string Print(bool value) { return value ? "on" : "off"; }
 std::string Print(const std::string& value) { return value; }
 std::string Print(Scenario value) { return ScenarioName(value); }
 std::string Print(ReplacementPolicy value) {
   return ReplacementPolicyName(value);
 }
-template <typename Config>
-std::string Print(const Config& config) {
-  return config.ToString();
-}
-template <typename Config>
-std::string Print(const std::optional<Config>& config) {
-  return config ? config->ToString() : std::string();
-}
 
-bool Read(const std::string& text, double* value, std::string*) {
+bool Read(const std::string& text, double* value) {
   return ParseKvNumber(text, value);
 }
-bool Read(const std::string& text, uint64_t* value, std::string*) {
+bool Read(const std::string& text, uint64_t* value) {
   return ParseKvCount(text, value);
 }
-bool Read(const std::string& text, int* value, std::string*) {
+bool Read(const std::string& text, int* value) {
   return ParseKvCount(text, value);
 }
-bool Read(const std::string& text, std::string* value, std::string*) {
+bool Read(const std::string& text, bool* value) {
+  if (text != "on" && text != "off" && text != "1" && text != "0") {
+    return false;
+  }
+  *value = text == "on" || text == "1";
+  return true;
+}
+bool Read(const std::string& text, std::string* value) {
   *value = text;
   return true;
 }
-bool Read(const std::string& text, Scenario* value, std::string*) {
+bool Read(const std::string& text, Scenario* value) {
   return ParseScenarioName(text, value);
 }
-bool Read(const std::string& text, ReplacementPolicy* value, std::string*) {
+bool Read(const std::string& text, ReplacementPolicy* value) {
   return ParseReplacementPolicy(text, value);
 }
-template <typename Config>
-bool Read(const std::string& text, Config* config, std::string* error) {
-  return Config::Parse(text, config, error);
-}
-template <typename Config>
-bool Read(const std::string& text, std::optional<Config>* config,
-          std::string* error) {
-  config->reset();
-  return text.empty() || Config::Parse(text, &config->emplace(), error);
-}
 
-// Range checks on parsed values.
+// Range checks on parsed values; one that can say more than "bad
+// value" explains in *error.
 bool Positive(const double& v, std::string*) { return v > 0; }
 bool NonNegative(const double& v, std::string*) { return v >= 0; }
 bool Fraction(const double& v, std::string*) { return v > 0 && v <= 1; }
@@ -86,66 +76,63 @@ bool FaultSpecText(const std::string& v, std::string* error) {
   return v.empty() || FaultSpec::Parse(v, &spec, error);
 }
 
-// One RunConfig field: its key, how it prints, and how a printed value
-// parses back (false = bad value; sub-config parsers also explain why
-// in *error). ToString and Parse both walk one table of these, so a new
-// field is one table entry.
+// One RunConfig row: its info-block key, whether fglb_sim takes it as
+// a flag, how it prints, and how a printed value parses back (false =
+// bad value, with the reason in *error when the check gives one).
+// ToString, Parse, Set and fglb_sim's flags all walk one table of
+// these, so a new knob is one row.
 struct Field {
   const char* key;
+  bool flag;
   std::function<std::string(const RunConfig&)> print;
   std::function<bool(const std::string&, RunConfig*, std::string*)> parse;
 };
+
+constexpr bool kFlag = true;
+constexpr bool kNoFlag = false;
 
 template <auto member>
 using FieldType =
     std::remove_reference_t<decltype(std::declval<RunConfig&>().*member)>;
 
-// The field at `member`, coded by its type and checked by `valid`.
+// The row at `member`, coded by its type and checked by `valid`.
 template <auto member>
-Field Make(const char* key,
+Field Make(const char* key, bool flag,
            bool (*valid)(const FieldType<member>&, std::string*) = nullptr) {
-  return {key, [](const RunConfig& run) { return Print(run.*member); },
+  return {key, flag, [](const RunConfig& run) { return Print(run.*member); },
           [valid](const std::string& text, RunConfig* run,
                   std::string* error) {
-            return Read(text, &(run->*member), error) &&
+            return Read(text, &(run->*member)) &&
                    (valid == nullptr || valid(run->*member, error));
           }};
 }
 
 // Sorted by key: ToString prints in table order.
 const Field kFields[] = {
-    Make<&RunConfig::admission>("admission"),
-    Make<&RunConfig::ckpt_interval_seconds>("ckpt_interval", NonNegative),
-    Make<&RunConfig::cohorts>("cohorts", CohortMode),
-    Make<&RunConfig::duration_seconds>("duration", Positive),
-    Make<&RunConfig::fault_seed>("fault_seed"),
-    Make<&RunConfig::fault_spec>("fault_spec", FaultSpecText),
-    Make<&RunConfig::interval_seconds>("interval", Positive),
-    Make<&RunConfig::max_migrations_per_interval>("max_migrations"),
-    // opt_regret travels as the MRC config's own spec string.
-    {"mrc",
-     [](const RunConfig& run) {
-       MrcConfig mrc;
-       mrc.opt_regret = run.opt_regret;
-       return MrcSpecString(mrc);
-     },
-     [](const std::string& text, RunConfig* run, std::string* error) {
-       MrcConfig mrc;
-       if (!ParseMrcSpec(text, &mrc, error)) return false;
-       run->opt_regret = mrc.opt_regret;
-       return true;
-     }},
-    Make<&RunConfig::mrc_sample_rate>("mrc_sample_rate", Fraction),
-    Make<&RunConfig::replacement>("replacement"),
-    Make<&RunConfig::replica_pool_pages>("replica_pool_pages", AtLeastOne),
-    Make<&RunConfig::rubis_clients>("rubis_clients", NonNegative),
-    Make<&RunConfig::scenario>("scenario"),
-    Make<&RunConfig::seed>("seed"),
-    Make<&RunConfig::servers>("servers", AtLeastOne),
-    Make<&RunConfig::spans>("spans"),
-    Make<&RunConfig::stats>("stats"),
-    Make<&RunConfig::tier>("tier"),
-    Make<&RunConfig::tpcw_clients>("tpcw_clients", NonNegative),
+    Make<&RunConfig::admission>("admission", kFlag),
+    Make<&RunConfig::ckpt_interval_seconds>("ckpt_interval", kFlag,
+                                            NonNegative),
+    Make<&RunConfig::cohorts>("cohorts", kFlag, CohortMode),
+    Make<&RunConfig::duration_seconds>("duration", kFlag, Positive),
+    Make<&RunConfig::fault_seed>("fault_seed", kFlag),
+    Make<&RunConfig::fault_spec>("fault_spec", kFlag, FaultSpecText),
+    Make<&RunConfig::interval_seconds>("interval", kNoFlag, Positive),
+    Make<&RunConfig::max_migrations_per_interval>("max_migrations", kNoFlag),
+    Make<&RunConfig::mrc_opt_regret>("mrc_opt_regret", kFlag),
+    Make<&RunConfig::mrc_sample_rate>("mrc_sample_rate", kFlag, Fraction),
+    Make<&RunConfig::replacement>("replacement", kFlag),
+    Make<&RunConfig::replica_pool_pages>("replica_pool_pages", kNoFlag,
+                                         AtLeastOne),
+    Make<&RunConfig::rubis_clients>("rubis_clients", kFlag, NonNegative),
+    Make<&RunConfig::scenario>("scenario", kFlag),
+    Make<&RunConfig::seed>("seed", kFlag),
+    Make<&RunConfig::servers>("servers", kFlag, AtLeastOne),
+    Make<&RunConfig::span_sample>("span_sample", kFlag),
+    Make<&RunConfig::stats_guard>("stats_guard", kFlag),
+    Make<&RunConfig::tier2_demote>("tier2_demote", kFlag),
+    Make<&RunConfig::tier2_pages>("tier2_pages", kFlag),
+    Make<&RunConfig::tier2_read_us>("tier2_read_us", kFlag, Positive),
+    Make<&RunConfig::tpcw_clients>("tpcw_clients", kFlag, NonNegative),
 };
 
 }  // namespace
@@ -175,6 +162,30 @@ std::string RunConfig::ToString() const {
   return out;
 }
 
+bool RunConfig::Set(const std::string& key, const std::string& value,
+                    std::string* error) {
+  for (const Field& field : kFields) {
+    if (key != field.key) continue;
+    RunConfig set = *this;
+    std::string why;
+    if (!field.parse(value, &set, &why)) {
+      return KvError(error, "bad run config value: " + key + "=" + value +
+                                (why.empty() ? "" : " (" + why + ")"));
+    }
+    *this = std::move(set);
+    return true;
+  }
+  return KvError(error, "unknown run config key: " + key);
+}
+
+std::vector<std::string> RunConfig::FlagKeys() {
+  std::vector<std::string> keys;
+  for (const Field& field : kFields) {
+    if (field.flag) keys.emplace_back(field.key);
+  }
+  return keys;
+}
+
 bool RunConfig::Parse(const std::string& text, RunConfig* out,
                       std::string* error) {
   KvItems items;
@@ -182,18 +193,7 @@ bool RunConfig::Parse(const std::string& text, RunConfig* out,
   RunConfig parsed;
   std::set<std::string> seen;
   for (const auto& [key, value] : items) {
-    const Field* field = nullptr;
-    for (const Field& candidate : kFields) {
-      if (key == candidate.key) field = &candidate;
-    }
-    if (field == nullptr) {
-      return KvError(error, "unknown run config key: " + key);
-    }
-    std::string field_error;
-    if (!field->parse(value, &parsed, &field_error)) {
-      return KvError(error, "bad run config value: " + key + "=" + value +
-                  (field_error.empty() ? "" : " (" + field_error + ")"));
-    }
+    if (!parsed.Set(key, value, error)) return false;
     seen.insert(key);
   }
   for (const Field& field : kFields) {

@@ -2,12 +2,11 @@
 #define FGLB_SCENARIOS_RUN_CONFIG_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "cluster/admission.h"
 #include "cluster/stats_channel.h"
-#include "common/span_tracer.h"
+#include "mrc/miss_ratio_curve.h"
 #include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 
@@ -35,11 +34,14 @@ enum class Scenario {
 const char* ScenarioName(Scenario scenario);
 bool ParseScenarioName(const std::string& name, Scenario* out);
 
-// Everything that decides a run, fully resolved: fglb_sim derives one
-// from its flags (RunConfigFromCli), a capture stores it as its info
-// block, and replay rebuilds the cluster from it, so a capture always
-// replays the run it recorded. Per-process knobs that cannot change
-// the outcome (MRC worker threads, output files) stay out.
+// Everything that decides a run, fully resolved, as one flat record of
+// scalars: fglb_sim derives one from its flags (RunConfigFromCli), a
+// capture stores it as its info block, and replay rebuilds the cluster
+// from it, so a capture always replays the run it recorded. Each field
+// is one row of the table in run_config.cc, which holds its info-block
+// key, how it prints, how it parses and whether fglb_sim takes it as a
+// flag. Per-process knobs that cannot change the outcome (MRC worker
+// threads, output files) stay out.
 struct RunConfig {
   // The run.
   Scenario scenario = Scenario::kSteady;
@@ -54,34 +56,47 @@ struct RunConfig {
   double rubis_clients = 45;
   std::string cohorts = "auto";
 
-  // Controller (SelectiveRetuner::Config).
+  // Controller (SelectiveRetuner::Config and its MrcConfig).
   double interval_seconds = 10;
   int max_migrations_per_interval = 0;
   uint64_t replica_pool_pages = 8192;
-  double mrc_sample_rate = 1.0;
-  bool opt_regret = false;
+  double mrc_sample_rate = MrcConfig{}.sample_rate;
+  bool mrc_opt_regret = false;
 
-  // Engines: every engine's buffer hierarchy.
-  TierConfig tier;
+  // Engines: every DRAM partition's policy and every engine's second
+  // tier (TierConfig); 0 tier pages builds no tier.
   ReplacementPolicy replacement = ReplacementPolicy::kLru;
+  uint64_t tier2_pages = 0;
+  double tier2_read_us = TierConfig{}.read_us;
+  bool tier2_demote = TierConfig{}.demote;
 
-  // Subsystems; an absent optional is a subsystem left off.
-  std::optional<AdmissionConfig> admission;
-  std::optional<SpanConfig> spans;
-  StatsChannelConfig stats;
+  // Subsystems.
+  bool admission = false;    // overload protection, AdmissionConfig{}
+  uint64_t span_sample = 0;  // trace 1 in N queries; 0 = no span tracing
+  bool stats_guard = StatsChannelConfig{}.guard;
   double ckpt_interval_seconds = 0;  // 0 = no controller checkpoints
   std::string fault_spec;            // FaultSpec text; "" = no faults
 
-  // One "key=value" line per field, keys sorted, joined by '\n'.
-  // Sub-configs print through their own ToString and numbers in the
-  // shortest form that parses back exactly, so Parse(ToString()) gives
-  // back a bit-identical config.
+  // One "key=value" line per row, keys sorted, joined by '\n'. Numbers
+  // print in the shortest form that parses back exactly and switches
+  // as "on" / "off", so Parse(ToString()) gives back a bit-identical
+  // config.
   std::string ToString() const;
-  // Accepts exactly what ToString writes: every key once, in any order,
-  // each value checked by its own parser. On error names the offending
-  // token in *error and leaves *out untouched.
+  // Accepts exactly the keys ToString writes, every one once, in any
+  // order, each value checked by its row. On error names the offending
+  // key in *error and leaves *out untouched.
   static bool Parse(const std::string& text, RunConfig* out,
                     std::string* error);
+
+  // Sets the row `key` from a value in its printed form, checked as
+  // Parse checks it. On an unknown key or a bad value returns false,
+  // names the key in *error and leaves *this untouched.
+  bool Set(const std::string& key, const std::string& value,
+           std::string* error);
+  // The keys of the rows fglb_sim takes as flags, in table order; the
+  // flag is the key with '-' for '_' (fault_seed is --fault-seed).
+  static std::vector<std::string> FlagKeys();
+
   bool operator==(const RunConfig&) const = default;
 };
 

@@ -96,10 +96,10 @@ RunConfig ScenarioRunConfig(Scenario scenario, double duration_seconds) {
       [[fallthrough]];
     case Scenario::kTierThrash:
     case Scenario::kTierFail:
-      run.tier.pages = 16384;
+      run.tier2_pages = 16384;
       break;
     case Scenario::kOverload:
-      run.admission.emplace();
+      run.admission = true;
       break;
     default:
       break;
@@ -110,63 +110,34 @@ RunConfig ScenarioRunConfig(Scenario scenario, double duration_seconds) {
 
 bool RunConfigFromCli(const CliOptions& options, RunConfig* out,
                       std::string* error) {
-  RunConfig run = ScenarioRunConfig(options.scenario, options.duration_seconds);
-  run.seed = options.seed;
-  run.fault_seed = options.fault_seed;
-  run.servers = options.servers;
+  // The scenario and the duration pick the defaults the other flags
+  // override (chaos fault times scale with the duration).
+  RunConfig picked;
+  for (const char* key : {"scenario", "duration"}) {
+    const auto flag = options.run_flags.find(key);
+    if (flag != options.run_flags.end() &&
+        !picked.Set(key, flag->second, error)) {
+      return false;
+    }
+  }
+  RunConfig run = ScenarioRunConfig(picked.scenario, picked.duration_seconds);
+  for (const auto& [key, value] : options.run_flags) {
+    if (!run.Set(key, value, error)) return false;
+  }
+  // A spans file needs a tracer: 1 in 64 queries unless --span-sample
+  // says otherwise, and not none.
+  if (!options.spans_out.empty()) {
+    if (!options.run_flags.contains("span_sample")) {
+      run.span_sample = SpanConfig{}.sample_every;
+    } else if (run.span_sample == 0) {
+      *error = "--spans-out needs span tracing, but --span-sample=0";
+      return false;
+    }
+  }
   // --clients-scale multiplies every population, including the
   // overload scenario's 7.5x default applied at assembly.
-  run.tpcw_clients = options.tpcw_clients * options.clients_scale;
-  run.rubis_clients = options.rubis_clients * options.clients_scale;
-  run.cohorts = options.cohorts;
-  // Any scenario can opt into the second tier with --tier2-pages; its
-  // other knobs only mean something when a tier exists.
-  if (options.tier2_pages > 0) run.tier.pages = options.tier2_pages;
-  if (run.tier.enabled()) {
-    run.tier.read_us = options.tier2_read_us;
-    run.tier.demote = options.tier2_demote;
-  }
-  // ParseCliOptions already validated the policy name.
-  ParseReplacementPolicy(options.replacement, &run.replacement);
-  run.mrc_sample_rate = options.mrc_sample_rate;
-  run.opt_regret = options.mrc_opt_regret;
-  if (options.admission == "on" && !run.admission) run.admission.emplace();
-  if (options.admission == "off") run.admission.reset();
-  if (run.admission) {
-    // Flags left at their negative default keep the config's value.
-    AdmissionConfig& a = *run.admission;
-    if (options.admission_target > 0) a.target_delay = options.admission_target;
-    if (options.admission_interval > 0) {
-      a.codel_interval_seconds = options.admission_interval;
-    }
-    if (options.admission_max_queue > 0) {
-      a.max_queue_depth = static_cast<uint64_t>(options.admission_max_queue);
-    }
-    if (options.admission_retry_ratio >= 0) {
-      a.retry_budget_ratio = options.admission_retry_ratio;
-    }
-    if (options.admission_breaker_threshold > 0) {
-      a.breaker_failure_threshold = options.admission_breaker_threshold;
-    }
-    if (options.admission_breaker_open > 0) {
-      a.breaker_open_seconds = options.admission_breaker_open;
-    }
-  }
-  if (!options.spans_out.empty() || options.span_sample > 0) {
-    run.spans.emplace();
-    if (options.span_sample > 0) run.spans->sample_every = options.span_sample;
-  }
-  run.stats.guard = options.stats_guard != "off";
-  if (options.ckpt_interval >= 0) {
-    run.ckpt_interval_seconds = options.ckpt_interval;
-  }
-  if (!options.fault_spec.empty()) run.fault_spec = options.fault_spec;
-  FaultSpec spec;
-  if (!run.fault_spec.empty() &&
-      !FaultSpec::Parse(run.fault_spec, &spec, error)) {
-    *error = "bad --fault-spec: " + *error;
-    return false;
-  }
+  run.tpcw_clients *= options.clients_scale;
+  run.rubis_clients *= options.clients_scale;
   *out = std::move(run);
   return true;
 }
@@ -178,10 +149,13 @@ std::unique_ptr<ClusterHarness> MakeHarness(const RunConfig& run,
   config.max_migrations_per_interval = run.max_migrations_per_interval;
   config.replica_pool_pages = run.replica_pool_pages;
   config.mrc.sample_rate = run.mrc_sample_rate;
-  config.mrc.opt_regret = run.opt_regret;
+  config.mrc.opt_regret = run.mrc_opt_regret;
   config.mrc.analysis_threads = analysis_threads;
   auto harness = std::make_unique<ClusterHarness>(config);
-  harness->resources().set_engine_defaults(run.replacement, run.tier);
+  harness->resources().set_engine_defaults(
+      run.replacement, TierConfig{.pages = run.tier2_pages,
+                                  .read_us = run.tier2_read_us,
+                                  .demote = run.tier2_demote});
   return harness;
 }
 
@@ -330,9 +304,11 @@ void AssembleScenario(const RunConfig& run, ClusterHarness* harness) {
 
 bool ArmRun(const RunConfig& run, ClusterHarness* harness,
             std::string* error) {
-  if (run.admission) harness->EnableAdmission(*run.admission);
-  if (run.spans) harness->EnableSpanTracing(*run.spans);
-  harness->EnableStatsChannel(run.stats);
+  if (run.admission) harness->EnableAdmission(AdmissionConfig{});
+  if (run.span_sample > 0) {
+    harness->EnableSpanTracing(SpanConfig{.sample_every = run.span_sample});
+  }
+  harness->EnableStatsChannel(StatsChannelConfig{.guard = run.stats_guard});
   if (run.ckpt_interval_seconds > 0) {
     harness->EnableCheckpointing(run.ckpt_interval_seconds);
   }

@@ -29,8 +29,12 @@ namespace fglb {
 // a fault schedule whose times scale with `duration_seconds`.
 RunConfig ScenarioRunConfig(Scenario scenario, double duration_seconds);
 
-// ScenarioRunConfig plus fglb_sim's command-line overrides. Fails with
-// a message when the fault spec does not parse.
+// fglb_sim's run: ScenarioRunConfig for the --scenario and --duration
+// given, then every run flag through its RunConfig row, a sampling
+// rate for --spans-out, and last --clients-scale on both client rows.
+// Fails with a message when --spans-out comes with --span-sample=0, or
+// when a flag's value does not parse (only for options ParseCliOptions
+// did not produce).
 bool RunConfigFromCli(const CliOptions& options, RunConfig* run,
                       std::string* error);
 

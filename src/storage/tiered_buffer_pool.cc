@@ -1,38 +1,6 @@
 #include "storage/tiered_buffer_pool.h"
 
-#include "common/kv_spec.h"
-
 namespace fglb {
-
-std::string TierConfig::ToString() const {
-  if (!enabled()) return "";
-  return "pages=" + std::to_string(pages) +
-         ",read_us=" + FormatKvNumber(read_us) +
-         ",demote=" + (demote ? "1" : "0");
-}
-
-bool TierConfig::Parse(const std::string& text, TierConfig* config,
-                       std::string* error) {
-  KvItems items;
-  if (!SplitKvSpec(text, ',', "tier spec", &items, error)) return false;
-  TierConfig parsed;  // "" parses to the absent tier
-  for (const auto& [key, value] : items) {
-    bool ok = true;
-    if (key == "pages") {
-      ok = ParseKvCount(value, &parsed.pages);
-    } else if (key == "read_us") {
-      ok = ParseKvNumber(value, &parsed.read_us) && parsed.read_us > 0;
-    } else if (key == "demote") {
-      ok = value == "0" || value == "1";
-      parsed.demote = value == "1";
-    } else {
-      return KvError(error, "unknown tier spec key: " + key);
-    }
-    if (!ok) return KvError(error, "bad tier spec value: " + key + "=" + value);
-  }
-  *config = parsed;
-  return true;
-}
 
 TieredBufferPool::TieredBufferPool(const TierConfig& config)
     : config_(config), shared_(config.pages) {}

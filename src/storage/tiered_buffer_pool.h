@@ -15,11 +15,10 @@
 namespace fglb {
 
 // Configuration of the SSD/NVM second-tier block cache that sits
-// between the DRAM buffer pool and disk. The canonical string form
-// (ToString/Parse, the common/kv_spec.h grammar) is the `tier` line of
-// the RunConfig in a FGLBCAP1 info block, so a replayed run rebuilds
-// the exact same tier. An empty spec / zero pages means the tier is
-// absent — the pre-tier behaviour.
+// between the DRAM buffer pool and disk. A run records it as the
+// tier2_pages, tier2_read_us and tier2_demote rows of its RunConfig,
+// so a replayed run rebuilds the exact same tier. Zero pages means the
+// tier is absent — the pre-tier behaviour.
 struct TierConfig {
   // Total tier-2 capacity in pages; 0 disables the tier entirely.
   uint64_t pages = 0;
@@ -33,14 +32,6 @@ struct TierConfig {
   bool demote = true;
 
   bool enabled() const { return pages > 0; }
-
-  // Canonical "pages=16384,read_us=100,demote=1" form ("" when the
-  // tier is disabled); Parse accepts the keys ToString emits, in any
-  // order, and rejects unknown keys.
-  std::string ToString() const;
-  static bool Parse(const std::string& text, TierConfig* config,
-                    std::string* error);
-  bool operator==(const TierConfig&) const = default;
 };
 
 // The second-tier block cache itself: per-class partitions with the

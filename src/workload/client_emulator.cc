@@ -6,6 +6,14 @@
 #include <limits>
 
 namespace fglb {
+namespace {
+
+// Control-tick spacing.
+constexpr double kTickSeconds = 1.0;
+// Cohort mode's batch window: one batch event per window.
+constexpr double kCohortBatchSeconds = 0.1;
+
+}  // namespace
 
 ClientEmulator::ClientEmulator(Simulator* sim, const ApplicationSpec* app,
                                QuerySink* sink, const LoadFunction* load,
@@ -29,9 +37,7 @@ void ClientEmulator::Start() {
   running_ = true;
   sim_->ScheduleAfter(0, [this] { ControlTick(); });
   if (options_.cohort) {
-    assert(options_.cohort_batch_seconds > 0);
-    sim_->ScheduleAfter(options_.cohort_batch_seconds,
-                        [this] { BatchTick(); });
+    sim_->ScheduleAfter(kCohortBatchSeconds, [this] { BatchTick(); });
   }
 }
 
@@ -59,12 +65,12 @@ void ClientEmulator::ControlTick() {
         continue;
       }
       // Stagger arrivals across the tick to avoid lockstep.
-      SpawnClient(rng_.UniformDouble(0, options_.tick_seconds));
+      SpawnClient(rng_.UniformDouble(0, kTickSeconds));
     }
   } else if (want < effective) {
     retire_pending_ += effective - want;
   }
-  sim_->ScheduleAfter(options_.tick_seconds, [this] { ControlTick(); });
+  sim_->ScheduleAfter(kTickSeconds, [this] { ControlTick(); });
 }
 
 void ClientEmulator::SpawnClient(double initial_delay) {
@@ -96,7 +102,7 @@ void ClientEmulator::BatchTick() {
     --active_clients_;
     idle_.pop_back();
   }
-  const double delta = options_.cohort_batch_seconds;
+  const double delta = kCohortBatchSeconds;
   if (!idle_.empty()) {
     // Probability an Exponential(Z') think ends within this batch. The
     // batch discretization adds ~delta/2 of expected extra wait per

@@ -21,8 +21,6 @@ namespace fglb {
 class ClientEmulator {
  public:
   struct Options {
-    // Control-tick spacing.
-    double tick_seconds = 1.0;
     // Stddev of the multiplicative noise applied to the target.
     double noise_fraction = 0.05;
     // Mean client session length (exponential). A client whose session
@@ -32,14 +30,13 @@ class ClientEmulator {
     double session_time_seconds = 0;
     // Batched-cohort mode: instead of one scheduled think event per
     // client per interaction, thinking clients sit in an idle pool and
-    // one batch event per cohort_batch_seconds draws Binomial(idle, p)
+    // one batch event per 100 ms window draws Binomial(idle, p)
     // of them to issue, p matching the exponential think time over the
     // batch window. Statistically equivalent closed-loop load at a
     // per-interaction event cost that no longer scales with the client
     // count; per-client identity (id, session end) materializes only
     // when a client issues. Required for million-client scenarios.
     bool cohort = false;
-    double cohort_batch_seconds = 0.1;
   };
 
   ClientEmulator(Simulator* sim, const ApplicationSpec* app, QuerySink* sink,

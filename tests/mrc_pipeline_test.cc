@@ -152,7 +152,7 @@ TEST(SampledMattsonStackTest, ResetMatchesFreshInstance) {
 
 // Accuracy bound: MRC parameters derived from a 1/8-sampled replay
 // agree with the exact list-oracle parameters within a tolerance much
-// tighter than MrcConfig::significant_change_fraction (0.5), so
+// tighter than MissRatioCurve::kSignificantChangeFraction (0.5), so
 // sampling cannot flip a diagnosis verdict on these shapes.
 // Each case prints as its name, so the ctest name (which CMake builds
 // from the printed parameter) is the same in every build; a bare

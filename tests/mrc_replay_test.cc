@@ -1,7 +1,6 @@
 // Tests for the MRC diagnosis configuration as it crosses a capture:
-// the mrc spec string a capture's RunConfig stores (round trip and
-// rejection of malformed input), and live-vs-replay identity of every
-// diagnosed curve, OPT regret included.
+// live-vs-replay identity of every diagnosed curve, OPT regret
+// included.
 
 #include <cstdio>
 #include <filesystem>
@@ -19,59 +18,6 @@
 
 namespace fglb {
 namespace {
-
-// --- Config spec round-trip ---
-
-TEST(MrcSpecTest, RoundTripsThroughSpecString) {
-  MrcConfig config;
-  EXPECT_EQ(MrcSpecString(config), "");  // defaults stay capture-compatible
-
-  config.opt_regret = true;
-  const std::string spec = MrcSpecString(config);
-  EXPECT_EQ(spec, "opt_regret=1");
-  MrcConfig parsed;
-  std::string error;
-  ASSERT_TRUE(ParseMrcSpec(spec, &parsed, &error)) << error;
-  EXPECT_TRUE(parsed.opt_regret);
-
-  // `mode` is not a key of the grammar.
-  MrcConfig bad;
-  EXPECT_FALSE(ParseMrcSpec("mode=streaming", &bad, &error));
-  EXPECT_NE(error.find("mode"), std::string::npos) << error;
-}
-
-TEST(MrcSpecTest, RejectsMalformedItemsNamingTheToken) {
-  struct Case {
-    const char* spec;
-    const char* token;  // must appear in the error message
-  };
-  const Case cases[] = {
-      {"opt_regret=1,", "trailing comma"},
-      {"opt_regret=1,opt_regret=0", "duplicate mrc spec key: opt_regret"},
-      {",opt_regret=1", "empty mrc spec item"},
-      {"opt_regret=1,,opt_regret=0", "empty mrc spec item"},
-      {",", "trailing comma"},
-      {"opt_regret", "lacks '=': opt_regret"},
-      {"opt_regret=yes", "opt_regret must be 0 or 1: yes"},
-      {"mode=recompute,opt_regret=1", "unknown mrc spec key: mode"},
-  };
-  for (const Case& c : cases) {
-    MrcConfig config;
-    config.sample_rate = 0.25;
-    std::string error;
-    EXPECT_FALSE(ParseMrcSpec(c.spec, &config, &error)) << c.spec;
-    EXPECT_NE(error.find(c.token), std::string::npos)
-        << c.spec << " -> " << error;
-    // A rejected spec leaves the config untouched.
-    EXPECT_FALSE(config.opt_regret) << c.spec;
-    EXPECT_EQ(config.sample_rate, 0.25) << c.spec;
-  }
-  MrcConfig config;
-  std::string error;
-  EXPECT_TRUE(ParseMrcSpec("", &config, &error)) << error;
-  EXPECT_TRUE(ParseMrcSpec("opt_regret=0", &config, &error)) << error;
-  EXPECT_FALSE(config.opt_regret);
-}
 
 // --- Live vs replay through FGLBCAP1 ---
 
@@ -116,7 +62,7 @@ TEST(MrcReplayTest, LiveAndReplayedCurvesAreIdentical) {
 
   RunConfig run = ScenarioRunConfig(Scenario::kConsolidation, duration);
   run.seed = seed;
-  run.opt_regret = true;
+  run.mrc_opt_regret = true;
   const std::unique_ptr<ClusterHarness> live = RunAndCapture(run, path);
   // The run must actually reach phase mrc with the oracle on, or curve
   // identity over an empty diagnosis list would prove nothing.
@@ -136,7 +82,7 @@ TEST(MrcReplayTest, LiveAndReplayedCurvesAreIdentical) {
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_TRUE(capture.run.opt_regret);
+  EXPECT_TRUE(capture.run.mrc_opt_regret);
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   EXPECT_TRUE(runner.harness()->retuner().config().mrc.opt_regret);

@@ -181,28 +181,26 @@ TEST(MrcParametersTest, CappedByServerMemory) {
 }
 
 TEST(MrcParametersTest, SignificantChangeDetection) {
-  MrcConfig config;  // significant_change_fraction = 0.5
   MrcParameters stable;
   stable.total_memory_pages = 4000;
   stable.acceptable_memory_pages = 2000;
   MrcParameters same = stable;
-  EXPECT_FALSE(MissRatioCurve::SignificantChange(stable, same, config));
+  EXPECT_FALSE(MissRatioCurve::SignificantChange(stable, same));
   MrcParameters bigger = stable;
   bigger.acceptable_memory_pages = 3100;  // +55%
-  EXPECT_TRUE(MissRatioCurve::SignificantChange(stable, bigger, config));
+  EXPECT_TRUE(MissRatioCurve::SignificantChange(stable, bigger));
   // Shrinkage beyond the threshold also counts (the paper's no-index
   // BestSeller case: acceptable memory 6982 -> 3695).
   MrcParameters smaller = stable;
   smaller.total_memory_pages = 1000;
   smaller.acceptable_memory_pages = 500;
-  EXPECT_TRUE(MissRatioCurve::SignificantChange(stable, smaller, config));
+  EXPECT_TRUE(MissRatioCurve::SignificantChange(stable, smaller));
   MrcParameters slightly = stable;
   slightly.total_memory_pages = 4400;  // +10% < 50% threshold
-  EXPECT_FALSE(MissRatioCurve::SignificantChange(stable, slightly, config));
+  EXPECT_FALSE(MissRatioCurve::SignificantChange(stable, slightly));
   MrcParameters slightly_down = stable;
   slightly_down.acceptable_memory_pages = 1500;  // -25% < 50% threshold
-  EXPECT_FALSE(
-      MissRatioCurve::SignificantChange(stable, slightly_down, config));
+  EXPECT_FALSE(MissRatioCurve::SignificantChange(stable, slightly_down));
 }
 
 TEST(MrcTrackerTest, NewClassIsSuspect) {

@@ -133,7 +133,8 @@ TEST(OutlierDetectorTest, WeightingSurfacesHeavyweightModerateDeviation) {
 TEST(OutlierDetectorTest, TooFewClassesNoFencing) {
   Population pop(3);
   pop.Bump(1, Metric::kBufferMisses, 100000.0);
-  OutlierDetector detector;  // min_classes = 4
+  static_assert(OutlierDetector::kMinClasses == 4);
+  OutlierDetector detector;
   const OutlierReport report = detector.Detect(pop.current, pop.stable);
   EXPECT_FALSE(report.HasOutliers());
 }
@@ -149,7 +150,7 @@ TEST(OutlierDetectorTest, ZeroStableValueCapsRatio) {
   const OutlierReport report = detector.Detect(pop.current, pop.stable);
   ASSERT_TRUE(report.ratios.at(Metric::kReadAheads).contains(key));
   EXPECT_DOUBLE_EQ(report.ratios.at(Metric::kReadAheads).at(key),
-                   detector.config().ratio_cap);
+                   OutlierDetector::kRatioCap);
   EXPECT_TRUE(report.MemoryProblemContexts().contains(key));
 }
 

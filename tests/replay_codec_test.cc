@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -505,6 +506,39 @@ TEST(ReplayCodecTest, InfoBlockThatIsNotARunConfigIsRejected) {
   std::string error;
   EXPECT_FALSE(ReadCapture(path, &capture, &error));
   EXPECT_NE(error.find("bad info block"), std::string::npos) << error;
+  std::remove(path.c_str());
+}
+
+TEST(ReplayCodecTest, NestedSubSpecInfoBlockIsRejected) {
+  // Before the RunConfig was one flat row per knob, five of its lines
+  // nested a sub-config spec. Such a capture no longer loads, and the
+  // error names the key that changed.
+  const std::string path = TempPath("fglb_codec_capture_nested_info.bin");
+  const std::string parent_format =
+      "admission=\nckpt_interval=0\ncohorts=auto\nduration=30\n"
+      "fault_seed=1\nfault_spec=\ninterval=10\nmax_migrations=0\nmrc=\n"
+      "mrc_sample_rate=1\nreplacement=lru\nreplica_pool_pages=8192\n"
+      "rubis_clients=45\nscenario=tier-thrash\nseed=1\nservers=4\nspans=\n"
+      "stats=\ntier=pages=16384,read_us=100,demote=1\ntpcw_clients=120";
+  // Today's rows with the three tier2_* rows folded back into the one
+  // nested line they replace.
+  std::string nested_tier;
+  std::istringstream rows(
+      ScenarioRunConfig(Scenario::kTierThrash, 30).ToString());
+  for (std::string line; std::getline(rows, line);) {
+    if (line.rfind("tier2_", 0) != 0) nested_tier += line + "\n";
+  }
+  nested_tier += "tier=pages=16384,read_us=100,demote=1";
+  for (const auto& [info, token] :
+       {std::pair<std::string, std::string>{parent_format, "admission="},
+        {nested_tier, "unknown run config key: tier"}}) {
+    WriteBytes(path, "FGLBCAP1" + SealedBlock(1, info) + SealedBlock(6, ""));
+    Capture capture;
+    std::string error;
+    EXPECT_FALSE(ReadCapture(path, &capture, &error));
+    EXPECT_NE(error.find("bad info block"), std::string::npos) << error;
+    EXPECT_NE(error.find(token), std::string::npos) << error;
+  }
   std::remove(path.c_str());
 }
 

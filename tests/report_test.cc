@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "scenarios/cli_options.h"
+#include "scenarios/scenario.h"
 
 namespace fglb {
 namespace {
@@ -104,9 +105,12 @@ TEST(CliOptionsTest, DefaultsWhenNoArgs) {
   CliOptions options;
   std::string error;
   ASSERT_TRUE(ParseCliOptions({}, &options, &error));
-  EXPECT_EQ(options.scenario, CliOptions::Scenario::kSteady);
+  EXPECT_TRUE(options.run_flags.empty());
   EXPECT_EQ(options.output, CliOptions::Output::kTable);
-  EXPECT_EQ(options.servers, 4);
+  RunConfig run;
+  ASSERT_TRUE(RunConfigFromCli(options, &run, &error)) << error;
+  EXPECT_EQ(run.scenario, Scenario::kSteady);
+  EXPECT_EQ(run.servers, 4);
 }
 
 TEST(CliOptionsTest, ParsesEqualsAndSpaceForms) {
@@ -116,10 +120,18 @@ TEST(CliOptionsTest, ParsesEqualsAndSpaceForms) {
                                "--duration=1200.5", "--seed", "99"},
                               &options, &error))
       << error;
-  EXPECT_EQ(options.scenario, CliOptions::Scenario::kConsolidation);
-  EXPECT_EQ(options.servers, 7);
-  EXPECT_DOUBLE_EQ(options.duration_seconds, 1200.5);
-  EXPECT_EQ(options.seed, 99u);
+  const std::map<std::string, std::string> given = {
+      {"duration", "1200.5"},
+      {"scenario", "consolidation"},
+      {"seed", "99"},
+      {"servers", "7"}};
+  EXPECT_EQ(options.run_flags, given);
+  RunConfig run;
+  ASSERT_TRUE(RunConfigFromCli(options, &run, &error)) << error;
+  EXPECT_EQ(run.scenario, Scenario::kConsolidation);
+  EXPECT_EQ(run.servers, 7);
+  EXPECT_DOUBLE_EQ(run.duration_seconds, 1200.5);
+  EXPECT_EQ(run.seed, 99u);
 }
 
 TEST(CliOptionsTest, RejectsUnknownOption) {

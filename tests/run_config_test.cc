@@ -1,21 +1,27 @@
 // The one run config and the one k=v spec grammar under it: RunConfig
-// is fglb_sim's fully resolved run, which a capture stores and a replay
-// rebuilds, so its text form must be exact (a seeded property test over
-// every numeric field of RunConfig and the four sub-configs), strict
-// (one table of malformed inputs fed to every spec parser), and must
-// hold fglb_sim's per-scenario defaults and flag overrides.
+// is fglb_sim's fully resolved run, one flat row per knob, which a
+// capture stores and a replay rebuilds, so its text form must be exact
+// (a seeded property test over every row), strict (malformed lines and
+// a bad value for every row are rejected, naming the key), and must
+// hold fglb_sim's per-scenario defaults. fglb_sim's run flags are the
+// same rows: each flag changes exactly its own row, and the --help
+// text names exactly the flags the parser takes.
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <ostream>
 #include <random>
+#include <regex>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/kv_spec.h"
-#include "mrc/miss_ratio_curve.h"
 #include "scenarios/cli_options.h"
 #include "scenarios/run_config.h"
 #include "scenarios/scenario.h"
@@ -29,6 +35,26 @@ const Scenario kAllScenarios[] = {
     Scenario::kChaosNet,     Scenario::kChaosCtl,  Scenario::kOverload,
     Scenario::kTierThrash,   Scenario::kTierFail,  Scenario::kColdStart,
 };
+
+// The rows as (key, printed value), in table order.
+KvItems Rows(const RunConfig& run) {
+  KvItems items;
+  std::string error;
+  EXPECT_TRUE(SplitKvSpec(run.ToString(), '\n', "run config", &items, &error))
+      << error;
+  return items;
+}
+
+// The keys whose printed values differ between two configs.
+std::set<std::string> ChangedRows(const RunConfig& a, const RunConfig& b) {
+  const KvItems x = Rows(a);
+  const KvItems y = Rows(b);
+  std::set<std::string> changed;
+  for (size_t i = 0; i < x.size() && i < y.size(); ++i) {
+    if (x[i] != y[i]) changed.insert(x[i].first);
+  }
+  return changed;
+}
 
 TEST(KvSpecTest, NumbersPrintShortestAndValuesParseStrictly) {
   // Round values print as "%g" printed them; others keep every digit.
@@ -50,68 +76,30 @@ TEST(KvSpecTest, NumbersPrintShortestAndValuesParseStrictly) {
   EXPECT_EQ(small, 7);
 }
 
-// --- one grammar: the same malformed inputs for every spec parser ---
-
-// ParseMrcSpec's config has no ToString; this adapter gives it the
-// shape of the other spec configs.
-struct MrcSpec {
-  MrcConfig mrc;
-  std::string ToString() const {
-    return MrcSpecString(mrc) + ";" + FormatKvNumber(mrc.sample_rate);
-  }
-  static bool Parse(const std::string& text, MrcSpec* out,
-                    std::string* error) {
-    return ParseMrcSpec(text, &out->mrc, error);
-  }
-};
-
-// Feeds one malformed-input table to Config::Parse, built from a valid
-// `key`=`value` item of its grammar. Each input must be rejected with
-// an error naming the token, leaving a sentinel config untouched.
-template <typename Config>
-void ExpectRejectsMalformed(const Config& sentinel, const std::string& what,
-                            const std::string& key, const std::string& value,
-                            char separator = ',') {
-  SCOPED_TRACE(what);
-  const std::string item = key + "=" + value;
-  const std::string sep(1, separator);
-  const std::pair<std::string, std::string> cases[] = {
-      {item + sep, "trailing"},
-      {sep + item, "empty " + what + " item"},
-      {item + sep + sep + item, "empty " + what + " item"},
-      {key, what + " item lacks '=': " + key},
-      {"=5", what + " item has an empty key: =5"},
-      {item + sep + item, "duplicate " + what + " key: " + key},
-      {"bogus=1", "unknown " + what + " key: bogus"},
-  };
-  for (const auto& [text, token] : cases) {
-    Config out = sentinel;
-    std::string error;
-    EXPECT_FALSE(Config::Parse(text, &out, &error)) << text;
-    EXPECT_NE(error.find(token), std::string::npos) << text << " -> " << error;
-    EXPECT_EQ(out.ToString(), sentinel.ToString()) << text;
-  }
-}
+// --- one grammar: malformed lines are rejected naming the token ---
 
 TEST(SpecGrammarTest, EveryParserRejectsMalformedInputNamingTheToken) {
-  AdmissionConfig admission;
-  admission.target_delay = 0.125;
-  ExpectRejectsMalformed(admission, "admission spec", "queue", "32");
-  StatsChannelConfig stats;
-  stats.decay = 0.125;
-  ExpectRejectsMalformed(stats, "stats spec", "guard", "off");
-  TierConfig tier;
-  tier.pages = 77;
-  ExpectRejectsMalformed(tier, "tier spec", "pages", "8");
-  SpanConfig span;
-  span.sample_every = 77;
-  ExpectRejectsMalformed(span, "span spec", "sample", "4");
-  MrcSpec mrc;
-  mrc.mrc.sample_rate = 0.25;
-  ExpectRejectsMalformed(mrc, "mrc spec", "opt_regret", "1");
-  RunConfig run;
-  run.seed = 77;
-  ExpectRejectsMalformed(run, "run config", "seed", "5", '\n');
+  // RunConfig::Parse and FaultSpec::Parse are the grammar's two
+  // readers; FaultSpecTest covers the fault spec's own table.
+  RunConfig sentinel;
+  sentinel.seed = 77;
+  const std::string item = "seed=5";
+  const std::pair<std::string, std::string> cases[] = {
+      {item + "\n", "trailing newline"},
+      {"\n" + item, "empty run config item"},
+      {item + "\n\n" + item, "empty run config item"},
+      {"seed", "run config item lacks '=': seed"},
+      {"=5", "run config item has an empty key: =5"},
+      {item + "\n" + item, "duplicate run config key: seed"},
+      {"bogus=1", "unknown run config key: bogus"},
+  };
+  for (const auto& [text, token] : cases) {
+    RunConfig out = sentinel;
+    std::string error;
+    EXPECT_FALSE(RunConfig::Parse(text, &out, &error)) << text;
+    EXPECT_NE(error.find(token), std::string::npos) << text << " -> " << error;
+    EXPECT_EQ(out, sentinel) << text;
+  }
 }
 
 // --- exactness: random configs round-trip bit for bit ---
@@ -127,12 +115,10 @@ class Draw {
                       static_cast<int>(Count(0, 60)) - 30);
   }
   double NonNegative() { return Count(0, 9) == 0 ? 0 : Positive(); }
-  // In (0, 1], or (0, 1) when `open`.
-  double Unit(bool open = false) {
+  // In (0, 1].
+  double Unit() {
     double v = 0;
-    while (v == 0 || (open && v == 1)) {
-      v = std::uniform_real_distribution<double>(0, 1)(rng_);
-    }
+    while (v == 0) v = std::uniform_real_distribution<double>(0, 1)(rng_);
     return v;
   }
   uint64_t Count(uint64_t lo, uint64_t hi) {
@@ -144,44 +130,7 @@ class Draw {
   std::mt19937_64 rng_;
 };
 
-AdmissionConfig RandomAdmission(Draw& draw) {
-  AdmissionConfig c;
-  c.target_delay = draw.Positive();
-  c.codel_interval_seconds = draw.Positive();
-  c.max_queue_depth = draw.Count(1, UINT64_MAX);
-  c.retry_budget_ratio = draw.NonNegative();
-  c.retry_burst = draw.NonNegative();
-  c.breaker_failure_threshold = static_cast<int>(draw.Count(1, INT32_MAX));
-  c.breaker_open_seconds = draw.Positive();
-  c.breaker_half_open_probes = static_cast<int>(draw.Count(1, INT32_MAX));
-  c.timeout_factor = draw.Positive();
-  c.ewma_alpha = draw.Unit();
-  return c;
-}
-
-StatsChannelConfig RandomStats(Draw& draw) {
-  StatsChannelConfig c;
-  c.guard = draw.Coin();
-  c.decay = draw.Unit(/*open=*/true);
-  c.recover = draw.Unit();
-  c.act_threshold = draw.Unit();
-  return c;
-}
-
-TierConfig RandomTier(Draw& draw) {
-  TierConfig c;  // pages = 0 is the absent tier, which prints as ""
-  c.pages = draw.Count(1, UINT64_MAX);
-  c.read_us = draw.Positive();
-  c.demote = draw.Coin();
-  return c;
-}
-
-SpanConfig RandomSpan(Draw& draw) {
-  SpanConfig c;
-  c.sample_every = draw.Count(1, UINT64_MAX);
-  return c;
-}
-
+// Every row drawn from its whole valid range.
 RunConfig RandomRun(Draw& draw) {
   // Scenario defaults first, so the fault spec is a real schedule.
   RunConfig c = ScenarioRunConfig(kAllScenarios[draw.Count(0, 11)], 600);
@@ -197,16 +146,17 @@ RunConfig RandomRun(Draw& draw) {
   c.max_migrations_per_interval = static_cast<int>(draw.Count(0, INT32_MAX));
   c.replica_pool_pages = draw.Count(1, UINT64_MAX);
   c.mrc_sample_rate = draw.Unit();
-  c.opt_regret = draw.Coin();
-  c.tier = draw.Coin() ? RandomTier(draw) : TierConfig{};
+  c.mrc_opt_regret = draw.Coin();
   const ReplacementPolicy policies[] = {ReplacementPolicy::kLru,
                                         ReplacementPolicy::kClock,
                                         ReplacementPolicy::kArc};
   c.replacement = policies[draw.Count(0, 2)];
-  c.admission.reset();
-  if (draw.Coin()) c.admission = RandomAdmission(draw);
-  if (draw.Coin()) c.spans = RandomSpan(draw);
-  c.stats = RandomStats(draw);
+  c.tier2_pages = draw.Coin() ? draw.Count(0, UINT64_MAX) : 0;
+  c.tier2_read_us = draw.Positive();
+  c.tier2_demote = draw.Coin();
+  c.admission = draw.Coin();
+  c.span_sample = draw.Coin() ? draw.Count(0, UINT64_MAX) : 0;
+  c.stats_guard = draw.Coin();
   c.ckpt_interval_seconds = draw.NonNegative();
   return c;
 }
@@ -214,12 +164,11 @@ RunConfig RandomRun(Draw& draw) {
 // ToString -> Parse must give back the same fields, bit for bit, and
 // print the identical string again. Every drawn double is finite and
 // none is -0, so == on a double field is bit equality here.
-template <typename Config>
-void ExpectExactRoundTrip(const Config& config) {
+void ExpectExactRoundTrip(const RunConfig& config) {
   const std::string text = config.ToString();
-  Config parsed;
+  RunConfig parsed;
   std::string error;
-  ASSERT_TRUE(Config::Parse(text, &parsed, &error)) << error << "\n" << text;
+  ASSERT_TRUE(RunConfig::Parse(text, &parsed, &error)) << error << "\n" << text;
   EXPECT_TRUE(parsed == config) << text;
   EXPECT_EQ(parsed.ToString(), text);
 }
@@ -228,44 +177,82 @@ TEST(SpecRoundTripPropertyTest, RandomConfigsRoundTripBitExactly) {
   Draw draw(20071015);
   for (int i = 0; i < 400; ++i) {
     SCOPED_TRACE(i);
-    ExpectExactRoundTrip(RandomAdmission(draw));
-    ExpectExactRoundTrip(RandomStats(draw));
-    ExpectExactRoundTrip(RandomTier(draw));
-    ExpectExactRoundTrip(RandomSpan(draw));
     ExpectExactRoundTrip(RandomRun(draw));
   }
 }
 
-// --- RunConfig's text form and fglb_sim's resolution ---
+// --- RunConfig's text form ---
 
 TEST(RunConfigTest, ParseNeedsEveryKeyOnceAndEachValueValid) {
   const std::string text = RunConfig{}.ToString();
-  KvItems items;
-  std::string error;
-  ASSERT_TRUE(SplitKvSpec(text, '\n', "run config", &items, &error)) << error;
-  ASSERT_EQ(items.size(), 20u) << text;
+  const KvItems items = Rows(RunConfig{});
+  ASSERT_EQ(items.size(), 22u) << text;
   for (size_t i = 1; i < items.size(); ++i) {
     EXPECT_LT(items[i - 1].first, items[i].first);  // sorted keys
   }
-  // A missing key, a bad sub-config (with its own parser's reason) and
-  // a fault spec that does not parse are each named.
-  struct Edit {
-    std::string line, replacement, token;
+  // At least one bad value for every row, each a value its row's type
+  // or range check refuses.
+  struct Bad {
+    std::string key, value;
   };
-  const Edit edits[] = {
-      {"servers=4\n", "", "lacks key: servers"},
-      {"tier=\n", "tier=pages=-1,\n", "tier=pages=-1, (trailing comma"},
-      {"fault_spec=\n", "fault_spec=bogus@1\n", "fault_spec=bogus@1"},
+  const Bad bad_values[] = {
+      {"admission", "auto"},  // the CLI's "scenario default" spelling
+      {"ckpt_interval", "-1"},
+      {"cohorts", "sometimes"},
+      {"duration", "0"},
+      {"fault_seed", "-1"},
+      {"fault_spec", "bogus@1"},
+      {"interval", "0"},
+      {"max_migrations", "1.5"},
+      {"mrc_opt_regret", "yes"},
+      {"mrc_sample_rate", "1.5"},
+      {"replacement", "fifo"},
+      {"replica_pool_pages", "0"},
+      {"rubis_clients", "-1"},
+      {"scenario", "nope"},
+      {"seed", "1e3"},
+      {"servers", "2.0"},  // a count, as on the command line
+      {"servers", "0"},
+      {"span_sample", "-64"},
+      {"stats_guard", "2"},
+      {"tier2_demote", "2"},
+      {"tier2_pages", "10.5"},  // a count
+      {"tier2_pages", "-5"},
+      {"tier2_read_us", "0"},  // a tier-2 hit costs time
+      {"tpcw_clients", "nan"},
   };
+  std::set<std::string> covered;
   RunConfig out;
   out.seed = 77;
-  for (const Edit& edit : edits) {
-    std::string bad = text;
-    bad.replace(bad.find(edit.line), edit.line.size(), edit.replacement);
-    EXPECT_FALSE(RunConfig::Parse(bad, &out, &error)) << bad;
-    EXPECT_NE(error.find(edit.token), std::string::npos) << error;
+  std::string error;
+  for (const Bad& bad : bad_values) {
+    SCOPED_TRACE(bad.key + "=" + bad.value);
+    covered.insert(bad.key);
+    std::string edited;
+    for (const auto& [key, value] : items) {
+      if (!edited.empty()) edited += '\n';
+      edited += key + "=" + (key == bad.key ? bad.value : value);
+    }
+    EXPECT_FALSE(RunConfig::Parse(edited, &out, &error));
+    EXPECT_NE(error.find("bad run config value: " + bad.key + "=" + bad.value),
+              std::string::npos)
+        << error;
+    if (bad.key == "fault_spec") {  // the fault spec's parser says why
+      EXPECT_NE(error.find("needs kind@time:params"), std::string::npos)
+          << error;
+    }
   }
+  for (const auto& [key, value] : items) {
+    EXPECT_TRUE(covered.contains(key)) << "no bad value for " << key;
+  }
+  // A missing key is named; 0 is a valid span rate: no span tracing.
+  std::string missing = text;
+  missing.erase(missing.find("servers=4\n"), 10);
+  EXPECT_FALSE(RunConfig::Parse(missing, &out, &error));
+  EXPECT_NE(error.find("lacks key: servers"), std::string::npos) << error;
   EXPECT_EQ(out.seed, 77u);  // untouched by every rejection
+  ASSERT_TRUE(RunConfig::Parse(text, &out, &error)) << error;
+  EXPECT_EQ(out.span_sample, 0u);
 }
 
 TEST(ScenarioRunConfigTest, HoldsFglbSimPerScenarioDefaults) {
@@ -278,17 +265,19 @@ TEST(ScenarioRunConfigTest, HoldsFglbSimPerScenarioDefaults) {
     const bool tiered = scenario == Scenario::kTierThrash ||
                         scenario == Scenario::kTierFail ||
                         scenario == Scenario::kColdStart;
-    EXPECT_EQ(run.tier.pages, tiered ? 16384u : 0u);
+    EXPECT_EQ(run.tier2_pages, tiered ? 16384u : 0u);
     EXPECT_EQ(run.max_migrations_per_interval, chaos ? 2 : 0);
     EXPECT_EQ(run.replica_pool_pages,
               scenario == Scenario::kColdStart ? 4096u : 8192u);
-    EXPECT_EQ(run.admission.has_value(), scenario == Scenario::kOverload);
+    EXPECT_EQ(run.admission, scenario == Scenario::kOverload);
     EXPECT_EQ(run.ckpt_interval_seconds,
               scenario == Scenario::kChaosCtl ? 10 : 0);
     EXPECT_EQ(run.fault_spec.empty(),
               !chaos && scenario != Scenario::kTierFail);
   }
 }
+
+// --- fglb_sim's resolution of its flags ---
 
 RunConfig FromCli(const std::vector<std::string>& args) {
   CliOptions options;
@@ -299,32 +288,197 @@ RunConfig FromCli(const std::vector<std::string>& args) {
   return run;
 }
 
+bool CliRejects(const std::vector<std::string>& args) {
+  CliOptions options;
+  std::string error;
+  return !ParseCliOptions(args, &options, &error) && !error.empty();
+}
+
+// The engines' second tier of the harness fglb_sim builds for `run`.
+TierConfig BuiltTier(const RunConfig& run) {
+  return MakeHarness(run, 1)->resources().engine_tier();
+}
+
 TEST(RunConfigFromCliTest, AppliesFlagOverridesOnScenarioDefaults) {
   EXPECT_EQ(FromCli({}).ToString(),
             ScenarioRunConfig(Scenario::kSteady, 900).ToString());
-  RunConfig run = FromCli({"--scenario=overload", "--clients-scale=10",
-                           "--admission-target=0.25"});
+  RunConfig run = FromCli({"--scenario=overload", "--clients-scale=10"});
   EXPECT_EQ(run.tpcw_clients, 1200);
-  ASSERT_TRUE(run.admission.has_value());
-  EXPECT_EQ(run.admission->target_delay, 0.25);
+  EXPECT_TRUE(run.admission);
   EXPECT_FALSE(FromCli({"--scenario=overload", "--admission=off"}).admission);
   EXPECT_EQ(FromCli({"--scenario=chaos-ctl", "--ckpt-interval=0"})
                 .ckpt_interval_seconds,
             0);
   run = FromCli({"--scenario=tier-thrash", "--tier2-read-us=123.4567"});
-  EXPECT_EQ(run.tier.ToString(), "pages=16384,read_us=123.4567,demote=1");
-  // Tier knobs without a tier change nothing.
-  EXPECT_EQ(FromCli({"--tier2-read-us=5"}).tier, TierConfig{});
+  EXPECT_EQ(run.tier2_pages, 16384u);
+  EXPECT_EQ(run.tier2_read_us, 123.4567);
+  EXPECT_TRUE(run.tier2_demote);
+  // Tier knobs without a tier are recorded, and build no tier.
+  run = FromCli({"--tier2-read-us=5"});
+  EXPECT_EQ(run.tier2_read_us, 5);
+  EXPECT_FALSE(BuiltTier(run).enabled());
   run = FromCli({"--span-sample=16", "--stats-guard=off", "--mrc-opt-regret"});
-  EXPECT_EQ(run.spans, SpanConfig{16});
-  EXPECT_FALSE(run.stats.guard);
-  EXPECT_TRUE(run.opt_regret);
+  EXPECT_EQ(run.span_sample, 16u);
+  EXPECT_FALSE(run.stats_guard);
+  EXPECT_TRUE(run.mrc_opt_regret);
 
+  // A fault spec is checked by its row when the flag is parsed.
   CliOptions options;
   std::string error;
-  ASSERT_TRUE(ParseCliOptions({"--fault-spec=bogus@1"}, &options, &error));
+  EXPECT_FALSE(ParseCliOptions({"--fault-spec=bogus@1"}, &options, &error));
+  EXPECT_NE(error.find("fault_spec=bogus@1"), std::string::npos) << error;
+}
+
+TEST(RunConfigFromCliTest, TierPagesZeroTurnsTheTierOff) {
+  // 0 was also the "flag not given" value, so tier-thrash kept its
+  // 16384-page tier under --tier2-pages=0.
+  const RunConfig run = FromCli({"--scenario=tier-thrash", "--tier2-pages=0"});
+  EXPECT_EQ(run.tier2_pages, 0u);
+  EXPECT_FALSE(BuiltTier(run).enabled());
+  EXPECT_EQ(BuiltTier(FromCli({"--scenario=tier-thrash"})).pages, 16384u);
+}
+
+TEST(RunConfigFromCliTest, FlagValuesUseTheRowGrammar) {
+  // What the command line accepts, the info block accepts: a count is
+  // digits only.
+  EXPECT_TRUE(CliRejects({"--servers=2.0"}));
+  EXPECT_TRUE(CliRejects({"--seed=1.0"}));
+  EXPECT_TRUE(CliRejects({"--tier2-pages=16384.0"}));
+  EXPECT_TRUE(CliRejects({"--mrc-threads=2.0"}));
+  EXPECT_EQ(FromCli({"--servers=2"}).servers, 2);
+  // The admission tuning flags are gone; admission is on or off.
+  EXPECT_TRUE(CliRejects({"--admission-target=0.25"}));
+  EXPECT_TRUE(CliRejects({"--admission-max-queue=32"}));
+  // Flags are spelled with dashes only, and need a value.
+  EXPECT_TRUE(CliRejects({"--fault_seed=3"}));
+  EXPECT_TRUE(CliRejects({"--fault-spec="}));
+}
+
+TEST(RunConfigFromCliTest, CommandLineSpellingsKeepTheirMeaning) {
+  // auto and -1 leave the scenario's default, also after another value.
+  EXPECT_TRUE(FromCli({"--scenario=overload", "--admission=auto"}).admission);
+  EXPECT_TRUE(FromCli({"--scenario=overload", "--admission=off",
+                       "--admission=auto"})
+                  .admission);
+  EXPECT_EQ(FromCli({"--scenario=chaos-ctl", "--ckpt-interval=5",
+                     "--ckpt-interval=-1"})
+                .ckpt_interval_seconds,
+            10);
+  // A spans file samples 1 in 64 unless --span-sample says otherwise;
+  // --span-sample=0 turns span tracing off.
+  EXPECT_EQ(FromCli({"--spans-out=s.json"}).span_sample, 64u);
+  EXPECT_EQ(FromCli({"--spans-out=s.json", "--span-sample=8"}).span_sample,
+            8u);
+  EXPECT_EQ(FromCli({"--span-sample=0"}).span_sample, 0u);
+  CliOptions options;
+  std::string error;
+  ASSERT_TRUE(ParseCliOptions({"--spans-out=s.json", "--span-sample=0"},
+                              &options, &error));
+  RunConfig run;
   EXPECT_FALSE(RunConfigFromCli(options, &run, &error));
-  EXPECT_EQ(error.rfind("bad --fault-spec: ", 0), 0u) << error;
+  EXPECT_NE(error.find("--spans-out"), std::string::npos) << error;
+  // The last value given wins.
+  EXPECT_EQ(FromCli({"--seed=3", "--seed=4"}).seed, 4u);
+  // --clients-scale multiplies the client rows after every flag.
+  EXPECT_EQ(FromCli({"--clients-scale=10", "--tpcw-clients=12"}).tpcw_clients,
+            120);
+  // The scenario's duration-scaled fault schedule follows --duration.
+  EXPECT_EQ(FromCli({"--scenario=chaos-net", "--duration=300"}).fault_spec,
+            ScenarioRunConfig(Scenario::kChaosNet, 300).fault_spec);
+}
+
+// One command line per run flag, each changing only the row it names
+// away from the steady scenario's default.
+struct FlagCase {
+  const char* key;
+  std::vector<std::string> args;
+};
+
+// Each case prints as its key, so the ctest name is the same in every
+// build.
+void PrintTo(const FlagCase& flag, std::ostream* os) { *os << flag.key; }
+
+const FlagCase kFlagCases[] = {
+    {"admission", {"--admission=on"}},
+    {"ckpt_interval", {"--ckpt-interval=5"}},
+    {"cohorts", {"--cohorts=on"}},
+    {"duration", {"--duration=600"}},
+    {"fault_seed", {"--fault-seed=7"}},
+    {"fault_spec", {"--fault-spec=crash@100:replica=0"}},
+    {"mrc_opt_regret", {"--mrc-opt-regret"}},
+    {"mrc_sample_rate", {"--mrc-sample-rate=0.125"}},
+    {"replacement", {"--replacement=arc"}},
+    {"rubis_clients", {"--rubis-clients", "90"}},
+    {"scenario", {"--scenario=burst"}},
+    {"seed", {"--seed=7"}},
+    {"servers", {"--servers=2"}},
+    {"span_sample", {"--span-sample=16"}},
+    {"stats_guard", {"--stats-guard=off"}},
+    {"tier2_demote", {"--tier2-demote=0"}},
+    {"tier2_pages", {"--tier2-pages=4096"}},
+    {"tier2_read_us", {"--tier2-read-us=5"}},
+    {"tpcw_clients", {"--tpcw-clients=60.5"}},
+};
+
+class RunConfigFromCliFlagTest : public ::testing::TestWithParam<FlagCase> {};
+
+TEST_P(RunConfigFromCliFlagTest, ChangesExactlyItsOwnRow) {
+  const FlagCase& flag = GetParam();
+  EXPECT_EQ(ChangedRows(FromCli({}), FromCli(flag.args)),
+            std::set<std::string>{flag.key});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRunFlag, RunConfigFromCliFlagTest, ::testing::ValuesIn(kFlagCases),
+    [](const ::testing::TestParamInfo<FlagCase>& info) {
+      return std::string(info.param.key);
+    });
+
+TEST(CliFlagTest, UsageAndTableAgree) {
+  // The help text is the one description of a flag the table does not
+  // generate: every flag it names must parse, and every flag row must
+  // be named in it. A run flag's sample is its kFlagCases command line,
+  // so every flag row also has a ChangesExactlyItsOwnRow case.
+  std::map<std::string, std::vector<std::string>> samples = {
+      {"output", {"--output=samples-csv"}},
+      {"clients-scale", {"--clients-scale=2"}},
+      {"mrc-threads", {"--mrc-threads=1"}},
+      {"trace-out", {"--trace-out=t.jsonl"}},
+      {"capture-out", {"--capture-out=c.fglbcap"}},
+      {"metrics-out", {"--metrics-out=m.json"}},
+      {"metrics-interval", {"--metrics-interval=5"}},
+      {"spans-out", {"--spans-out=s.json"}},
+      {"log-level", {"--log-level=quiet"}},
+      {"help", {"--help"}},
+  };
+  for (const FlagCase& flag : kFlagCases) {
+    std::string name = flag.key;
+    std::replace(name.begin(), name.end(), '_', '-');
+    samples[name] = flag.args;
+  }
+  const std::string usage = CliUsage();
+  std::set<std::string> named;
+  const std::regex flag_pattern("--([a-z0-9]+(-[a-z0-9]+)*)");
+  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), flag_pattern);
+       it != std::sregex_iterator(); ++it) {
+    named.insert((*it)[1].str());
+  }
+  for (const std::string& name : named) {
+    SCOPED_TRACE("--" + name);
+    ASSERT_TRUE(samples.contains(name)) << "no sample value";
+    CliOptions options;
+    std::string error;
+    EXPECT_TRUE(ParseCliOptions(samples.at(name), &options, &error)) << error;
+  }
+  for (const std::string& key : RunConfig::FlagKeys()) {
+    std::string name = key;
+    std::replace(name.begin(), name.end(), '_', '-');
+    EXPECT_TRUE(named.contains(name)) << "--" << name << " not in --help";
+  }
+  EXPECT_EQ(named.size(), samples.size());
+  // 19 flagged rows (interval, max_migrations and replica_pool_pages
+  // have none) and 10 flags that are not part of a run.
+  EXPECT_EQ(named.size(), 29u);
 }
 
 }  // namespace

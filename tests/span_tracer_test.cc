@@ -43,26 +43,6 @@ void AssembleConsolidation(ClusterHarness* harness, double duration,
   AssembleScenario(Consolidation(duration, seed), harness);
 }
 
-TEST(SpanConfigTest, RoundTripsThroughString) {
-  SpanConfig config;
-  config.sample_every = 17;
-  const std::string text = config.ToString();
-  EXPECT_EQ(text, "sample=17");
-  SpanConfig parsed;
-  std::string error;
-  ASSERT_TRUE(SpanConfig::Parse(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.sample_every, 17u);
-}
-
-TEST(SpanConfigTest, RejectsMalformedSpecs) {
-  SpanConfig parsed;
-  std::string error;
-  EXPECT_FALSE(SpanConfig::Parse("sample=0", &parsed, &error));
-  EXPECT_FALSE(SpanConfig::Parse("sample=abc", &parsed, &error));
-  EXPECT_FALSE(SpanConfig::Parse("bogus=1", &parsed, &error));
-  EXPECT_FALSE(SpanConfig::Parse("sample", &parsed, &error));
-}
-
 TEST(SpanTracerTest, SegmentsPartitionMeasuredLatency) {
   // Sample every query; every finished span's segment sum must equal
   // its measured end-to-end latency to within 1% (the acceptance bound;
@@ -200,8 +180,7 @@ TEST(SpanTracerTest, CaptureReplayReproducesSpanOutputByteForByte) {
   std::string live_spans;
   {
     RunConfig run = Consolidation(duration, /*seed=*/1);
-    run.spans.emplace();
-    run.spans->sample_every = 16;
+    run.span_sample = 16;
     const std::unique_ptr<ClusterHarness> harness = RunAndCapture(run, path);
     SpanTracer* spans = harness->span_tracer();
     ASSERT_NE(spans, nullptr);
@@ -213,8 +192,7 @@ TEST(SpanTracerTest, CaptureReplayReproducesSpanOutputByteForByte) {
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  ASSERT_TRUE(capture.run.spans.has_value());
-  EXPECT_EQ(capture.run.spans->ToString(), "sample=16");
+  EXPECT_EQ(capture.run.span_sample, 16u);
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   SpanTracer* replay_spans = runner.harness()->span_tracer();

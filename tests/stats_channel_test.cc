@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "core/control_state.h"
 #include "scenarios/harness.h"
 #include "scenarios/scenario.h"
 #include "sim/fault_injector.h"
@@ -27,30 +28,14 @@ StatsChannel::Snapshot MakeSnapshot(double base) {
   return snapshot;
 }
 
-// --- config spec codec ---
-
-TEST(StatsChannelConfigTest, DefaultsEncodeEmptyAndRoundTrip) {
-  StatsChannelConfig config;
-  EXPECT_EQ(config.ToString(), "");
-  StatsChannelConfig parsed;
-  std::string error;
-  ASSERT_TRUE(StatsChannelConfig::Parse("", &parsed, &error)) << error;
-  EXPECT_TRUE(parsed.guard);
-
-  config.guard = false;
-  config.decay = 0.25;
-  config.recover = 0.5;
-  config.act_threshold = 0.75;
-  const std::string text = config.ToString();
-  ASSERT_TRUE(StatsChannelConfig::Parse(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.ToString(), text);
-  EXPECT_FALSE(parsed.guard);
-  EXPECT_DOUBLE_EQ(parsed.decay, 0.25);
-  EXPECT_DOUBLE_EQ(parsed.recover, 0.5);
-  EXPECT_DOUBLE_EQ(parsed.act_threshold, 0.75);
-
-  EXPECT_FALSE(StatsChannelConfig::Parse("bogus=1", &parsed, &error));
-  EXPECT_FALSE(error.empty());
+// The placement gate's verdict on evidence from a feed at
+// `confidence` under the channel's guard: the confidence rule the
+// controller acts on.
+Hold EvidenceHold(const StatsChannel& channel, double confidence) {
+  return PlacementGate(
+      ControlState{}, ControlPolicy{.guard = channel.config().guard},
+      /*now=*/0,
+      GateRequest{.ask = GateRequest::kEvidence, .confidence = confidence});
 }
 
 // --- lossless transport: the healthy path is a bit-exact handoff ---
@@ -104,7 +89,7 @@ TEST(StatsChannelTest, DroppedReportsDecayConfidenceAndResyncRecovers) {
     last_confidence = feed.confidence;
     // Fallback serves the last-known-good snapshot, not garbage.
     EXPECT_EQ(*feed.snapshot, MakeSnapshot(1.0));
-    EXPECT_FALSE(channel.ConfidentToAct(feed.confidence));
+    EXPECT_EQ(EvidenceHold(channel, feed.confidence), Hold::kLowConfidence);
   }
 
   drop = false;
@@ -195,13 +180,13 @@ TEST(StatsChannelTest, GuardOffPinsFullConfidence) {
   const StatsChannel::Feed feed = channel.Collect(1);
   EXPECT_FALSE(feed.fresh);
   EXPECT_DOUBLE_EQ(feed.confidence, 1.0);  // the flapping ablation arm
-  EXPECT_TRUE(channel.ConfidentToAct(feed.confidence));
+  EXPECT_EQ(EvidenceHold(channel, feed.confidence), Hold::kNone);
 }
 
 TEST(StatsChannelTest, AlternatingLossNeverClearsActThreshold) {
-  // Flap damping: with decay=0.5 / recover=0.25, a link that loses
-  // every other report oscillates confidence strictly below the 0.9
-  // act threshold, so actions cannot ping-pong with the link state.
+  // Flap damping: a link that loses every other report oscillates
+  // confidence strictly below the placement gate's act threshold, so
+  // actions cannot ping-pong with the link state.
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool drop = false;
@@ -217,7 +202,8 @@ TEST(StatsChannelTest, AlternatingLossNeverClearsActThreshold) {
     channel.Publish(1, MakeSnapshot(static_cast<double>(i)), 10);
     const StatsChannel::Feed feed = channel.Collect(1);
     if (i > 0) {  // after the first loss the flap regime is reached
-      EXPECT_FALSE(channel.ConfidentToAct(feed.confidence)) << i;
+      EXPECT_EQ(EvidenceHold(channel, feed.confidence), Hold::kLowConfidence)
+          << i;
     }
   }
 }

@@ -1,13 +1,11 @@
-// Second-tier block cache invariants: TierConfig's canonical spec
-// string round-trips and rejects malformed input, the pool's
-// demote/promote cycle is exclusive (a promoted page leaves the tier),
-// quotas partition the tier like the DRAM pool, the fault hooks drop
-// residency cold, and the two-level quota planner jumps LRU cliffs a
-// fixed-granule greedy would starve.
+// Second-tier block cache invariants: the pool's demote/promote cycle
+// is exclusive (a promoted page leaves the tier), quotas partition the
+// tier like the DRAM pool, the fault hooks drop residency cold, and
+// the two-level quota planner jumps LRU cliffs a fixed-granule greedy
+// would starve.
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,58 +18,6 @@
 
 namespace fglb {
 namespace {
-
-TEST(TierConfigTest, DisabledTierEncodesAsEmptyString) {
-  TierConfig config;  // pages=0: tier absent
-  EXPECT_FALSE(config.enabled());
-  EXPECT_EQ(config.ToString(), "");
-
-  TierConfig parsed;
-  parsed.pages = 123;  // must be reset by parsing ""
-  std::string error;
-  ASSERT_TRUE(TierConfig::Parse("", &parsed, &error)) << error;
-  EXPECT_FALSE(parsed.enabled());
-}
-
-TEST(TierConfigTest, RoundTripsThroughString) {
-  TierConfig config;
-  config.pages = 16384;
-  config.read_us = 62.5;
-  config.demote = false;
-  const std::string text = config.ToString();
-  EXPECT_EQ(text, "pages=16384,read_us=62.5,demote=0");
-
-  TierConfig parsed;
-  std::string error;
-  ASSERT_TRUE(TierConfig::Parse(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.pages, 16384u);
-  EXPECT_DOUBLE_EQ(parsed.read_us, 62.5);
-  EXPECT_FALSE(parsed.demote);
-  EXPECT_EQ(parsed.ToString(), text);
-}
-
-TEST(TierConfigTest, ParseAcceptsKeysInAnyOrder) {
-  TierConfig parsed;
-  std::string error;
-  ASSERT_TRUE(
-      TierConfig::Parse("demote=1,read_us=250,pages=4096", &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.pages, 4096u);
-  EXPECT_DOUBLE_EQ(parsed.read_us, 250);
-  EXPECT_TRUE(parsed.demote);
-}
-
-TEST(TierConfigTest, ParseRejectsMalformedSpecs) {
-  TierConfig parsed;
-  std::string error;
-  EXPECT_FALSE(TierConfig::Parse("pages=abc", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("pages", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("pages=10.5", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("pages=-5", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("read_us=0", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("demote=2", &parsed, &error));
-  EXPECT_FALSE(TierConfig::Parse("bogus=1", &parsed, &error));
-}
 
 TierConfig MakeTier(uint64_t pages, double read_us = 100.0,
                     bool demote = true) {

@@ -165,15 +165,17 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
   const std::string path = TempPath("fglb_tiered_replay_info.fglbcap");
   RunConfig run = ScenarioRunConfig(Scenario::kTierThrash, 60);
   run.seed = 3;
-  run.tier.pages = 8192;
-  run.tier.read_us = 250;
+  run.tier2_pages = 8192;
+  run.tier2_read_us = 250;
   run.replacement = ReplacementPolicy::kArc;
   RunLive(path, run);
 
   Capture capture;
   std::string error;
   ASSERT_TRUE(ReadCapture(path, &capture, &error)) << error;
-  EXPECT_EQ(capture.run.tier.ToString(), "pages=8192,read_us=250,demote=1");
+  EXPECT_EQ(capture.run.tier2_pages, 8192u);
+  EXPECT_EQ(capture.run.tier2_read_us, 250);
+  EXPECT_TRUE(capture.run.tier2_demote);
   EXPECT_EQ(capture.run.replacement, ReplacementPolicy::kArc);
 
   // Building the replay installs both as engine defaults before any

@@ -155,15 +155,27 @@ diff <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload.jsonl" \
          --phase=action) \
      <("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/overload-replay.jsonl" \
          --phase=action)
+# A flag's value is parsed by its RunConfig row, so a count takes no
+# decimal point; admission is on or off, with no tuning flags. Both
+# are usage errors (exit 2).
+for bad_flag in --servers=2.0 --admission-target=0.25; do
+  status=0
+  "./${PREFIX}/tools/fglb_sim" --scenario=overload --duration=10 \
+    --log-level=quiet "${bad_flag}" >/dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "fglb_sim ${bad_flag} exited ${status}, not 2" >&2
+    exit 1
+  fi
+done
 
 echo "=== MRC smoke: on-demand diagnosis + OPT regret ==="
 # A run with the OPT oracle on must emit phase=mrc events whose class
 # profiles carry regret_vs_opt, pass the schema check, and — because
-# the mrc spec rides in the FGLBCAP1 header — replay to identical
-# curves and diagnoses. dur_us is wall clock, so it is stripped before
-# the mrc-phase diff; the action projection must match byte for byte
-# as usual. (consolidation, not overload: overload sheds its way past
-# the mrc phase.)
+# the mrc_opt_regret row rides in the FGLBCAP1 info block — replay to
+# identical curves and diagnoses. dur_us is wall clock, so it is
+# stripped before the mrc-phase diff; the action projection must match
+# byte for byte as usual. (consolidation, not overload: overload sheds
+# its way past the mrc phase.)
 "./${PREFIX}/tools/fglb_sim" --scenario=consolidation --duration=600 \
   --log-level=quiet --mrc-opt-regret \
   --capture-out="${SMOKE_DIR}/mrc.fglbcap" \
@@ -210,8 +222,8 @@ cmp "${SMOKE_DIR}/spans.json" "${SMOKE_DIR}/spans-replay.json"
 echo "=== tiered smoke: second tier, demote rung, replay byte-identity ==="
 # A tier-thrash run must answer the squeeze with the demote rung
 # instead of a migration, stamp tier fields on its phase=mrc events,
-# count the demotes in the summary, and — because the tier spec rides
-# in the FGLBCAP1 header — replay byte-identically (action projection
+# count the demotes in the summary, and — because the tier2_* rows ride
+# in the FGLBCAP1 info block — replay byte-identically (action projection
 # exactly, mrc modulo the wall-clock dur_us field).
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --duration=450 \
   --log-level=quiet --capture-out="${SMOKE_DIR}/tier.fglbcap" \
@@ -249,12 +261,15 @@ grep -q '"engine.engine-0.bufferpool.class_2_4.capacity_pages":0' \
 grep -q '"engine.engine-0.tier.class_2_4.quota_pages":0' \
   "${SMOKE_DIR}/tier-moved.json"
 # A tier read time that "%g" would round to 6 digits: the capture keeps
-# every digit, so the whole replayed trace matches, not only the
-# action projection (wall-clock mono_us/dur_us stripped).
+# every digit (its --summary prints the row as given), so the whole
+# replayed trace matches, not only the action projection (wall-clock
+# mono_us/dur_us stripped).
 "./${PREFIX}/tools/fglb_sim" --scenario=tier-thrash --tier2-read-us=123.4567 \
   --duration=600 --log-level=quiet \
   --capture-out="${SMOKE_DIR}/tier-exact.fglbcap" \
   --trace-out="${SMOKE_DIR}/tier-exact.jsonl" >/dev/null
+"./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/tier-exact.fglbcap" --summary \
+  | grep -qx '    tier2_read_us=123.4567'
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/tier-exact.fglbcap" \
   --trace-out="${SMOKE_DIR}/tier-exact-replay.jsonl"
 diff <(sed -E 's/,"(mono_us|dur_us)":[^,}]*//g' \
@@ -288,7 +303,7 @@ echo "=== survivability smoke: lossy stats channel + controller crash ==="
 # chaos-net: reports cross a lossy transport. The trace must pass
 # --check (which validates per-replica report_seq / stale_intervals
 # continuity on the recovery events), surface report_lost counts in the
-# summary, and — because the stats-channel spec rides in the FGLBCAP1
+# summary, and — because the stats_guard row rides in the FGLBCAP1
 # header — replay byte-identically: actions exactly, the full trace
 # modulo the wall-clock mono_us/dur_us fields.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-net --duration=600 \
@@ -375,7 +390,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   common_random_test run_config_test retuner_property_test \
   fault_injector_test
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|RetunerProperty|ControlState|FaultSpec'
+  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|ControlState|FaultSpec'
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kv_spec.h"
 #include "common/logging.h"
 #include "replay/capture.h"
 #include "scenarios/cli_options.h"
@@ -47,8 +48,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<ClusterHarness> harness_owner =
       MakeHarness(run, options.mrc_threads);
   ClusterHarness& harness = *harness_owner;
-  if (run.tier.enabled()) {
-    LogInfo("second tier on: %s", run.tier.ToString().c_str());
+  if (run.tier2_pages > 0) {
+    LogInfo("second tier on: %llu pages, %s us per hit, demote %s",
+            static_cast<unsigned long long>(run.tier2_pages),
+            FormatKvNumber(run.tier2_read_us).c_str(),
+            run.tier2_demote ? "on" : "off");
   }
   if (!options.trace_out.empty()) {
     if (!harness.trace().OpenFile(options.trace_out, &error)) {
@@ -65,9 +69,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  if (run.admission) {
-    LogInfo("overload protection on: %s", run.admission->ToString().c_str());
-  }
+  if (run.admission) LogInfo("overload protection on");
   if (SpanTracer* spans = harness.span_tracer()) {
     if (!options.spans_out.empty()) {
       if (!spans->OpenFile(options.spans_out, &error)) {
@@ -76,7 +78,8 @@ int main(int argc, char** argv) {
       }
       LogDebug("span timelines -> %s", options.spans_out.c_str());
     }
-    LogInfo("span tracing on: %s", spans->config().ToString().c_str());
+    LogInfo("span tracing on: 1 in %llu queries",
+            static_cast<unsigned long long>(spans->config().sample_every));
   }
   if (run.ckpt_interval_seconds > 0) {
     LogInfo("controller checkpointing on: every %.0f s",
