@@ -5,8 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/varint.h"
-
 namespace fglb {
 
 AdmissionController::AdmissionController(Simulator* sim,
@@ -43,41 +41,35 @@ void AdmissionController::BindObservability(MetricsRegistry* metrics,
 }
 
 void AdmissionController::RegisterApp(AppId app, double sla_latency_seconds) {
-  AppState& state = apps_[app];
-  state.sla_latency_seconds =
-      sla_latency_seconds > 0 ? sla_latency_seconds : 1.0;
+  slas_[app] = sla_latency_seconds > 0 ? sla_latency_seconds : 1.0;
 }
 
 double AdmissionController::SlaOf(AppId app) const {
-  auto it = apps_.find(app);
-  return it != apps_.end() ? it->second.sla_latency_seconds : 1.0;
-}
-
-AdmissionController::AppState& AdmissionController::AppOfKey(ClassKey key) {
-  return apps_[AppOf(key)];
+  auto it = slas_.find(app);
+  return it != slas_.end() ? it->second : 1.0;
 }
 
 AdmissionController::ReplicaState& AdmissionController::StateOf(
     int replica_id) {
-  return replicas_[replica_id];
+  return state_.replicas[replica_id];
 }
 
 int AdmissionController::EffectiveKeep(const ReplicaState& rs) const {
-  const int total = static_cast<int>(classes_.size());
+  const int total = static_cast<int>(state_.classes.size());
   return std::min(rs.keep_count, std::max(total, 1));
 }
 
 void AdmissionController::RecomputeShedSet(ReplicaState& rs) {
   rs.shed_classes.clear();
-  const int total = static_cast<int>(classes_.size());
+  const int total = static_cast<int>(state_.classes.size());
   const int keep = EffectiveKeep(rs);
   if (keep >= total) return;
   // Rank by smoothed normalized latency, worst first; classes with no
   // estimate yet rank best (they have claimed no capacity to triage
   // away). Ties break on the key for determinism.
   std::vector<std::pair<double, ClassKey>> ranked;
-  ranked.reserve(classes_.size());
-  for (const auto& [key, cs] : classes_) {
+  ranked.reserve(state_.classes.size());
+  for (const auto& [key, cs] : state_.classes) {
     ranked.emplace_back(cs.has_estimate ? cs.ewma_normalized : 0.0, key);
   }
   std::sort(ranked.begin(), ranked.end(),
@@ -103,7 +95,7 @@ void AdmissionController::SetKeepCount(int replica_id, ReplicaState& rs,
         .Str("kind", "shed_level")
         .Int("replica", replica_id)
         .Int("keep", after)
-        .Int("classes", static_cast<int64_t>(classes_.size()))
+        .Int("classes", static_cast<int64_t>(state_.classes.size()))
         .Num("window_min", rs.window_count > 0 ? rs.window_min : 0)
         .Str("why", reason);
     trace_->Emit(event);
@@ -124,7 +116,7 @@ void AdmissionController::RollWindows(int replica_id, ReplicaState& rs) {
       // above the target. Shed one more class.
       SetKeepCount(replica_id, rs, std::max(1, EffectiveKeep(rs) - 1),
                    "overload");
-    } else if (EffectiveKeep(rs) < static_cast<int>(classes_.size())) {
+    } else if (EffectiveKeep(rs) < static_cast<int>(state_.classes.size())) {
       // Back under target (or idle): restore one class.
       SetKeepCount(replica_id, rs, EffectiveKeep(rs) + 1, "recovery");
     }
@@ -157,7 +149,7 @@ bool AdmissionController::RouteAllowed(ClassKey key, int replica_id) {
 AdmissionController::Verdict AdmissionController::Admit(ClassKey key,
                                                         int replica_id,
                                                         uint64_t queue_depth) {
-  classes_.try_emplace(key);  // ranked from first sight
+  state_.classes.try_emplace(key);  // ranked from first sight
   ReplicaState& rs = StateOf(replica_id);
   RollWindows(replica_id, rs);
 
@@ -196,11 +188,11 @@ AdmissionController::Verdict AdmissionController::Admit(ClassKey key,
 
   ++admitted_total_;
   if (admitted_counter_ != nullptr) admitted_counter_->Increment();
-  AppState& app = AppOfKey(key);
-  app.retry_tokens = std::min(config_.retry_burst,
-                              app.retry_tokens + config_.retry_budget_ratio);
-  if (app.exhaustion_noted && app.retry_tokens >= 1) {
-    app.exhaustion_noted = false;
+  RetryBucket& bucket = state_.retry[AppOf(key)];
+  bucket.tokens = std::min(config_.retry_burst,
+                           bucket.tokens + config_.retry_budget_ratio);
+  if (bucket.exhaustion_noted && bucket.tokens >= 1) {
+    bucket.exhaustion_noted = false;
   }
   verdict.decision = probe ? Decision::kProbe : Decision::kAdmit;
   return verdict;
@@ -211,7 +203,7 @@ void AdmissionController::OnComplete(ClassKey key, int replica_id,
   const double sla = SlaOf(AppOf(key));
   const double normalized = latency_seconds / sla;
 
-  ClassState& cs = classes_[key];
+  ClassState& cs = state_.classes[key];
   if (!cs.has_estimate) {
     cs.has_estimate = true;
     cs.ewma_normalized = normalized;
@@ -255,21 +247,21 @@ void AdmissionController::OnComplete(ClassKey key, int replica_id,
 }
 
 bool AdmissionController::TryRetry(AppId app) {
-  AppState& state = apps_[app];
-  if (state.retry_tokens >= 1) {
-    state.retry_tokens -= 1;
+  RetryBucket& bucket = state_.retry[app];
+  if (bucket.tokens >= 1) {
+    bucket.tokens -= 1;
     if (retry_granted_counter_ != nullptr) retry_granted_counter_->Increment();
     return true;
   }
   if (retry_denied_counter_ != nullptr) retry_denied_counter_->Increment();
-  if (!state.exhaustion_noted) {
-    state.exhaustion_noted = true;
+  if (!bucket.exhaustion_noted) {
+    bucket.exhaustion_noted = true;
     if (Tracing()) {
       TraceEvent event("admission");
       event.Num("t", sim_->Now())
           .Str("kind", "retry_exhausted")
           .Uint("app", app)
-          .Num("tokens", state.retry_tokens);
+          .Num("tokens", bucket.tokens);
       trace_->Emit(event);
     }
   }
@@ -277,8 +269,8 @@ bool AdmissionController::TryRetry(AppId app) {
 }
 
 bool AdmissionController::BreakerOpen(int replica_id) const {
-  auto it = replicas_.find(replica_id);
-  if (it == replicas_.end()) return false;
+  auto it = state_.replicas.find(replica_id);
+  if (it == state_.replicas.end()) return false;
   const SimTime now = sim_->Now();
   for (const auto& [key, b] : it->second.breakers) {
     if (b.state == BreakerState::kOpen &&
@@ -294,20 +286,20 @@ void AdmissionController::NoteNoReplicaAvailable() {
 }
 
 int AdmissionController::KeepCount(int replica_id) const {
-  auto it = replicas_.find(replica_id);
-  const int total = std::max(static_cast<int>(classes_.size()), 1);
-  if (it == replicas_.end()) return total;
+  auto it = state_.replicas.find(replica_id);
+  const int total = std::max(static_cast<int>(state_.classes.size()), 1);
+  if (it == state_.replicas.end()) return total;
   return std::min(it->second.keep_count, total);
 }
 
 bool AdmissionController::IsShed(ClassKey key, int replica_id) const {
-  auto it = replicas_.find(replica_id);
-  return it != replicas_.end() && it->second.shed_classes.contains(key);
+  auto it = state_.replicas.find(replica_id);
+  return it != state_.replicas.end() && it->second.shed_classes.contains(key);
 }
 
 double AdmissionController::RetryTokens(AppId app) const {
-  auto it = apps_.find(app);
-  return it != apps_.end() ? it->second.retry_tokens : 0;
+  auto it = state_.retry.find(app);
+  return it != state_.retry.end() ? it->second.tokens : 0;
 }
 
 void AdmissionController::TripBreaker(ClassKey key, int replica_id,
@@ -342,124 +334,6 @@ void AdmissionController::CloseBreaker(ClassKey key, int replica_id,
   b.probe_successes = 0;
   if (closes_counter_ != nullptr) closes_counter_->Increment();
   EmitBreakerEvent("close", key, replica_id, b);
-}
-
-void AdmissionController::SerializeState(std::string* out) const {
-  PutVarint64(out, apps_.size());
-  for (const auto& [app, state] : apps_) {
-    PutVarint64(out, app);
-    PutFixed64(out, DoubleToBits(state.retry_tokens));
-    PutVarint64(out, state.exhaustion_noted ? 1 : 0);
-  }
-  PutVarint64(out, classes_.size());
-  for (const auto& [key, cs] : classes_) {
-    PutVarint64(out, key);
-    PutVarint64(out, cs.has_estimate ? 1 : 0);
-    PutFixed64(out, DoubleToBits(cs.ewma_normalized));
-  }
-  PutVarint64(out, replicas_.size());
-  for (const auto& [replica, rs] : replicas_) {
-    PutVarint64(out, ZigZagEncode(replica));
-    PutFixed64(out, DoubleToBits(rs.window_end));
-    PutFixed64(out, DoubleToBits(rs.window_min));
-    PutVarint64(out, rs.window_count);
-    PutVarint64(out, ZigZagEncode(rs.keep_count));
-    PutVarint64(out, rs.shed_classes.size());
-    for (ClassKey key : rs.shed_classes) PutVarint64(out, key);
-    PutVarint64(out, rs.breakers.size());
-    for (const auto& [key, b] : rs.breakers) {
-      PutVarint64(out, key);
-      PutVarint64(out, static_cast<uint64_t>(b.state));
-      PutVarint64(out, ZigZagEncode(b.consecutive_failures));
-      PutFixed64(out, DoubleToBits(b.opened_at));
-      PutVarint64(out, ZigZagEncode(b.probes_issued));
-      PutVarint64(out, ZigZagEncode(b.probe_successes));
-    }
-  }
-}
-
-bool AdmissionController::RestoreState(const uint8_t* p,
-                                       const uint8_t* limit) {
-  // Counts are checked against the bytes left before they size a loop;
-  // entry sizes are lower bounds (varint >= 1 byte, double 8).
-  Reader r{p, limit};
-  std::map<AppId, AppState> apps;
-  std::map<ClassKey, ClassState> classes;
-  std::map<int, ReplicaState> replicas;
-  uint64_t count = r.U64();
-  if (!r.PlausibleCount(count, 10)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    AppState state;
-    const AppId app = static_cast<AppId>(r.U64());
-    state.retry_tokens = r.F64();
-    state.exhaustion_noted = r.U64() != 0;
-    apps.emplace(app, state);
-  }
-  count = r.U64();
-  if (!r.PlausibleCount(count, 10)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    ClassState cs;
-    const ClassKey key = r.U64();
-    cs.has_estimate = r.U64() != 0;
-    cs.ewma_normalized = r.F64();
-    classes.emplace(key, cs);
-  }
-  count = r.U64();
-  if (!r.PlausibleCount(count, 21)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    ReplicaState rs;
-    const int replica = static_cast<int>(r.S64());
-    rs.window_end = r.F64();
-    rs.window_min = r.F64();
-    rs.window_count = r.U64();
-    rs.keep_count = static_cast<int>(r.S64());
-    const uint64_t n_shed = r.U64();
-    if (!r.PlausibleCount(n_shed, 1)) return false;
-    for (uint64_t s = 0; s < n_shed; ++s) rs.shed_classes.insert(r.U64());
-    const uint64_t n_breakers = r.U64();
-    if (!r.PlausibleCount(n_breakers, 13)) return false;
-    for (uint64_t bi = 0; bi < n_breakers; ++bi) {
-      Breaker b;
-      const ClassKey key = r.U64();
-      const uint64_t state = r.U64();
-      if (state > 2) return false;
-      b.state = static_cast<BreakerState>(state);
-      b.consecutive_failures = static_cast<int>(r.S64());
-      b.opened_at = r.F64();
-      b.probes_issued = static_cast<int>(r.S64());
-      b.probe_successes = static_cast<int>(r.S64());
-      rs.breakers.emplace(key, b);
-    }
-    replicas.emplace(replica, std::move(rs));
-  }
-  if (!r.ok) return false;
-  // Retry buckets land on the registered SLAs (registration is setup
-  // state and survives the crash); unknown apps in the blob register
-  // with the default SLA.
-  for (auto& [app, state] : apps_) {
-    auto it = apps.find(app);
-    if (it != apps.end()) {
-      it->second.sla_latency_seconds = state.sla_latency_seconds;
-    } else {
-      AppState keep = state;
-      keep.retry_tokens = 0;
-      keep.exhaustion_noted = false;
-      apps.emplace(app, keep);
-    }
-  }
-  apps_ = std::move(apps);
-  classes_ = std::move(classes);
-  replicas_ = std::move(replicas);
-  return true;
-}
-
-void AdmissionController::ResetState() {
-  for (auto& [app, state] : apps_) {
-    state.retry_tokens = 0;
-    state.exhaustion_noted = false;
-  }
-  classes_.clear();
-  replicas_.clear();
 }
 
 void AdmissionController::EmitBreakerEvent(const char* kind, ClassKey key,

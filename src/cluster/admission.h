@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
+#include <utility>
 
 #include "common/metrics_registry.h"
 #include "common/trace_log.h"
@@ -129,17 +129,10 @@ class AdmissionController {
   uint64_t shed() const { return shed_total_; }
   double RetryTokens(AppId app) const;
 
-  // --- checkpoint support (FGLBCKPT1) ---
-  // Serializes/restores the control state a controller crash loses:
-  // per-app retry buckets, per-class headroom estimates, per-replica
-  // CoDel windows, shed levels and breakers. Registered SLAs and the
-  // admitted/shed lifetime totals are preserved across a reset (they
-  // are observability history, not control state).
-  void SerializeState(std::string* out) const;
-  bool RestoreState(const uint8_t* p, const uint8_t* limit);
-  void ResetState();
-
- private:
+  // What a controller crash loses of admission control, as one value.
+  // Registered SLAs and the admitted/shed lifetime totals are not part
+  // of it: they are setup and observability history and survive a
+  // restore.
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
   struct Breaker {
@@ -148,6 +141,7 @@ class AdmissionController {
     SimTime opened_at = 0;
     int probes_issued = 0;
     int probe_successes = 0;
+    bool operator==(const Breaker&) const = default;
   };
 
   struct ReplicaState {
@@ -157,21 +151,36 @@ class AdmissionController {
     int keep_count = 1 << 20;  // clamped to the class count in use
     std::set<ClassKey> shed_classes;
     std::map<ClassKey, Breaker> breakers;
+    bool operator==(const ReplicaState&) const = default;
   };
 
   struct ClassState {
     bool has_estimate = false;
     double ewma_normalized = 0;  // smoothed latency / SLA
+    bool operator==(const ClassState&) const = default;
   };
 
-  struct AppState {
-    double sla_latency_seconds = 1.0;
-    double retry_tokens = 0;
+  struct RetryBucket {
+    double tokens = 0;
     bool exhaustion_noted = false;
+    bool operator==(const RetryBucket&) const = default;
   };
 
+  struct State {
+    std::map<AppId, RetryBucket> retry;      // per app
+    std::map<ClassKey, ClassState> classes;  // headroom estimates
+    std::map<int, ReplicaState> replicas;    // CoDel, shed set, breakers
+    bool operator==(const State&) const = default;
+  };
+
+  const State& state() const { return state_; }
+  // Replaces the control state: an app absent from `state` restarts
+  // with an empty retry bucket, and restoring State{} is the cold
+  // start.
+  void Restore(State state) { state_ = std::move(state); }
+
+ private:
   double SlaOf(AppId app) const;
-  AppState& AppOfKey(ClassKey key);
   ReplicaState& StateOf(int replica_id);
 
   // Closes every CoDel window that has elapsed on `rs`, walking the
@@ -194,9 +203,8 @@ class AdmissionController {
 
   Simulator* sim_;
   AdmissionConfig config_;
-  std::map<AppId, AppState> apps_;
-  std::map<ClassKey, ClassState> classes_;
-  std::map<int, ReplicaState> replicas_;
+  std::map<AppId, double> slas_;  // registered SLA latency, seconds
+  State state_;
 
   uint64_t admitted_total_ = 0;
   uint64_t shed_total_ = 0;

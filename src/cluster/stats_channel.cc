@@ -134,20 +134,16 @@ void StatsChannel::Deliver(const std::string& bytes) {
   Snapshot snapshot;
   if (!GetSnapshot(r, &snapshot)) return;
 
-  Receiver& rs = receivers_[static_cast<int>(replica)];
+  const int replica_id = static_cast<int>(replica);
+  const Receiver& rs = receivers_[replica_id];
+  const auto pending = pending_.find(replica_id);
   // A duplicate carries an already-consumed seq; a reordered straggler
   // carries a seq behind a newer pending/consumed report. Both are
   // discarded — freshest-seq-wins keeps the feed monotone.
-  if (seq <= rs.last_seq) {
-    if (seq == rs.last_seq) {
-      if (duplicate_ignored_ != nullptr) duplicate_ignored_->Increment();
-    } else {
-      if (late_rejected_ != nullptr) late_rejected_->Increment();
-    }
-    return;
-  }
-  if (rs.has_pending && seq <= rs.pending_seq) {
-    if (seq == rs.pending_seq) {
+  const uint64_t newest =
+      pending != pending_.end() ? pending->second.seq : rs.last_seq;
+  if (seq <= newest) {
+    if (seq == rs.last_seq || seq == newest) {
       if (duplicate_ignored_ != nullptr) duplicate_ignored_->Increment();
     } else {
       if (late_rejected_ != nullptr) late_rejected_->Increment();
@@ -155,20 +151,18 @@ void StatsChannel::Deliver(const std::string& bytes) {
     return;
   }
   if (delivered_ != nullptr) delivered_->Increment();
-  rs.pending = std::move(snapshot);
-  rs.has_pending = true;
-  rs.pending_seq = seq;
+  pending_[replica_id] = {seq, std::move(snapshot)};
 }
 
 StatsChannel::Feed StatsChannel::Collect(int replica_id) {
   Receiver& rs = receivers_[replica_id];
   Feed feed;
-  if (rs.has_pending) {
+  const auto pending = pending_.find(replica_id);
+  if (pending != pending_.end()) {
     const uint64_t was_stale = rs.stale_intervals;
-    rs.last_seq = rs.pending_seq;
-    rs.last_known_good = std::move(rs.pending);
-    rs.pending.clear();
-    rs.has_pending = false;
+    rs.last_seq = pending->second.seq;
+    rs.last_known_good = std::move(pending->second.snapshot);
+    pending_.erase(pending);
     rs.stale_intervals = 0;
     rs.confidence = config_.guard
                         ? std::min(1.0, rs.confidence + kRecover)
@@ -199,13 +193,16 @@ StatsChannel::Feed StatsChannel::Collect(int replica_id) {
 
 void StatsChannel::Retain(const std::vector<int>& live_replica_ids) {
   const std::set<int> live(live_replica_ids.begin(), live_replica_ids.end());
-  for (auto it = receivers_.begin(); it != receivers_.end();) {
-    if (live.contains(it->first)) {
-      ++it;
-    } else {
-      it = receivers_.erase(it);
-    }
-  }
+  const auto dead = [&live](const auto& entry) {
+    return !live.contains(entry.first);
+  };
+  std::erase_if(receivers_, dead);
+  std::erase_if(pending_, dead);
+}
+
+void StatsChannel::RestoreReceivers(std::map<int, Receiver> receivers) {
+  receivers_ = std::move(receivers);
+  pending_.clear();
 }
 
 void StatsChannel::EmitRecovery(const char* why, int replica_id, uint64_t seq,
@@ -219,39 +216,6 @@ void StatsChannel::EmitRecovery(const char* why, int replica_id, uint64_t seq,
       .Uint("stale_intervals", stale_intervals)
       .Num("conf", confidence);
   trace_->Emit(event);
-}
-
-void StatsChannel::SerializeReceiverState(std::string* out) const {
-  PutVarint64(out, receivers_.size());
-  for (const auto& [replica, rs] : receivers_) {
-    PutVarint64(out, ZigZagEncode(replica));
-    PutVarint64(out, rs.last_seq);
-    PutVarint64(out, rs.stale_intervals);
-    PutFixed64(out, DoubleToBits(rs.confidence));
-    PutSnapshot(out, rs.last_known_good);
-  }
-}
-
-bool StatsChannel::RestoreReceiverState(const uint8_t* p,
-                                        const uint8_t* limit) {
-  Reader r{p, limit};
-  std::map<int, Receiver> restored;
-  // Per receiver: replica, seq and staleness varints, the confidence
-  // double and the snapshot's class count — at least 12 bytes.
-  const uint64_t count = r.U64();
-  if (!r.PlausibleCount(count, 12)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    Receiver rs;
-    const int replica = static_cast<int>(r.S64());
-    rs.last_seq = r.U64();
-    rs.stale_intervals = r.U64();
-    rs.confidence = r.F64();
-    if (!GetSnapshot(r, &rs.last_known_good)) return false;
-    restored.emplace(replica, std::move(rs));
-  }
-  if (!r.ok) return false;
-  receivers_ = std::move(restored);
-  return true;
 }
 
 }  // namespace fglb

@@ -40,8 +40,8 @@ struct StatsChannelConfig {
 //
 // The publisher side (sequence numbers) is data-plane state and
 // survives a controller crash; the receiver side (last-known-good
-// snapshots, staleness, confidence) is control-plane state that is
-// wiped by a `ctl` crash and restored from the FGLBCKPT1 checkpoint.
+// snapshots, staleness, confidence) is control-plane state that a
+// `ctl` restart restores from the controller's checkpoint.
 class StatsChannel {
  public:
   using Snapshot = std::map<ClassKey, MetricVector>;
@@ -88,24 +88,30 @@ class StatsChannel {
   // Drops receiver state for replicas that no longer exist.
   void Retain(const std::vector<int>& live_replica_ids);
 
-  // Control-plane state management for checkpoint/restore and ctl
-  // crashes. Serialize/Restore cover only the receiver side; publisher
-  // sequence numbers are data-plane state and survive both paths.
-  void SerializeReceiverState(std::string* out) const;
-  bool RestoreReceiverState(const uint8_t* p, const uint8_t* limit);
-  void ResetReceiverState() { receivers_.clear(); }
-
-  const StatsChannelConfig& config() const { return config_; }
-
- private:
+  // The controller's view of one replica's feed: the last report it
+  // collected and how far it trusts it. A report delivered but not yet
+  // collected is not part of it.
   struct Receiver {
     uint64_t last_seq = 0;
     uint64_t stale_intervals = 0;
     double confidence = 1.0;
     Snapshot last_known_good;
-    Snapshot pending;
-    uint64_t pending_seq = 0;
-    bool has_pending = false;
+    bool operator==(const Receiver&) const = default;
+  };
+  // The receiver side, by replica id: what a checkpoint keeps of the
+  // channel. Restoring replaces it and drops every pending report, so
+  // restoring the empty map is the cold start. Publisher sequence
+  // numbers are data-plane state and survive both.
+  const std::map<int, Receiver>& receivers() const { return receivers_; }
+  void RestoreReceivers(std::map<int, Receiver> receivers);
+
+  const StatsChannelConfig& config() const { return config_; }
+
+ private:
+  // A report delivered but not yet collected.
+  struct Pending {
+    uint64_t seq = 0;
+    Snapshot snapshot;
   };
 
   void Deliver(const std::string& bytes);
@@ -117,6 +123,7 @@ class StatsChannel {
   NetHook net_hook_;
   std::map<int, uint64_t> publish_seq_;
   std::map<int, Receiver> receivers_;
+  std::map<int, Pending> pending_;
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   Counter* published_ = nullptr;

@@ -14,8 +14,8 @@ std::string LineError(size_t line_number, const std::string& message) {
 }
 
 bool KnownRecoveryWhy(const std::string& why) {
-  return why == "restored" || why == "bad_ckpt" || why == "no_ckpt" ||
-         why == "stats_resync" || why == "report_lost";
+  return why == "restored" || why == "no_ckpt" || why == "stats_resync" ||
+         why == "report_lost";
 }
 
 // The decision chain of one violating interval: an `sla` event, then

@@ -9,11 +9,10 @@ namespace fglb {
 
 // LEB128 varints, zigzag mapping and fixed-width little-endian scalars
 // over std::string buffers, plus CRC-32 — the byte-level codec shared
-// by FGLBCAP1 captures, FGLBCKPT1 checkpoints and the stats channel's
-// wire format. All readers are bounds-checked: they never read past
-// `limit` and report malformed input by returning 0 / false (or by
-// clearing Reader::ok), so a truncated or corrupted blob can not crash
-// a decoder.
+// by FGLBCAP1 captures and the stats channel's wire format. All
+// readers are bounds-checked: they never read past `limit` and report
+// malformed input by returning 0 / false (or by clearing Reader::ok),
+// so a truncated or corrupted blob can not crash a decoder.
 
 // Appends `v` as a base-128 varint (1..10 bytes).
 void PutVarint64(std::string* dst, uint64_t v);

@@ -1,7 +1,5 @@
 #include "core/control_state.h"
 
-#include <cmath>
-
 namespace fglb {
 
 namespace {
@@ -13,76 +11,6 @@ bool Open(SimTime since, SimTime now, SimTime length) {
 }
 
 }  // namespace
-
-void ControlState::Encode(std::string* out) const {
-  auto clock = [out](SimTime t) { PutFixed64(out, DoubleToBits(t)); };
-  PutVarint64(out, apps.size());
-  for (const auto& [id, app] : apps) {
-    PutVarint64(out, id);
-    PutVarint64(out, ZigZagEncode(app.violation_streak));
-    PutVarint64(out, ZigZagEncode(app.calm_streak));
-    clock(app.topology_changed_at);
-    PutVarint64(out, app.replicas_seen + 1);  // kUnseen wraps to 0
-    clock(app.coarse_fallback_at);
-  }
-  PutVarint64(out, placed_at.size());
-  for (const auto& [key, t] : placed_at) {
-    PutVarint64(out, key);
-    clock(t);
-  }
-  PutVarint64(out, in_flight.size());
-  for (ClassKey key : in_flight) PutVarint64(out, key);
-}
-
-bool ControlState::Decode(Reader& r, ControlState* out) {
-  // Reads a count, then that many entries whose keys ascend strictly,
-  // each at least `min_bytes` long; `entry` decodes the rest of one.
-  auto entries = [&r](size_t min_bytes, uint64_t max_key, auto&& entry) {
-    const uint64_t n = r.U64();
-    if (!r.PlausibleCount(n, min_bytes)) return false;
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t key = r.U64();
-      if (key > max_key || (i > 0 && key <= prev) || !entry(key)) {
-        return false;
-      }
-      prev = key;
-    }
-    return r.ok;
-  };
-  auto clock = [&r](SimTime* t) {
-    *t = r.F64();
-    return std::isfinite(*t) || *t == kNever;
-  };
-  auto streak = [&r](int* value) {
-    const int64_t v = r.S64();
-    *value = static_cast<int>(v);
-    return v == *value;
-  };
-  constexpr uint64_t kMaxKey = std::numeric_limits<ClassKey>::max();
-  ControlState s;
-  const bool ok =
-      entries(20, std::numeric_limits<AppId>::max(),
-              [&](uint64_t id) {
-                App& app = s.apps[static_cast<AppId>(id)];
-                if (!streak(&app.violation_streak) ||
-                    !streak(&app.calm_streak) ||
-                    !clock(&app.topology_changed_at)) {
-                  return false;
-                }
-                app.replicas_seen = r.U64() - 1;  // 0 decodes to kUnseen
-                return clock(&app.coarse_fallback_at);
-              }) &&
-      entries(9, kMaxKey,
-              [&](uint64_t key) { return clock(&s.placed_at[key]); }) &&
-      entries(1, kMaxKey, [&](uint64_t key) {
-        s.in_flight.insert(key);
-        return true;
-      });
-  if (!ok) return false;
-  *out = std::move(s);
-  return true;
-}
 
 Verdict JudgeInterval(const ControlPolicy& policy, SimTime now,
                       const IntervalView& view, ControlState::App* app) {

@@ -5,19 +5,17 @@
 #include <limits>
 #include <map>
 #include <set>
-#include <string>
 
-#include "common/varint.h"
 #include "sim/simulator.h"
 #include "workload/query_class.h"
 
 namespace fglb {
 
 // The selective retuner's damping memory (§3.2) as one value: the
-// streaks, clocks and in-flight set a controller crash loses. Its
-// encoding opens FGLBCKPT1's retuner section (the per-engine analyzer
-// baselines follow). JudgeInterval and PlacementGate read and advance
-// it without a Simulator, ResourceManager or TraceLog.
+// streaks, clocks and in-flight set a controller crash loses, and part
+// of the retuner's checkpoint (SelectiveRetuner::ControlPlane).
+// JudgeInterval and PlacementGate read and advance it without a
+// Simulator, ResourceManager or TraceLog.
 struct ControlState {
   // "Never" for a clock: no window measured from it is ever open.
   static constexpr SimTime kNever = -std::numeric_limits<SimTime>::infinity();
@@ -41,13 +39,6 @@ struct ControlState {
   std::set<ClassKey> in_flight;  // classes with a migration in flight
 
   bool operator==(const ControlState&) const = default;
-
-  // Canonical encoding: keys ascending, clocks as IEEE-754 bits.
-  void Encode(std::string* out) const;
-  // All or nothing: truncation, a count past the bytes left, keys out
-  // of order, an out-of-range app id or streak, or a clock neither
-  // finite nor kNever rejects the input and leaves *out untouched.
-  static bool Decode(Reader& r, ControlState* out);
 };
 
 // The knobs the verdict and the gate read, resolved from the retuner's

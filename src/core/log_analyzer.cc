@@ -178,61 +178,21 @@ const MrcParameters* LogAnalyzer::StableParamsOf(ClassKey key) const {
   return &it->second->stable_params();
 }
 
-void LogAnalyzer::EncodeBaselines(std::string* out) const {
-  const auto& signatures = stable_store_.Entries();
-  PutVarint64(out, signatures.size());
-  for (const auto& [key, sig] : signatures) {
-    PutVarint64(out, key);
-    for (double v : sig.averages) PutFixed64(out, DoubleToBits(v));
-    PutFixed64(out, DoubleToBits(sig.recorded_at));
-    PutVarint64(out, sig.intervals_observed);
-  }
-  uint64_t curves = 0;
-  for (const auto& [key, tracker] : trackers_) curves += tracker->has_stable();
-  PutVarint64(out, curves);
+LogAnalyzer::Baselines LogAnalyzer::baselines() const {
+  Baselines b;
+  b.signatures = stable_store_;
   for (const auto& [key, tracker] : trackers_) {
     if (!tracker->has_stable()) continue;
-    const MissRatioCurve& curve = tracker->stable_curve();
-    PutVarint64(out, key);
-    PutVarint64(out, tracker->stable_trace_length());
-    PutVarint64(out, curve.total_accesses());
-    PutVarint64(out, curve.raw_miss_ratios().size());
-    for (double v : curve.raw_miss_ratios()) {
-      PutFixed64(out, DoubleToBits(v));
-    }
+    b.curves[key] = {tracker->stable_curve(), tracker->stable_trace_length()};
   }
+  return b;
 }
 
-bool LogAnalyzer::DecodeBaselines(Reader& r, LogAnalyzer* into) {
-  // Every count is checked against the bytes left before it sizes a
-  // loop or an allocation (entry sizes are lower bounds: a varint takes
-  // at least one byte, a double 8).
-  const uint64_t signatures = r.U64();
-  if (!r.PlausibleCount(signatures, 10)) return false;
-  for (uint64_t i = 0; i < signatures; ++i) {
-    const ClassKey key = r.U64();
-    StableStateSignature sig;
-    for (double& v : sig.averages) v = r.F64();
-    sig.recorded_at = r.F64();
-    sig.intervals_observed = r.U64();
-    if (into != nullptr) into->stable_store_.Restore(key, sig);
+void LogAnalyzer::Restore(const Baselines& baselines) {
+  stable_store_ = baselines.signatures;
+  for (const auto& [key, stable] : baselines.curves) {
+    TrackerFor(key).RestoreStable(stable.curve, stable.trace_length);
   }
-  const uint64_t curves = r.U64();
-  if (!r.PlausibleCount(curves, 4)) return false;
-  for (uint64_t i = 0; i < curves; ++i) {
-    const ClassKey key = r.U64();
-    const auto trace_length = static_cast<size_t>(r.U64());
-    const uint64_t total_accesses = r.U64();
-    const uint64_t samples = r.U64();
-    if (!r.PlausibleCount(samples, 8)) return false;
-    std::vector<double> raw(static_cast<size_t>(samples));
-    for (double& v : raw) v = r.F64();
-    if (into != nullptr && r.ok) {
-      into->TrackerFor(key).RestoreStable(
-          MissRatioCurve::FromRaw(raw, total_accesses), trace_length);
-    }
-  }
-  return r.ok;
 }
 
 }  // namespace fglb

@@ -8,7 +8,6 @@
 
 #include "common/metrics_registry.h"
 #include "common/thread_pool.h"
-#include "common/varint.h"
 #include "core/outlier_detector.h"
 #include "core/quota_planner.h"
 #include "core/stable_state.h"
@@ -88,15 +87,24 @@ class LogAnalyzer {
   const StableStateStore& stable_store() const { return stable_store_; }
   const MrcConfig& mrc_config() const { return mrc_config_; }
 
-  // Checkpoint support (FGLBCKPT1): the stable signatures, then the
-  // stable MRC baselines as raw sampled curves. The restored tracker
-  // re-derives its parameters from the curve, so post-restore
-  // diagnoses are identical to the pre-crash ones.
-  void EncodeBaselines(std::string* out) const;
-  // Decodes one EncodeBaselines encoding into `into`, or skips it when
-  // `into` is null. False on malformed input, which may leave `into`
-  // partly restored.
-  static bool DecodeBaselines(Reader& r, LogAnalyzer* into);
+  // What a controller crash loses of this analyzer, as one value: the
+  // stable signatures and each class's stable MRC curve with the trace
+  // length it covers.
+  struct Baselines {
+    struct Curve {
+      MissRatioCurve curve;
+      size_t trace_length = 0;
+      bool operator==(const Curve&) const = default;
+    };
+    StableStateStore signatures;
+    std::map<ClassKey, Curve> curves;
+    bool operator==(const Baselines&) const = default;
+  };
+  Baselines baselines() const;
+  // Installs `baselines` on a fresh analyzer. Each tracker re-derives
+  // its parameters from the curve, so post-restore diagnoses are
+  // identical to the pre-crash ones.
+  void Restore(const Baselines& baselines);
 
  private:
   MrcTracker& TrackerFor(ClassKey key);

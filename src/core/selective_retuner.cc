@@ -8,7 +8,6 @@
 
 #include "cluster/stats_channel.h"
 #include "common/span_tracer.h"
-#include "common/varint.h"
 
 namespace fglb {
 
@@ -121,14 +120,33 @@ void SelectiveRetuner::Restart() {
   ArmTicker();
 }
 
-void SelectiveRetuner::ResetControlState() {
-  state_ = {};
+SelectiveRetuner::ControlPlane SelectiveRetuner::control_plane() const {
+  ControlPlane plane;
+  plane.state = state_;
+  plane.receivers = channel_.receivers();
+  // The engines outlive a controller crash, the analyzers do not.
+  // Replicas gone since the last tick's prune are left out.
+  for (const auto& [replica_id, analyzer] : analyzers_) {
+    if (resources_->FindReplica(replica_id) == nullptr) continue;
+    plane.baselines[replica_id] = analyzer->baselines();
+  }
+  return plane;
+}
+
+void SelectiveRetuner::Restore(const ControlPlane& plane) {
+  state_ = plane.state;
+  for (ClassKey key : state_.in_flight) state_.placed_at[key] = sim_->Now();
+  state_.in_flight.clear();
   analyzers_.clear();
-  channel_.ResetReceiverState();
+  for (const auto& [replica_id, baselines] : plane.baselines) {
+    if (Replica* replica = resources_->FindReplica(replica_id)) {
+      AnalyzerFor(replica).Restore(baselines);
+    }
+  }
+  channel_.RestoreReceivers(plane.receivers);
   // actions_/samples_/diagnoses_/migration_stats_ survive: they are
-  // the run's observability history, not control state. Migrations
-  // whose callbacks died with the controller count as neither applied
-  // nor abandoned.
+  // the run's observability history. Migrations whose callbacks died
+  // with the controller count as neither applied nor abandoned.
 }
 
 void SelectiveRetuner::Count(const std::string& counter) {
@@ -830,51 +848,6 @@ void SelectiveRetuner::MaybeRelease(Scheduler* scheduler) {
           " servers)");
   resources_->Decommission(scheduler, victim);
   state_.apps[app].calm_streak = 0;
-}
-
-void SelectiveRetuner::SerializeControlState(std::string* out) const {
-  state_.Encode(out);
-  // Then each live replica's analyzer baselines, by replica id: the
-  // engines outlive a controller crash, the analyzers do not. Replicas
-  // gone since the last tick's prune are left out.
-  std::string baselines;
-  uint64_t count = 0;
-  for (const auto& [replica_id, analyzer] : analyzers_) {
-    if (resources_->FindReplica(replica_id) == nullptr) continue;
-    ++count;
-    PutVarint64(&baselines, ZigZagEncode(replica_id));
-    analyzer->EncodeBaselines(&baselines);
-  }
-  PutVarint64(out, count);
-  out->append(baselines);
-}
-
-bool SelectiveRetuner::RestoreControlState(const uint8_t* p,
-                                           const uint8_t* limit) {
-  // Decodes straight into the (reset) controller; a rejected blob is
-  // not half-applied because ControllerCheckpoint::Restore resets the
-  // control plane again.
-  Reader r{p, limit};
-  if (!ControlState::Decode(r, &state_)) return false;
-  // Migrations in flight at checkpoint time died with the controller's
-  // callbacks. Restoring them as placement cooldowns (not as pending
-  // migrations) guarantees the restarted controller neither duplicates
-  // the move nor re-issues it inside the flap window; the next
-  // violating interval re-diagnoses from live data.
-  for (ClassKey key : state_.in_flight) state_.placed_at[key] = sim_->Now();
-  state_.in_flight.clear();
-  const uint64_t analyzers = r.U64();
-  if (!r.PlausibleCount(analyzers, 3)) return false;
-  for (uint64_t a = 0; a < analyzers; ++a) {
-    // A replica that died while the controller was down has its
-    // baselines decoded and dropped.
-    Replica* replica = resources_->FindReplica(static_cast<int>(r.S64()));
-    if (!LogAnalyzer::DecodeBaselines(
-            r, replica != nullptr ? &AnalyzerFor(replica) : nullptr)) {
-      return false;
-    }
-  }
-  return r.ok;
 }
 
 }  // namespace fglb

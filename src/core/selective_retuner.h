@@ -169,24 +169,29 @@ class SelectiveRetuner {
   // Stop halts the interval ticker and strands every in-flight
   // callback (the armed tick and pending migration retries/delayed
   // applies die with the epoch). Restart re-arms the ticker so the
-  // next tick lands one interval after the restart. ResetControlState
-  // is the cold-start path: it drops all diagnostic state (analyzers,
-  // streaks, warmup/cooldown clocks, in-flight migration bookkeeping,
-  // the stats channel's receiver side) while keeping the action/
-  // sample/diagnosis history — those are observability records of the
-  // run, not control state.
+  // next tick lands one interval after the restart.
   void Stop();
   void Restart();
-  void ResetControlState();
 
-  // Checkpoint support (FGLBCKPT1): the retuner section — the
-  // ControlState encoding, then per-replica analyzer state (stable
-  // signatures + stable MRC baselines, by replica id). In-flight
-  // migrations are restored as placement cooldowns: their callbacks
-  // died with the crash, and the cooldown guarantees the restarted
-  // controller cannot re-issue the same move inside the flap window.
-  void SerializeControlState(std::string* out) const;
-  bool RestoreControlState(const uint8_t* p, const uint8_t* limit);
+  // The control plane a controller crash loses, as one value: the
+  // damping memory, each live replica's analyzer baselines (by replica
+  // id) and the stats channel's receivers. The action/sample/diagnosis
+  // history is not part of it: those are observability records of the
+  // run, not control state.
+  struct ControlPlane {
+    ControlState state;
+    std::map<int, LogAnalyzer::Baselines> baselines;
+    std::map<int, StatsChannel::Receiver> receivers;
+    bool operator==(const ControlPlane&) const = default;
+  };
+  ControlPlane control_plane() const;
+  // Replaces the control plane with `plane`; restoring ControlPlane{}
+  // is the cold start. Migrations in flight when `plane` was taken come
+  // back as placement cooldowns stamped now: their callbacks died with
+  // the crash, and the cooldown keeps the restarted controller from
+  // re-issuing the same move inside the flap window. Baselines of a
+  // replica that is gone by now are dropped.
+  void Restore(const ControlPlane& plane);
 
   const std::vector<Action>& actions() const { return actions_; }
   const std::vector<IntervalSample>& samples() const { return samples_; }

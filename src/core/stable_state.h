@@ -19,6 +19,7 @@ struct StableStateSignature {
   MetricVector averages{};
   SimTime recorded_at = 0;
   uint64_t intervals_observed = 0;
+  bool operator==(const StableStateSignature&) const = default;
 };
 
 // One store per database engine (per server): signatures for every
@@ -40,15 +41,7 @@ class StableStateStore {
   size_t size() const { return signatures_.size(); }
   std::vector<ClassKey> Keys() const;
 
-  // Checkpoint support: full iteration out, verbatim signatures back
-  // in (bypasses Update's NaN filtering and timestamping — the
-  // signature was already vetted when first recorded).
-  const std::map<ClassKey, StableStateSignature>& Entries() const {
-    return signatures_;
-  }
-  void Restore(ClassKey key, const StableStateSignature& signature) {
-    signatures_[key] = signature;
-  }
+  bool operator==(const StableStateStore&) const = default;
 
  private:
   std::map<ClassKey, StableStateSignature> signatures_;

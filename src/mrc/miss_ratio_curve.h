@@ -115,16 +115,7 @@ class MissRatioCurve {
   uint64_t total_accesses() const { return total_accesses_; }
   bool empty() const { return total_accesses_ == 0; }
 
-  // Checkpoint support: the raw samples out, and a bit-exact
-  // reconstruction in (FGLBCKPT1 stores stable curves this way).
-  const std::vector<double>& raw_miss_ratios() const { return miss_ratio_; }
-  static MissRatioCurve FromRaw(std::vector<double> miss_ratio,
-                                uint64_t total_accesses) {
-    MissRatioCurve curve;
-    curve.miss_ratio_ = std::move(miss_ratio);
-    curve.total_accesses_ = total_accesses;
-    return curve;
-  }
+  bool operator==(const MissRatioCurve&) const = default;
 
   // The curve counts as flat once within this of its final value.
   static constexpr double kFlattenEpsilon = 1e-4;

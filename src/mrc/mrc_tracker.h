@@ -64,7 +64,7 @@ class MrcTracker {
 
   size_t stable_trace_length() const { return stable_trace_length_; }
 
-  // Checkpoint support: reinstalls a serialized stable baseline
+  // Checkpoint support: reinstalls a checkpointed stable baseline
   // together with its trace length (parameters are re-derived from the
   // curve deterministically, so the restored tracker diagnoses
   // identically).

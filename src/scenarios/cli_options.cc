@@ -86,7 +86,7 @@ N is a count (digits only); X, R and SEC are numbers.
                     reports are missing (fences widen, per-class
                     actions pause); off is the flapping ablation arm
                                                             (default on)
-  --ckpt-interval=SEC  FGLBCKPT1 controller-checkpoint cadence;
+  --ckpt-interval=SEC  controller-checkpoint cadence;
                     0 = off, -1 = auto (chaos-ctl checkpoints every
                     retuner interval)                       (default -1)
   --admission=MODE  overload protection: on | off | auto

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/controller_checkpoint.h"
-
 namespace fglb {
 
 namespace {
@@ -284,12 +282,14 @@ void ClusterHarness::EnableCheckpointing(double interval_seconds) {
   struct Ckpt {
     static void Arm(ClusterHarness* self) {
       self->sim_.ScheduleAfter(self->checkpoint_interval_, [self] {
-        // A crashed controller cannot checkpoint; the last blob taken
-        // while it was healthy stays the restore point.
+        // A crashed controller cannot checkpoint; the last checkpoint
+        // taken while it was healthy stays the restore point.
         if (!self->controller_down_) {
-          ControllerCheckpoint::Build(self->sim_.Now(), self->retuner_,
-                                      self->admission_.get(),
-                                      &self->checkpoint_blob_);
+          AdmissionController* admission = self->admission_.get();
+          self->checkpoint_ = Checkpoint{
+              self->sim_.Now(), self->retuner_.control_plane(),
+              admission != nullptr ? admission->state()
+                                   : AdmissionController::State{}};
         }
         Arm(self);
       });
@@ -309,20 +309,13 @@ bool ClusterHarness::RestartController() {
   if (!controller_down_) return false;
   controller_down_ = false;
   // The crash lost the in-memory control plane. Either the checkpoint
-  // brings it back, or the controller cold-starts and relearns.
-  const char* why = "no_ckpt";
-  double ckpt_t = 0;
-  if (!checkpoint_blob_.empty()) {
-    const ControllerCheckpoint::RestoreResult result =
-        ControllerCheckpoint::Restore(checkpoint_blob_, &retuner_,
-                                      admission_.get());
-    // A rejected blob leaves everything reset — exactly the cold start.
-    why = result.ok ? "restored" : "bad_ckpt";
-    ckpt_t = result.taken_at;
-  } else {
-    retuner_.ResetControlState();
-    if (admission_ != nullptr) admission_->ResetState();
-  }
+  // brings it back, or the controller cold-starts from the empty one
+  // and relearns.
+  const Checkpoint restored = checkpoint_.value_or(Checkpoint{});
+  retuner_.Restore(restored.retuner);
+  if (admission_ != nullptr) admission_->Restore(restored.admission);
+  const char* why = checkpoint_.has_value() ? "restored" : "no_ckpt";
+  const double ckpt_t = restored.taken_at;
   if (observability_) {
     metrics_.counter(std::string("controller.recovery.") + why)->Increment();
     if (trace_.enabled()) {

@@ -2,6 +2,7 @@
 #define FGLB_SCENARIOS_HARNESS_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/admission.h"
@@ -93,19 +94,18 @@ class ClusterHarness {
   StatsChannel* EnableStatsChannel(const StatsChannelConfig& config = {});
   StatsChannel* stats_channel() { return &retuner_.stats_channel(); }
 
-  // Arms a recurring FGLBCKPT1 snapshot of the controller's control
-  // plane every `interval_seconds` (<= 0 uses the retuner interval).
-  // A `ctl` restart then restores from the latest blob instead of
-  // cold-starting. Idempotent.
+  // Arms a recurring checkpoint of the controller's control plane
+  // (the retuner's and admission's) every `interval_seconds` (<= 0
+  // uses the retuner interval). A `ctl` restart then restores the
+  // latest one instead of cold-starting. Idempotent.
   void EnableCheckpointing(double interval_seconds = 0);
-  const std::string& latest_checkpoint() const { return checkpoint_blob_; }
 
   // The `ctl` fault surface (also exposed for tests): CrashController
   // halts the interval ticker and strands the controller's in-flight
-  // callbacks; RestartController wipes the control plane, restores it
-  // from the latest checkpoint (phase=recovery why=restored) or
-  // cold-starts (why=no_ckpt / why=bad_ckpt), and re-arms the ticker
-  // so the next diagnosis lands one interval later.
+  // callbacks; RestartController restores the control plane from the
+  // latest checkpoint (phase=recovery why=restored) or cold-starts
+  // (why=no_ckpt), and re-arms the ticker so the next diagnosis lands
+  // one interval later.
   bool CrashController();
   bool RestartController();
   bool controller_down() const { return controller_down_; }
@@ -179,9 +179,14 @@ class ClusterHarness {
   ArrivalRecorder* arrival_recorder_ = nullptr;
   bool started_ = false;
   bool sampler_started_ = false;
-  // ctl-fault state: the latest FGLBCKPT1 blob (empty until the first
+  // ctl-fault state: the latest checkpoint (none until the first
   // cadence fires) and whether the controller is currently crashed.
-  std::string checkpoint_blob_;
+  struct Checkpoint {
+    SimTime taken_at = 0;
+    SelectiveRetuner::ControlPlane retuner;
+    AdmissionController::State admission;
+  };
+  std::optional<Checkpoint> checkpoint_;
   double checkpoint_interval_ = 0;
   bool checkpointing_ = false;
   bool controller_down_ = false;

@@ -40,7 +40,7 @@ std::string DefaultFaultSpec(Scenario scenario, double d) {
       return buf;
     case Scenario::kChaosCtl:
       // A lossy window, then the controller itself crashes inside it
-      // and restarts 30 s later from the FGLBCKPT1 checkpoint.
+      // and restarts 30 s later from its latest checkpoint.
       std::snprintf(buf, sizeof(buf),
                     "net@%.0f:drop=0.08,duration=%.0f;"
                     "ctl@%.0f:restart=30",

@@ -32,7 +32,7 @@ SoakResult RunSoak(uint64_t seed, const RandomFaultProfile& profile,
   ClusterHarness h(config);
   h.trace().EnableBuffering();
   if (survivability) {
-    // ctl crashes restore from FGLBCKPT1 instead of cold-starting.
+    // ctl crashes restore a checkpoint instead of cold-starting.
     h.EnableCheckpointing();
   }
   h.AddServers(3);

@@ -1,15 +1,22 @@
-#include "core/controller_checkpoint.h"
+// A controller checkpoint is a value: the retuner's ControlPlane and
+// admission's State. These cases pin what a restore gives back — the
+// checkpointed value itself, less what each restore rule drops or
+// changes.
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 
+#include "cluster/admission.h"
 #include "cluster/stats_channel.h"
-#include "common/varint.h"
 #include "core/control_state.h"
+#include "scenarios/harness.h"
 #include "scenarios/scenario.h"
+#include "sim/fault_injector.h"
+#include "sim/simulator.h"
 
 namespace fglb {
 namespace {
@@ -32,180 +39,207 @@ struct Fixture {
     harness->RunFor(150);
   }
 
-  std::string BuildBlob() {
-    std::string blob;
-    ControllerCheckpoint::Build(harness->sim().Now(), harness->retuner(),
-                                harness->admission(), &blob);
-    return blob;
-  }
-
-  // Bit-exact projections of the control plane, for before/after diffs.
-  std::string RetunerState() const {
-    std::string s;
-    harness->retuner().SerializeControlState(&s);
-    return s;
-  }
-  std::string ChannelState() const {
-    std::string s;
-    harness->stats_channel()->SerializeReceiverState(&s);
-    return s;
-  }
-
-  // The retuner's reset covers its stats channel's receiver side too.
-  void WipeControlPlane() { harness->retuner().ResetControlState(); }
+  SelectiveRetuner& retuner() { return harness->retuner(); }
 
   std::unique_ptr<ClusterHarness> harness;
 };
 
-// Strips the trailing CRC, applies `mutate` to the body, and re-seals.
-std::string Reseal(std::string blob,
-                   const std::function<void(std::string*)>& mutate) {
-  blob.resize(blob.size() - 4);
-  mutate(&blob);
-  PutFixed32(&blob, Crc32(blob.data(), blob.size()));
-  return blob;
+// fglb_sim's overload run (admission on) after `seconds`. Between
+// t=135 and t=140 replica-2 sheds two of its nine classes.
+std::unique_ptr<ClusterHarness> OverloadCluster(double seconds) {
+  const RunConfig run = ScenarioRunConfig(Scenario::kOverload, 400);
+  auto h = MakeHarness(run, /*analysis_threads=*/1);
+  AssembleScenario(run, h.get());
+  std::string error;
+  EXPECT_TRUE(ArmRun(run, h.get(), &error)) << error;
+  h->Start();
+  h->RunFor(seconds);
+  return h;
 }
 
 TEST(ControllerCheckpointTest, RestoreIsBitExact) {
   Fixture f;
-  const std::string retuner_before = f.RetunerState();
-  const std::string channel_before = f.ChannelState();
-  ASSERT_FALSE(retuner_before.empty());
-  const std::string blob = f.BuildBlob();
+  const SelectiveRetuner::ControlPlane before = f.retuner().control_plane();
+  ASSERT_FALSE(before.state.apps.empty());
+  ASSERT_FALSE(before.receivers.empty());
+  ASSERT_TRUE(std::any_of(before.baselines.begin(), before.baselines.end(),
+                          [](const auto& entry) {
+                            return !entry.second.curves.empty();
+                          }));
+  ASSERT_TRUE(before.state.in_flight.empty());
 
-  f.WipeControlPlane();
-  EXPECT_NE(f.RetunerState(), retuner_before);
+  // Restoring the empty value is the cold start.
+  f.retuner().Restore({});
+  EXPECT_EQ(f.retuner().control_plane(), SelectiveRetuner::ControlPlane{});
 
-  const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), nullptr);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_DOUBLE_EQ(result.taken_at, f.harness->sim().Now());
-  EXPECT_EQ(f.RetunerState(), retuner_before);
-  EXPECT_EQ(f.ChannelState(), channel_before);
+  f.retuner().Restore(before);
+  EXPECT_EQ(f.retuner().control_plane(), before);
 }
 
-TEST(ControllerCheckpointTest, UnknownTrailingSectionsRestoreCleanly) {
-  // Forward compatibility: a blob written by a future controller with
-  // extra sections must restore on this one, ignoring what it doesn't
-  // know.
-  Fixture f;
-  const std::string retuner_before = f.RetunerState();
-  const std::string blob = Reseal(f.BuildBlob(), [](std::string* body) {
-    const std::string payload = "from-the-future";
-    PutVarint64(body, 99);  // a tag this reader has never heard of
-    PutVarint64(body, payload.size());
-    body->append(payload);
+TEST(ControllerCheckpointTest, AdmissionRestoreIsBitExact) {
+  auto h = OverloadCluster(137);
+  AdmissionController& admission = *h->admission();
+  const AdmissionController::State before = admission.state();
+  const SelectiveRetuner::ControlPlane plane = h->retuner().control_plane();
+  ASSERT_FALSE(before.retry.empty());
+  ASSERT_FALSE(before.classes.empty());
+  ASSERT_TRUE(std::any_of(before.replicas.begin(), before.replicas.end(),
+                          [](const auto& entry) {
+                            return !entry.second.shed_classes.empty();
+                          }));
+
+  admission.Restore({});
+  h->retuner().Restore({});
+  EXPECT_EQ(admission.state(), AdmissionController::State{});
+
+  admission.Restore(before);
+  h->retuner().Restore(plane);
+  EXPECT_EQ(admission.state(), before);
+  EXPECT_EQ(h->retuner().control_plane(), plane);
+}
+
+TEST(ControllerCheckpointTest, RestoredOverloadClusterRunsOnLikeTheOriginal) {
+  // Wiping and restoring the control plane in place changes nothing the
+  // cluster does afterwards: every action and every admission decision
+  // stays the same.
+  auto original = OverloadCluster(137);
+  auto restored = OverloadCluster(137);
+  const SelectiveRetuner::ControlPlane plane =
+      restored->retuner().control_plane();
+  const AdmissionController::State state = restored->admission()->state();
+  restored->retuner().Restore({});
+  restored->admission()->Restore({});
+  restored->retuner().Restore(plane);
+  restored->admission()->Restore(state);
+
+  original->RunFor(150);
+  restored->RunFor(150);
+  EXPECT_EQ(original->retuner().actions(), restored->retuner().actions());
+  const AdmissionController& a = *original->admission();
+  const AdmissionController& b = *restored->admission();
+  EXPECT_EQ(a.admitted(), b.admitted());
+  EXPECT_EQ(a.shed(), b.shed());
+  EXPECT_EQ(a.state(), b.state());
+  EXPECT_EQ(original->retuner().control_plane(),
+            restored->retuner().control_plane());
+}
+
+// --- one case per restore rule ---
+
+StatsChannel::Snapshot OneClass(double value) {
+  MetricVector v{};
+  v.fill(value);
+  return {{MakeClassKey(1, 1), v}};
+}
+
+TEST(ControllerCheckpointTest, PendingReportIsNotRestored) {
+  // A report delivered but not yet collected is in flight, not control
+  // state: a restore drops it, so the next collect is stale and keeps
+  // the last report the controller collected.
+  Simulator sim;
+  StatsChannel channel(&sim, {});
+  double delay = 0;
+  channel.set_net_hook([&delay](int, uint64_t) {
+    FaultInjector::NetDecision d;
+    d.delay_seconds = delay;
+    return d;
   });
+  channel.Publish(1, OneClass(4), 10);
+  ASSERT_TRUE(channel.Collect(1).fresh);
+  delay = 1;
+  channel.Publish(1, OneClass(5), 10);
+  sim.RunUntil(2);  // delivered, not collected
 
-  f.WipeControlPlane();
-  const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), nullptr);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(f.RetunerState(), retuner_before);
+  const std::map<int, StatsChannel::Receiver> checkpoint =
+      channel.receivers();
+  channel.RestoreReceivers(checkpoint);
+  EXPECT_EQ(channel.receivers(), checkpoint);
+  const StatsChannel::Feed feed = channel.Collect(1);
+  EXPECT_FALSE(feed.fresh);
+  EXPECT_EQ(feed.last_seq, 1u);
+  EXPECT_EQ(feed.stale_intervals, 1u);
+  EXPECT_EQ(*feed.snapshot, OneClass(4));
 }
 
-TEST(ControllerCheckpointTest, TruncatedBlobIsRejectedAndLeavesColdState) {
+TEST(ControllerCheckpointTest, InFlightMigrationComesBackAsACooldown) {
   Fixture f;
-  const std::string blob = f.BuildBlob();
-  for (const size_t keep :
-       {blob.size() - 1, blob.size() - 5, blob.size() / 2, size_t{4}}) {
-    const auto result = ControllerCheckpoint::Restore(
-        blob.substr(0, keep), &f.harness->retuner(), nullptr);
-    EXPECT_FALSE(result.ok) << "kept " << keep;
-    EXPECT_FALSE(result.error.empty());
+  SelectiveRetuner::ControlPlane plane = f.retuner().control_plane();
+  const ClassKey key = MakeClassKey(2, 4);
+  plane.state.in_flight.insert(key);
+  plane.state.placed_at.erase(key);
+  f.harness->RunFor(25);  // the restart comes later than the checkpoint
+  const SimTime now = f.harness->sim().Now();
+
+  f.retuner().Restore(plane);
+  ControlState expected = plane.state;
+  expected.in_flight.clear();
+  expected.placed_at[key] = now;
+  const ControlState restored = f.retuner().control_plane().state;
+  EXPECT_EQ(restored, expected);
+
+  // The cooldown holds the move the in-flight set held.
+  ControlPolicy policy;
+  policy.warmup = 0;
+  GateRequest move;
+  move.key = key;
+  EXPECT_EQ(PlacementGate(plane.state, policy, now, move), Hold::kInFlight);
+  EXPECT_EQ(PlacementGate(restored, policy, now, move), Hold::kCooldown);
+}
+
+TEST(ControllerCheckpointTest, AnalyzerOfAGoneReplicaIsDropped) {
+  Fixture f;
+  const SelectiveRetuner::ControlPlane plane = f.retuner().control_plane();
+  // Release a spare replica that has baselines in the checkpoint.
+  Scheduler* owner = nullptr;
+  Replica* spare = nullptr;
+  for (const auto& scheduler : f.harness->schedulers()) {
+    if (scheduler->replicas().size() < 2) continue;
+    for (Replica* r : scheduler->replicas()) {
+      if (plane.baselines.contains(r->id())) {
+        owner = scheduler.get();
+        spare = r;
+      }
+    }
   }
-  // The failed restores left the control plane reset, not half-loaded:
-  // bit-exact empty-state serialization on both subsystems.
-  f.WipeControlPlane();
-  const std::string cold_retuner = f.RetunerState();
-  const std::string cold_channel = f.ChannelState();
-  ControllerCheckpoint::Restore(blob.substr(0, blob.size() / 2),
-                                &f.harness->retuner(), nullptr);
-  EXPECT_EQ(f.RetunerState(), cold_retuner);
-  EXPECT_EQ(f.ChannelState(), cold_channel);
+  ASSERT_NE(spare, nullptr);
+  const int gone = spare->id();
+  f.harness->resources().Decommission(owner, spare);
+  f.harness->RunFor(10);
+  ASSERT_EQ(f.harness->resources().FindReplica(gone), nullptr);
+
+  f.retuner().Restore(plane);
+  SelectiveRetuner::ControlPlane expected = plane;
+  expected.baselines.erase(gone);
+  EXPECT_EQ(f.retuner().control_plane(), expected);
 }
 
-TEST(ControllerCheckpointTest, CrcCorruptionIsRejected) {
-  Fixture f;
-  std::string blob = f.BuildBlob();
-  blob[blob.size() / 2] ^= 0x01;  // one flipped bit anywhere
-  const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), nullptr);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("crc"), std::string::npos) << result.error;
+TEST(ControllerCheckpointTest, RegisteredSlasSurviveARestore) {
+  Simulator sim;
+  AdmissionController admission(&sim, AdmissionConfig{});
+  admission.RegisterApp(1, 0.5);
+  admission.Restore({});
+  const ClassKey key = MakeClassKey(1, 3);
+  admission.OnComplete(key, 0, 0.25);
+  // Normalized against the registered 0.5 s SLA, not the 1 s default.
+  EXPECT_DOUBLE_EQ(admission.state().classes.at(key).ewma_normalized, 0.5);
 }
 
-TEST(ControllerCheckpointTest, BadMagicIsRejected) {
-  Fixture f;
-  std::string blob = f.BuildBlob();
-  blob[0] = 'X';
-  const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), nullptr);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("magic"), std::string::npos) << result.error;
-  EXPECT_FALSE(
-      ControllerCheckpoint::Restore("", &f.harness->retuner(), nullptr).ok);
-}
+TEST(ControllerCheckpointTest, AbsentAppRestartsWithNoRetryTokens) {
+  Simulator sim;
+  AdmissionController admission(&sim, AdmissionConfig{});
+  admission.RegisterApp(1, 1.0);
+  admission.RegisterApp(2, 1.0);
+  for (int i = 0; i < 30; ++i) admission.Admit(MakeClassKey(1, 0), 0, 0);
+  const AdmissionController::State checkpoint = admission.state();
+  ASSERT_FALSE(checkpoint.retry.contains(2));
+  for (int i = 0; i < 30; ++i) admission.Admit(MakeClassKey(2, 0), 0, 0);
+  ASSERT_GE(admission.RetryTokens(2), 1.0);
 
-TEST(ControllerCheckpointTest, SectionLengthPastCrcIsRejected) {
-  // A section claiming more payload than the blob holds must be caught
-  // by the bounds check, not read into the CRC tail or past the end.
-  Fixture f;
-  const std::string blob = Reseal(f.BuildBlob(), [](std::string* body) {
-    PutVarint64(body, 98);
-    PutVarint64(body, 1u << 20);  // 1 MiB payload that isn't there
-  });
-  const auto result = ControllerCheckpoint::Restore(
-      blob, &f.harness->retuner(), nullptr);
-  EXPECT_FALSE(result.ok);
-  EXPECT_FALSE(result.error.empty());
-}
-
-TEST(ControllerCheckpointTest, ImplausibleSampleCountLeavesColdState) {
-  // A correctly sealed blob whose retuner section claims 2^40 samples
-  // for one stable MRC baseline while carrying a single one. The
-  // decoder must check the count against the bytes present instead of
-  // sizing a vector from it (8 TiB: std::bad_alloc aborts the run).
-  Fixture f;
-  const std::string valid = f.BuildBlob();
-  f.WipeControlPlane();
-  const std::string cold_retuner = f.RetunerState();
-  const std::string cold_channel = f.ChannelState();
-  ASSERT_TRUE(
-      ControllerCheckpoint::Restore(valid, &f.harness->retuner(), nullptr).ok);
-  ASSERT_NE(f.RetunerState(), cold_retuner);
-
-  auto put_section = [](std::string* out, uint64_t tag,
-                        const std::string& payload) {
-    PutVarint64(out, tag);
-    PutVarint64(out, payload.size());
-    out->append(payload);
-  };
-  std::string meta;
-  PutFixed64(&meta, DoubleToBits(100.0));
-  std::string retuner;
-  ControlState{}.Encode(&retuner);            // empty control state
-  PutVarint64(&retuner, 1);                   // one analyzer
-  PutVarint64(&retuner, ZigZagEncode(0));     // replica id
-  PutVarint64(&retuner, 0);                   // no signatures
-  PutVarint64(&retuner, 1);                   // one stable curve
-  PutVarint64(&retuner, MakeClassKey(1, 1));  // class
-  PutVarint64(&retuner, 64);                  // trace length
-  PutVarint64(&retuner, 64);                  // total accesses
-  PutVarint64(&retuner, uint64_t{1} << 40);   // samples claimed
-  PutFixed64(&retuner, DoubleToBits(0.5));    // samples present: one
-  std::string blob(ControllerCheckpoint::kMagic,
-                   sizeof(ControllerCheckpoint::kMagic) - 1);
-  put_section(&blob, ControllerCheckpoint::kMeta, meta);
-  put_section(&blob, ControllerCheckpoint::kRetuner, retuner);
-  PutFixed32(&blob, Crc32(blob.data(), blob.size()));
-
-  const auto result =
-      ControllerCheckpoint::Restore(blob, &f.harness->retuner(), nullptr);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.error, "bad retuner section");
-  EXPECT_EQ(f.RetunerState(), cold_retuner);
-  EXPECT_EQ(f.ChannelState(), cold_channel);
+  admission.Restore(checkpoint);
+  EXPECT_EQ(admission.RetryTokens(2), 0.0);
+  EXPECT_FALSE(admission.TryRetry(2));
+  EXPECT_EQ(admission.RetryTokens(1), checkpoint.retry.at(1).tokens);
+  EXPECT_TRUE(admission.TryRetry(1));
 }
 
 }  // namespace

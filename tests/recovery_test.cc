@@ -18,7 +18,7 @@ namespace {
 // End-to-end controller survivability: a consolidation cluster running
 // the stats channel and checkpoint cadence, crashed and restarted
 // mid-run — the controller must resume within one diagnosis interval
-// from the FGLBCKPT1 blob with no duplicate migrations, and the whole
+// from its latest checkpoint with no duplicate migrations, and the whole
 // run must stay deterministic.
 
 std::unique_ptr<ClusterHarness> MakeCluster(bool guard = true) {

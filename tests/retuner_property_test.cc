@@ -1,16 +1,16 @@
-// Property tests for the retuner's decision core: the ControlState
-// codec, the interval verdict, the placement gate and each rung's
-// choice (decision.h), driven with seeded random states, requests and
-// evidence and checked against test-local restatements; every random
-// Decision must render to a trace the checker accepts. Nothing here
-// builds a Simulator or a cluster; every loop is bounded.
+// Property tests for the retuner's decision core: the interval
+// verdict, the placement gate, the restore of a ControlState and each
+// rung's choice (decision.h), driven with seeded random states,
+// requests and evidence and checked against test-local restatements;
+// every random Decision must render to a trace the checker accepts.
+// Only the restore case builds a Simulator (and a retuner over no
+// servers); nothing builds a cluster, and every loop is bounded.
 
 #include "core/control_state.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -19,10 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/resource_manager.h"
 #include "common/trace_check.h"
 #include "common/trace_log.h"
-#include "common/varint.h"
 #include "core/decision.h"
+#include "core/selective_retuner.h"
 
 namespace fglb {
 namespace {
@@ -86,123 +87,6 @@ ControlPolicy RandomPolicy(Rng& rng) {
   p.guard = rng() % 4 != 0;
   p.act_threshold = Uniform(rng, 0.5, 1.0);
   return p;
-}
-
-bool DecodeBytes(const std::string& bytes, ControlState* out) {
-  Reader r{reinterpret_cast<const uint8_t*>(bytes.data()),
-           reinterpret_cast<const uint8_t*>(bytes.data()) + bytes.size()};
-  return ControlState::Decode(r, out);
-}
-
-std::string EncodeState(const ControlState& s) {
-  std::string out;
-  s.Encode(&out);
-  return out;
-}
-
-// --- the codec ---
-
-TEST(ControlStateTest, EmptyStateEncodesAsThreeZeroCounts) {
-  EXPECT_EQ(EncodeState(ControlState{}), std::string(3, '\0'));
-}
-
-TEST(ControlStateTest, DecodeOfEncodeIsIdentityAndReencodesIdentically) {
-  Rng rng(11);
-  for (int i = 0; i < kIterations; ++i) {
-    const ControlState s = RandomState(rng);
-    const std::string bytes = EncodeState(s);
-    ControlState decoded;
-    ASSERT_TRUE(DecodeBytes(bytes, &decoded)) << "iteration " << i;
-    EXPECT_EQ(decoded, s) << "iteration " << i;
-    EXPECT_EQ(EncodeState(decoded), bytes) << "iteration " << i;
-  }
-}
-
-TEST(ControlStateTest, EveryProperPrefixIsRejectedAndLeavesTheOutputAlone) {
-  Rng rng(12);
-  ControlState sentinel;
-  sentinel.in_flight.insert(42);
-  for (int i = 0; i < kIterations / 4; ++i) {
-    const std::string bytes = EncodeState(RandomState(rng));
-    for (size_t n = 0; n < bytes.size(); ++n) {
-      ControlState out = sentinel;
-      EXPECT_FALSE(DecodeBytes(bytes.substr(0, n), &out))
-          << "prefix " << n << " of " << bytes.size();
-      EXPECT_EQ(out, sentinel);
-    }
-  }
-}
-
-TEST(ControlStateTest, RandomAndMutatedBytesNeverCrashTheDecoder) {
-  Rng rng(13);
-  for (int i = 0; i < kIterations * 4; ++i) {
-    std::string bytes;
-    if (i % 2 == 0) {
-      bytes.resize(rng() % 64);
-      for (char& c : bytes) c = static_cast<char>(rng());
-    } else {
-      bytes = EncodeState(RandomState(rng));
-      if (bytes.empty()) continue;
-      for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0; --flips) {
-        bytes[rng() % bytes.size()] ^= static_cast<char>(1 + rng() % 255);
-      }
-    }
-    ControlState decoded;
-    if (!DecodeBytes(bytes, &decoded)) continue;
-    // Whatever decodes is a canonical state: it survives its own round
-    // trip.
-    ControlState again;
-    ASSERT_TRUE(DecodeBytes(EncodeState(decoded), &again));
-    EXPECT_EQ(again, decoded);
-  }
-}
-
-TEST(ControlStateTest, DecodeRejectsNonCanonicalEntries) {
-  auto clock = [](std::string* out, double t) {
-    PutFixed64(out, DoubleToBits(t));
-  };
-  auto one_placement = [&](uint64_t key, double t) {
-    std::string bytes;
-    PutVarint64(&bytes, 0);  // apps
-    PutVarint64(&bytes, 1);  // one placement clock
-    PutVarint64(&bytes, key);
-    clock(&bytes, t);
-    PutVarint64(&bytes, 0);  // in flight
-    return bytes;
-  };
-  ControlState out;
-  EXPECT_TRUE(DecodeBytes(one_placement(7, 12.5), &out));
-  EXPECT_TRUE(DecodeBytes(one_placement(7, ControlState::kNever), &out));
-  EXPECT_FALSE(DecodeBytes(one_placement(7, std::nan("")), &out));
-  EXPECT_FALSE(DecodeBytes(
-      one_placement(7, std::numeric_limits<double>::infinity()), &out));
-
-  std::string repeated;  // an in-flight set naming one class twice
-  PutVarint64(&repeated, 0);
-  PutVarint64(&repeated, 0);
-  PutVarint64(&repeated, 2);
-  PutVarint64(&repeated, 9);
-  PutVarint64(&repeated, 9);
-  EXPECT_FALSE(DecodeBytes(repeated, &out));
-
-  auto one_app = [&](uint64_t id, int64_t streak) {
-    std::string bytes;
-    PutVarint64(&bytes, 1);
-    PutVarint64(&bytes, id);
-    PutVarint64(&bytes, ZigZagEncode(streak));
-    PutVarint64(&bytes, 0);
-    clock(&bytes, ControlState::kNever);
-    PutVarint64(&bytes, 0);  // replicas_seen: unseen
-    clock(&bytes, ControlState::kNever);
-    PutVarint64(&bytes, 0);
-    PutVarint64(&bytes, 0);
-    return bytes;
-  };
-  ASSERT_TRUE(DecodeBytes(one_app(3, 4), &out));
-  EXPECT_EQ(out.apps.at(3).violation_streak, 4);
-  EXPECT_EQ(out.apps.at(3).replicas_seen, ControlState::kUnseen);
-  EXPECT_FALSE(DecodeBytes(one_app(uint64_t{1} << 32, 4), &out));
-  EXPECT_FALSE(DecodeBytes(one_app(3, int64_t{1} << 40), &out));
 }
 
 // --- the placement gate ---
@@ -402,11 +286,24 @@ std::vector<int> Drive(ControlState* s, uint64_t seed) {
 }
 
 TEST(RetunerPropertyTest, RestoredStateDecidesExactlyLikeTheOriginal) {
+  // A state restored through the retuner decides like the original once
+  // the original's in-flight migrations have landed as cooldowns at the
+  // restore time.
+  Simulator sim;
+  ResourceManager resources(&sim);
+  SelectiveRetuner retuner(&sim, &resources, {});
   Rng rng(41);
   for (int i = 0; i < kIterations; ++i) {
+    sim.RunUntil(sim.Now() + Uniform(rng, 0, 5));
     ControlState original = RandomState(rng);
-    ControlState restored;
-    ASSERT_TRUE(DecodeBytes(EncodeState(original), &restored));
+    SelectiveRetuner::ControlPlane plane;
+    plane.state = original;
+    retuner.Restore(plane);
+    ControlState restored = retuner.control_plane().state;
+    for (ClassKey key : original.in_flight) {
+      original.placed_at[key] = sim.Now();
+    }
+    original.in_flight.clear();
     const uint64_t seed = rng();
     EXPECT_EQ(Drive(&original, seed), Drive(&restored, seed))
         << "iteration " << i;

@@ -16,6 +16,7 @@
 #include <random>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -479,6 +480,48 @@ TEST(CliFlagTest, UsageAndTableAgree) {
   // 19 flagged rows (interval, max_migrations and replica_pool_pages
   // have none) and 10 flags that are not part of a run.
   EXPECT_EQ(named.size(), 29u);
+
+  // Every "(default V)" of a run flag is its row as fglb_sim's default
+  // run (steady, 900 s) prints it; --admission=auto and
+  // --ckpt-interval=-1 stand for the scenario's own default.
+  std::map<std::string, std::string> rows;
+  std::istringstream printed(ScenarioRunConfig(Scenario::kSteady, 900)
+                                 .ToString());
+  for (std::string line; std::getline(printed, line);) {
+    const size_t eq = line.find('=');
+    rows[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  std::map<std::string, std::string> entries;  // flag -> its help lines
+  const std::regex entry_start("^  --([a-z0-9-]+)");
+  const std::regex default_pattern("\\(default ([^)]*)\\)");
+  std::istringstream usage_lines(usage);
+  std::string flag;
+  for (std::string line; std::getline(usage_lines, line);) {
+    std::smatch m;
+    if (std::regex_search(line, m, entry_start)) {
+      flag = m[1];
+    } else if (line.rfind("   ", 0) != 0) {
+      flag.clear();  // not a continuation line
+    }
+    if (!flag.empty()) entries[flag] += line;
+  }
+  int checked = 0;
+  for (const auto& [name, text] : entries) {
+    std::string key = name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    std::smatch m;
+    if (!rows.contains(key) || !std::regex_search(text, m, default_pattern)) {
+      continue;
+    }
+    const std::string shown = m[1];
+    if ((key == "admission" && shown == "auto") ||
+        (key == "ckpt_interval" && shown == "-1")) {
+      continue;
+    }
+    EXPECT_EQ(shown, rows.at(key)) << "--" << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 15);
 }
 
 }  // namespace

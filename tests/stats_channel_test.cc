@@ -208,7 +208,7 @@ TEST(StatsChannelTest, AlternatingLossNeverClearsActThreshold) {
   }
 }
 
-// --- lifecycle: retention and checkpoint round-trip ---
+// --- lifecycle: retention and restore ---
 
 TEST(StatsChannelTest, RetainDropsDeadReplicas) {
   Simulator sim;
@@ -223,7 +223,7 @@ TEST(StatsChannelTest, RetainDropsDeadReplicas) {
   EXPECT_EQ(*channel.Collect(2).snapshot, MakeSnapshot(2.0));
 }
 
-TEST(StatsChannelTest, ReceiverStateRoundTripsThroughSerialize) {
+TEST(StatsChannelTest, ReceiverStateRoundTripsThroughRestore) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool drop = false;
@@ -239,25 +239,19 @@ TEST(StatsChannelTest, ReceiverStateRoundTripsThroughSerialize) {
   const StatsChannel::Feed before = channel.Collect(1);
   EXPECT_FALSE(before.fresh);
 
-  std::string blob;
-  channel.SerializeReceiverState(&blob);
-  channel.ResetReceiverState();
+  const std::map<int, StatsChannel::Receiver> saved = channel.receivers();
+  channel.RestoreReceivers({});
   EXPECT_TRUE(channel.Collect(1).snapshot->empty());
 
   // Restoring resumes the exact staleness episode: same last-known-good
   // snapshot, same confidence, and the next miss continues the count.
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(blob.data());
-  ASSERT_TRUE(channel.RestoreReceiverState(p, p + blob.size()));
+  channel.RestoreReceivers(saved);
+  EXPECT_EQ(channel.receivers(), saved);
   channel.Publish(1, MakeSnapshot(6.0), 10);  // dropped
   const StatsChannel::Feed after = channel.Collect(1);
   EXPECT_FALSE(after.fresh);
   EXPECT_EQ(after.stale_intervals, before.stale_intervals + 1);
   EXPECT_EQ(*after.snapshot, MakeSnapshot(4.0));
-
-  // Truncated blobs are rejected, not half-applied.
-  StatsChannel other(&sim, {});
-  ASSERT_GT(blob.size(), 4u);
-  EXPECT_FALSE(other.RestoreReceiverState(p, p + blob.size() - 3));
 }
 
 TEST(StatsChannelTest, PublisherSequencesSurviveReceiverReset) {
@@ -269,7 +263,7 @@ TEST(StatsChannelTest, PublisherSequencesSurviveReceiverReset) {
   StatsChannel channel(&sim, {});
   channel.Publish(1, MakeSnapshot(1.0), 10);
   channel.Collect(1);
-  channel.ResetReceiverState();
+  channel.RestoreReceivers({});
   channel.Publish(1, MakeSnapshot(2.0), 10);
   const StatsChannel::Feed feed = channel.Collect(1);
   EXPECT_TRUE(feed.fresh);

@@ -11,6 +11,22 @@ cd "$(dirname "$0")/.."
 PREFIX="${1:-build}"
 JOBS="$(nproc)"
 
+# Fails unless every '|'-alternative of the ctest -R regex $2 selects at
+# least one test built in $1, so a renamed or deleted suite cannot drop
+# out of a leg unnoticed.
+require_every_alternative() {
+  local dir="$1" alt
+  local -a alts
+  IFS='|' read -ra alts <<<"$2"
+  for alt in "${alts[@]}"; do
+    if ! ctest --test-dir "${dir}" -N -R "${alt}" \
+        | grep -q '^Total Tests: [1-9]'; then
+      echo "ctest -R alternative '${alt}' selects no test in ${dir}" >&2
+      exit 1
+    fi
+  done
+}
+
 echo "=== plain build + full tier-1 suite ==="
 cmake -B "${PREFIX}" -S . >/dev/null
 cmake --build "${PREFIX}" -j "${JOBS}"
@@ -324,8 +340,8 @@ diff <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
      <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
          "${SMOKE_DIR}/net-replay.jsonl")
 # chaos-ctl: a controller crash + restart lands on top of the lossy
-# window. The restart must restore from the FGLBCKPT1 blob — a
-# why=restored recovery event, never bad_ckpt — and the whole run
+# window. The restart must restore the latest controller checkpoint —
+# a why=restored recovery event, never bad_ckpt — and the whole run
 # (crash, restore, everything after) must replay byte for byte.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-ctl --duration=600 \
   --fault-seed=7 --log-level=quiet \
@@ -378,7 +394,8 @@ echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
 # The slab LRU, its probe table, the scramble tables and the
 # slice-by-8 CRC are index arithmetic: their differential tests run
 # here too, as do the run-config, k=v and fault spec parsers that
-# decode capture files and the ControlState codec and gate properties.
+# decode capture files, the controller checkpoint's restore rules and
+# the control-state gate properties.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -389,8 +406,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   recovery_test replay_codec_test storage_test workload_test \
   common_random_test run_config_test retuner_property_test \
   fault_injector_test
+ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec'
+require_every_alternative "${PREFIX}-asan" "${ASAN_TESTS}"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-  -R 'Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanConfig|SpanTracer|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TierConfig|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|ControlState|FaultSpec'
+  -R "${ASAN_TESTS}"
 "./${PREFIX}-asan/tools/fglb_sim" --scenario=overload --duration=180 \
   --log-level=quiet --trace-out="${SMOKE_DIR}/overload-asan.jsonl" >/dev/null
 "./${PREFIX}-asan/tools/fglb_tracecat" "${SMOKE_DIR}/overload-asan.jsonl" \
@@ -405,7 +424,9 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
   replay_test sim_determinism_test scale_replay_test \
   mrc_replay_test opt_oracle_test tiered_replay_test \
   stats_channel_test controller_checkpoint_test recovery_test
+TSAN_TESTS='ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest'
+require_every_alternative "${PREFIX}-tsan" "${TSAN_TESTS}"
 ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-  -R 'ThreadPool|ParallelDiagnosis|LogAnalyzer|SelectiveRetuner|MetricsRegistry|MaxGauge|LatencyHistogram|TraceLog|Observability|SpanConfig|SpanTracer|FaultSpec|FaultInjector|Chaos|ReplayCodec|ReplayTest|SimDeterminism|ScaleReplay|MrcReplay|MrcSpec|OptOracle|OptForward|OptDominance|RegretVsOpt|TieredReplay|StatsChannel|ControllerCheckpoint|RecoveryTest'
+  -R "${TSAN_TESTS}"
 
 echo "CI OK"

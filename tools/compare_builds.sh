@@ -21,7 +21,10 @@
 #   - fglb_replay of the capture: exit status, stdout, stderr and the
 #     stripped replay trace, plus --what-if and --summary stdout;
 #   - on consolidation, tier-thrash, chaos-net and chaos-ctl, a
-#     --span-sample=16 --spans-out file (cmp).
+#     --span-sample=16 --spans-out file (cmp);
+#   - on chaos-ctl, overload and tier-thrash, a controller crash that
+#     restores a checkpoint: actions-csv and the stripped trace of a run
+#     with that scenario's restore flags (restore_flags in this script).
 # Exit status: 0 when every output matches, 1 on any difference, 2 on
 # a usage error. Run one build against itself for a run-to-run
 # determinism check.
@@ -62,6 +65,25 @@ done
 WORK="$(mktemp -d)"
 trap 'rm -rf "${WORK}"' EXIT
 
+# The restore legs. chaos-ctl restarts inside a lossy window from a
+# checkpoint taken while reports were delivered but not yet collected;
+# overload restores admission state; tier-thrash restores the stable
+# curves the tiered planner reads.
+restore_flags() {
+  case "$1" in
+    chaos-ctl)
+      local net='net@200:drop=0.08,dup=0.03,reorder=0.05,delay=1,duration=200'
+      RESTORE_FLAGS=(--ckpt-interval=5 "--fault-spec=${net};ctl@307:restart=30")
+      ;;
+    overload)
+      RESTORE_FLAGS=(--duration=400 --ckpt-interval=10
+                     "--fault-spec=ctl@205:restart=30") ;;
+    tier-thrash)
+      RESTORE_FLAGS=(--ckpt-interval=10 "--fault-spec=ctl@350:restart=30") ;;
+    *) RESTORE_FLAGS=() ;;
+  esac
+}
+
 strip_clock() { sed -E 's/,"(mono_us|dur_us)":[^,}]*//g' "$1"; }
 counters_and_gauges() { sed -E 's/,"histograms":\{.*$//' "$1"; }
 
@@ -92,7 +114,15 @@ run_one() {
       "${sim}" "${args[@]}" --span-sample=16 --spans-out="${out}/spans" \
         >/dev/null 2>&1 ;;
   esac
-  rm -f "${out}/trace.raw" "${out}/metrics.raw" "${out}/replay-trace.raw"
+  restore_flags "${scenario}"
+  if [[ ${#RESTORE_FLAGS[@]} -gt 0 ]]; then
+    "${sim}" "${args[@]}" "${RESTORE_FLAGS[@]}" --output=actions-csv \
+      --trace-out="${out}/restore-trace.raw" >"${out}/restore-actions-csv" \
+      2>&1
+    strip_clock "${out}/restore-trace.raw" >"${out}/restore-trace" 2>/dev/null
+  fi
+  rm -f "${out}/trace.raw" "${out}/metrics.raw" "${out}/replay-trace.raw" \
+    "${out}/restore-trace.raw"
 }
 
 compared=0
@@ -105,7 +135,8 @@ for scenario in "${SCENARIOS[@]}"; do
     run_one "${CHANGE}" "${b}" "${scenario}" "${seed}"
     for item in sim.status sim.stderr actions-csv samples-csv trace capture \
                 metrics replay.status replay.stdout replay.stderr \
-                replay-trace what-if summary spans; do
+                replay-trace what-if summary spans restore-actions-csv \
+                restore-trace; do
       [[ -e "${a}/${item}" || -e "${b}/${item}" ]] || continue
       compared=$((compared + 1))
       if ! cmp -s "${a}/${item}" "${b}/${item}"; then
