@@ -5,8 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "common/varint.h"
-
 namespace fglb {
 
 namespace {
@@ -23,28 +21,6 @@ constexpr double kDecay = 0.5;
 constexpr double kRecover = 0.25;
 constexpr double kMinConfidence = 1.0 / 1024;
 constexpr double kMaxFenceScale = 8.0;
-
-// Wire form of a snapshot: class count, then per class the key and the
-// metric vector as IEEE-754 bits (bit-exact round trip).
-void PutSnapshot(std::string* out, const StatsChannel::Snapshot& snapshot) {
-  PutVarint64(out, snapshot.size());
-  for (const auto& [key, vec] : snapshot) {
-    PutVarint64(out, key);
-    for (double v : vec) PutFixed64(out, DoubleToBits(v));
-  }
-}
-
-bool GetSnapshot(Reader& r, StatsChannel::Snapshot* out) {
-  const uint64_t classes = r.U64();
-  if (!r.PlausibleCount(classes, 1 + 8 * kNumMetrics)) return false;
-  for (uint64_t i = 0; i < classes; ++i) {
-    const ClassKey key = r.U64();
-    MetricVector vec{};
-    for (double& v : vec) v = r.F64();
-    out->emplace(key, vec);
-  }
-  return r.ok;
-}
 
 }  // namespace
 
@@ -78,18 +54,10 @@ double StatsChannel::FenceScale(double confidence) const {
   return std::min(1.0 / conf, kMaxFenceScale);
 }
 
-void StatsChannel::Publish(int replica_id, const Snapshot& snapshot,
+void StatsChannel::Publish(int replica_id, Snapshot snapshot,
                            double interval_seconds) {
   const uint64_t seq = ++publish_seq_[replica_id];
   if (published_ != nullptr) published_->Increment();
-
-  // Wire format: seq, replica, the snapshot, with a CRC-32 of
-  // everything before it at the tail.
-  std::string bytes;
-  PutVarint64(&bytes, seq);
-  PutVarint64(&bytes, static_cast<uint64_t>(replica_id));
-  PutSnapshot(&bytes, snapshot);
-  PutFixed32(&bytes, Crc32(bytes.data(), bytes.size()));
 
   FaultInjector::NetDecision decision;
   if (net_hook_) decision = net_hook_(replica_id, seq);
@@ -97,53 +65,38 @@ void StatsChannel::Publish(int replica_id, const Snapshot& snapshot,
     if (dropped_ != nullptr) dropped_->Increment();
     return;
   }
-  if (decision.corrupt && bytes.size() > 4) {
-    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x5A);
-  }
+  Report report{seq, replica_id, std::move(snapshot), decision.corrupt};
   // A reordered report is pushed behind its successor: 1.5 intervals
   // guarantees it arrives after the next on-time publish.
   double delay = decision.delay_seconds;
   if (decision.reorder) delay += 1.5 * interval_seconds;
-  const int copies = decision.duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
+  const auto send = [this, delay](Report sent) {
     if (delay > 0) {
-      const std::string copy = bytes;
-      sim_->ScheduleAfter(delay, [this, copy] { Deliver(copy); });
+      sim_->ScheduleAfter(delay, [this, sent = std::move(sent)]() mutable {
+        Deliver(std::move(sent));
+      });
     } else {
-      Deliver(bytes);
+      Deliver(std::move(sent));
     }
-  }
+  };
+  if (decision.duplicate) send(report);
+  send(std::move(report));
 }
 
-void StatsChannel::Deliver(const std::string& bytes) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* limit = p + bytes.size();
-  if (bytes.size() < 4) {
+void StatsChannel::Deliver(Report report) {
+  if (report.corrupt) {
     if (corrupt_rejected_ != nullptr) corrupt_rejected_->Increment();
     return;
   }
-  uint32_t crc = 0;
-  if (!GetFixed32(limit - 4, limit, &crc) ||
-      crc != Crc32(bytes.data(), bytes.size() - 4)) {
-    if (corrupt_rejected_ != nullptr) corrupt_rejected_->Increment();
-    return;
-  }
-  Reader r{p, limit - 4};
-  const uint64_t seq = r.U64();
-  const uint64_t replica = r.U64();
-  Snapshot snapshot;
-  if (!GetSnapshot(r, &snapshot)) return;
-
-  const int replica_id = static_cast<int>(replica);
-  const Receiver& rs = receivers_[replica_id];
-  const auto pending = pending_.find(replica_id);
+  const Receiver& rs = receivers_[report.replica_id];
+  const auto pending = pending_.find(report.replica_id);
   // A duplicate carries an already-consumed seq; a reordered straggler
   // carries a seq behind a newer pending/consumed report. Both are
   // discarded — freshest-seq-wins keeps the feed monotone.
   const uint64_t newest =
       pending != pending_.end() ? pending->second.seq : rs.last_seq;
-  if (seq <= newest) {
-    if (seq == rs.last_seq || seq == newest) {
+  if (report.seq <= newest) {
+    if (report.seq == rs.last_seq || report.seq == newest) {
       if (duplicate_ignored_ != nullptr) duplicate_ignored_->Increment();
     } else {
       if (late_rejected_ != nullptr) late_rejected_->Increment();
@@ -151,7 +104,8 @@ void StatsChannel::Deliver(const std::string& bytes) {
     return;
   }
   if (delivered_ != nullptr) delivered_->Increment();
-  pending_[replica_id] = {seq, std::move(snapshot)};
+  const int replica_id = report.replica_id;
+  pending_[replica_id] = std::move(report);
 }
 
 StatsChannel::Feed StatsChannel::Collect(int replica_id) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/metrics_registry.h"
@@ -29,14 +28,13 @@ struct StatsChannelConfig {
 };
 
 // The transport between StatsCollector::EndInterval and the
-// controller (the retuner owns one): per-replica sequenced,
-// CRC-guarded interval reports delivered through the DES. Every report
-// is serialized and decoded even on the healthy path (bit-exact:
-// doubles travel as IEEE-754 bits), so the codec is exercised
-// constantly and a fault-free feed hands the controller exactly the
-// collector's snapshot. An injected `net` fault window makes delivery
-// lossy: reports can be dropped, duplicated, corrupted (rejected by
-// CRC at the receiver), delayed or reordered behind the next report.
+// controller (the retuner owns one): per-replica sequenced interval
+// reports delivered through the DES. A report is the collector's
+// snapshot itself, never serialized, so a fault-free feed hands the
+// controller exactly that snapshot. An injected `net` fault window
+// makes delivery lossy: reports can be dropped, duplicated, corrupted
+// (marked damaged in flight and rejected on arrival), delayed or
+// reordered behind the next report.
 //
 // The publisher side (sequence numbers) is data-plane state and
 // survives a controller crash; the receiver side (last-known-good
@@ -57,13 +55,12 @@ class StatsChannel {
   void set_net_hook(NetHook hook) { net_hook_ = std::move(hook); }
   void set_config(const StatsChannelConfig& config) { config_ = config; }
 
-  // Publisher side: serializes one replica's interval report, assigns
-  // the next sequence number, and sends it. Without an active net
-  // fault the report arrives before Publish returns (same tick);
+  // Publisher side: sends one replica's interval snapshot under the
+  // next sequence number. Without an active net fault the report
+  // arrives before Publish returns (same tick), moved, never copied;
   // `interval_seconds` sizes the reorder penalty (1.5 intervals, so a
   // reordered report lands behind its successor).
-  void Publish(int replica_id, const Snapshot& snapshot,
-               double interval_seconds);
+  void Publish(int replica_id, Snapshot snapshot, double interval_seconds);
 
   // The controller's view of one replica at collection time.
   struct Feed {
@@ -108,13 +105,15 @@ class StatsChannel {
   const StatsChannelConfig& config() const { return config_; }
 
  private:
-  // A report delivered but not yet collected.
-  struct Pending {
+  // One report in flight, or delivered but not yet collected.
+  struct Report {
     uint64_t seq = 0;
+    int replica_id = 0;
     Snapshot snapshot;
+    bool corrupt = false;  // damaged in flight: rejected on arrival
   };
 
-  void Deliver(const std::string& bytes);
+  void Deliver(Report report);
   void EmitRecovery(const char* why, int replica_id, uint64_t seq,
                     uint64_t stale_intervals, double confidence);
 
@@ -123,7 +122,7 @@ class StatsChannel {
   NetHook net_hook_;
   std::map<int, uint64_t> publish_seq_;
   std::map<int, Receiver> receivers_;
-  std::map<int, Pending> pending_;
+  std::map<int, Report> pending_;
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   Counter* published_ = nullptr;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace fglb {
 
@@ -299,9 +300,10 @@ class Parser {
 
 bool JsonValue::Parse(std::string_view text, JsonValue* out,
                       std::string* error) {
-  *out = JsonValue();
-  Parser parser(text, error);
-  return parser.Parse(out);
+  JsonValue value;
+  if (!Parser(text, error).Parse(&value)) return false;
+  *out = std::move(value);
+  return true;
 }
 
 }  // namespace fglb

@@ -53,7 +53,7 @@ class JsonValue {
 
   // Parses exactly one JSON document from `text` (trailing whitespace
   // allowed, trailing garbage is an error). Returns false with a
-  // position-annotated message in *error.
+  // position-annotated message in *error, leaving *out untouched.
   static bool Parse(std::string_view text, JsonValue* out,
                     std::string* error);
 };

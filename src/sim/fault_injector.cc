@@ -23,6 +23,35 @@ bool ParseKind(const std::string& name, FaultKind* out) {
   return true;
 }
 
+// The params a kind takes, comma-separated: its row of the grammar
+// table in README.
+const char* ParamsOf(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kCrash:
+      return "replica,restart";
+    case FaultKind::kDisk:
+      return "server,factor,duration";
+    case FaultKind::kSlow:
+      return "replica,factor,duration";
+    case FaultKind::kStats:
+      return "replica,mode,duration";
+    case FaultKind::kMigration:
+      return "delay,fail,duration";
+    case FaultKind::kTier:
+      return "replica,mode,factor,duration";
+    case FaultKind::kNet:
+      return "drop,dup,corrupt,reorder,delay,duration";
+    case FaultKind::kCtl:
+      return "restart";
+  }
+  return "";
+}
+
+bool Takes(FaultKind kind, const std::string& key) {
+  const std::string params = std::string(",") + ParamsOf(kind) + ",";
+  return params.find("," + key + ",") != std::string::npos;
+}
+
 std::vector<const FaultEvent*> SortedByTime(
     const std::vector<FaultEvent>& events) {
   std::vector<const FaultEvent*> sorted;
@@ -174,13 +203,20 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
       else if (key == "corrupt") ok = ParseKvNumber(value, &event.corrupt_rate);
       else if (key == "reorder") ok = ParseKvNumber(value, &event.reorder_rate);
       else if (key == "mode") {
-        if (value == "drop") event.stats_mode = kStatsDropAll;
-        else if (value == "partial") event.stats_mode = kStatsPartial;
-        else if (value == "fail") event.tier_mode = kTierFail;
-        else if (value == "degrade") event.tier_mode = kTierDegrade;
+        const bool stats = event.kind == FaultKind::kStats;
+        const bool tier = event.kind == FaultKind::kTier;
+        if (stats && value == "drop") event.stats_mode = kStatsDropAll;
+        else if (stats && value == "partial") event.stats_mode = kStatsPartial;
+        else if (tier && value == "fail") event.tier_mode = kTierFail;
+        else if (tier && value == "degrade") event.tier_mode = kTierDegrade;
         else ok = false;
       } else {
         return KvError(error, "unknown fault param: " + key);
+      }
+      if (!Takes(event.kind, key)) {
+        return KvError(error, std::string(FaultKindName(event.kind)) +
+                                  " fault takes no param " + key +
+                                  " in: " + entry);
       }
       if (!ok) {
         return KvError(error,

@@ -100,12 +100,14 @@ struct FaultSpec {
   // byte-identically — the determinism tests compare these.
   std::string ToString() const;
 
-  // Parses the grammar above; params use the common/kv_spec grammar.
-  // Numbers must be finite, ids digit strings, and nothing may carry a
-  // space; an empty entry or param, a repeated key or a trailing comma
-  // is rejected with a message naming the offending token. On failure
-  // returns false with a one-line message in *error; *out is left
-  // untouched.
+  // Parses the grammar above; params use the common/kv_spec grammar,
+  // and a kind takes only the params of its row in README's table
+  // (`mode` is drop|partial for stats, fail|degrade for tier). Numbers
+  // must be finite, ids digit strings, and nothing may carry a space;
+  // an empty entry or param, a repeated key, another kind's param or a
+  // trailing comma is rejected with a message naming the offending
+  // token. On failure returns false with a one-line message in *error;
+  // *out is left untouched.
   static bool Parse(const std::string& text, FaultSpec* out,
                     std::string* error);
 };

@@ -68,7 +68,6 @@ void PartitionedBufferPool::DropQuota(PartitionKey key) {
   if (it == dedicated_.end()) return;
   dedicated_total_ -= it->second->capacity();
   dedicated_.erase(it);
-  dropped_.insert(key);
   shared_->Resize(capacity_ - dedicated_total_);
 }
 
@@ -126,6 +125,17 @@ void PartitionedBufferPool::ResetStats() {
   for (auto& [key, pool] : dedicated_) pool->ResetStats();
 }
 
+uint64_t PartitionedBufferPool::resident_pages() const {
+  uint64_t total = shared_->resident_pages();
+  for (const auto& [key, pool] : dedicated_) total += pool->resident_pages();
+  return total;
+}
+
+void PartitionedBufferPool::Clear() {
+  shared_->Clear();
+  for (auto& [key, pool] : dedicated_) pool->Clear();
+}
+
 namespace {
 
 void PublishPool(MetricsRegistry* registry, const std::string& prefix,
@@ -148,14 +158,9 @@ void PublishPool(MetricsRegistry* registry, const std::string& prefix,
 void PartitionedBufferPool::PublishMetrics(MetricsRegistry* registry,
                                            const std::string& prefix) {
   if (registry == nullptr) return;
-  // Zeroed first, so a partition dropped and set again since the last
-  // publish reports its live values below.
-  for (PartitionKey key : dropped_) {
-    const std::string part = PartitionMetricsPrefix(prefix, key);
-    registry->gauge(part + "resident_pages")->Set(0);
-    registry->gauge(part + "capacity_pages")->Set(0);
-  }
-  dropped_.clear();
+  // Every partition's gauges are zeroed first, so a partition that no
+  // longer exists reads 0 and the live ones are set below.
+  registry->ZeroGauges(prefix + "class_");
   PublishPool(registry, prefix + "shared.", *shared_);
   registry->gauge(prefix + "partitions")
       ->Set(static_cast<double>(dedicated_.size()));

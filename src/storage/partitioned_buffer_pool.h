@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,9 @@ std::string PartitionMetricsPrefix(const std::string& prefix,
 // shared region always owns whatever capacity the dedicated quotas do
 // not take. Every partition runs the same replacement policy, chosen
 // at construction (LRU by default; CLOCK and ARC let scenarios probe
-// the planner's sensitivity to the LRU inclusion assumption).
+// the planner's sensitivity to the LRU inclusion assumption). The
+// engine's DRAM pool is one; TieredBufferPool's SSD tier is another,
+// always LRU.
 class PartitionedBufferPool {
  public:
   // Observes every page evicted under capacity pressure, tagged with
@@ -96,10 +97,16 @@ class PartitionedBufferPool {
 
   void ResetStats();
 
+  // Pages resident across the shared region and every partition.
+  uint64_t resident_pages() const;
+
+  // Drops every partition's resident pages (quotas and counters stay).
+  void Clear();
+
   // Publishes cumulative stats into `registry` under `prefix`
   // ("<prefix>shared.misses", "<prefix>class_<app>_<cls>.hits", ...,
   // plus "<prefix>partitions" / "<prefix>dedicated_pages" gauges).
-  // A partition dropped since the last call publishes 0 resident and
+  // A partition that no longer exists publishes 0 resident and
   // capacity pages. Called once per sampling interval, not per access,
   // so the hot access path stays untouched.
   void PublishMetrics(MetricsRegistry* registry, const std::string& prefix);
@@ -119,9 +126,6 @@ class PartitionedBufferPool {
   EvictionListener listener_;
   std::unique_ptr<PageCache> shared_;
   std::map<PartitionKey, std::unique_ptr<PageCache>> dedicated_;
-  // Partitions dropped since the last PublishMetrics (a set: bounded by
-  // the class count even when nothing publishes).
-  std::set<PartitionKey> dropped_;
 };
 
 }  // namespace fglb

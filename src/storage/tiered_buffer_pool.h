@@ -2,13 +2,9 @@
 #define FGLB_STORAGE_TIERED_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 
 #include "common/metrics_registry.h"
-#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/partitioned_buffer_pool.h"
 
@@ -34,12 +30,12 @@ struct TierConfig {
   bool enabled() const { return pages > 0; }
 };
 
-// The second-tier block cache itself: per-class partitions with the
-// same shared-region + dedicated-quota layout as the DRAM
-// PartitionedBufferPool, filled by demote-on-DRAM-evict and drained by
-// promote-on-tier-2-hit. Purely a containment simulator like the DRAM
-// pools — the engine turns PromoteHit into SSD service time via
-// HitServiceSeconds() instead of charging the disk model.
+// The second-tier block cache itself: a PartitionedBufferPool of LRU
+// regions, so the tier has the DRAM pool's shared region plus
+// per-class quotas by construction, filled by demote-on-DRAM-evict and
+// drained by promote-on-tier-2-hit. Purely a containment simulator
+// like the DRAM pools — the engine turns PromoteHit into SSD service
+// time via HitServiceSeconds() instead of charging the disk model.
 //
 // Fault hooks model an SSD device failing (SetFailed: the tier serves
 // nothing and comes back cold) or degrading (SetLatencyFactor: hits
@@ -51,10 +47,13 @@ class TieredBufferPool {
   TieredBufferPool& operator=(const TieredBufferPool&) = delete;
 
   // Creates (or resizes) the dedicated tier-2 partition for `key`.
-  // Returns false if the combined quotas would exceed the tier size.
-  bool SetQuota(PartitionKey key, uint64_t quota_pages);
-  void DropQuota(PartitionKey key);
-  uint64_t QuotaOf(PartitionKey key) const;  // 0 if no dedicated quota
+  // Returns false if the combined quotas would exceed the tier size or
+  // `key` is kSharedPartition. QuotaOf is 0 for a key without one.
+  bool SetQuota(PartitionKey key, uint64_t quota_pages) {
+    return key != kSharedPartition && regions_.SetQuota(key, quota_pages);
+  }
+  void DropQuota(PartitionKey key) { regions_.DropQuota(key); }
+  uint64_t QuotaOf(PartitionKey key) const { return regions_.QuotaOf(key); }
 
   // Demote landing for a page evicted from `key`'s DRAM partition.
   // Lands in the key's dedicated tier-2 partition when one exists,
@@ -86,36 +85,29 @@ class TieredBufferPool {
 
   const TierConfig& config() const { return config_; }
   uint64_t capacity() const { return config_.pages; }
-  uint64_t dedicated_total() const { return dedicated_total_; }
-  uint64_t resident_pages() const;
+  uint64_t dedicated_total() const { return regions_.dedicated_total(); }
+  uint64_t resident_pages() const { return regions_.resident_pages(); }
   uint64_t demotions() const { return demotions_; }
   uint64_t dropped_demotions() const { return dropped_demotions_; }
   uint64_t promotions() const { return promotions_; }
   uint64_t tier_misses() const { return tier_misses_; }
 
   // Publishes tier.* counters and gauges under `prefix` (cumulative;
-  // per sampling interval, never per access). A partition dropped since
-  // the last call publishes 0 quota and resident pages.
+  // per sampling interval, never per access). A partition that no
+  // longer exists publishes 0 quota and resident pages.
   void PublishMetrics(MetricsRegistry* registry, const std::string& prefix);
 
  private:
-  BufferPool* PoolFor(PartitionKey key);
-  const BufferPool* PoolFor(PartitionKey key) const;
-
   TierConfig config_;
   bool failed_ = false;
   double latency_factor_ = 1.0;
-  uint64_t dedicated_total_ = 0;
   uint64_t demotions_ = 0;
   uint64_t dropped_demotions_ = 0;
   uint64_t promotions_ = 0;
   uint64_t tier_misses_ = 0;
   // Tier-2 partitions are always LRU: the tier is an admission queue
   // of DRAM cast-offs, not a policy under study.
-  BufferPool shared_;
-  std::map<PartitionKey, std::unique_ptr<BufferPool>> dedicated_;
-  // Partitions dropped since the last PublishMetrics.
-  std::set<PartitionKey> dropped_;
+  PartitionedBufferPool regions_;
 };
 
 }  // namespace fglb

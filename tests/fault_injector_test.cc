@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "common/trace_check.h"
 #include "scenarios/harness.h"
 #include "scenarios/scenario.h"
+#include "text_mutator.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -87,6 +89,17 @@ TEST(FaultSpecTest, ParseRejectsSloppyEntriesNamingTheToken) {
       {"net@10:drop=0.1,duration=5,", "trailing"},       // trailing comma
       {"net@10:drop=1.5,duration=5", "drop"},            // rate out of range
       {"net@10:duration=5", "drop"},                     // window does nothing
+      // A param outside its kind's row of the grammar table.
+      {"crash@10:replica=0,factor=5", "crash fault takes no param factor"},
+      {"stats@10:replica=0,mode=fail,duration=5",
+       "bad value for fault param mode: fail"},  // a tier mode
+      {"disk@10:server=0,factor=8,mode=partial,duration=5",
+       "disk fault takes no param mode"},
+      {"ctl@10:replica=3", "ctl fault takes no param replica"},
+      {"net@10:drop=0.1,replica=7,duration=5",
+       "net fault takes no param replica"},
+      {"migration@10:delay=1,fail=0.2,server=9",
+       "migration fault takes no param server"},
   };
   for (const Case& c : bad) {
     FaultSpec spec;
@@ -172,6 +185,58 @@ TEST(FaultSpecTest, ParseRejectsMalformedEntries) {
     EXPECT_FALSE(FaultSpec::Parse(text, &spec, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
+}
+
+TEST(FaultSpecTest, MutantsOfEveryDefaultScheduleNeverBreakParse) {
+  // Every scenario's default schedule, README's example and one entry
+  // per row of its grammar table, mutated 2,000 times with a fixed
+  // seed: Parse must return; a rejected mutant leaves a message and
+  // *out untouched; an accepted one re-prints canonical text that
+  // parses back to the same text.
+  std::vector<std::string> seeds = {
+      "crash@200:replica=0,restart=60;disk@300:server=0,factor=8,"
+      "duration=120",
+      "crash@120:replica=1,restart=60",
+      "disk@300:server=0,factor=8,duration=120",
+      "slow@200:replica=0,factor=3,duration=100",
+      "stats@250:replica=0,mode=drop,duration=50",
+      "migration@100:delay=5,fail=0.5,duration=300",
+      "tier@150:replica=0,mode=fail,duration=60",
+      "tier@150:replica=0,mode=degrade,factor=10,duration=60",
+      "net@200:drop=0.1,dup=0.05,corrupt=0.02,reorder=0.1,delay=2,"
+      "duration=120",
+      "ctl@400:restart=30",
+  };
+  for (Scenario scenario :
+       {Scenario::kChaosReplica, Scenario::kChaosDisk, Scenario::kChaosNet,
+        Scenario::kChaosCtl, Scenario::kTierFail}) {
+    seeds.push_back(ScenarioRunConfig(scenario, 900).fault_spec);
+    ASSERT_FALSE(seeds.back().empty());
+  }
+  std::string error;
+  FaultSpec sentinel;
+  ASSERT_TRUE(FaultSpec::Parse("crash@1:replica=0", &sentinel, &error));
+  std::mt19937_64 rng(2511);
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = MutateText(seeds[i % seeds.size()], rng);
+    SCOPED_TRACE(testing::Message() << "mutant " << i << ": " << text);
+    FaultSpec spec = sentinel;
+    error.clear();
+    if (!FaultSpec::Parse(text, &spec, &error)) {
+      EXPECT_FALSE(error.empty());
+      EXPECT_EQ(spec.ToString(), sentinel.ToString());
+      continue;
+    }
+    ++accepted;
+    const std::string canonical = spec.ToString();
+    FaultSpec again;
+    ASSERT_TRUE(FaultSpec::Parse(canonical, &again, &error))
+        << canonical << ": " << error;
+    EXPECT_EQ(again.ToString(), canonical);
+  }
+  // Some mutants must parse, or the case checks only rejections.
+  EXPECT_GT(accepted, 0);
 }
 
 // Every field the canonical form carries for `a`'s kind.

@@ -51,6 +51,16 @@ std::vector<JsonValue> ParsedTrace(ClusterHarness& h) {
   return events;
 }
 
+// The "app=A/class=C" label a move's description names. Moves are
+// keyed by class: the description also names the target replica, so
+// two moves of one class to different targets differ in it.
+std::string MovedClass(const std::string& description) {
+  const size_t begin = description.find("app=");
+  EXPECT_NE(begin, std::string::npos) << description;
+  if (begin == std::string::npos) return description;
+  return description.substr(begin, description.find(' ', begin) - begin);
+}
+
 TEST(RecoveryTest, RestartResumesWithinOneIntervalFromCheckpoint) {
   auto h = MakeCluster();
   h->Start();
@@ -111,14 +121,69 @@ TEST(RecoveryTest, RestartResumesWithinOneIntervalFromCheckpoint) {
     if (event.StringOr("phase", "") != "action") continue;
     const std::string kind = event.StringOr("kind", "");
     if (kind != "class_rescheduled" && kind != "io_eviction") continue;
-    const std::string desc = event.StringOr("desc", "");
+    const std::string moved = MovedClass(event.StringOr("desc", ""));
     const double t = event.NumberOr("t", 0);
-    auto it = last_move.find(desc);
+    auto it = last_move.find(moved);
     if (it != last_move.end()) {
-      EXPECT_GE(t - it->second, cooldown) << desc << " re-applied at " << t;
+      EXPECT_GE(t - it->second, cooldown) << moved << " re-moved at " << t;
     }
-    last_move[desc] = t;
+    last_move[moved] = t;
   }
+}
+
+TEST(RecoveryTest, CrashDuringAMigrationLeavesACooldownNotAMove) {
+  // Every migration lands 20 s after it is decided. The controller
+  // decides the io_eviction of app=2/class=4 at t=40 (apply due at
+  // t=60), so the checkpoint at t=50 holds the class in flight. The
+  // crash at t=55 strands the apply; the restart at t=70, past the
+  // apply's due time, must turn the stranded migration into a
+  // placement cooldown stamped t=70 instead of landing or re-deciding
+  // the move.
+  constexpr double kCrashAt = 55;
+  constexpr double kRestartAt = 70;
+  const ClassKey moving = MakeClassKey(2, 4);
+  auto h = MakeCluster();
+  FaultSpec spec;
+  std::string error;
+  ASSERT_TRUE(FaultSpec::Parse("migration@0:delay=20,fail=0,duration=900",
+                               &spec, &error))
+      << error;
+  h->InjectFaults(std::move(spec), /*seed=*/7);
+  h->Start();
+  const double interval = h->retuner().config().interval_seconds;
+  ASSERT_EQ(interval, 10);
+
+  h->RunFor(kCrashAt);
+  ASSERT_TRUE(h->retuner().control_plane().state.in_flight.contains(moving));
+  ASSERT_TRUE(h->CrashController());
+  h->RunFor(kRestartAt - kCrashAt);
+  ASSERT_TRUE(h->RestartController());
+  ASSERT_EQ(h->sim().Now(), kRestartAt);
+
+  const SelectiveRetuner::ControlPlane plane = h->retuner().control_plane();
+  EXPECT_TRUE(plane.state.in_flight.empty());
+  const auto placed = plane.state.placed_at.find(moving);
+  EXPECT_TRUE(placed != plane.state.placed_at.end() &&
+              placed->second == kRestartAt)
+      << "app=2/class=4 carries no cooldown from the restart";
+
+  // The stranded apply never lands, and the class is not moved again
+  // until its cooldown from the restart has run out.
+  const double cooldown =
+      SelectiveRetuner::kPlacementCooldownIntervals * interval;
+  h->RunFor(cooldown + 3 * interval);
+  for (const Action& action : h->retuner().actions()) {
+    if ((action.kind != ActionKind::kClassRescheduled &&
+         action.kind != ActionKind::kIoEviction) ||
+        MovedClass(action.description) != "app=2/class=4") {
+      continue;
+    }
+    EXPECT_GE(action.time, kRestartAt + cooldown)
+        << action.description << " at t=" << action.time;
+  }
+  std::string check_error;
+  EXPECT_TRUE(CheckTraceLines(h->trace().BufferedLines(), &check_error))
+      << check_error;
 }
 
 TEST(RecoveryTest, CtlFaultRoundTripsDeterministically) {

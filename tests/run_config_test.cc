@@ -26,6 +26,7 @@
 #include "scenarios/cli_options.h"
 #include "scenarios/run_config.h"
 #include "scenarios/scenario.h"
+#include "text_mutator.h"
 
 namespace fglb {
 namespace {
@@ -254,6 +255,39 @@ TEST(RunConfigTest, ParseNeedsEveryKeyOnceAndEachValueValid) {
   EXPECT_EQ(out.seed, 77u);  // untouched by every rejection
   ASSERT_TRUE(RunConfig::Parse(text, &out, &error)) << error;
   EXPECT_EQ(out.span_sample, 0u);
+}
+
+TEST(RunConfigTest, MutantsOfEveryScenarioConfigNeverBreakParse) {
+  // Every scenario's fglb_sim config, mutated 2,000 times with a fixed
+  // seed: Parse must return; a rejected mutant leaves a message and
+  // *out untouched; an accepted one is a config whose text form parses
+  // back to itself.
+  std::vector<std::string> seeds;
+  for (Scenario scenario : kAllScenarios) {
+    seeds.push_back(ScenarioRunConfig(scenario, 900).ToString());
+  }
+  RunConfig sentinel;
+  sentinel.seed = 424242;
+  std::mt19937_64 rng(2510);
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = MutateText(seeds[i % seeds.size()], rng);
+    SCOPED_TRACE(testing::Message() << "mutant " << i << ":\n" << text);
+    RunConfig parsed = sentinel;
+    std::string error;
+    if (!RunConfig::Parse(text, &parsed, &error)) {
+      EXPECT_FALSE(error.empty());
+      EXPECT_TRUE(parsed == sentinel);
+      continue;
+    }
+    ++accepted;
+    RunConfig reparsed;
+    ASSERT_TRUE(RunConfig::Parse(parsed.ToString(), &reparsed, &error))
+        << error;
+    EXPECT_TRUE(reparsed == parsed);
+  }
+  // Some mutants must parse, or the case checks only rejections.
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(ScenarioRunConfigTest, HoldsFglbSimPerScenarioDefaults) {

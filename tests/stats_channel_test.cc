@@ -101,7 +101,7 @@ TEST(StatsChannelTest, DroppedReportsDecayConfidenceAndResyncRecovers) {
   EXPECT_GT(feed.confidence, last_confidence);
 }
 
-TEST(StatsChannelTest, CorruptReportsAreRejectedByCrc) {
+TEST(StatsChannelTest, CorruptReportsAreRejected) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   channel.Publish(1, MakeSnapshot(1.0), 10);

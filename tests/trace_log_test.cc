@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "common/trace_check.h"
+#include "scenarios/scenario.h"
+#include "text_mutator.h"
 
 namespace fglb {
 namespace {
@@ -236,6 +239,53 @@ TEST(TraceCheckTest, AChainMustActBeforeItCloses) {
             "line 3: sla before the action of the sla at line 1");
   EXPECT_EQ(ChainError({Act(5), Sla(10), Skipped("impact")}),
             "line 2: sla chain ends without an action");
+}
+
+TEST(TraceCheckTest, MutatedLinesOfAChaosCtlTraceNeverBreakTheReaders) {
+  // The buffered trace of a short chaos-ctl run (a lossy window, a
+  // controller crash and its restore), one line mutated per trial,
+  // 2,000 trials with a fixed seed. JsonValue::Parse must return and
+  // leave a message and *out untouched when it rejects the line;
+  // CheckTraceLines must return, and a rejection names one of the
+  // trace's lines as "line N: ".
+  const RunConfig run = ScenarioRunConfig(Scenario::kChaosCtl, 120);
+  auto h = MakeHarness(run, /*analysis_threads=*/1);
+  h->trace().EnableBuffering();
+  AssembleScenario(run, h.get());
+  std::string error;
+  ASSERT_TRUE(ArmRun(run, h.get(), &error)) << error;
+  h->Start();
+  h->RunFor(run.duration_seconds);
+  std::vector<std::string> lines = h->trace().BufferedLines();
+  ASSERT_TRUE(CheckTraceLines(lines, &error)) << error;
+  ASSERT_GT(lines.size(), 10u);
+
+  const JsonValue sentinel = MustParse(R"({"sentinel":true})");
+  std::mt19937_64 rng(2512);
+  int rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const size_t at = rng() % lines.size();
+    const std::string original = lines[at];
+    lines[at] = MutateText(original, rng);
+    SCOPED_TRACE(testing::Message() << "mutant " << i << " of line "
+                                    << at + 1 << ": " << lines[at]);
+    JsonValue value = sentinel;
+    error.clear();
+    if (!JsonValue::Parse(lines[at], &value, &error)) {
+      EXPECT_FALSE(error.empty());
+      EXPECT_EQ(value.Dump(), sentinel.Dump());
+    }
+    error.clear();
+    if (!CheckTraceLines(lines, &error)) {
+      ++rejected;
+      size_t named = 0;
+      EXPECT_EQ(std::sscanf(error.c_str(), "line %zu: ", &named), 1) << error;
+      EXPECT_GE(named, 1u) << error;
+      EXPECT_LE(named, lines.size()) << error;
+    }
+    lines[at] = original;
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -82,6 +82,14 @@ if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=30 \
   echo "fglb_sim accepted a fault spec with a NaN time" >&2
   exit 1
 fi
+# So must a param outside its kind's row of the grammar table: a stats
+# dropout takes no tier mode.
+if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=20 \
+  --log-level=quiet --fault-spec='stats@10:replica=0,mode=fail,duration=5' \
+  >/dev/null 2>&1; then
+  echo "fglb_sim accepted a stats fault with a tier mode" >&2
+  exit 1
+fi
 
 echo "=== replay smoke: capture -> deterministic replay -> diff ==="
 # Capture a live consolidation run, replay it, and require the replayed
@@ -340,19 +348,30 @@ diff <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
      <(sed 's/"mono_us":[0-9]*,//; s/"dur_us":[0-9.]*,\?//' \
          "${SMOKE_DIR}/net-replay.jsonl")
 # chaos-ctl: a controller crash + restart lands on top of the lossy
-# window. The restart must restore the latest controller checkpoint —
-# a why=restored recovery event, never bad_ckpt — and the whole run
-# (crash, restore, everything after) must replay byte for byte.
+# window. The one restart must restore the latest controller checkpoint
+# — exactly one why=restored recovery event — and --check must reject
+# any other restart reason: the same trace with that event's why
+# rewritten to bad_ckpt fails it. The whole run (crash, restore,
+# everything after) must replay byte for byte.
 "./${PREFIX}/tools/fglb_sim" --scenario=chaos-ctl --duration=600 \
   --fault-seed=7 --log-level=quiet \
   --capture-out="${SMOKE_DIR}/ctl.fglbcap" \
   --trace-out="${SMOKE_DIR}/ctl.jsonl" >/dev/null
 "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl.jsonl" --check
-"./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl.jsonl" \
-  --phase=recovery | grep -q '"why":"restored"'
-if "./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl.jsonl" \
-  --phase=recovery | grep -q '"why":"bad_ckpt"'; then
-  echo "controller restored from a corrupt checkpoint" >&2
+restored="$("./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl.jsonl" \
+  --phase=recovery | grep -c '"why":"restored"' || true)"
+if [[ "${restored}" -ne 1 ]]; then
+  echo "chaos-ctl restored ${restored} times, not once" >&2
+  exit 1
+fi
+sed 's/"why":"restored"/"why":"bad_ckpt"/' "${SMOKE_DIR}/ctl.jsonl" \
+  >"${SMOKE_DIR}/ctl-bad-ckpt.jsonl"
+status=0
+"./${PREFIX}/tools/fglb_tracecat" "${SMOKE_DIR}/ctl-bad-ckpt.jsonl" \
+  --check 2>"${SMOKE_DIR}/ctl-bad-ckpt.err" || status=$?
+if [[ "${status}" -eq 0 ]] ||
+  ! grep -q 'unknown recovery why: bad_ckpt' "${SMOKE_DIR}/ctl-bad-ckpt.err"; then
+  echo "fglb_tracecat --check accepted a bad_ckpt restart" >&2
   exit 1
 fi
 "./${PREFIX}/tools/fglb_replay" "${SMOKE_DIR}/ctl.fglbcap" \
@@ -394,8 +413,9 @@ echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
 # The slab LRU, its probe table, the scramble tables and the
 # slice-by-8 CRC are index arithmetic: their differential tests run
 # here too, as do the run-config, k=v and fault spec parsers that
-# decode capture files, the controller checkpoint's restore rules and
-# the control-state gate properties.
+# decode capture files, the seeded fuzz cases of those parsers and of
+# the JSON trace reader and --check, the controller checkpoint's
+# restore rules and the control-state gate properties.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -405,8 +425,8 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   fglb_tracecat stats_channel_test controller_checkpoint_test \
   recovery_test replay_codec_test storage_test workload_test \
   common_random_test run_config_test retuner_property_test \
-  fault_injector_test
-ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec'
+  fault_injector_test trace_log_test
+ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|TraceCheck|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec'
 require_every_alternative "${PREFIX}-asan" "${ASAN_TESTS}"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   -R "${ASAN_TESTS}"
