@@ -32,11 +32,13 @@ struct Outcome {
   double throughput = 0;  // completions per simulated second
   double shed_share = 0;  // shed / (completed + shed)
   double wall_ms = 0;
+  uint64_t accesses = 0;  // engine page accesses
 };
 
 Outcome Run(double load_factor, bool admission_on) {
   SelectiveRetuner::Config config;
   config.enable_actions = false;  // frozen topology: admission only
+  bench::AccessCounter counter;  // outlives the harness it observes
   ClusterHarness harness(config, /*observability=*/false);
   harness.AddServers(1);
   Scheduler* tpcw = harness.AddApplication(MakeTpcw());
@@ -45,6 +47,7 @@ Outcome Run(double load_factor, bool admission_on) {
   tpcw->AddReplica(replica);
   if (admission_on) harness.EnableAdmission();
   harness.AddConstantClients(tpcw, load_factor * kBaselineClients, kSeed);
+  harness.AttachRecorders(nullptr, &counter);
 
   const auto start = std::chrono::steady_clock::now();
   harness.Start();
@@ -53,6 +56,7 @@ Outcome Run(double load_factor, bool admission_on) {
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  out.accesses = counter.accesses();
   out.goodput =
       static_cast<double>(tpcw->total_sla_ok()) / kDurationSeconds;
   out.throughput =
@@ -83,11 +87,11 @@ int main(int argc, char** argv) {
     const Outcome on = Run(factor, true);
     char name[48];
     std::snprintf(name, sizeof(name), "%.1fx_admission_off", factor);
-    json.Add(name, off.wall_ms, off.throughput * kDurationSeconds);
+    json.Add(name, off.wall_ms, static_cast<double>(off.accesses));
     std::printf("%-22s %10.1f %10.1f %9.1f%%\n", name, off.goodput,
                 off.throughput, 100 * off.shed_share);
     std::snprintf(name, sizeof(name), "%.1fx_admission_on", factor);
-    json.Add(name, on.wall_ms, on.throughput * kDurationSeconds);
+    json.Add(name, on.wall_ms, static_cast<double>(on.accesses));
     std::printf("%-22s %10.1f %10.1f %9.1f%%\n", name, on.goodput,
                 on.throughput, 100 * on.shed_share);
 

@@ -8,6 +8,7 @@
 // calibrated simulator, not the authors' testbed); the *shape* is the
 // reproduction target. See EXPERIMENTS.md.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -18,6 +19,11 @@
 #include "workload/access_generator.h"
 #include "workload/capture_hooks.h"
 #include "workload/query_class.h"
+
+// The CMake build type the bench binaries were built with.
+#ifndef FGLB_BUILD_TYPE
+#define FGLB_BUILD_TYPE "unknown"
+#endif
 
 namespace fglb::bench {
 
@@ -34,11 +40,13 @@ inline void PrintSection(const std::string& title) {
 }
 
 // Machine-readable benchmark output. Each measured configuration adds
-// one record (name, wall_ms, accesses_per_sec); WriteTo emits a
-// BENCH_<name>.json the perf trajectory can be tracked from across
-// commits:
-//   {"results": [{"name": "...", "wall_ms": 1.2,
-//                 "accesses_per_sec": 3.4e6}, ...]}
+// one record; WriteTo emits a BENCH_<name>.json the perf trajectory can
+// be tracked from across commits, stamped with the build that ran it:
+//   {"build_type": "Release", "compiler": "gcc 12.2.0",
+//    "results": [{"name": "...", "wall_ms": 1.2,
+//                 "accesses_per_sec": 3.4e6},
+//                {"name": "...", "unit": "ns/draw", "repeats": 9,
+//                 "median": 11.2, "min": 10.9, "p95": 12.1}, ...]}
 class BenchJsonWriter {
  public:
   // `accesses` is the work the measured pass performed (page
@@ -47,7 +55,32 @@ class BenchJsonWriter {
   void Add(const std::string& name, double wall_ms, double accesses) {
     const double per_sec =
         wall_ms > 0 && accesses > 0 ? accesses / (wall_ms / 1000.0) : 0;
-    rows_.emplace_back(Row{name, wall_ms, per_sec});
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "{\"name\": \"%s\", \"wall_ms\": %.4f, "
+                  "\"accesses_per_sec\": %.1f}",
+                  name.c_str(), wall_ms, per_sec);
+    rows_.emplace_back(row);
+  }
+
+  // One figure measured `samples.size()` (> 0) times, in `unit`: its
+  // median, min and nearest-rank p95. Returns the median.
+  double AddRepeated(const std::string& name, const std::string& unit,
+                     std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    const size_t n = samples.size();
+    const double median = n % 2 == 1
+                              ? samples[n / 2]
+                              : (samples[n / 2 - 1] + samples[n / 2]) / 2;
+    const size_t p95_rank = (95 * n + 99) / 100;  // ceil(0.95 n)
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "{\"name\": \"%s\", \"unit\": \"%s\", \"repeats\": %zu, "
+                  "\"median\": %.4g, \"min\": %.4g, \"p95\": %.4g}",
+                  name.c_str(), unit.c_str(), n, median, samples[0],
+                  samples[p95_rank - 1]);
+    rows_.emplace_back(row);
+    return median;
   }
 
   // Extra top-level scalar next to "results" (derived quantities such
@@ -62,13 +95,11 @@ class BenchJsonWriter {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\"results\": [");
+    std::fprintf(f, "{\"build_type\": \"%s\", \"compiler\": \"%s\",\n",
+                 FGLB_BUILD_TYPE, CompilerName().c_str());
+    std::fprintf(f, " \"results\": [");
     for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n  {\"name\": \"%s\", \"wall_ms\": %.4f, "
-                   "\"accesses_per_sec\": %.1f}",
-                   i == 0 ? "" : ",", rows_[i].name.c_str(), rows_[i].wall_ms,
-                   rows_[i].accesses_per_sec);
+      std::fprintf(f, "%s\n  %s", i == 0 ? "" : ",", rows_[i].c_str());
     }
     std::fprintf(f, "\n]");
     for (const auto& [name, value] : fields_) {
@@ -81,12 +112,17 @@ class BenchJsonWriter {
   }
 
  private:
-  struct Row {
-    std::string name;
-    double wall_ms = 0;
-    double accesses_per_sec = 0;
-  };
-  std::vector<Row> rows_;
+  static std::string CompilerName() {
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+  }
+
+  std::vector<std::string> rows_;  // rendered JSON objects
   std::vector<std::pair<std::string, double>> fields_;
 };
 

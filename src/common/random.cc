@@ -1,7 +1,9 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace fglb {
@@ -16,8 +18,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // Stafford variant 13 of the 64-bit finalizer; bijective on uint64_t.
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -30,18 +30,6 @@ uint64_t Mix64(uint64_t z) {
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : s_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextUint64(uint64_t n) {
@@ -58,10 +46,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo <= hi);
   return lo + static_cast<int64_t>(
                   NextUint64(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::UniformDouble(double lo, double hi) {
@@ -83,8 +67,6 @@ double Rng::Normal(double mean, double stddev) {
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
 }
-
-bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 uint64_t Rng::Binomial(uint64_t n, double p) {
   if (n == 0 || p <= 0) return 0;
@@ -164,22 +146,108 @@ double ZipfGenerator::HInverse(double x) const {
   return std::exp(Helper2(tt) * x);
 }
 
+uint64_t ZipfGenerator::Attempt(double u) const {
+  const double x = HInverse(u);
+  double k = x + 0.5;
+  if (k < 1.0) k = 1.0;
+  if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
+  const uint64_t ki = static_cast<uint64_t>(k);
+  const double kd = static_cast<double>(ki);
+  if (kd - x <= s_ ||
+      u >= H(kd + 0.5) - std::exp(-theta_ * std::log(kd))) {
+    return ki - 1;
+  }
+  return kRejected;
+}
+
 uint64_t ZipfGenerator::Sample(Rng& rng) const {
   if (n_ == 1) return 0;
   for (;;) {
-    const double u = h_integral_num_elements_ +
-                     rng.NextDouble() *
-                         (h_integral_x1_ - h_integral_num_elements_);
-    const double x = HInverse(u);
-    double k = x + 0.5;
-    if (k < 1.0) k = 1.0;
-    if (k > static_cast<double>(n_)) k = static_cast<double>(n_);
-    const uint64_t ki = static_cast<uint64_t>(k);
-    const double kd = static_cast<double>(ki);
-    if (kd - x <= s_ ||
-        u >= H(kd + 0.5) - std::exp(-theta_ * std::log(kd))) {
-      return ki - 1;
+    const uint64_t rank = Attempt(DrawU(rng));
+    if (rank != kRejected) return rank;
+  }
+}
+
+// --- ZipfTable ---
+//
+// In exact arithmetic an attempt at u draws rank k (one-based) =
+// 1 + #{j in [1, n) : u >= H(j + 0.5)}, since HInverse(u) + 0.5 >= j + 1
+// iff u >= H(j + 0.5), and accepts iff k - HInverse(u) <= s (that is,
+// u >= H(k - s), or always when k <= s) or u >= H(k + 0.5) - k^-theta:
+// iff u >= the smaller of the two. The generator's double H and
+// HInverse are off by a few ulps, which shifts u against a threshold by
+// about 10^-15 of the scale |H(n + 0.5)| + |H(1.5) - 1| + 1; the guard
+// is 2^-30 of that scale. Farther than the guard from its rank's
+// thresholds, u meets the generator's floating-point tests as it meets
+// the exact ones, and the table decides; nearer, the generator does.
+
+static_assert(ZipfTable::kMaxRanks - 1 <= UINT16_MAX,
+              "guide entries are 16-bit ranks");
+
+ZipfTable::ZipfTable(const ZipfGenerator& zipf) : zipf_(zipf) {
+  const uint64_t n = zipf.n_;
+  if (n < 2 || n > kMaxRanks) return;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ranks_.resize(n + 1);
+  ranks_[0].lower = -kInf;
+  for (uint64_t i = 0; i < n; ++i) {
+    const double kd = static_cast<double>(i + 1);
+    const double upper = zipf.H(kd + 0.5);
+    if (i + 1 < n) ranks_[i + 1].lower = upper;
+    const double reject_edge =
+        upper - std::exp(-zipf.theta_ * std::log(kd));
+    const double inversion_edge =
+        kd - zipf.s_ > 0 ? zipf.H(kd - zipf.s_) : -kInf;
+    ranks_[i].accept = std::min(inversion_edge, reject_edge);
+  }
+  ranks_[n] = Rank{kInf, kInf};
+
+  const double lo = zipf.h_integral_x1_;
+  const double hi = zipf.h_integral_num_elements_;
+  guard_ = 0x1.0p-30 * (std::fabs(hi) + std::fabs(lo) + 1);
+  // About four buckets per rank: u is uniform, so the scan from a
+  // bucket's guide entry crosses an eighth of a rank edge on average.
+  guide_.resize(4 * n);
+  guide_lo_ = lo;
+  guide_scale_ = static_cast<double>(guide_.size()) / (hi - lo);
+  // Bucket() is monotone in u, so a u in bucket b lies above every edge
+  // whose bucket is below b: the count of those is a lower bound on its
+  // rank.
+  size_t b = 0;
+  for (uint64_t i = 1; i < n; ++i) {
+    for (const size_t last = Bucket(ranks_[i].lower); b <= last; ++b) {
+      guide_[b] = static_cast<uint16_t>(i - 1);
     }
+  }
+  for (; b < guide_.size(); ++b) guide_[b] = static_cast<uint16_t>(n - 1);
+}
+
+size_t ZipfTable::Bucket(double u) const {
+  const double t = (u - guide_lo_) * guide_scale_;
+  const size_t last = guide_.size() - 1;
+  if (!(t > 0)) return 0;
+  return t >= static_cast<double>(last) ? last : static_cast<size_t>(t);
+}
+
+uint64_t ZipfTable::Decide(double u) const {
+  size_t i = guide_[Bucket(u)];
+  while (u >= ranks_[i + 1].lower) ++i;
+  const Rank& rank = ranks_[i];
+  if (u - rank.lower < guard_ || ranks_[i + 1].lower - u <= guard_) {
+    return kUndecided;
+  }
+  if (u - rank.accept >= guard_) return i;
+  if (rank.accept - u > guard_) return ZipfGenerator::kRejected;
+  return kUndecided;
+}
+
+uint64_t ZipfTable::Sample(Rng& rng) const {
+  if (ranks_.empty()) return zipf_.Sample(rng);
+  for (;;) {
+    const double u = zipf_.DrawU(rng);
+    uint64_t rank = Decide(u);
+    if (rank == kUndecided) rank = zipf_.Attempt(u);
+    if (rank != ZipfGenerator::kRejected) return rank;
   }
 }
 

@@ -25,7 +25,7 @@ class RingWindow {
 
   void Push(const T& value) {
     buffer_[head_] = value;
-    head_ = (head_ + 1) % buffer_.size();
+    if (++head_ == buffer_.size()) head_ = 0;
     if (size_ < buffer_.size()) ++size_;
   }
 

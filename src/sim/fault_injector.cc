@@ -188,8 +188,10 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
                      error)) {
       return false;
     }
+    bool has_factor = false;
     for (const auto& [key, value] : params) {
       bool ok = true;
+      has_factor |= key == "factor";
       if (key == "replica") ok = ParseKvCount(value, &event.replica);
       else if (key == "server") ok = ParseKvCount(value, &event.server);
       else if (key == "factor") ok = ParseKvNumber(value, &event.factor);
@@ -248,6 +250,10 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
         else if (event.tier_mode == 0) missing = "mode";
         else if (event.tier_mode == kTierDegrade && event.factor <= 0)
           missing = "factor";
+        else if (event.tier_mode == kTierFail && has_factor)
+          return KvError(error,
+                         "tier fault takes no factor with mode=fail in: " +
+                             entry);
         break;
       case FaultKind::kNet:
         if (event.drop_rate < 0 || event.drop_rate > 1) missing = "drop";

@@ -26,19 +26,20 @@ size_t BufferPool::HomeSlot(PageId page) const {
 size_t BufferPool::FindSlot(PageId page) const {
   const size_t mask = slots_.size() - 1;
   size_t i = HomeSlot(page);
-  while (slots_[i].node != kNil && slots_[i].page != page) i = (i + 1) & mask;
+  while (slots_[i].prev != kVacant && slots_[i].page != page) {
+    i = (i + 1) & mask;
+  }
   return i;
 }
 
 bool BufferPool::Access(PageId page) {
   ++stats_.accesses;
   const size_t slot = FindSlot(page);
-  const Index node = slots_[slot].node;
-  if (node != kNil) {
+  if (slots_[slot].prev != kVacant) {
     ++stats_.hits;
-    if (node != head_) {
-      Unlink(node);
-      LinkFront(node);
+    if (slot != head_) {
+      Unlink(slot);
+      LinkFront(slot);
     }
     return true;
   }
@@ -52,7 +53,7 @@ bool BufferPool::Access(PageId page) {
 bool BufferPool::Insert(PageId page) {
   if (capacity_ == 0) return false;
   const size_t slot = FindSlot(page);
-  if (slots_[slot].node != kNil) return false;
+  if (slots_[slot].prev != kVacant) return false;
   ++stats_.prefetch_inserts;
   PushFront(page, slot);
   EvictIfNeeded();
@@ -60,12 +61,12 @@ bool BufferPool::Insert(PageId page) {
 }
 
 bool BufferPool::Contains(PageId page) const {
-  return slots_[FindSlot(page)].node != kNil;
+  return slots_[FindSlot(page)].prev != kVacant;
 }
 
 bool BufferPool::Erase(PageId page) {
   const size_t slot = FindSlot(page);
-  if (slots_[slot].node == kNil) return false;
+  if (slots_[slot].prev == kVacant) return false;
   Remove(slot);
   return true;
 }
@@ -76,8 +77,7 @@ void BufferPool::Resize(uint64_t capacity_pages) {
 }
 
 void BufferPool::Clear() {
-  nodes_.clear();
-  free_ = head_ = tail_ = kNil;
+  head_ = tail_ = kNil;
   resident_ = 0;
   std::fill(slots_.begin(), slots_.end(), Slot{});
 }
@@ -87,87 +87,76 @@ void BufferPool::PushFront(PageId page, size_t slot) {
     GrowTable();
     slot = FindSlot(page);
   }
-  Index node = free_;
-  if (node != kNil) {
-    free_ = nodes_[node].next;
-    nodes_[node].page = page;
-  } else {
-    if (nodes_.size() >= kNil) {
-      throw std::length_error("BufferPool: node index space exhausted");
-    }
-    node = static_cast<Index>(nodes_.size());
-    nodes_.push_back(Node{page, kNil, kNil});
-  }
-  LinkFront(node);
-  slots_[slot] = Slot{page, node};
+  slots_[slot].page = page;
+  LinkFront(slot);
   ++resident_;
 }
 
 void BufferPool::Remove(size_t slot) {
-  const Index node = slots_[slot].node;
+  Unlink(slot);
   EraseSlot(slot);
-  Unlink(node);
-  nodes_[node].next = free_;
-  free_ = node;
   --resident_;
 }
 
-void BufferPool::Unlink(Index node) {
-  const Node& n = nodes_[node];
-  if (n.prev != kNil) {
-    nodes_[n.prev].next = n.next;
-  } else {
-    head_ = n.next;
-  }
-  if (n.next != kNil) {
-    nodes_[n.next].prev = n.prev;
-  } else {
-    tail_ = n.prev;
-  }
+void BufferPool::Unlink(size_t slot) {
+  const Slot& s = slots_[slot];
+  NextLink(s.prev) = s.next;
+  PrevLink(s.next) = s.prev;
 }
 
-void BufferPool::LinkFront(Index node) {
-  Node& n = nodes_[node];
-  n.prev = kNil;
-  n.next = head_;
-  if (head_ != kNil) {
-    nodes_[head_].prev = node;
-  } else {
-    tail_ = node;
-  }
-  head_ = node;
+void BufferPool::LinkFront(size_t slot) {
+  slots_[slot].prev = kNil;
+  slots_[slot].next = head_;
+  Relink(slot);
+}
+
+void BufferPool::Relink(size_t slot) {
+  const Slot& s = slots_[slot];
+  NextLink(s.prev) = static_cast<Index>(slot);
+  PrevLink(s.next) = static_cast<Index>(slot);
 }
 
 void BufferPool::EraseSlot(size_t hole) {
   const size_t mask = slots_.size() - 1;
-  for (size_t i = (hole + 1) & mask; slots_[i].node != kNil;
+  for (size_t i = (hole + 1) & mask; slots_[i].prev != kVacant;
        i = (i + 1) & mask) {
     // An entry may fill the hole unless its home lies cyclically in
     // (hole, i], where a lookup would start past the hole.
     const size_t home = HomeSlot(slots_[i].page);
     if (((i - home) & mask) >= ((i - hole) & mask)) {
       slots_[hole] = slots_[i];
+      Relink(hole);
       hole = i;
     }
   }
-  slots_[hole].node = kNil;
+  slots_[hole].prev = kVacant;
 }
 
 void BufferPool::GrowTable() {
+  // Slot indices are 32-bit, with the top two values reserved.
+  if (slots_.size() * 2 > kVacant) {
+    throw std::length_error("BufferPool: slot index space exhausted");
+  }
   const std::vector<Slot> old =
       std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
   --hash_shift_;
-  for (const Slot& s : old) {
-    if (s.node != kNil) slots_[FindSlot(s.page)] = s;
+  // Re-thread the list in recency order, pushing LRU first.
+  Index at = tail_;
+  head_ = tail_ = kNil;
+  for (; at != kNil; at = old[at].prev) {
+    const size_t slot = FindSlot(old[at].page);
+    slots_[slot].page = old[at].page;
+    LinkFront(slot);
   }
 }
 
 void BufferPool::EvictIfNeeded() {
   while (resident_ > capacity_) {
-    const PageId victim = nodes_[tail_].page;
-    Remove(FindSlot(victim));
+    const size_t victim = tail_;
+    const PageId page = slots_[victim].page;
+    Remove(victim);
     ++stats_.evictions;
-    NotifyEvicted(victim);
+    NotifyEvicted(page);
   }
 }
 

@@ -14,12 +14,13 @@ namespace fglb {
 // it). Purely a containment simulator: it answers hit/miss and tracks
 // counters; I/O timing for misses is the disk model's job.
 //
-// The recency list is doubly linked through indices into a node slab
-// (freed nodes go on a free list), and pages are found through an
-// open-addressing PageId -> node table (linear probing, backward-shift
-// deletion), so a miss or an eviction allocates nothing once the slab
-// and table have grown to the pool's working size. Both grow on demand;
-// neither is sized from the capacity.
+// Pages live in an open-addressing table (linear probing, backward-shift
+// deletion), and the recency list is doubly linked through the table's
+// own slot indices, so a hit touches the page's slot and its two
+// neighbours, an eviction takes the tail slot without a lookup, and a
+// miss or an eviction allocates nothing once the table has grown to
+// the pool's working size. The table grows on demand; it is never
+// sized from the capacity.
 class BufferPool : public PageCache {
  public:
   explicit BufferPool(uint64_t capacity_pages);
@@ -51,16 +52,13 @@ class BufferPool : public PageCache {
 
  private:
   using Index = uint32_t;
-  static constexpr Index kNil = ~Index{0};
+  static constexpr Index kNil = ~Index{0};         // no neighbour
+  static constexpr Index kVacant = kNil - 1;       // marks an empty slot
 
-  struct Node {
-    PageId page = 0;
-    Index prev = kNil;  // toward the MRU end
-    Index next = kNil;  // toward the LRU end; free-list link when free
-  };
   struct Slot {
     PageId page = 0;
-    Index node = kNil;  // kNil marks an empty slot
+    Index prev = kVacant;  // toward the MRU end
+    Index next = kNil;     // toward the LRU end
   };
 
   // The slot holding `page`, or the empty slot that ends its probe run.
@@ -69,17 +67,26 @@ class BufferPool : public PageCache {
   // Makes `page` resident at the MRU end; `slot` is the empty slot
   // FindSlot returned for it.
   void PushFront(PageId page, size_t slot);
-  // Drops the page in `slot` from the table and the list.
+  // Drops the page in `slot` from the list and the table.
   void Remove(size_t slot);
-  void Unlink(Index node);
-  void LinkFront(Index node);
+  void Unlink(size_t slot);
+  void LinkFront(size_t slot);
+  // Points the entry's neighbours (or head_/tail_) at `slot`, where it
+  // now sits.
+  void Relink(size_t slot);
+  // The link that names the entry after `prev` (head_ after kNil), and
+  // the one that names the entry before `next` (tail_ before kNil).
+  Index& NextLink(Index prev) {
+    return prev != kNil ? slots_[prev].next : head_;
+  }
+  Index& PrevLink(Index next) {
+    return next != kNil ? slots_[next].prev : tail_;
+  }
   // Empties `slot`, shifting later members of its probe run back.
   void EraseSlot(size_t slot);
   void GrowTable();
   void EvictIfNeeded();
 
-  std::vector<Node> nodes_;
-  Index free_ = kNil;
   Index head_ = kNil;  // most recently used
   Index tail_ = kNil;  // least recently used
   uint64_t resident_ = 0;

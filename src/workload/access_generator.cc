@@ -33,7 +33,9 @@ const AccessGenerator::Sampler& AccessGenerator::SamplerFor(uint64_t n,
       }
       scramble = table.data();
     }
-    it = samplers_.emplace(key, Sampler{ZipfGenerator(n, theta), scramble})
+    it = samplers_
+             .emplace(key, Sampler{ZipfTable(ZipfGenerator(n, theta)),
+                                   scramble})
              .first;
   }
   return it->second;

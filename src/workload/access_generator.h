@@ -14,11 +14,12 @@ namespace fglb {
 
 // Expands a query template into the concrete page-reference string one
 // execution of it produces. Zipf samplers are cached per
-// (region size, theta) since building one is O(1) but not free and the
-// same components recur millions of times. The rank -> page scramble
-// is tabulated per region size on first use: entry r of a region's
-// table is ScrambleToDomain(r, region), so a draw costs one lookup and
-// yields exactly the page ScrambleToDomain would.
+// (region size, theta) and built on first use, never at set-up: each
+// is a ZipfTable, which decides a draw from per-rank thresholds and
+// yields exactly the rank ZipfGenerator would. The rank -> page
+// scramble is tabulated per region size on first use: entry r of a
+// region's table is ScrambleToDomain(r, region), so a draw costs one
+// lookup and yields exactly the page ScrambleToDomain would.
 class AccessGenerator {
  public:
   // Regions larger than this many pages are scrambled per draw instead
@@ -38,7 +39,7 @@ class AccessGenerator {
   // and its region's scramble table (null above kMaxTabulatedRegion).
   // A table is filled once and never resized, so the pointer stays valid.
   struct Sampler {
-    ZipfGenerator zipf;
+    ZipfTable zipf;
     const uint32_t* scramble = nullptr;
   };
 

@@ -1,14 +1,57 @@
 #include "common/random.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "workload/oltp.h"
+#include "workload/rubis.h"
+#include "workload/tpcw.h"
+
 namespace fglb {
+
+// Reaches into ZipfTable and ZipfGenerator: one attempt at a chosen
+// inversion point u, exact and by the table, and the table's thresholds.
+class ZipfTableProbe {
+ public:
+  static constexpr uint64_t kRejected = ZipfGenerator::kRejected;
+  static constexpr uint64_t kUndecided = ZipfTable::kUndecided;
+
+  static double DrawU(const ZipfGenerator& zipf, Rng& rng) {
+    return zipf.DrawU(rng);
+  }
+  static uint64_t Exact(const ZipfGenerator& zipf, double u) {
+    return zipf.Attempt(u);
+  }
+  static uint64_t Decide(const ZipfTable& table, double u) {
+    return table.Decide(u);
+  }
+  static double Guard(const ZipfTable& table) { return table.guard_; }
+  // The range of u: (H(1.5) - 1, H(n + 0.5)].
+  static std::pair<double, double> URange(const ZipfGenerator& zipf) {
+    return {zipf.h_integral_x1_, zipf.h_integral_num_elements_};
+  }
+  // Every finite threshold: each rank's lower edge and acceptance
+  // threshold.
+  static std::vector<double> Thresholds(const ZipfTable& table) {
+    std::vector<double> out;
+    for (const ZipfTable::Rank& rank : table.ranks_) {
+      for (double t : {rank.lower, rank.accept}) {
+        if (std::isfinite(t)) out.push_back(t);
+      }
+    }
+    return out;
+  }
+};
+
 namespace {
 
 TEST(RngTest, DeterministicForSameSeed) {
@@ -150,6 +193,115 @@ TEST(ZipfTest, SingleElementDomain) {
   Rng rng(41);
   ZipfGenerator zipf(1, 0.9);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
+}
+
+// --- Differential: ZipfTable vs ZipfGenerator ---
+
+// Every (region, theta) a point lookup of the TPC-W, RUBiS and OLTP
+// templates draws with, plus the smallest domains and both sides of
+// the table's cap at theta 0, 1 and 1.5.
+std::vector<std::pair<uint64_t, double>> ZipfGrid() {
+  std::set<std::pair<uint64_t, double>> grid;
+  for (const ApplicationSpec& app : {MakeTpcw(), MakeRubis(), MakeOltp()}) {
+    for (const QueryTemplate& tmpl : app.templates) {
+      for (const AccessComponent& c : tmpl.components) {
+        if (c.kind == AccessComponent::Kind::kPointLookups) {
+          grid.emplace(c.EffectiveRegionPages(), c.zipf_theta);
+        }
+      }
+    }
+  }
+  for (uint64_t n : {uint64_t{2}, uint64_t{3}, ZipfTable::kMaxRanks,
+                     ZipfTable::kMaxRanks + 1}) {
+    for (double theta : {0.0, 1.0, 1.5}) grid.emplace(n, theta);
+  }
+  return {grid.begin(), grid.end()};
+}
+
+TEST(ZipfTableTest, EveryDrawAndRngStateMatchTheGenerator) {
+  const int kDraws = 20000;
+  uint64_t attempts = 0;
+  uint64_t undecided = 0;
+  for (const auto& [n, theta] : ZipfGrid()) {
+    SCOPED_TRACE(::testing::Message() << "n " << n << " theta " << theta);
+    const ZipfGenerator zipf(n, theta);
+    const ZipfTable table(zipf);
+    EXPECT_EQ(table.tabulated(), n <= ZipfTable::kMaxRanks);
+    const uint64_t seed = n * 1000 + static_cast<uint64_t>(theta * 100);
+    Rng got_rng(seed);
+    Rng want_rng(seed);
+    int mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      mismatches += table.Sample(got_rng) != zipf.Sample(want_rng);
+    }
+    EXPECT_EQ(mismatches, 0);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(got_rng.Next(), want_rng.Next());
+    if (!table.tabulated()) continue;
+    // The same stream's attempts once more, counting those the table
+    // left to the generator's arithmetic.
+    Rng rng(seed);
+    for (int i = 0; i < kDraws; ++i) {
+      const double u = ZipfTableProbe::DrawU(zipf, rng);
+      ++attempts;
+      undecided += ZipfTableProbe::Decide(table, u) ==
+                   ZipfTableProbe::kUndecided;
+    }
+  }
+  std::printf("ZipfTable fell back on %llu of %llu attempts (%.2g)\n",
+              static_cast<unsigned long long>(undecided),
+              static_cast<unsigned long long>(attempts),
+              static_cast<double>(undecided) / static_cast<double>(attempts));
+  EXPECT_LT(undecided * 1000, attempts);
+}
+
+// `x` moved `ulps` representable doubles up (down when negative).
+double StepUlps(double x, int64_t ulps) {
+  // Doubles in order as integers: negative ones mirrored below zero.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  int64_t bits = std::bit_cast<int64_t>(x);
+  if (bits < 0) bits = kMin - bits;
+  bits += ulps;
+  if (bits < 0) bits = kMin - bits;
+  return std::bit_cast<double>(bits);
+}
+
+TEST(ZipfTableTest, SeamsDecideAsTheGenerator) {
+  // At and next to each threshold the table must leave the attempt to
+  // the generator or decide as it does; two guards out it decides.
+  uint64_t points = 0;
+  uint64_t decided = 0;
+  for (const auto& [n, theta] : ZipfGrid()) {
+    SCOPED_TRACE(::testing::Message() << "n " << n << " theta " << theta);
+    const ZipfGenerator zipf(n, theta);
+    const ZipfTable table(zipf);
+    if (!table.tabulated()) continue;
+    const auto [lo, hi] = ZipfTableProbe::URange(zipf);
+    const double guard = ZipfTableProbe::Guard(table);
+    int mismatches = 0;
+    for (double t : ZipfTableProbe::Thresholds(table)) {
+      std::vector<double> us = {t - 2 * guard, t + 2 * guard};
+      for (int64_t ulps : {0, 1, 2, 1000}) {
+        us.push_back(StepUlps(t, ulps));
+        us.push_back(StepUlps(t, -ulps));
+      }
+      for (double u : us) {
+        if (u < lo || u > hi) continue;
+        ++points;
+        const uint64_t verdict = ZipfTableProbe::Decide(table, u);
+        if (verdict == ZipfTableProbe::kUndecided) continue;
+        ++decided;
+        if (verdict != ZipfTableProbe::Exact(zipf, u)) {
+          ++mismatches;
+          ADD_FAILURE() << "u " << u << " threshold " << t;
+        }
+        if (mismatches > 5) return;
+      }
+    }
+  }
+  std::printf("ZipfTable decided %llu of %llu seam points\n",
+              static_cast<unsigned long long>(decided),
+              static_cast<unsigned long long>(points));
+  EXPECT_GT(decided, 0u);
 }
 
 TEST(ScrambleTest, BijectiveOnSmallDomains) {

@@ -100,6 +100,10 @@ TEST(FaultSpecTest, ParseRejectsSloppyEntriesNamingTheToken) {
        "net fault takes no param replica"},
       {"migration@10:delay=1,fail=0.2,server=9",
        "migration fault takes no param server"},
+      // A factor only slows a degraded tier; a failed one drops it.
+      {"tier@10:replica=0,mode=fail,factor=5,duration=20",
+       "takes no factor with mode=fail"},
+      {"tier@10:replica=0,factor=5,mode=fail", "takes no factor with mode=fail"},
   };
   for (const Case& c : bad) {
     FaultSpec spec;

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -105,11 +106,11 @@ TEST(BufferPoolTest, LruOrderUnderMixedInsertAccess) {
   EXPECT_TRUE(pool.Contains(MakePageId(1, 2)));
 }
 
-// --- Differential: slab LRU vs a std::list LRU ---
+// --- Differential: slot-threaded LRU vs a std::list LRU ---
 
 // Oracle: the straightforward node-allocating LRU, a std::list in
-// recency order plus a hash map into it. The slab pool must reproduce
-// it op for op, evictions included.
+// recency order plus a hash map into it. The pool must reproduce it op
+// for op, evictions included.
 class ReferenceLru {
  public:
   explicit ReferenceLru(uint64_t capacity) : capacity_(capacity) {}
@@ -183,12 +184,10 @@ void ExpectSameStats(const BufferPoolStats& a, const BufferPoolStats& b) {
   EXPECT_EQ(a.prefetch_inserts, b.prefetch_inserts);
 }
 
-// Random op sequence at one capacity. Pages come from a universe about
-// twice the capacity (so hits, misses and evictions all occur) that
-// includes page 0 and ids differing only in their table bits.
-void RunDifferential(uint64_t capacity, uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " seed "
-                                    << seed);
+// Pages from a universe about twice the capacity (so hits, misses and
+// evictions all occur) that includes page 0 and ids differing only in
+// their table bits.
+std::vector<PageId> SpreadUniverse(uint64_t capacity) {
   const TableId tables[] = {0, 1, 0x8000, 0xFFFF};
   const uint64_t offsets = capacity / 2 + 3;
   std::vector<PageId> universe;
@@ -197,14 +196,63 @@ void RunDifferential(uint64_t capacity, uint64_t seed) {
       universe.push_back(MakePageId(table, offset));
     }
   }
+  return universe;
+}
 
+// About twice the capacity in ids, in groups of 64 whose Fibonacci
+// hashes (page * 0x9E3779B97F4A7C15, the pool's) share their top 32
+// bits: a group shares one home slot at every table size, so its probe
+// run is long and erasing from it shifts linked entries back.
+std::vector<PageId> CollidingUniverse(uint64_t capacity) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  // Newton's iteration for the odd constant's inverse mod 2^64.
+  uint64_t inverse = kGolden;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kGolden * inverse;
+  EXPECT_EQ(kGolden * inverse, 1u);
+  const uint64_t groups = capacity / 32 + 1;
+  std::vector<PageId> universe;
+  for (uint64_t g = 0; g < groups; ++g) {
+    const uint64_t top = (g * 0x9E3779B9ULL) & 0xFFFFFFFFULL;
+    for (uint64_t j = 0; j < 64; ++j) {
+      universe.push_back(((top << 32) | j) * inverse);
+    }
+  }
+  return universe;
+}
+
+// Fills the pool past its capacity with distinct pages (each table
+// doubling re-threads a live list; the overflow evicts), then runs a
+// random op sequence, comparing with the reference after every op.
+void RunDifferential(uint64_t capacity, uint64_t seed,
+                     const std::vector<PageId>& universe) {
+  SCOPED_TRACE(::testing::Message() << "capacity " << capacity << " seed "
+                                    << seed);
   BufferPool pool(capacity);
   ReferenceLru reference(capacity);
   std::vector<PageId> evicted;
   pool.set_eviction_sink([&evicted](PageId page) { evicted.push_back(page); });
 
-  Rng rng(seed);
   size_t checked = 0;
+  // Only this op's victims are new; earlier ones were checked already.
+  auto expect_same = [&](int op) {
+    ASSERT_EQ(pool.resident_pages(), reference.resident_pages())
+        << "op " << op;
+    ASSERT_EQ(evicted.size(), reference.evicted().size()) << "op " << op;
+    for (; checked < evicted.size(); ++checked) {
+      ASSERT_EQ(evicted[checked], reference.evicted()[checked])
+          << "op " << op;
+    }
+    ExpectSameStats(pool.stats(), reference.stats());
+  };
+
+  const size_t fill = std::min(universe.size(), capacity + capacity / 4);
+  for (size_t i = 0; i < fill; ++i) {
+    ASSERT_EQ(pool.Access(universe[i]), reference.Access(universe[i]))
+        << "fill " << i;
+    ASSERT_NO_FATAL_FAILURE(expect_same(-1)) << "fill " << i;
+  }
+
+  Rng rng(seed);
   const int ops = 20000;
   for (int op = 0; op < ops; ++op) {
     const PageId page = universe[rng.NextUint64(universe.size())];
@@ -228,15 +276,7 @@ void RunDifferential(uint64_t capacity, uint64_t seed) {
       pool.Clear();
       reference.Clear();
     }
-    ASSERT_EQ(pool.resident_pages(), reference.resident_pages())
-        << "op " << op;
-    // Only this op's victims are new; earlier ones were checked already.
-    ASSERT_EQ(evicted.size(), reference.evicted().size()) << "op " << op;
-    for (; checked < evicted.size(); ++checked) {
-      ASSERT_EQ(evicted[checked], reference.evicted()[checked])
-          << "op " << op;
-    }
-    ExpectSameStats(pool.stats(), reference.stats());
+    ASSERT_NO_FATAL_FAILURE(expect_same(op));
   }
   // Draining to zero evicts everything left in LRU order, which pins
   // down the full recency list, not just the prefix evicted so far.
@@ -247,8 +287,18 @@ void RunDifferential(uint64_t capacity, uint64_t seed) {
 }
 
 TEST(BufferPoolDifferentialTest, MatchesListLruOnRandomOps) {
-  for (uint64_t capacity : {0, 1, 2, 7, 64, 1000}) {
-    for (uint64_t seed : {1, 2, 3}) RunDifferential(capacity, seed);
+  for (uint64_t capacity : {0, 1, 2, 7, 64, 1000, 5000, 20000}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      RunDifferential(capacity, seed, SpreadUniverse(capacity));
+    }
+  }
+}
+
+TEST(BufferPoolDifferentialTest, MatchesListLruOnCollidingIds) {
+  for (uint64_t capacity : {1, 7, 64, 1000, 5000}) {
+    for (uint64_t seed : {1, 2}) {
+      RunDifferential(capacity, seed, CollidingUniverse(capacity));
+    }
   }
 }
 

@@ -400,6 +400,19 @@ for field in '"hold_calendar"' '"overload_3x_calendar"' '"overload_100x"' \
   grep -q "${field}" "${SMOKE_DIR}/des.json"
 done
 
+echo "=== hot path smoke: Zipf table draws and LRU replay ==="
+# Small inputs, no timing gate: the bench exits non-zero unless the
+# Zipf table draws the exact generator's ranks and every LRU replay
+# sees the same hits, and the JSON must carry every row and field the
+# full bench writes.
+cmake --build "${PREFIX}" -j "${JOBS}" --target bench_hot_path
+"./${PREFIX}/bench/bench_hot_path" "${SMOKE_DIR}/hot_path.json" smoke
+for field in '"build_type"' '"compiler"' '"zipf_draw_table"' \
+    '"zipf_draw_exact"' '"lru_access_8192"' '"zipf_table_speedup"' \
+    '"lru_hit_ratio"'; do
+  grep -q "${field}" "${SMOKE_DIR}/hot_path.json"
+done
+
 echo "=== end-to-end benchmark: compile only ==="
 # bench/e2e is a CMake project of its own that builds the tree's
 # sources; compile its binaries so an API change the benchmark calls
@@ -410,12 +423,13 @@ cmake --build "${PREFIX}-e2e" -j "${JOBS}" \
   --target fglb_e2e fglb_sim_cli fglb_tracecat
 
 echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
-# The slab LRU, its probe table, the scramble tables and the
-# slice-by-8 CRC are index arithmetic: their differential tests run
-# here too, as do the run-config, k=v and fault spec parsers that
-# decode capture files, the seeded fuzz cases of those parsers and of
-# the JSON trace reader and --check, the controller checkpoint's
-# restore rules and the control-state gate properties.
+# The slot-threaded LRU and its probe table, the Zipf and scramble
+# tables and the slice-by-8 CRC are index arithmetic: their
+# differential tests run here too, as do the run-config, k=v and fault
+# spec parsers that decode capture files, the seeded fuzz cases of
+# those parsers and of the JSON trace reader and --check, the
+# controller checkpoint's restore rules and the control-state gate
+# properties.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
