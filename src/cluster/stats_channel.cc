@@ -60,7 +60,7 @@ void StatsChannel::Publish(int replica_id, Snapshot snapshot,
   if (published_ != nullptr) published_->Increment();
 
   FaultInjector::NetDecision decision;
-  if (net_hook_) decision = net_hook_(replica_id, seq);
+  if (net_hook_) decision = net_hook_();
   if (decision.drop) {
     if (dropped_ != nullptr) dropped_->Increment();
     return;

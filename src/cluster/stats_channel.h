@@ -44,8 +44,7 @@ class StatsChannel {
  public:
   using Snapshot = std::map<ClassKey, MetricVector>;
   // Consults the fault injector for one in-flight report's fate.
-  using NetHook =
-      std::function<FaultInjector::NetDecision(int replica_id, uint64_t seq)>;
+  using NetHook = std::function<FaultInjector::NetDecision()>;
 
   StatsChannel(Simulator* sim, StatsChannelConfig config);
   StatsChannel(const StatsChannel&) = delete;

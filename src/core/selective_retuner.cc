@@ -699,7 +699,7 @@ void SelectiveRetuner::AttemptMigration(PendingMigration m) {
     return;
   }
   const auto outcome = migration_interceptor_
-                           ? migration_interceptor_(m.key, m.attempt)
+                           ? migration_interceptor_()
                            : FaultInjector::MigrationDecision{};
   // A later step runs outside every interval's decision, so it traces
   // the actions it logs itself. One armed before a controller crash

@@ -136,7 +136,7 @@ class SelectiveRetuner {
   // migration). Unset (the default) applies every attempt immediately,
   // the fault-free fast path; the harness wires the fault injector in.
   using MigrationInterceptor =
-      std::function<FaultInjector::MigrationDecision(ClassKey, int attempt)>;
+      std::function<FaultInjector::MigrationDecision()>;
   void set_migration_interceptor(MigrationInterceptor interceptor) {
     migration_interceptor_ = std::move(interceptor);
   }

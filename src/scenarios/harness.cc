@@ -255,14 +255,12 @@ FaultInjector* ClusterHarness::InjectFaults(FaultSpec spec, uint64_t seed) {
   if (observability_) {
     fault_injector_->BindObservability(&metrics_, &trace_);
   }
-  retuner_.set_migration_interceptor(
-      [injector = fault_injector_.get()](ClassKey key, int attempt) {
-        return injector->OnMigrationAttempt(key, attempt);
-      });
-  retuner_.stats_channel().set_net_hook(
-      [injector = fault_injector_.get()](int replica_id, uint64_t seq) {
-        return injector->OnStatsReport(replica_id, seq);
-      });
+  retuner_.set_migration_interceptor([injector = fault_injector_.get()] {
+    return injector->OnMigrationAttempt();
+  });
+  retuner_.stats_channel().set_net_hook([injector = fault_injector_.get()] {
+    return injector->OnStatsReport();
+  });
   if (started_) fault_injector_->Arm();
   return fault_injector_.get();
 }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+#include <initializer_list>
+#include <iterator>
 
 #include "common/kv_spec.h"
 
@@ -10,46 +11,175 @@ namespace fglb {
 
 namespace {
 
-bool ParseKind(const std::string& name, FaultKind* out) {
-  if (name == "crash") *out = FaultKind::kCrash;
-  else if (name == "disk") *out = FaultKind::kDisk;
-  else if (name == "slow") *out = FaultKind::kSlow;
-  else if (name == "stats") *out = FaultKind::kStats;
-  else if (name == "migration") *out = FaultKind::kMigration;
-  else if (name == "tier") *out = FaultKind::kTier;
-  else if (name == "net") *out = FaultKind::kNet;
-  else if (name == "ctl") *out = FaultKind::kCtl;
-  else return false;
+// How a param's value parses, prints and is drawn.
+enum class Grammar {
+  kId,       // a digit string; drawn from [0, the profile's id count)
+  kMode,     // one of the kind's two mode words, stored as 1 or 2
+  kFactor,   // a finite number > 0
+  kRate,     // a finite number in [0, 1]
+  kSeconds,  // a finite number >= 0
+};
+
+struct Param {
+  const char* key;
+  Grammar grammar;
+  int FaultEvent::*id = nullptr;          // kId, kMode
+  double FaultEvent::*number = nullptr;   // kFactor, kRate, kSeconds
+  bool required = false;
+  // Nonzero: the param goes with this mode only. It is parsed, printed
+  // and drawn with it, and refused with the other; the mode comes
+  // earlier in the row.
+  int only_mode = 0;
+  int RandomFaultProfile::*ids = nullptr;  // kId's draw range
+  double lo = 0;                           // a number's draw range
+  double hi = 0;
+};
+
+struct KindRow {
+  const char* name;
+  const char* modes[2];             // for a row with a kMode param
+  int RandomFaultProfile::*count;   // events a random schedule draws
+  std::initializer_list<Param> params;  // in print and draw order
+};
+
+constexpr bool kRequired = true;
+constexpr bool kOptional = false;
+
+constexpr Param Id(const char* key, int FaultEvent::*field,
+                   int RandomFaultProfile::*ids) {
+  return {.key = key, .grammar = Grammar::kId, .id = field,
+          .required = kRequired, .ids = ids};
+}
+
+constexpr Param Number(const char* key, Grammar grammar,
+                       double FaultEvent::*field, bool required, double lo,
+                       double hi, int only_mode = 0) {
+  return {.key = key, .grammar = grammar, .number = field,
+          .required = required, .only_mode = only_mode, .lo = lo, .hi = hi};
+}
+
+constexpr Param kReplicaParam =
+    Id("replica", &FaultEvent::replica, &RandomFaultProfile::replicas);
+constexpr Param kModeParam = {.key = "mode", .grammar = Grammar::kMode,
+                              .id = &FaultEvent::mode, .required = kRequired};
+
+// The fault grammar: one row per FaultKind, in enum order, which is
+// also the order a random schedule draws kinds in. A new kind goes
+// last, with a profile count that defaults to 0, so every existing
+// seed keeps expanding to the schedule it always did.
+constexpr KindRow kKinds[] = {
+    {"crash", {}, &RandomFaultProfile::crashes,
+     {kReplicaParam,
+      Number("restart", Grammar::kSeconds, &FaultEvent::restart_after,
+             kOptional, 20, 60)}},
+    {"disk", {}, &RandomFaultProfile::disk_spikes,
+     {Id("server", &FaultEvent::server, &RandomFaultProfile::servers),
+      Number("factor", Grammar::kFactor, &FaultEvent::factor, kRequired, 2,
+             10),
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 30, 120)}},
+    {"slow", {}, &RandomFaultProfile::slowdowns,
+     {kReplicaParam,
+      Number("factor", Grammar::kFactor, &FaultEvent::factor, kRequired, 1.5,
+             4),
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 30, 120)}},
+    {"stats", {"drop", "partial"}, &RandomFaultProfile::stats_dropouts,
+     {kReplicaParam, kModeParam,
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 20, 80)}},
+    {"migration", {}, &RandomFaultProfile::migration_windows,
+     {Number("delay", Grammar::kSeconds, &FaultEvent::delay_seconds,
+             kRequired, 1, 8),
+      Number("fail", Grammar::kRate, &FaultEvent::fail_rate, kRequired, 0,
+             0.6),
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 60, 240)}},
+    {"tier", {"fail", "degrade"}, &RandomFaultProfile::tier_faults,
+     {kReplicaParam, kModeParam,
+      Number("factor", Grammar::kFactor, &FaultEvent::factor, kRequired, 2,
+             10, kTierDegrade),
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 30, 120)}},
+    // A net window must do something: see NetWindowDoesNothing.
+    {"net", {}, &RandomFaultProfile::net_windows,
+     {Number("drop", Grammar::kRate, &FaultEvent::drop_rate, kOptional,
+             0.05, 0.3),
+      Number("dup", Grammar::kRate, &FaultEvent::dup_rate, kOptional, 0,
+             0.15),
+      Number("corrupt", Grammar::kRate, &FaultEvent::corrupt_rate,
+             kOptional, 0, 0.1),
+      Number("reorder", Grammar::kRate, &FaultEvent::reorder_rate,
+             kOptional, 0, 0.2),
+      Number("delay", Grammar::kSeconds, &FaultEvent::delay_seconds,
+             kOptional, 0, 4),
+      Number("duration", Grammar::kSeconds, &FaultEvent::duration,
+             kOptional, 60, 240)}},
+    {"ctl", {}, &RandomFaultProfile::ctl_crashes,
+     {Number("restart", Grammar::kSeconds, &FaultEvent::restart_after,
+             kOptional, 10, 40)}},
+};
+static_assert(std::size(kKinds) == static_cast<size_t>(FaultKind::kCtl) + 1,
+              "one grammar row per FaultKind");
+
+const KindRow& RowOf(FaultKind kind) {
+  return kKinds[static_cast<size_t>(kind)];
+}
+
+bool Applies(const Param& param, const FaultEvent& event) {
+  return param.only_mode == 0 || event.mode == param.only_mode;
+}
+
+bool ParseValue(const KindRow& row, const Param& param,
+                const std::string& value, FaultEvent* event) {
+  switch (param.grammar) {
+    case Grammar::kId:
+      return ParseKvCount(value, &(event->*param.id));
+    case Grammar::kMode:
+      for (int m = 0; m < 2; ++m) {
+        if (value == row.modes[m]) {
+          event->*param.id = m + 1;
+          return true;
+        }
+      }
+      return false;
+    default:
+      break;
+  }
+  double number = 0;
+  if (!ParseKvNumber(value, &number) || number < 0 ||
+      (param.grammar == Grammar::kFactor && number == 0) ||
+      (param.grammar == Grammar::kRate && number > 1)) {
+    return false;
+  }
+  event->*param.number = number;
   return true;
 }
 
-// The params a kind takes, comma-separated: its row of the grammar
-// table in README.
-const char* ParamsOf(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "replica,restart";
-    case FaultKind::kDisk:
-      return "server,factor,duration";
-    case FaultKind::kSlow:
-      return "replica,factor,duration";
-    case FaultKind::kStats:
-      return "replica,mode,duration";
-    case FaultKind::kMigration:
-      return "delay,fail,duration";
-    case FaultKind::kTier:
-      return "replica,mode,factor,duration";
-    case FaultKind::kNet:
-      return "drop,dup,corrupt,reorder,delay,duration";
-    case FaultKind::kCtl:
-      return "restart";
+std::string FormatValue(const KindRow& row, const Param& param,
+                        const FaultEvent& event) {
+  switch (param.grammar) {
+    case Grammar::kId:
+      return std::to_string(event.*param.id);
+    case Grammar::kMode:
+      return row.modes[event.*param.id == 2 ? 1 : 0];
+    default:
+      return FormatKvNumber(event.*param.number);
   }
-  return "";
 }
 
-bool Takes(FaultKind kind, const std::string& key) {
-  const std::string params = std::string(",") + ParamsOf(kind) + ",";
-  return params.find("," + key + ",") != std::string::npos;
+bool IsDefault(const Param& param, const FaultEvent& event) {
+  static const FaultEvent kDefaults;
+  return param.number != nullptr
+             ? event.*param.number == kDefaults.*param.number
+             : event.*param.id == kDefaults.*param.id;
+}
+
+bool NetWindowDoesNothing(const FaultEvent& e) {
+  return e.kind == FaultKind::kNet &&
+         e.drop_rate + e.dup_rate + e.corrupt_rate + e.reorder_rate +
+                 e.delay_seconds <=
+             0;
 }
 
 std::vector<const FaultEvent*> SortedByTime(
@@ -66,92 +196,19 @@ std::vector<const FaultEvent*> SortedByTime(
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kDisk:
-      return "disk";
-    case FaultKind::kSlow:
-      return "slow";
-    case FaultKind::kStats:
-      return "stats";
-    case FaultKind::kMigration:
-      return "migration";
-    case FaultKind::kTier:
-      return "tier";
-    case FaultKind::kNet:
-      return "net";
-    case FaultKind::kCtl:
-      return "ctl";
-  }
-  return "unknown";
-}
-
 std::string FaultSpec::ToString() const {
   std::string out;
   for (const FaultEvent* e : SortedByTime(events)) {
+    const KindRow& row = RowOf(e->kind);
     if (!out.empty()) out += ';';
-    out += FaultKindName(e->kind);
-    out += '@' + FormatKvNumber(e->time) + ':';
-    switch (e->kind) {
-      case FaultKind::kCrash:
-        out += "replica=" + std::to_string(e->replica);
-        if (e->restart_after >= 0) {
-          out += ",restart=" + FormatKvNumber(e->restart_after);
-        }
-        break;
-      case FaultKind::kDisk:
-        out += "server=" + std::to_string(e->server) +
-               ",factor=" + FormatKvNumber(e->factor);
-        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
-        break;
-      case FaultKind::kSlow:
-        out += "replica=" + std::to_string(e->replica) +
-               ",factor=" + FormatKvNumber(e->factor);
-        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
-        break;
-      case FaultKind::kStats:
-        out += "replica=" + std::to_string(e->replica) + ",mode=" +
-               (e->stats_mode == kStatsPartial ? "partial" : "drop");
-        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
-        break;
-      case FaultKind::kMigration:
-        out += "delay=" + FormatKvNumber(e->delay_seconds) +
-               ",fail=" + FormatKvNumber(e->fail_rate);
-        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
-        break;
-      case FaultKind::kTier:
-        out += "replica=" + std::to_string(e->replica) + ",mode=" +
-               (e->tier_mode == kTierDegrade ? "degrade" : "fail");
-        if (e->tier_mode == kTierDegrade) {
-          out += ",factor=" + FormatKvNumber(e->factor);
-        }
-        if (e->duration > 0) out += ",duration=" + FormatKvNumber(e->duration);
-        break;
-      case FaultKind::kNet: {
-        // Zero-valued effects are omitted; the canonical form carries
-        // only what the window actually does.
-        std::string fields;
-        auto add = [&fields](const char* key, double v) {
-          if (v <= 0) return;
-          if (!fields.empty()) fields += ',';
-          fields += std::string(key) + "=" + FormatKvNumber(v);
-        };
-        add("drop", e->drop_rate);
-        add("dup", e->dup_rate);
-        add("corrupt", e->corrupt_rate);
-        add("reorder", e->reorder_rate);
-        add("delay", e->delay_seconds);
-        add("duration", e->duration);
-        out += fields;
-        break;
+    out += std::string(row.name) + '@' + FormatKvNumber(e->time) + ':';
+    const size_t params_begin = out.size();
+    for (const Param& param : row.params) {
+      if (!Applies(param, *e) || (!param.required && IsDefault(param, *e))) {
+        continue;
       }
-      case FaultKind::kCtl:
-        if (e->restart_after >= 0) {
-          out += "restart=" + FormatKvNumber(e->restart_after);
-        }
-        break;
+      if (out.size() > params_begin) out += ',';
+      out += std::string(param.key) + '=' + FormatValue(row, param, *e);
     }
   }
   return out;
@@ -171,13 +228,15 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
       return KvError(error,
                      "fault entry needs kind@time:params, got: " + entry);
     }
-    FaultEvent event;
-    // The grammar requires an explicit factor where one matters (the
-    // struct default 1.0 would make a forgotten factor a silent no-op).
-    event.factor = 0;
-    if (!ParseKind(entry.substr(0, at), &event.kind)) {
-      return KvError(error, "unknown fault kind: " + entry.substr(0, at));
+    const std::string name = entry.substr(0, at);
+    const KindRow* row =
+        std::find_if(std::begin(kKinds), std::end(kKinds),
+                     [&name](const KindRow& r) { return name == r.name; });
+    if (row == std::end(kKinds)) {
+      return KvError(error, "unknown fault kind: " + name);
     }
+    FaultEvent event;
+    event.kind = static_cast<FaultKind>(row - std::begin(kKinds));
     if (!ParseKvNumber(entry.substr(at + 1, colon - at - 1), &event.time) ||
         event.time < 0) {
       return KvError(error, "bad fault time in: " + entry);
@@ -188,92 +247,38 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out,
                      error)) {
       return false;
     }
-    bool has_factor = false;
+    std::vector<bool> given(row->params.size());
     for (const auto& [key, value] : params) {
-      bool ok = true;
-      has_factor |= key == "factor";
-      if (key == "replica") ok = ParseKvCount(value, &event.replica);
-      else if (key == "server") ok = ParseKvCount(value, &event.server);
-      else if (key == "factor") ok = ParseKvNumber(value, &event.factor);
-      else if (key == "duration") ok = ParseKvNumber(value, &event.duration);
-      else if (key == "restart")
-        ok = ParseKvNumber(value, &event.restart_after);
-      else if (key == "delay") ok = ParseKvNumber(value, &event.delay_seconds);
-      else if (key == "fail") ok = ParseKvNumber(value, &event.fail_rate);
-      else if (key == "drop") ok = ParseKvNumber(value, &event.drop_rate);
-      else if (key == "dup") ok = ParseKvNumber(value, &event.dup_rate);
-      else if (key == "corrupt") ok = ParseKvNumber(value, &event.corrupt_rate);
-      else if (key == "reorder") ok = ParseKvNumber(value, &event.reorder_rate);
-      else if (key == "mode") {
-        const bool stats = event.kind == FaultKind::kStats;
-        const bool tier = event.kind == FaultKind::kTier;
-        if (stats && value == "drop") event.stats_mode = kStatsDropAll;
-        else if (stats && value == "partial") event.stats_mode = kStatsPartial;
-        else if (tier && value == "fail") event.tier_mode = kTierFail;
-        else if (tier && value == "degrade") event.tier_mode = kTierDegrade;
-        else ok = false;
-      } else {
-        return KvError(error, "unknown fault param: " + key);
-      }
-      if (!Takes(event.kind, key)) {
-        return KvError(error, std::string(FaultKindName(event.kind)) +
-                                  " fault takes no param " + key +
+      const Param* param =
+          std::find_if(row->params.begin(), row->params.end(),
+                       [&key](const Param& p) { return key == p.key; });
+      if (param == row->params.end()) {
+        return KvError(error, name + " fault takes no param " + key +
                                   " in: " + entry);
       }
-      if (!ok) {
+      if (!ParseValue(*row, *param, value, &event)) {
         return KvError(error,
                        "bad value for fault param " + key + ": " + value);
       }
+      given[param - row->params.begin()] = true;
     }
-    // Kind-specific required fields.
-    const char* missing = nullptr;
-    switch (event.kind) {
-      case FaultKind::kCrash:
-        if (event.replica < 0) missing = "replica";
-        break;
-      case FaultKind::kDisk:
-        if (event.server < 0) missing = "server";
-        else if (event.factor <= 0) missing = "factor";
-        break;
-      case FaultKind::kSlow:
-        if (event.replica < 0) missing = "replica";
-        else if (event.factor <= 0) missing = "factor";
-        break;
-      case FaultKind::kStats:
-        if (event.replica < 0) missing = "replica";
-        break;
-      case FaultKind::kMigration:
-        if (event.fail_rate < 0 || event.fail_rate > 1) missing = "fail";
-        break;
-      case FaultKind::kTier:
-        if (event.replica < 0) missing = "replica";
-        else if (event.tier_mode == 0) missing = "mode";
-        else if (event.tier_mode == kTierDegrade && event.factor <= 0)
-          missing = "factor";
-        else if (event.tier_mode == kTierFail && has_factor)
-          return KvError(error,
-                         "tier fault takes no factor with mode=fail in: " +
-                             entry);
-        break;
-      case FaultKind::kNet:
-        if (event.drop_rate < 0 || event.drop_rate > 1) missing = "drop";
-        else if (event.dup_rate < 0 || event.dup_rate > 1) missing = "dup";
-        else if (event.corrupt_rate < 0 || event.corrupt_rate > 1)
-          missing = "corrupt";
-        else if (event.reorder_rate < 0 || event.reorder_rate > 1)
-          missing = "reorder";
-        else if (event.delay_seconds < 0) missing = "delay";
-        else if (event.drop_rate + event.dup_rate + event.corrupt_rate +
-                     event.reorder_rate + event.delay_seconds <=
-                 0)
-          missing = "drop";  // a window must do *something*
-        break;
-      case FaultKind::kCtl:
-        break;  // restart is optional; absent = controller stays down
+    for (size_t i = 0; i < given.size(); ++i) {
+      const Param& param = row->params.begin()[i];
+      if (!Applies(param, event) && given[i]) {
+        return KvError(error, name + " fault takes no " + param.key +
+                                  " with mode=" +
+                                  FormatValue(*row, kModeParam, event) +
+                                  " in: " + entry);
+      }
+      if (Applies(param, event) && param.required && !given[i]) {
+        return KvError(error, std::string("fault entry missing ") +
+                                  param.key + ": " + entry);
+      }
     }
-    if (missing != nullptr) {
-      return KvError(error, std::string("fault entry missing/invalid ") +
-                                missing + ": " + entry);
+    if (NetWindowDoesNothing(event)) {
+      return KvError(error,
+                     "net fault needs a nonzero drop, dup, corrupt, reorder "
+                     "or delay in: " + entry);
     }
     spec.events.push_back(event);
   }
@@ -286,91 +291,31 @@ FaultSpec MakeRandomFaultSpec(uint64_t seed, double duration,
   assert(duration > 0);
   Rng rng(seed);
   FaultSpec spec;
-  auto when = [&rng, &profile, duration] {
-    return rng.UniformDouble(profile.min_time_fraction * duration,
-                             profile.max_time_fraction * duration);
-  };
-  auto pick = [&rng](int n) {
-    return n > 0 ? static_cast<int>(rng.NextUint64(
-                       static_cast<uint64_t>(n)))
-                 : 0;
-  };
-  for (int i = 0; i < profile.crashes; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kCrash;
-    e.time = when();
-    e.replica = pick(profile.replicas);
-    e.restart_after = rng.UniformDouble(20, 60);
-    spec.events.push_back(e);
-  }
-  for (int i = 0; i < profile.disk_spikes; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kDisk;
-    e.time = when();
-    e.server = pick(profile.servers);
-    e.factor = rng.UniformDouble(2, 10);
-    e.duration = rng.UniformDouble(30, 120);
-    spec.events.push_back(e);
-  }
-  for (int i = 0; i < profile.slowdowns; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kSlow;
-    e.time = when();
-    e.replica = pick(profile.replicas);
-    e.factor = rng.UniformDouble(1.5, 4);
-    e.duration = rng.UniformDouble(30, 120);
-    spec.events.push_back(e);
-  }
-  for (int i = 0; i < profile.stats_dropouts; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kStats;
-    e.time = when();
-    e.replica = pick(profile.replicas);
-    e.stats_mode = rng.Bernoulli(0.5) ? kStatsDropAll : kStatsPartial;
-    e.duration = rng.UniformDouble(20, 80);
-    spec.events.push_back(e);
-  }
-  for (int i = 0; i < profile.migration_windows; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kMigration;
-    e.time = when();
-    e.delay_seconds = rng.UniformDouble(1, 8);
-    e.fail_rate = rng.UniformDouble(0, 0.6);
-    e.duration = rng.UniformDouble(60, 240);
-    spec.events.push_back(e);
-  }
-  // Drawn last so existing seeds (tier_faults defaults to 0) keep
-  // expanding to their historical schedules byte-for-byte.
-  for (int i = 0; i < profile.tier_faults; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kTier;
-    e.time = when();
-    e.replica = pick(profile.replicas);
-    e.tier_mode = rng.Bernoulli(0.5) ? kTierFail : kTierDegrade;
-    e.factor =
-        e.tier_mode == kTierDegrade ? rng.UniformDouble(2, 10) : 0;
-    e.duration = rng.UniformDouble(30, 120);
-    spec.events.push_back(e);
-  }
-  // And net/ctl after tier, for the same seed-stability reason.
-  for (int i = 0; i < profile.net_windows; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kNet;
-    e.time = when();
-    e.drop_rate = rng.UniformDouble(0.05, 0.3);
-    e.dup_rate = rng.UniformDouble(0, 0.15);
-    e.corrupt_rate = rng.UniformDouble(0, 0.1);
-    e.reorder_rate = rng.UniformDouble(0, 0.2);
-    e.delay_seconds = rng.UniformDouble(0, 4);
-    e.duration = rng.UniformDouble(60, 240);
-    spec.events.push_back(e);
-  }
-  for (int i = 0; i < profile.ctl_crashes; ++i) {
-    FaultEvent e;
-    e.kind = FaultKind::kCtl;
-    e.time = when();
-    e.restart_after = rng.UniformDouble(10, 40);
-    spec.events.push_back(e);
+  for (const KindRow& row : kKinds) {
+    for (int i = 0; i < profile.*row.count; ++i) {
+      FaultEvent e;
+      e.kind = static_cast<FaultKind>(&row - kKinds);
+      e.time = rng.UniformDouble(profile.min_time_fraction * duration,
+                                 profile.max_time_fraction * duration);
+      for (const Param& param : row.params) {
+        if (!Applies(param, e)) continue;
+        switch (param.grammar) {
+          case Grammar::kId: {
+            const int n = profile.*param.ids;
+            e.*param.id = n > 0 ? static_cast<int>(rng.NextUint64(
+                                      static_cast<uint64_t>(n)))
+                                : 0;
+            break;
+          }
+          case Grammar::kMode:
+            e.*param.id = rng.Bernoulli(0.5) ? 1 : 2;
+            break;
+          default:
+            e.*param.number = rng.UniformDouble(param.lo, param.hi);
+        }
+      }
+      spec.events.push_back(e);
+    }
   }
   return spec;
 }
@@ -428,103 +373,66 @@ void FaultInjector::Note(const char* kind, int target, double factor,
 }
 
 void FaultInjector::Fire(const FaultEvent& event) {
+  bool ok = true;
   switch (event.kind) {
-    case FaultKind::kCrash: {
-      const bool ok = backend_->CrashReplica(event.replica);
+    case FaultKind::kCrash:
+      ok = backend_->CrashReplica(event.replica);
       Note("crash", event.replica, 0, ok, false);
       if (ok && event.restart_after >= 0) {
         const int replica = event.replica;
         sim_->ScheduleAfter(event.restart_after, [this, replica] {
-          const bool restarted = backend_->RestartReplica(replica);
-          Note("restart", replica, 0, restarted, false);
+          Note("restart", replica, 0, backend_->RestartReplica(replica),
+               false);
         });
       }
       break;
-    }
-    case FaultKind::kDisk: {
-      const bool ok = backend_->SetDiskLatencyFactor(event.server,
-                                                     event.factor);
+    case FaultKind::kDisk:
+      ok = backend_->SetDiskLatencyFactor(event.server, event.factor);
       Note("disk", event.server, event.factor, ok, false);
-      if (ok && event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
       break;
-    }
-    case FaultKind::kSlow: {
-      const bool ok = backend_->SetReplicaSlowdown(event.replica,
-                                                   event.factor);
+    case FaultKind::kSlow:
+      ok = backend_->SetReplicaSlowdown(event.replica, event.factor);
       Note("slow", event.replica, event.factor, ok, false);
-      if (ok && event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
       break;
-    }
-    case FaultKind::kStats: {
-      const bool ok = backend_->SetStatsDropout(event.replica,
-                                                event.stats_mode);
-      Note("stats", event.replica, event.stats_mode, ok, false);
-      if (ok && event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
+    case FaultKind::kStats:
+      ok = backend_->SetStatsDropout(event.replica, event.mode);
+      Note("stats", event.replica, event.mode, ok, false);
       break;
-    }
-    case FaultKind::kMigration: {
+    case FaultKind::kMigration:
       ++migration_windows_;
-      migration_delay_ = event.delay_seconds;
-      migration_fail_rate_ = event.fail_rate;
+      migration_window_ = event;
       Note("migration_window", -1, event.fail_rate, true, false);
-      if (event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
       break;
-    }
-    case FaultKind::kTier: {
-      const bool ok = backend_->SetTierFault(event.replica, event.tier_mode,
-                                             event.factor);
+    case FaultKind::kTier:
+      ok = backend_->SetTierFault(event.replica, event.mode, event.factor);
       Note("tier", event.replica,
-           event.tier_mode == kTierDegrade ? event.factor : 0, ok, false);
-      if (ok && event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
+           event.mode == kTierDegrade ? event.factor : 0, ok, false);
       break;
-    }
-    case FaultKind::kNet: {
+    case FaultKind::kNet:
       ++net_windows_;
-      net_drop_rate_ = event.drop_rate;
-      net_dup_rate_ = event.dup_rate;
-      net_corrupt_rate_ = event.corrupt_rate;
-      net_reorder_rate_ = event.reorder_rate;
-      net_delay_ = event.delay_seconds;
+      net_window_ = event;
       Note("net_window", -1, event.drop_rate, true, false);
-      if (event.duration > 0) {
-        const FaultEvent copy = event;
-        sim_->ScheduleAfter(event.duration, [this, copy] { Revert(copy); });
-      }
       break;
-    }
-    case FaultKind::kCtl: {
-      const bool ok = backend_->CrashController();
+    case FaultKind::kCtl:
+      ok = backend_->CrashController();
       Note("ctl_crash", -1, 0, ok, false);
       if (ok && event.restart_after >= 0) {
         sim_->ScheduleAfter(event.restart_after, [this] {
-          const bool restarted = backend_->RestartController();
-          Note("ctl_restart", -1, 0, restarted, false);
+          Note("ctl_restart", -1, 0, backend_->RestartController(), false);
         });
       }
       break;
-    }
+  }
+  if (ok && event.duration > 0) {
+    sim_->ScheduleAfter(event.duration, [this, event] { Revert(event); });
   }
 }
 
 void FaultInjector::Revert(const FaultEvent& event) {
   switch (event.kind) {
     case FaultKind::kCrash:
-      break;  // crashes do not revert (restart is a separate sub-event)
+    case FaultKind::kCtl:
+      break;  // no duration; a restart is a separate sub-event
     case FaultKind::kDisk:
       Note("disk", event.server, 1.0,
            backend_->SetDiskLatencyFactor(event.server, 1.0), true);
@@ -549,58 +457,35 @@ void FaultInjector::Revert(const FaultEvent& event) {
       net_windows_ = std::max(0, net_windows_ - 1);
       Note("net_window", -1, 0, true, true);
       break;
-    case FaultKind::kCtl:
-      break;  // restarts are separate sub-events, like replica crashes
   }
 }
 
-FaultInjector::MigrationDecision FaultInjector::OnMigrationAttempt(
-    uint64_t /*class_key*/, int /*attempt*/) {
+bool FaultInjector::Draw(double rate, const char* counter) {
+  if (!(rate > 0 && rng_.Bernoulli(rate))) return false;
+  if (metrics_ != nullptr) metrics_->counter(counter)->Increment();
+  return true;
+}
+
+FaultInjector::MigrationDecision FaultInjector::OnMigrationAttempt() {
   if (migration_windows_ <= 0) return {};
   MigrationDecision decision;
-  decision.fail =
-      migration_fail_rate_ > 0 && rng_.Bernoulli(migration_fail_rate_);
-  decision.delay_seconds = decision.fail ? 0 : migration_delay_;
-  if (metrics_ != nullptr) {
-    if (decision.fail) {
-      metrics_->counter("fault.migration.failed")->Increment();
-    } else if (decision.delay_seconds > 0) {
-      metrics_->counter("fault.migration.delayed")->Increment();
-    }
+  decision.fail = Draw(migration_window_.fail_rate, "fault.migration.failed");
+  decision.delay_seconds = decision.fail ? 0 : migration_window_.delay_seconds;
+  if (decision.delay_seconds > 0 && metrics_ != nullptr) {
+    metrics_->counter("fault.migration.delayed")->Increment();
   }
   return decision;
 }
 
-FaultInjector::NetDecision FaultInjector::OnStatsReport(int /*replica_id*/,
-                                                        uint64_t /*seq*/) {
+FaultInjector::NetDecision FaultInjector::OnStatsReport() {
   if (net_windows_ <= 0) return {};
   NetDecision decision;
-  if (net_drop_rate_ > 0 && rng_.Bernoulli(net_drop_rate_)) {
-    decision.drop = true;
-    if (metrics_ != nullptr) {
-      metrics_->counter("fault.net.dropped")->Increment();
-    }
-    return decision;
-  }
-  decision.delay_seconds = net_delay_;
-  if (net_dup_rate_ > 0 && rng_.Bernoulli(net_dup_rate_)) {
-    decision.duplicate = true;
-    if (metrics_ != nullptr) {
-      metrics_->counter("fault.net.duplicated")->Increment();
-    }
-  }
-  if (net_corrupt_rate_ > 0 && rng_.Bernoulli(net_corrupt_rate_)) {
-    decision.corrupt = true;
-    if (metrics_ != nullptr) {
-      metrics_->counter("fault.net.corrupted")->Increment();
-    }
-  }
-  if (net_reorder_rate_ > 0 && rng_.Bernoulli(net_reorder_rate_)) {
-    decision.reorder = true;
-    if (metrics_ != nullptr) {
-      metrics_->counter("fault.net.reordered")->Increment();
-    }
-  }
+  decision.drop = Draw(net_window_.drop_rate, "fault.net.dropped");
+  if (decision.drop) return decision;
+  decision.delay_seconds = net_window_.delay_seconds;
+  decision.duplicate = Draw(net_window_.dup_rate, "fault.net.duplicated");
+  decision.corrupt = Draw(net_window_.corrupt_rate, "fault.net.corrupted");
+  decision.reorder = Draw(net_window_.reorder_rate, "fault.net.reordered");
   return decision;
 }
 

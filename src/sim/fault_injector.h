@@ -22,6 +22,8 @@ namespace fglb {
 // decision (seeded Rng). Applied faults are recorded in the
 // observability layer as "fault" trace events and fault.* counters.
 
+// Each kind is one row of the grammar table in fault_injector.cc, in
+// this order; a new kind goes last.
 enum class FaultKind {
   kCrash,      // replica crash (optionally restarted later)
   kDisk,       // disk-latency spike on one server's I/O channel
@@ -32,8 +34,6 @@ enum class FaultKind {
   kNet,        // window of lossy stats transport (drop/dup/corrupt/...)
   kCtl,        // controller crash (optionally restarted later)
 };
-
-const char* FaultKindName(FaultKind kind);
 
 // Stats dropout severities carried by kStats events (mirrors
 // StatsDropout in engine/stats_collector.h; kept as int here so the
@@ -47,25 +47,18 @@ inline constexpr int kStatsPartial = 2;
 inline constexpr int kTierFail = 1;
 inline constexpr int kTierDegrade = 2;
 
-// One scheduled fault. Which fields matter depends on `kind`:
-//   kCrash:     replica, restart_after (< 0 = never restarted)
-//   kDisk:      server, factor, duration (<= 0 = permanent)
-//   kSlow:      replica, factor, duration
-//   kStats:     replica, stats_mode, duration
-//   kMigration: delay_seconds, fail_rate, duration
-//   kTier:      replica, tier_mode, factor (degrade only), duration
-//   kNet:       drop/dup/corrupt/reorder rates, delay_seconds, duration
-//   kCtl:       restart_after (< 0 = controller stays down)
+// One scheduled fault. Which fields a kind sets is its row of the
+// grammar table (README shows the same rows); the others keep their
+// defaults.
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   SimTime time = 0;
   int replica = -1;
   int server = -1;
   double factor = 1.0;
-  double duration = 0;
-  double restart_after = -1;
-  int stats_mode = kStatsDropAll;
-  int tier_mode = 0;  // required for kTier: kTierFail or kTierDegrade
+  double duration = 0;        // <= 0 = never reverted
+  double restart_after = -1;  // < 0 = never restarted
+  int mode = 0;  // kStatsDropAll/kStatsPartial, kTierFail/kTierDegrade
   double delay_seconds = 0;
   double fail_rate = 0;
   // kNet per-report Bernoulli rates (each in [0, 1]).
@@ -73,6 +66,8 @@ struct FaultEvent {
   double dup_rate = 0;
   double corrupt_rate = 0;
   double reorder_rate = 0;
+
+  bool operator==(const FaultEvent&) const = default;
 };
 
 // A full fault schedule. The textual grammar (see README):
@@ -101,13 +96,15 @@ struct FaultSpec {
   std::string ToString() const;
 
   // Parses the grammar above; params use the common/kv_spec grammar,
-  // and a kind takes only the params of its row in README's table
-  // (`mode` is drop|partial for stats, fail|degrade for tier). Numbers
-  // must be finite, ids digit strings, and nothing may carry a space;
-  // an empty entry or param, a repeated key, another kind's param or a
-  // trailing comma is rejected with a message naming the offending
-  // token. On failure returns false with a one-line message in *error;
-  // *out is left untouched.
+  // and a kind takes only the params of its row in README's table,
+  // the unbracketed ones required (`mode` is drop|partial for stats,
+  // fail|degrade for tier). Ids are digit strings, factors finite
+  // numbers > 0, rates finite numbers in [0, 1] and seconds finite
+  // numbers >= 0; nothing may carry a space. An empty entry or param,
+  // a repeated key, another kind's param or a trailing comma is
+  // rejected with a message naming the offending token. On failure
+  // returns false with a one-line message in *error; *out is left
+  // untouched. Parse(ToString()) returns the same events.
   static bool Parse(const std::string& text, FaultSpec* out,
                     std::string* error);
 };
@@ -155,18 +152,12 @@ class FaultBackend {
   // mode: 0 = none (restore), kStatsDropAll, kStatsPartial.
   virtual bool SetStatsDropout(int replica_id, int mode) = 0;
   // mode: 0 = restore, kTierFail, kTierDegrade (`factor` scales tier-2
-  // hit latency). Defaulted — not pure — so backends predating the
-  // tier keep compiling; the default reports "target does not exist".
-  virtual bool SetTierFault(int /*replica_id*/, int /*mode*/,
-                            double /*factor*/) {
-    return false;
-  }
+  // hit latency).
+  virtual bool SetTierFault(int replica_id, int mode, double factor) = 0;
   // kCtl hooks: halt the controller's diagnosis loop mid-run, then
   // bring it back (restoring from a checkpoint when one exists).
-  // Defaulted like SetTierFault so pre-existing backends keep
-  // compiling; the defaults report "no controller to crash".
-  virtual bool CrashController() { return false; }
-  virtual bool RestartController() { return false; }
+  virtual bool CrashController() = 0;
+  virtual bool RestartController() = 0;
 };
 
 class FaultInjector {
@@ -205,14 +196,14 @@ class FaultInjector {
   // migration-fault window this returns {false, 0}; inside, failure is
   // a seeded Bernoulli draw and the delay is the window's. The draw
   // sequence is deterministic per seed and per attempt order.
-  MigrationDecision OnMigrationAttempt(uint64_t class_key, int attempt);
+  MigrationDecision OnMigrationAttempt();
 
   // Decides the fate of one stats report in transit. Outside any net
   // window this returns the all-default (deliver untouched) decision;
   // inside, each effect is a seeded Bernoulli draw on the window's
   // rate. A dropped report draws nothing further, so the decision
   // stream stays deterministic per seed and publish order.
-  NetDecision OnStatsReport(int replica_id, uint64_t seq);
+  NetDecision OnStatsReport();
 
   bool migration_window_active() const { return migration_windows_ > 0; }
   bool net_window_active() const { return net_windows_ > 0; }
@@ -227,6 +218,9 @@ class FaultInjector {
   // Counts + traces one applied/noop (sub-)fault.
   void Note(const char* kind, int target, double factor, bool applied,
             bool revert);
+  // One seeded Bernoulli draw on `rate` (none when it is 0), counted
+  // under `counter` when it hits.
+  bool Draw(double rate, const char* counter);
 
   Simulator* sim_;
   FaultBackend* backend_;
@@ -235,18 +229,12 @@ class FaultInjector {
   bool armed_ = false;
   uint64_t injected_ = 0;
   uint64_t noops_ = 0;
-  // Active migration-fault window state (last-armed window wins when
-  // windows overlap).
+  // Open migration and net windows, each with the last one armed,
+  // whose rates every decision uses while any window is open.
   int migration_windows_ = 0;
-  double migration_delay_ = 0;
-  double migration_fail_rate_ = 0;
-  // Active net-fault window state (same last-armed-wins rule).
+  FaultEvent migration_window_;
   int net_windows_ = 0;
-  double net_drop_rate_ = 0;
-  double net_dup_rate_ = 0;
-  double net_corrupt_rate_ = 0;
-  double net_reorder_rate_ = 0;
-  double net_delay_ = 0;
+  FaultEvent net_window_;
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
 };

@@ -49,7 +49,6 @@ void AccessGenerator::GeneratePointLookups(const AccessComponent& component,
   const Sampler& sampler = SamplerFor(region, component.zipf_theta);
   const uint32_t* scramble = sampler.scramble;
   const uint64_t count = DrawCount(component.mean_pages, rng);
-  out->reserve(out->size() + count);
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t rank = sampler.zipf.Sample(rng);
     // Scramble so popular pages are spread over the region instead of
@@ -77,7 +76,6 @@ void AccessGenerator::GenerateSequentialScan(const AccessComponent& component,
   // the region like a circular scan of a clustered index range.
   uint64_t start = rng.NextUint64(region);
   start -= start % kExtentPages;
-  out->reserve(out->size() + length);
   for (uint64_t i = 0; i < length; ++i) {
     const uint64_t offset = component.region_offset + (start + i) % region;
     PageAccess access;

@@ -139,7 +139,7 @@ TEST(ControllerCheckpointTest, PendingReportIsNotRestored) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   double delay = 0;
-  channel.set_net_hook([&delay](int, uint64_t) {
+  channel.set_net_hook([&delay] {
     FaultInjector::NetDecision d;
     d.delay_seconds = delay;
     return d;

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,15 @@ namespace fglb {
 namespace {
 
 // --- the spec grammar and its canonical serialization ---
+
+// The order ToString prints (and Parse of its text returns) events in.
+std::vector<FaultEvent> TimeSorted(std::vector<FaultEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.time < b.time;
+                   });
+  return events;
+}
 
 TEST(FaultSpecTest, ParseYieldsCanonicalTimeSortedToString) {
   FaultSpec spec;
@@ -104,6 +117,10 @@ TEST(FaultSpecTest, ParseRejectsSloppyEntriesNamingTheToken) {
       {"tier@10:replica=0,mode=fail,factor=5,duration=20",
        "takes no factor with mode=fail"},
       {"tier@10:replica=0,factor=5,mode=fail", "takes no factor with mode=fail"},
+      // Required params README's table shows without brackets.
+      {"stats@10:replica=0", "mode"},
+      {"migration@10:fail=0.5", "delay"},
+      {"migration@10:", "delay"},
   };
   for (const Case& c : bad) {
     FaultSpec spec;
@@ -131,7 +148,7 @@ TEST(FaultSpecTest, RandomSpecWithNewKindsRoundTripsAndStaysInBounds) {
     switch (e.kind) {
       case FaultKind::kTier:
         ++tiers;
-        EXPECT_TRUE(e.tier_mode == kTierFail || e.tier_mode == kTierDegrade);
+        EXPECT_TRUE(e.mode == kTierFail || e.mode == kTierDegrade);
         break;
       case FaultKind::kNet:
         ++nets;
@@ -182,6 +199,11 @@ TEST(FaultSpecTest, ParseRejectsMalformedEntries) {
       "crash@10: replica=1",                      // space in a key
       "crash@10:replica=1;",                      // trailing empty entry
       "crash@10:replica=1;;disk@20:server=0,factor=8",  // empty entry
+      // Seconds are never negative.
+      "crash@10:replica=1,restart=-5",
+      "disk@10:server=0,factor=2,duration=-3",
+      "net@10:drop=0.1,duration=-2",
+      "migration@10:delay=-5,fail=0.2",
   };
   for (const char* text : bad) {
     FaultSpec spec;
@@ -196,7 +218,7 @@ TEST(FaultSpecTest, MutantsOfEveryDefaultScheduleNeverBreakParse) {
   // per row of its grammar table, mutated 2,000 times with a fixed
   // seed: Parse must return; a rejected mutant leaves a message and
   // *out untouched; an accepted one re-prints canonical text that
-  // parses back to the same text.
+  // parses back to the same text and the same values.
   std::vector<std::string> seeds = {
       "crash@200:replica=0,restart=60;disk@300:server=0,factor=8,"
       "duration=120",
@@ -238,53 +260,10 @@ TEST(FaultSpecTest, MutantsOfEveryDefaultScheduleNeverBreakParse) {
     ASSERT_TRUE(FaultSpec::Parse(canonical, &again, &error))
         << canonical << ": " << error;
     EXPECT_EQ(again.ToString(), canonical);
+    EXPECT_TRUE(again.events == TimeSorted(spec.events));
   }
   // Some mutants must parse, or the case checks only rejections.
   EXPECT_GT(accepted, 0);
-}
-
-// Every field the canonical form carries for `a`'s kind.
-void ExpectSameSchedule(const FaultEvent& a, const FaultEvent& b) {
-  EXPECT_EQ(a.kind, b.kind);
-  EXPECT_EQ(a.time, b.time);
-  EXPECT_EQ(a.duration, b.duration);
-  switch (a.kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kCtl:
-      EXPECT_EQ(a.replica, b.replica);
-      EXPECT_EQ(a.restart_after, b.restart_after);
-      break;
-    case FaultKind::kDisk:
-      EXPECT_EQ(a.server, b.server);
-      EXPECT_EQ(a.factor, b.factor);
-      break;
-    case FaultKind::kSlow:
-      EXPECT_EQ(a.replica, b.replica);
-      EXPECT_EQ(a.factor, b.factor);
-      break;
-    case FaultKind::kStats:
-      EXPECT_EQ(a.replica, b.replica);
-      EXPECT_EQ(a.stats_mode, b.stats_mode);
-      break;
-    case FaultKind::kMigration:
-      EXPECT_EQ(a.delay_seconds, b.delay_seconds);
-      EXPECT_EQ(a.fail_rate, b.fail_rate);
-      break;
-    case FaultKind::kTier:
-      EXPECT_EQ(a.replica, b.replica);
-      EXPECT_EQ(a.tier_mode, b.tier_mode);
-      if (a.tier_mode == kTierDegrade) {
-        EXPECT_EQ(a.factor, b.factor);
-      }
-      break;
-    case FaultKind::kNet:
-      EXPECT_EQ(a.drop_rate, b.drop_rate);
-      EXPECT_EQ(a.dup_rate, b.dup_rate);
-      EXPECT_EQ(a.corrupt_rate, b.corrupt_rate);
-      EXPECT_EQ(a.reorder_rate, b.reorder_rate);
-      EXPECT_EQ(a.delay_seconds, b.delay_seconds);
-      break;
-  }
 }
 
 TEST(FaultSpecTest, RandomSpecsRoundTripBitExactly) {
@@ -302,17 +281,8 @@ TEST(FaultSpecTest, RandomSpecsRoundTripBitExactly) {
     std::string error;
     ASSERT_TRUE(FaultSpec::Parse(spec.ToString(), &reparsed, &error))
         << spec.ToString() << ": " << error;
-    ASSERT_EQ(reparsed.events.size(), spec.events.size());
-    // ToString sorts by time; compare in that order.
-    std::vector<FaultEvent> sorted = spec.events;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const FaultEvent& a, const FaultEvent& b) {
-                       return a.time < b.time;
-                     });
-    for (size_t i = 0; i < sorted.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " event " << i);
-      ExpectSameSchedule(sorted[i], reparsed.events[i]);
-    }
+    EXPECT_TRUE(reparsed.events == TimeSorted(spec.events))
+        << "seed " << seed;
     EXPECT_EQ(reparsed.ToString(), spec.ToString());
   }
 }
@@ -322,6 +292,132 @@ TEST(FaultSpecTest, RandomSpecIsByteIdenticalPerSeed) {
             MakeRandomFaultSpec(7, 900).ToString());
   EXPECT_NE(MakeRandomFaultSpec(7, 900).ToString(),
             MakeRandomFaultSpec(8, 900).ToString());
+}
+
+TEST(FaultSpecTest, RandomSpecsMatchPinnedSchedules) {
+  // A soak seed means the schedule it first expanded to: any change to
+  // the order or range of MakeRandomFaultSpec's draws breaks these.
+  const struct {
+    uint64_t seed;
+    const char* schedule;
+  } defaults[] = {
+      {1,
+       "slow@385.83960121293353:replica=1,factor=2.8792746585264632,"
+       "duration=113.93151978638355;"
+       "disk@391.3174451026284:server=1,factor=3.1485762939554895,"
+       "duration=36.39406944622911;"
+       "crash@559.5777899057792:replica=0,restart=42.9642280007889;"
+       "migration@660.8928285238387:delay=1.5631916094409748,"
+       "fail=0.2948159614766294,duration=68.24763039532729;"
+       "stats@696.8978101175848:replica=1,mode=partial,"
+       "duration=55.99600466445747"},
+      {7,
+       "slow@236.39532619111827:replica=0,factor=1.879540268335301,"
+       "duration=78.72308386845455;"
+       "migration@482.8747222347191:delay=2.7968859201455145,"
+       "fail=0.2797549005194584,duration=88.16998353863966;"
+       "crash@558.3113003770325:replica=0,restart=53.58509847505679;"
+       "stats@575.2034318046315:replica=1,mode=partial,"
+       "duration=47.08517916388794;"
+       "disk@709.7927715080649:server=0,factor=8.982191509961055,"
+       "duration=35.467687154353456"},
+      {42,
+       "crash@225.28600437233638:replica=0,restart=47.201736441125576;"
+       "stats@336.9659913526905:replica=0,mode=drop,"
+       "duration=62.66899669471126;"
+       "slow@639.0045597119253:replica=0,factor=2.958373274343498,"
+       "duration=91.42075826512674;"
+       "migration@653.9943039955288:delay=5.3173307981290145,"
+       "fail=0.5108340501211677,duration=187.35728429323643;"
+       "disk@679.3341904757093:server=0,factor=8.15791568347394,"
+       "duration=94.7332720090124"},
+  };
+  for (const auto& pinned : defaults) {
+    EXPECT_EQ(MakeRandomFaultSpec(pinned.seed, 900).ToString(),
+              pinned.schedule)
+        << "seed " << pinned.seed;
+  }
+  // ChaosSoakTest's survivability profile draws every kind; seed 3
+  // draws a degraded tier, seeds 5 and 404 a failed one.
+  RandomFaultProfile every_kind;
+  every_kind.replicas = 2;
+  every_kind.servers = 3;
+  every_kind.tier_faults = 1;
+  every_kind.net_windows = 2;
+  every_kind.ctl_crashes = 1;
+  const struct {
+    uint64_t seed;
+    const char* schedule;
+  } survivability[] = {
+      {3,
+       "migration@106.48156630191842:delay=1.8088148504053605,"
+       "fail=0.06903918225998415,duration=221.54059977566428;"
+       "ctl@142.93000291376694:restart=20.433217463672232;"
+       "disk@208.1507903601089:server=2,factor=5.196064231703801,"
+       "duration=48.915086623617796;"
+       "stats@243.1702908584041:replica=1,mode=partial,"
+       "duration=61.13150466398398;"
+       "crash@245.7531908282691:replica=0,restart=28.730494931302527;"
+       "tier@250.04163855107015:replica=1,mode=degrade,"
+       "factor=6.151353938148253,duration=34.953659609409264;"
+       "slow@251.73792191332242:replica=1,factor=1.987759155209141,"
+       "duration=113.1025301676546;"
+       "net@285.3785269895494:drop=0.23297371138505896,"
+       "dup=0.031958584379762525,corrupt=0.09657210376788848,"
+       "reorder=0.17419439899443218,delay=1.8953062291104787,"
+       "duration=164.50163051380466;"
+       "net@299.3624199432855:drop=0.2951824738091775,"
+       "dup=0.08908461409766369,corrupt=0.09067941116757006,"
+       "reorder=0.0354990709341475,delay=1.8826047394776086,"
+       "duration=62.16758078247146"},
+      {5,
+       "stats@140.14148637290958:replica=0,mode=partial,"
+       "duration=53.83045258816291;"
+       "crash@149.21869476085658:replica=0,restart=45.981869222040885;"
+       "ctl@231.76786542621528:restart=18.410128071580974;"
+       "net@243.1764446088979:drop=0.1372383752457737,"
+       "dup=0.11465888582925053,corrupt=0.03896518499734184,"
+       "reorder=0.11274547318440203,delay=2.38853014430223,"
+       "duration=127.95267215475346;"
+       "tier@252.79462093607728:replica=1,mode=fail,"
+       "duration=35.143240149201965;"
+       "slow@274.0787828186667:replica=1,factor=2.4523574784433086,"
+       "duration=119.86730561828124;"
+       "disk@277.1720618495401:server=1,factor=8.276191615095048,"
+       "duration=75.3500824767756;"
+       "migration@289.2446994925444:delay=5.765187654183967,"
+       "fail=0.49471074916978114,duration=146.54478430871612;"
+       "net@294.45451081308534:drop=0.20349999318486012,"
+       "dup=0.12982241865516267,corrupt=0.017647726933414255,"
+       "reorder=0.024325599881132434,delay=2.176885197067627,"
+       "duration=206.96997789736415"},
+      {404,
+       "tier@106.75002100666283:replica=0,mode=fail,"
+       "duration=47.25132253210782;"
+       "net@107.367440360023:drop=0.25075261020421513,"
+       "dup=0.14009708843022148,corrupt=0.06041514099766698,"
+       "reorder=0.016948272703577794,delay=0.6868814865371564,"
+       "duration=210.50273601340027;"
+       "slow@126.11043098411197:replica=1,factor=3.821029135457609,"
+       "duration=49.76887918375079;"
+       "net@161.5171994267707:drop=0.11432026505670474,"
+       "dup=0.12943847469489417,corrupt=0.04598311153821381,"
+       "reorder=0.15332661979139417,delay=3.9094070351592074,"
+       "duration=96.97836834858416;"
+       "stats@191.97819888717856:replica=1,mode=partial,"
+       "duration=22.362886209667337;"
+       "migration@256.6854777801906:delay=3.8989006250352407,"
+       "fail=0.010229291431544428,duration=226.29671577902627;"
+       "ctl@260.4474606079253:restart=12.30635995589474;"
+       "crash@265.37967549268143:replica=1,restart=56.7165505138374;"
+       "disk@289.4934863464515:server=1,factor=8.792865277299722,"
+       "duration=99.5110615888932"},
+  };
+  for (const auto& pinned : survivability) {
+    EXPECT_EQ(MakeRandomFaultSpec(pinned.seed, 400, every_kind).ToString(),
+              pinned.schedule)
+        << "seed " << pinned.seed;
+  }
 }
 
 TEST(FaultSpecTest, RandomSpecRespectsProfileBounds) {
@@ -340,6 +436,123 @@ TEST(FaultSpecTest, RandomSpecRespectsProfileBounds) {
       EXPECT_LT(e.server, profile.servers);
     }
   }
+}
+
+// --- README's grammar table is the grammar Parse takes ---
+
+// One param of a README table entry such as
+// "stats@T:replica=N,mode=drop|partial[,duration=D]".
+struct ReadmeParam {
+  std::string key;
+  std::vector<std::string> values;  // a sample value, or each mode word
+  bool required = false;
+};
+
+struct ReadmeRow {
+  std::string kind;
+  std::vector<ReadmeParam> params;
+};
+
+// The entry column of README's fault grammar table: the rows of the
+// first table after the sentence that introduces `--fault-spec`.
+std::vector<ReadmeRow> ReadmeGrammarRows() {
+  // Sample values for the table's placeholders; anything else is a
+  // '|'-separated list of mode words.
+  const std::map<std::string, std::string> samples = {
+      {"N", "1"}, {"F", "2"}, {"P", "0.5"}, {"S", "3"}, {"D", "4"}};
+  std::ifstream readme(FGLB_README);
+  std::vector<ReadmeRow> rows;
+  bool introduced = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.find("`--fault-spec` is a") != std::string::npos) {
+      introduced = true;
+      continue;
+    }
+    if (!introduced || line.rfind("| `", 0) != 0) {
+      if (!rows.empty()) break;
+      continue;
+    }
+    std::string cell = line.substr(3, line.find('`', 3) - 3);
+    for (size_t escape; (escape = cell.find("\\|")) != std::string::npos;) {
+      cell.erase(escape, 1);
+    }
+    ReadmeRow row;
+    row.kind = cell.substr(0, cell.find('@'));
+    // "a=N[,b=S]" becomes "a=N,[b=S]": one item per comma, optional
+    // when it opens a bracket.
+    std::string params = cell.substr(cell.find(':') + 1);
+    for (size_t at; (at = params.find("[,")) != std::string::npos;) {
+      params.replace(at, 2, ",[");
+    }
+    std::istringstream items(params);
+    for (std::string item; std::getline(items, item, ',');) {
+      ReadmeParam param;
+      param.required = item.front() != '[';
+      std::erase(item, '[');
+      std::erase(item, ']');
+      param.key = item.substr(0, item.find('='));
+      const std::string placeholder = item.substr(item.find('=') + 1);
+      if (samples.count(placeholder) != 0) {
+        param.values = {samples.at(placeholder)};
+      } else {
+        std::istringstream words(placeholder);
+        for (std::string word; std::getline(words, word, '|');) {
+          param.values.push_back(word);
+        }
+      }
+      row.params.push_back(param);
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+TEST(FaultSpecTest, ReadmeGrammarTableIsWhatParseTakes) {
+  const std::vector<ReadmeRow> rows = ReadmeGrammarRows();
+  ASSERT_FALSE(rows.empty()) << "no fault grammar table in " << FGLB_README;
+  std::set<FaultKind> kinds;
+  for (const ReadmeRow& row : rows) {
+    // `row` with its required params, the optional ones too when
+    // `optional`, `skip` left out, and mode word `word`.
+    auto entry = [&row](bool optional, size_t skip, size_t word) {
+      std::string text = row.kind + "@10:";
+      for (size_t i = 0; i < row.params.size(); ++i) {
+        const ReadmeParam& p = row.params[i];
+        if (i == skip || !(p.required || optional)) continue;
+        if (text.back() != ':') text += ',';
+        text += p.key + "=" + p.values[std::min(word, p.values.size() - 1)];
+      }
+      return text;
+    };
+    const size_t none = row.params.size();
+    FaultSpec spec;
+    std::string error;
+    std::string text = entry(/*optional=*/true, none, 0);
+    ASSERT_TRUE(FaultSpec::Parse(text, &spec, &error)) << text << ": " << error;
+    kinds.insert(spec.events.at(0).kind);
+
+    text = entry(/*optional=*/false, none, 0);
+    // A net window must do something: one effect besides the required.
+    if (row.kind == "net") text += "drop=0.5";
+    EXPECT_TRUE(FaultSpec::Parse(text, &spec, &error)) << text << ": " << error;
+
+    for (size_t i = 0; i < row.params.size(); ++i) {
+      const ReadmeParam& p = row.params[i];
+      if (p.required) {
+        text = entry(/*optional=*/true, i, 0);
+        EXPECT_FALSE(FaultSpec::Parse(text, &spec, &error)) << text;
+        EXPECT_NE(error.find(p.key), std::string::npos)
+            << text << " -> " << error;
+      }
+      for (size_t word = 1; word < p.values.size(); ++word) {
+        text = entry(/*optional=*/true, none, word);
+        EXPECT_TRUE(FaultSpec::Parse(text, &spec, &error))
+            << text << ": " << error;
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(FaultKind::kCtl) + 1)
+      << "a fault kind has no row in README's table";
 }
 
 // --- the injector against a recording backend ---
@@ -362,6 +575,14 @@ class RecordingBackend : public FaultBackend {
   bool SetStatsDropout(int id, int mode) override {
     return Note("stats", id, mode);
   }
+  bool SetTierFault(int id, int mode, double f) override {
+    return Note(mode == kTierFail      ? "tier fail"
+                : mode == kTierDegrade ? "tier degrade"
+                                       : "tier restore",
+                id, f);
+  }
+  bool CrashController() override { return Note("ctl crash", -1, 0); }
+  bool RestartController() override { return Note("ctl restart", -1, 0); }
 
  private:
   bool Note(const char* kind, int target, double factor) {
@@ -402,6 +623,78 @@ TEST(FaultInjectorTest, FiresRevertsAndRestartsOnSchedule) {
   EXPECT_EQ(injector.noop_faults(), 0u);
 }
 
+TEST(FaultInjectorTest, FiresAndRevertsEveryKindThroughItsHook) {
+  Simulator sim;
+  RecordingBackend backend(&sim);
+  MetricsRegistry metrics;
+  TraceLog trace;
+  trace.EnableBuffering();
+  FaultSpec spec;
+  std::string error;
+  ASSERT_TRUE(FaultSpec::Parse(
+      "crash@10:replica=1,restart=5;"
+      "disk@20:server=0,factor=4,duration=5;"
+      "slow@30:replica=0,factor=3,duration=5;"
+      "stats@40:replica=0,mode=partial,duration=5;"
+      "migration@50:delay=2,fail=0.5,duration=5;"
+      "tier@60:replica=0,mode=fail,duration=5;"
+      "tier@70:replica=1,mode=degrade,factor=8,duration=5;"
+      "net@80:drop=0.25,delay=1,duration=5;"
+      "ctl@90:restart=5",
+      &spec, &error))
+      << error;
+  FaultInjector injector(&sim, &backend, std::move(spec), /*seed=*/1);
+  injector.BindObservability(&metrics, &trace);
+  injector.Arm();
+  sim.RunToCompletion();
+  const std::vector<std::string> hooks = {
+      "10 crash 1 0",        "15 restart 1 0",     "20 disk 0 4",
+      "25 disk 0 1",         "30 slow 0 3",        "35 slow 0 1",
+      "40 stats 0 2",        "45 stats 0 0",       "60 tier fail 0 1",
+      "65 tier restore 0 1", "70 tier degrade 1 8", "75 tier restore 1 1",
+      "90 ctl crash -1 0",   "95 ctl restart -1 0",
+  };
+  EXPECT_EQ(backend.log, hooks);
+  // t kind target factor applied revert, one line per fault event.
+  const std::vector<std::string> faults = {
+      "10 crash 1 0 1 0",
+      "15 restart 1 0 1 0",
+      "20 disk 0 4 1 0",
+      "25 disk 0 1 1 1",
+      "30 slow 0 3 1 0",
+      "35 slow 0 1 1 1",
+      "40 stats 0 2 1 0",
+      "45 stats 0 0 1 1",
+      "50 migration_window -1 0.5 1 0",
+      "55 migration_window -1 0 1 1",
+      "60 tier 0 0 1 0",
+      "65 tier 0 1 1 1",
+      "70 tier 1 8 1 0",
+      "75 tier 1 1 1 1",
+      "80 net_window -1 0.25 1 0",
+      "85 net_window -1 0 1 1",
+      "90 ctl_crash -1 0 1 0",
+      "95 ctl_restart -1 0 1 0",
+  };
+  std::vector<std::string> traced;
+  for (const std::string& line : trace.BufferedLines()) {
+    JsonValue event;
+    ASSERT_TRUE(JsonValue::Parse(line, &event, &error)) << error;
+    if (event.StringOr("phase", "") != "fault") continue;
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "%g %s %g %g %d %d",
+                  event.NumberOr("t", -1),
+                  event.StringOr("kind", "?").c_str(),
+                  event.NumberOr("target", -2), event.NumberOr("factor", -1),
+                  event.BoolOr("applied", false),
+                  event.BoolOr("revert", false));
+    traced.push_back(buf);
+  }
+  EXPECT_EQ(traced, faults);
+  EXPECT_EQ(injector.faults_injected(), faults.size());
+  EXPECT_EQ(injector.noop_faults(), 0u);
+}
+
 TEST(FaultInjectorTest, CountsNoopsWhenBackendRejects) {
   Simulator sim;
   RecordingBackend backend(&sim);
@@ -436,7 +729,7 @@ TEST(FaultInjectorTest, MigrationDecisionsAreSeedDeterministic) {
     EXPECT_TRUE(injector.migration_window_active());
     std::string sequence;
     for (int i = 0; i < 64; ++i) {
-      const auto d = injector.OnMigrationAttempt(/*class_key=*/123, i);
+      const auto d = injector.OnMigrationAttempt();
       sequence += d.fail ? 'F' : (d.delay_seconds > 0 ? 'D' : '.');
     }
     return sequence;
@@ -462,15 +755,15 @@ TEST(FaultInjectorTest, NoInterferenceOutsideMigrationWindow) {
   injector.Arm();
   sim.RunUntil(5);  // before the window opens
   EXPECT_FALSE(injector.migration_window_active());
-  auto d = injector.OnMigrationAttempt(1, 1);
+  auto d = injector.OnMigrationAttempt();
   EXPECT_FALSE(d.fail);
   EXPECT_DOUBLE_EQ(d.delay_seconds, 0.0);
   sim.RunUntil(20);  // inside
   EXPECT_TRUE(injector.migration_window_active());
-  EXPECT_TRUE(injector.OnMigrationAttempt(1, 1).fail);  // fail=1
+  EXPECT_TRUE(injector.OnMigrationAttempt().fail);  // fail=1
   sim.RunUntil(35);  // window reverted at t = 30
   EXPECT_FALSE(injector.migration_window_active());
-  d = injector.OnMigrationAttempt(1, 1);
+  d = injector.OnMigrationAttempt();
   EXPECT_FALSE(d.fail);
   EXPECT_DOUBLE_EQ(d.delay_seconds, 0.0);
 }

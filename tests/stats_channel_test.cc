@@ -70,7 +70,7 @@ TEST(StatsChannelTest, DroppedReportsDecayConfidenceAndResyncRecovers) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool drop = false;
-  channel.set_net_hook([&drop](int, uint64_t) {
+  channel.set_net_hook([&drop] {
     FaultInjector::NetDecision d;
     d.drop = drop;
     return d;
@@ -106,7 +106,7 @@ TEST(StatsChannelTest, CorruptReportsAreRejected) {
   StatsChannel channel(&sim, {});
   channel.Publish(1, MakeSnapshot(1.0), 10);
   EXPECT_TRUE(channel.Collect(1).fresh);
-  channel.set_net_hook([](int, uint64_t) {
+  channel.set_net_hook([] {
     FaultInjector::NetDecision d;
     d.corrupt = true;
     return d;
@@ -120,7 +120,7 @@ TEST(StatsChannelTest, CorruptReportsAreRejected) {
 TEST(StatsChannelTest, DuplicatesAndStaleSeqsAreIgnored) {
   Simulator sim;
   StatsChannel channel(&sim, {});
-  channel.set_net_hook([](int, uint64_t) {
+  channel.set_net_hook([] {
     FaultInjector::NetDecision d;
     d.duplicate = true;
     return d;
@@ -138,7 +138,7 @@ TEST(StatsChannelTest, ReorderedReportLosesToItsSuccessor) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool reorder = true;
-  channel.set_net_hook([&reorder](int, uint64_t) {
+  channel.set_net_hook([&reorder] {
     FaultInjector::NetDecision d;
     d.reorder = reorder;
     return d;
@@ -171,7 +171,7 @@ TEST(StatsChannelTest, GuardOffPinsFullConfidence) {
   StatsChannelConfig config;
   config.guard = false;
   StatsChannel channel(&sim, config);
-  channel.set_net_hook([](int, uint64_t) {
+  channel.set_net_hook([] {
     FaultInjector::NetDecision d;
     d.drop = true;
     return d;
@@ -190,7 +190,7 @@ TEST(StatsChannelTest, AlternatingLossNeverClearsActThreshold) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool drop = false;
-  channel.set_net_hook([&drop](int, uint64_t) {
+  channel.set_net_hook([&drop] {
     FaultInjector::NetDecision d;
     d.drop = drop;
     return d;
@@ -227,7 +227,7 @@ TEST(StatsChannelTest, ReceiverStateRoundTripsThroughRestore) {
   Simulator sim;
   StatsChannel channel(&sim, {});
   bool drop = false;
-  channel.set_net_hook([&drop](int, uint64_t) {
+  channel.set_net_hook([&drop] {
     FaultInjector::NetDecision d;
     d.drop = drop;
     return d;

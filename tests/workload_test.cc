@@ -123,6 +123,23 @@ TEST(AccessGeneratorTest, WriteFractionProducesWrites) {
   EXPECT_NEAR(static_cast<double>(writes) / total, 0.5, 0.05);
 }
 
+TEST(AccessGeneratorTest, AppendingExecutionsGrowsGeometrically) {
+  // Generate appends, so a caller may collect many executions in one
+  // vector; that must cost O(log n) reallocations, not one per call.
+  const ApplicationSpec tpcw = MakeTpcw();
+  AccessGenerator gen;
+  Rng rng(9);
+  std::vector<PageAccess> out;
+  int reallocations = 0;
+  for (int e = 0; e < 2000; ++e) {
+    const size_t capacity = out.capacity();
+    gen.Generate(tpcw.templates[e % tpcw.templates.size()], rng, &out);
+    reallocations += out.capacity() != capacity;
+  }
+  EXPECT_LE(reallocations, 2 * std::log2(static_cast<double>(out.size())))
+      << out.size() << " accesses";
+}
+
 // --- Differential: tabulated scramble vs per-draw expansion ---
 
 // Oracle: the direct expansion, with a Zipf draw and a Feistel

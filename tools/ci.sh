@@ -82,6 +82,13 @@ if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=30 \
   echo "fglb_sim accepted a fault spec with a NaN time" >&2
   exit 1
 fi
+# So must a negative number of seconds, which ToString would drop.
+if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=30 \
+  --log-level=quiet --fault-spec='crash@10:replica=0,restart=-5' \
+  >/dev/null 2>&1; then
+  echo "fglb_sim accepted a fault spec with a negative restart" >&2
+  exit 1
+fi
 # So must a param outside its kind's row of the grammar table: a stats
 # dropout takes no tier mode.
 if "./${PREFIX}/tools/fglb_sim" --scenario=steady --duration=20 \
@@ -427,9 +434,9 @@ echo "=== ASan+UBSan build + admission/overload and data-plane tests ==="
 # tables and the slice-by-8 CRC are index arithmetic: their
 # differential tests run here too, as do the run-config, k=v and fault
 # spec parsers that decode capture files, the seeded fuzz cases of
-# those parsers and of the JSON trace reader and --check, the
-# controller checkpoint's restore rules and the control-state gate
-# properties.
+# those parsers and of the JSON trace reader and --check, the fault
+# injector's firing and reverting of every kind, the controller
+# checkpoint's restore rules and the control-state gate properties.
 cmake -B "${PREFIX}-asan" -S . -DFGLB_SANITIZE=address-undefined >/dev/null
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   --target admission_test scheduler_consistency_test failure_injection_test \
@@ -440,7 +447,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   recovery_test replay_codec_test storage_test workload_test \
   common_random_test run_config_test retuner_property_test \
   fault_injector_test trace_log_test
-ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|TraceCheck|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec'
+ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|TraceCheck|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec|FaultInjector'
 require_every_alternative "${PREFIX}-asan" "${ASAN_TESTS}"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   -R "${ASAN_TESTS}"
