@@ -50,7 +50,6 @@ Replica* ResourceManager::CreateReplica(PhysicalServer* server,
   DatabaseEngine::Options options;
   options.buffer_pool_pages = buffer_pool_pages;
   options.seed = engine_seed;
-  options.replacement = engine_replacement_;
   options.tier = engine_tier_;
   const int id = next_replica_id_++;
   auto engine = std::make_unique<DatabaseEngine>(

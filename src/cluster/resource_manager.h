@@ -95,18 +95,15 @@ class ResourceManager {
     return execution_timeout_seconds_;
   }
 
-  // Buffer-hierarchy defaults baked into every engine created from now
-  // on (controller provisioning and fault restarts included): the
-  // replacement policy the DRAM partitions run and the second-tier
-  // cache config. Unlike the settings above these cannot be applied
-  // retroactively — an engine's pools are built in its constructor —
-  // so scenarios set them before the first replica exists.
-  void set_engine_defaults(ReplacementPolicy replacement,
-                           const TierConfig& tier) {
-    engine_replacement_ = replacement;
+  // The second-tier cache config baked into every engine created from
+  // now on (controller provisioning and fault restarts included).
+  // Unlike the settings above it cannot be applied retroactively — an
+  // engine's pools are built in its constructor — so scenarios set it
+  // before the first replica exists. The policy parameter is unread;
+  // bench/e2e/fglb_e2e.cc passes one.
+  void set_engine_defaults(ReplacementPolicy, const TierConfig& tier) {
     engine_tier_ = tier;
   }
-  ReplacementPolicy engine_replacement() const { return engine_replacement_; }
   const TierConfig& engine_tier() const { return engine_tier_; }
 
   // Observer invoked for every replica this manager creates — existing
@@ -127,7 +124,6 @@ class ResourceManager {
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
   double execution_timeout_seconds_ = 0;
-  ReplacementPolicy engine_replacement_ = ReplacementPolicy::kLru;
   TierConfig engine_tier_;
   std::function<void(Replica*)> replica_observer_;
   std::vector<std::unique_ptr<PhysicalServer>> servers_;

@@ -9,7 +9,7 @@ DatabaseEngine::DatabaseEngine(std::string name, const Options& options,
                                const DiskModel* disk_model)
     : name_(std::move(name)),
       options_(options),
-      pool_(options.buffer_pool_pages, options.replacement),
+      pool_(options.buffer_pool_pages),
       stats_(options.access_window_capacity),
       disk_model_(disk_model),
       rng_(options.seed) {
@@ -45,7 +45,7 @@ ExecutionCounters DatabaseEngine::Execute(const QueryInstance& query) {
   // the access string is then consumed as one contiguous span against
   // them (these lookups used to run once per page access).
   StatsCollector::AccessRecorder recorder = stats_.RecorderFor(key);
-  PageCache& partition = pool_.PartitionOf(key);
+  BufferPool& partition = pool_.PartitionOf(key);
   counters.page_accesses = scratch_.size();
   for (const PageAccess& access : scratch_) {
     recorder.Record(access.page);

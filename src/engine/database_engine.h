@@ -12,7 +12,6 @@
 #include "storage/disk_model.h"
 #include "storage/page.h"
 #include "storage/partitioned_buffer_pool.h"
-#include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 #include "workload/access_generator.h"
 #include "workload/capture_hooks.h"
@@ -33,7 +32,8 @@ class DatabaseEngine {
     uint64_t buffer_pool_pages = 8192;  // 128 MB of 16 KiB pages
     size_t access_window_capacity = 30000;
     uint64_t seed = 1;
-    // Replacement policy every buffer-pool partition runs.
+    // Unread here, since every partition is LRU; only
+    // bench/e2e/fglb_e2e.cc reads it.
     ReplacementPolicy replacement = ReplacementPolicy::kLru;
     // Second-tier block cache between DRAM and disk; tier.pages == 0
     // (the default) leaves the engine tierless.

@@ -58,8 +58,6 @@ N is a count (digits only); X, R and SEC are numbers.
   --tier2-read-us=X service time of one tier-2 hit in usec  (default 100)
   --tier2-demote=M  on | off: demote DRAM evictions into the tier
                                                             (default on)
-  --replacement=P   DRAM partition replacement: lru | clock | arc
-                                                            (default lru)
   --mrc-threads=N   diagnosis worker threads; 0 = all cores (default 0)
   --mrc-sample-rate=R  Mattson replay sampling rate in (0,1];
                     1 = exact, 0.125 ~ 8x cheaper           (default 1)

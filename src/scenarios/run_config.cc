@@ -30,9 +30,6 @@ std::string Print(int value) { return std::to_string(value); }
 std::string Print(bool value) { return value ? "on" : "off"; }
 std::string Print(const std::string& value) { return value; }
 std::string Print(Scenario value) { return ScenarioName(value); }
-std::string Print(ReplacementPolicy value) {
-  return ReplacementPolicyName(value);
-}
 
 bool Read(const std::string& text, double* value) {
   return ParseKvNumber(text, value);
@@ -56,9 +53,6 @@ bool Read(const std::string& text, std::string* value) {
 }
 bool Read(const std::string& text, Scenario* value) {
   return ParseScenarioName(text, value);
-}
-bool Read(const std::string& text, ReplacementPolicy* value) {
-  return ParseReplacementPolicy(text, value);
 }
 
 // Range checks on parsed values; one that can say more than "bad
@@ -120,7 +114,6 @@ const Field kFields[] = {
     Make<&RunConfig::max_migrations_per_interval>("max_migrations", kNoFlag),
     Make<&RunConfig::mrc_opt_regret>("mrc_opt_regret", kFlag),
     Make<&RunConfig::mrc_sample_rate>("mrc_sample_rate", kFlag, Fraction),
-    Make<&RunConfig::replacement>("replacement", kFlag),
     Make<&RunConfig::replica_pool_pages>("replica_pool_pages", kNoFlag,
                                          AtLeastOne),
     Make<&RunConfig::rubis_clients>("rubis_clients", kFlag, NonNegative),

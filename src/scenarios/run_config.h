@@ -7,7 +7,6 @@
 
 #include "cluster/stats_channel.h"
 #include "mrc/miss_ratio_curve.h"
-#include "storage/replacement_policy.h"
 #include "storage/tiered_buffer_pool.h"
 
 namespace fglb {
@@ -63,9 +62,8 @@ struct RunConfig {
   double mrc_sample_rate = MrcConfig{}.sample_rate;
   bool mrc_opt_regret = false;
 
-  // Engines: every DRAM partition's policy and every engine's second
-  // tier (TierConfig); 0 tier pages builds no tier.
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
+  // Engines: every engine's second tier (TierConfig); 0 tier pages
+  // builds no tier.
   uint64_t tier2_pages = 0;
   double tier2_read_us = TierConfig{}.read_us;
   bool tier2_demote = TierConfig{}.demote;

@@ -153,9 +153,9 @@ std::unique_ptr<ClusterHarness> MakeHarness(const RunConfig& run,
   config.mrc.analysis_threads = analysis_threads;
   auto harness = std::make_unique<ClusterHarness>(config);
   harness->resources().set_engine_defaults(
-      run.replacement, TierConfig{.pages = run.tier2_pages,
-                                  .read_us = run.tier2_read_us,
-                                  .demote = run.tier2_demote});
+      ReplacementPolicy::kLru, TierConfig{.pages = run.tier2_pages,
+                                          .read_us = run.tier2_read_us,
+                                          .demote = run.tier2_demote});
   return harness;
 }
 

@@ -194,6 +194,13 @@ std::vector<const FaultEvent*> SortedByTime(
   return sorted;
 }
 
+// Closes the latest open window equal to `event`; a window that opened
+// first may still be open after one armed later has closed.
+void CloseWindow(const FaultEvent& event, std::vector<FaultEvent>* open) {
+  const auto it = std::find(open->rbegin(), open->rend(), event);
+  if (it != open->rend()) open->erase(std::next(it).base());
+}
+
 }  // namespace
 
 std::string FaultSpec::ToString() const {
@@ -399,8 +406,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
       Note("stats", event.replica, event.mode, ok, false);
       break;
     case FaultKind::kMigration:
-      ++migration_windows_;
-      migration_window_ = event;
+      migration_windows_.push_back(event);
       Note("migration_window", -1, event.fail_rate, true, false);
       break;
     case FaultKind::kTier:
@@ -409,8 +415,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
            event.mode == kTierDegrade ? event.factor : 0, ok, false);
       break;
     case FaultKind::kNet:
-      ++net_windows_;
-      net_window_ = event;
+      net_windows_.push_back(event);
       Note("net_window", -1, event.drop_rate, true, false);
       break;
     case FaultKind::kCtl:
@@ -446,7 +451,7 @@ void FaultInjector::Revert(const FaultEvent& event) {
            backend_->SetStatsDropout(event.replica, 0), true);
       break;
     case FaultKind::kMigration:
-      migration_windows_ = std::max(0, migration_windows_ - 1);
+      CloseWindow(event, &migration_windows_);
       Note("migration_window", -1, 0, true, true);
       break;
     case FaultKind::kTier:
@@ -454,7 +459,7 @@ void FaultInjector::Revert(const FaultEvent& event) {
            backend_->SetTierFault(event.replica, 0, 1.0), true);
       break;
     case FaultKind::kNet:
-      net_windows_ = std::max(0, net_windows_ - 1);
+      CloseWindow(event, &net_windows_);
       Note("net_window", -1, 0, true, true);
       break;
   }
@@ -467,10 +472,11 @@ bool FaultInjector::Draw(double rate, const char* counter) {
 }
 
 FaultInjector::MigrationDecision FaultInjector::OnMigrationAttempt() {
-  if (migration_windows_ <= 0) return {};
+  if (migration_windows_.empty()) return {};
+  const FaultEvent& window = migration_windows_.back();
   MigrationDecision decision;
-  decision.fail = Draw(migration_window_.fail_rate, "fault.migration.failed");
-  decision.delay_seconds = decision.fail ? 0 : migration_window_.delay_seconds;
+  decision.fail = Draw(window.fail_rate, "fault.migration.failed");
+  decision.delay_seconds = decision.fail ? 0 : window.delay_seconds;
   if (decision.delay_seconds > 0 && metrics_ != nullptr) {
     metrics_->counter("fault.migration.delayed")->Increment();
   }
@@ -478,14 +484,15 @@ FaultInjector::MigrationDecision FaultInjector::OnMigrationAttempt() {
 }
 
 FaultInjector::NetDecision FaultInjector::OnStatsReport() {
-  if (net_windows_ <= 0) return {};
+  if (net_windows_.empty()) return {};
+  const FaultEvent& window = net_windows_.back();
   NetDecision decision;
-  decision.drop = Draw(net_window_.drop_rate, "fault.net.dropped");
+  decision.drop = Draw(window.drop_rate, "fault.net.dropped");
   if (decision.drop) return decision;
-  decision.delay_seconds = net_window_.delay_seconds;
-  decision.duplicate = Draw(net_window_.dup_rate, "fault.net.duplicated");
-  decision.corrupt = Draw(net_window_.corrupt_rate, "fault.net.corrupted");
-  decision.reorder = Draw(net_window_.reorder_rate, "fault.net.reordered");
+  decision.delay_seconds = window.delay_seconds;
+  decision.duplicate = Draw(window.dup_rate, "fault.net.duplicated");
+  decision.corrupt = Draw(window.corrupt_rate, "fault.net.corrupted");
+  decision.reorder = Draw(window.reorder_rate, "fault.net.reordered");
   return decision;
 }
 

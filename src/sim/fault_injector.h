@@ -194,19 +194,21 @@ class FaultInjector {
 
   // Decides the fate of one migration attempt. Outside any active
   // migration-fault window this returns {false, 0}; inside, failure is
-  // a seeded Bernoulli draw and the delay is the window's. The draw
-  // sequence is deterministic per seed and per attempt order.
+  // a seeded Bernoulli draw and the delay is the window's (the latest
+  // armed of those still open). The draw sequence is deterministic per
+  // seed and per attempt order.
   MigrationDecision OnMigrationAttempt();
 
   // Decides the fate of one stats report in transit. Outside any net
   // window this returns the all-default (deliver untouched) decision;
-  // inside, each effect is a seeded Bernoulli draw on the window's
-  // rate. A dropped report draws nothing further, so the decision
-  // stream stays deterministic per seed and publish order.
+  // inside, each effect is a seeded Bernoulli draw on the rate of the
+  // latest armed window still open. A dropped report draws nothing
+  // further, so the decision stream stays deterministic per seed and
+  // publish order.
   NetDecision OnStatsReport();
 
-  bool migration_window_active() const { return migration_windows_ > 0; }
-  bool net_window_active() const { return net_windows_ > 0; }
+  bool migration_window_active() const { return !migration_windows_.empty(); }
+  bool net_window_active() const { return !net_windows_.empty(); }
   const FaultSpec& spec() const { return spec_; }
   uint64_t faults_injected() const { return injected_; }
   // Events whose target no longer existed when they fired.
@@ -229,12 +231,10 @@ class FaultInjector {
   bool armed_ = false;
   uint64_t injected_ = 0;
   uint64_t noops_ = 0;
-  // Open migration and net windows, each with the last one armed,
-  // whose rates every decision uses while any window is open.
-  int migration_windows_ = 0;
-  FaultEvent migration_window_;
-  int net_windows_ = 0;
-  FaultEvent net_window_;
+  // Open migration and net windows in arm order; every decision uses
+  // the rates of the last one.
+  std::vector<FaultEvent> migration_windows_;
+  std::vector<FaultEvent> net_windows_;
   MetricsRegistry* metrics_ = nullptr;
   TraceLog* trace_ = nullptr;
 };

@@ -5,9 +5,6 @@
 
 namespace fglb {
 
-ArcBufferPool::ArcBufferPool(uint64_t capacity_pages)
-    : PageCache(capacity_pages) {}
-
 std::list<PageId>& ArcBufferPool::ListOf(List which) {
   switch (which) {
     case List::kT1:
@@ -22,7 +19,7 @@ std::list<PageId>& ArcBufferPool::ListOf(List which) {
   return t1_;
 }
 
-void ArcBufferPool::MoveTo(PageId page, Slot& slot, List to) {
+void ArcBufferPool::MoveTo(Slot& slot, List to) {
   std::list<PageId>& dest = ListOf(to);
   dest.splice(dest.begin(), ListOf(slot.where), slot.it);
   slot.where = to;
@@ -43,9 +40,8 @@ void ArcBufferPool::Replace(bool ghost_hit_in_b2) {
       (t1_.size() > p_ || (ghost_hit_in_b2 && t1_.size() == p_) ||
        t2_.empty());
   const PageId victim = from_t1 ? t1_.back() : t2_.back();
-  MoveTo(victim, map_.at(victim), from_t1 ? List::kB1 : List::kB2);
+  MoveTo(map_.at(victim), from_t1 ? List::kB1 : List::kB2);
   ++stats_.evictions;
-  NotifyEvicted(victim);
 }
 
 bool ArcBufferPool::Access(PageId page) {
@@ -59,7 +55,7 @@ bool ArcBufferPool::Access(PageId page) {
   if (it != map_.end() &&
       (it->second.where == List::kT1 || it->second.where == List::kT2)) {
     // Case I: resident hit — promote to the frequency list.
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     ++stats_.hits;
     return true;
   }
@@ -70,7 +66,7 @@ bool ArcBufferPool::Access(PageId page) {
         std::max<uint64_t>(1, b2_.size() / std::max<size_t>(1, b1_.size()));
     p_ = std::min(c, p_ + delta);
     Replace(false);
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     return false;
   }
   if (it != map_.end() && it->second.where == List::kB2) {
@@ -79,7 +75,7 @@ bool ArcBufferPool::Access(PageId page) {
         std::max<uint64_t>(1, b1_.size() / std::max<size_t>(1, b2_.size()));
     p_ = p_ > delta ? p_ - delta : 0;
     Replace(true);
-    MoveTo(page, it->second, List::kT2);
+    MoveTo(it->second, List::kT2);
     return false;
   }
   // Case IV: cold miss.
@@ -89,10 +85,8 @@ bool ArcBufferPool::Access(PageId page) {
       Replace(false);
     } else {
       // B1 empty and T1 full: the LRU of T1 leaves without a ghost.
-      const PageId victim = t1_.back();
       DropLru(List::kT1);
       ++stats_.evictions;
-      NotifyEvicted(victim);
     }
   } else if (t1_.size() + b1_.size() < c &&
              t1_.size() + t2_.size() + b1_.size() + b2_.size() >= c) {
@@ -104,78 +98,6 @@ bool ArcBufferPool::Access(PageId page) {
   t1_.push_front(page);
   map_[page] = Slot{List::kT1, t1_.begin()};
   return false;
-}
-
-bool ArcBufferPool::Insert(PageId page) {
-  if (capacity_ == 0) return false;
-  auto it = map_.find(page);
-  if (it != map_.end() &&
-      (it->second.where == List::kT1 || it->second.where == List::kT2)) {
-    return false;
-  }
-  // Forget a ghost entry rather than letting the prefetch adapt p.
-  if (it != map_.end()) {
-    ListOf(it->second.where).erase(it->second.it);
-    map_.erase(it);
-  }
-  if (t1_.size() + t2_.size() >= capacity_) Replace(false);
-  // Keep the |T1| + |B1| <= c directory invariant.
-  while (t1_.size() + b1_.size() >= capacity_ && !b1_.empty()) {
-    DropLru(List::kB1);
-  }
-  if (t1_.size() + b1_.size() >= capacity_) return false;
-  t1_.push_back(page);
-  map_[page] = Slot{List::kT1, std::prev(t1_.end())};
-  ++stats_.prefetch_inserts;
-  return true;
-}
-
-bool ArcBufferPool::Erase(PageId page) {
-  auto it = map_.find(page);
-  if (it == map_.end() ||
-      (it->second.where != List::kT1 && it->second.where != List::kT2)) {
-    return false;
-  }
-  ListOf(it->second.where).erase(it->second.it);
-  map_.erase(it);
-  return true;
-}
-
-void ArcBufferPool::Resize(uint64_t capacity_pages) {
-  capacity_ = capacity_pages;
-  if (capacity_ == 0) {
-    for (PageId page : t1_) {
-      ++stats_.evictions;
-      NotifyEvicted(page);
-    }
-    for (PageId page : t2_) {
-      ++stats_.evictions;
-      NotifyEvicted(page);
-    }
-    t1_.clear();
-    t2_.clear();
-    b1_.clear();
-    b2_.clear();
-    map_.clear();
-    p_ = 0;
-    return;
-  }
-  p_ = std::min(p_, capacity_);
-  while (t1_.size() + t2_.size() > capacity_) Replace(false);
-  while (t1_.size() + b1_.size() > capacity_ && !b1_.empty()) {
-    DropLru(List::kB1);
-  }
-  while (map_.size() > 2 * capacity_ && !b2_.empty()) DropLru(List::kB2);
-  while (map_.size() > 2 * capacity_ && !b1_.empty()) DropLru(List::kB1);
-}
-
-void ArcBufferPool::Clear() {
-  t1_.clear();
-  t2_.clear();
-  b1_.clear();
-  b2_.clear();
-  map_.clear();
-  p_ = 0;
 }
 
 }  // namespace fglb

@@ -13,7 +13,7 @@ constexpr int kInitialSlotBits = 4;
 }  // namespace
 
 BufferPool::BufferPool(uint64_t capacity_pages)
-    : PageCache(capacity_pages),
+    : capacity_(capacity_pages),
       slots_(size_t{1} << kInitialSlotBits),
       hash_shift_(64 - kInitialSlotBits) {}
 
@@ -156,7 +156,7 @@ void BufferPool::EvictIfNeeded() {
     const PageId page = slots_[victim].page;
     Remove(victim);
     ++stats_.evictions;
-    NotifyEvicted(page);
+    if (sink_) sink_(page);
   }
 }
 

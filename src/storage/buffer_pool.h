@@ -3,12 +3,29 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace fglb {
+
+// Cumulative counters for one page cache (or cache partition).
+struct BufferPoolStats {
+  uint64_t accesses = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t prefetch_inserts = 0;
+
+  double hit_ratio() const {
+    return accesses > 0 ? static_cast<double>(hits) / accesses : 0.0;
+  }
+  double miss_ratio() const {
+    return accesses > 0 ? static_cast<double>(misses) / accesses : 0.0;
+  }
+};
 
 // LRU page cache modeling one InnoDB buffer pool (or one partition of
 // it). Purely a containment simulator: it answers hit/miss and tracks
@@ -21,34 +38,48 @@ namespace fglb {
 // miss or an eviction allocates nothing once the table has grown to
 // the pool's working size. The table grows on demand; it is never
 // sized from the capacity.
-class BufferPool : public PageCache {
+class BufferPool {
  public:
+  // Called with every page that leaves residency under capacity
+  // pressure (replacement or a shrinking Resize) — the tiered pool's
+  // demote-on-DRAM-evict hook. Not called by Clear() (a drop, not an
+  // eviction) or Erase() (a promotion, the page moves up, not down).
+  using EvictionSink = std::function<void(PageId)>;
+
   explicit BufferPool(uint64_t capacity_pages);
 
   // References `page`, promoting it to most-recently-used. Returns true
   // on a hit. On a miss the page is brought in, evicting the LRU page
   // if the pool is full.
-  bool Access(PageId page) override;
+  bool Access(PageId page);
 
   // Inserts a page without counting an access (read-ahead landing).
   // Returns true if the page was actually brought in; no-op returning
   // false if already resident (residency is refreshed to MRU by real
   // accesses only, matching InnoDB's treatment of prefetched pages).
   // A zero-capacity pool also returns false.
-  bool Insert(PageId page) override;
+  bool Insert(PageId page);
 
-  bool Contains(PageId page) const override;
+  bool Contains(PageId page) const;
 
-  bool Erase(PageId page) override;
+  // Removes `page` from residency without counting an eviction — the
+  // caller is promoting it to a faster tier, not discarding it.
+  // Returns true if it was resident.
+  bool Erase(PageId page);
 
   // Shrinks or grows the pool, evicting LRU pages as needed. A zero
   // capacity pool misses every access and caches nothing.
-  void Resize(uint64_t capacity_pages) override;
+  void Resize(uint64_t capacity_pages);
 
   // Drops all resident pages (counters are retained).
-  void Clear() override;
+  void Clear();
 
-  uint64_t resident_pages() const override { return resident_; }
+  uint64_t resident_pages() const { return resident_; }
+  uint64_t capacity() const { return capacity_; }
+  const BufferPoolStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = BufferPoolStats(); }
+
+  void set_eviction_sink(EvictionSink sink) { sink_ = std::move(sink); }
 
  private:
   using Index = uint32_t;
@@ -87,6 +118,9 @@ class BufferPool : public PageCache {
   void GrowTable();
   void EvictIfNeeded();
 
+  uint64_t capacity_;
+  BufferPoolStats stats_;
+  EvictionSink sink_;
   Index head_ = kNil;  // most recently used
   Index tail_ = kNil;  // least recently used
   uint64_t resident_ = 0;

@@ -6,43 +6,29 @@
 #include <unordered_map>
 #include <vector>
 
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
 
 namespace fglb {
 
-// CLOCK (second-chance) page cache with the same interface surface as
-// BufferPool. Real engines often approximate LRU with CLOCK because it
-// avoids list maintenance on every hit; but CLOCK does *not* satisfy
-// the inclusion property Mattson's stack algorithm depends on, so MRC
-// predictions are only approximate for it. The
-// bench_ablation_replacement binary quantifies that gap — the
-// sensitivity of the paper's whole memory-diagnosis pipeline to its
-// LRU assumption.
-class ClockBufferPool : public PageCache {
+// CLOCK (second-chance) page cache, a subject of ablation A5
+// (bench_ablation_replacement) beside BufferPool. Real engines often
+// approximate LRU with CLOCK because it avoids list maintenance on
+// every hit; but CLOCK does *not* satisfy the inclusion property
+// Mattson's stack algorithm depends on, so MRC predictions are only
+// approximate for it. A5 quantifies that gap — the sensitivity of the
+// paper's whole memory-diagnosis pipeline to its LRU assumption.
+class ClockBufferPool {
  public:
-  explicit ClockBufferPool(uint64_t capacity_pages);
+  explicit ClockBufferPool(uint64_t capacity_pages) : frames_(capacity_pages) {}
 
   // References `page`, setting its reference bit. Returns true on hit.
-  bool Access(PageId page) override;
+  bool Access(PageId page);
 
-  // Read-ahead landing: installs the page with a clear reference bit
-  // (first in line for eviction unless actually used). Returns true if
-  // the page was brought in.
-  bool Insert(PageId page) override;
+  bool Contains(PageId page) const { return map_.contains(page); }
 
-  bool Contains(PageId page) const override { return map_.contains(page); }
-
-  bool Erase(PageId page) override;
-
-  // Rebuilds the frame table at the new capacity, keeping the pages
-  // furthest from the hand (the ones CLOCK would have evicted last)
-  // when shrinking. The hand restarts at frame 0.
-  void Resize(uint64_t capacity_pages) override;
-
-  void Clear() override;
-
-  uint64_t resident_pages() const override { return map_.size(); }
+  uint64_t resident_pages() const { return map_.size(); }
+  const BufferPoolStats& stats() const { return stats_; }
 
  private:
   struct Frame {
@@ -54,8 +40,9 @@ class ClockBufferPool : public PageCache {
   // Finds a victim frame index, advancing the hand and clearing
   // reference bits (second chance). Requires capacity > 0.
   size_t FindVictim();
-  void InstallAt(size_t index, PageId page, bool referenced);
 
+  BufferPoolStats stats_;
+  // One frame per page of capacity.
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> map_;
   size_t hand_ = 0;

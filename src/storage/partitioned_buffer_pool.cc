@@ -2,73 +2,50 @@
 
 #include <cassert>
 
-#include "storage/arc_buffer_pool.h"
-#include "storage/buffer_pool.h"
-#include "storage/clock_buffer_pool.h"
-
 namespace fglb {
 
 PartitionedBufferPool::PartitionedBufferPool(uint64_t capacity_pages,
-                                             ReplacementPolicy policy)
-    : capacity_(capacity_pages),
-      policy_(policy),
-      shared_(MakePool(kSharedPartition, capacity_pages)) {}
+                                             ReplacementPolicy)
+    : capacity_(capacity_pages), shared_(capacity_pages) {}
 
-std::unique_ptr<PageCache> PartitionedBufferPool::MakePool(
-    PartitionKey key, uint64_t capacity_pages) const {
-  std::unique_ptr<PageCache> pool;
-  switch (policy_) {
-    case ReplacementPolicy::kLru:
-      pool = std::make_unique<BufferPool>(capacity_pages);
-      break;
-    case ReplacementPolicy::kClock:
-      pool = std::make_unique<ClockBufferPool>(capacity_pages);
-      break;
-    case ReplacementPolicy::kArc:
-      pool = std::make_unique<ArcBufferPool>(capacity_pages);
-      break;
-  }
-  BindSink(key, pool.get());
-  return pool;
-}
-
-void PartitionedBufferPool::BindSink(PartitionKey key, PageCache* pool) const {
+void PartitionedBufferPool::BindSink(PartitionKey key,
+                                     BufferPool& pool) const {
   if (listener_) {
-    pool->set_eviction_sink(
+    pool.set_eviction_sink(
         [listener = listener_, key](PageId page) { listener(key, page); });
   } else {
-    pool->set_eviction_sink(nullptr);
+    pool.set_eviction_sink(nullptr);
   }
 }
 
 void PartitionedBufferPool::SetEvictionListener(EvictionListener listener) {
   listener_ = std::move(listener);
-  BindSink(kSharedPartition, shared_.get());
-  for (auto& [key, pool] : dedicated_) BindSink(key, pool.get());
+  BindSink(kSharedPartition, shared_);
+  for (auto& [key, pool] : dedicated_) BindSink(key, pool);
 }
 
 bool PartitionedBufferPool::SetQuota(PartitionKey key, uint64_t quota_pages) {
   assert(key != kSharedPartition);
   auto it = dedicated_.find(key);
-  const uint64_t current = it != dedicated_.end() ? it->second->capacity() : 0;
+  const uint64_t current = it != dedicated_.end() ? it->second.capacity() : 0;
   const uint64_t new_total = dedicated_total_ - current + quota_pages;
   if (new_total > capacity_) return false;
   if (it != dedicated_.end()) {
-    it->second->Resize(quota_pages);
+    it->second.Resize(quota_pages);
   } else {
-    dedicated_.emplace(key, MakePool(key, quota_pages));
+    BindSink(key, dedicated_.try_emplace(key, quota_pages).first->second);
   }
   dedicated_total_ = new_total;
-  shared_->Resize(capacity_ - dedicated_total_);
+  shared_.Resize(capacity_ - dedicated_total_);
   return true;
 }
 
 void PartitionedBufferPool::DropQuota(PartitionKey key) {
   auto it = dedicated_.find(key);
   if (it == dedicated_.end()) return;
-  dedicated_total_ -= it->second->capacity();
+  dedicated_total_ -= it->second.capacity();
   dedicated_.erase(it);
-  shared_->Resize(capacity_ - dedicated_total_);
+  shared_.Resize(capacity_ - dedicated_total_);
 }
 
 bool PartitionedBufferPool::HasQuota(PartitionKey key) const {
@@ -77,29 +54,29 @@ bool PartitionedBufferPool::HasQuota(PartitionKey key) const {
 
 uint64_t PartitionedBufferPool::QuotaOf(PartitionKey key) const {
   auto it = dedicated_.find(key);
-  return it != dedicated_.end() ? it->second->capacity() : 0;
+  return it != dedicated_.end() ? it->second.capacity() : 0;
 }
 
-PageCache* PartitionedBufferPool::PoolFor(PartitionKey key) {
+BufferPool& PartitionedBufferPool::PoolFor(PartitionKey key) {
   auto it = dedicated_.find(key);
-  return it != dedicated_.end() ? it->second.get() : shared_.get();
+  return it != dedicated_.end() ? it->second : shared_;
 }
 
-const PageCache* PartitionedBufferPool::PoolFor(PartitionKey key) const {
+const BufferPool& PartitionedBufferPool::PoolFor(PartitionKey key) const {
   auto it = dedicated_.find(key);
-  return it != dedicated_.end() ? it->second.get() : shared_.get();
+  return it != dedicated_.end() ? it->second : shared_;
 }
 
 bool PartitionedBufferPool::Access(PartitionKey key, PageId page) {
-  return PoolFor(key)->Access(page);
+  return PoolFor(key).Access(page);
 }
 
 bool PartitionedBufferPool::Insert(PartitionKey key, PageId page) {
-  return PoolFor(key)->Insert(page);
+  return PoolFor(key).Insert(page);
 }
 
 bool PartitionedBufferPool::Contains(PartitionKey key, PageId page) const {
-  return PoolFor(key)->Contains(page);
+  return PoolFor(key).Contains(page);
 }
 
 std::string PartitionMetricsPrefix(const std::string& prefix,
@@ -110,7 +87,7 @@ std::string PartitionMetricsPrefix(const std::string& prefix,
 }
 
 const BufferPoolStats& PartitionedBufferPool::StatsOf(PartitionKey key) const {
-  return PoolFor(key)->stats();
+  return PoolFor(key).stats();
 }
 
 std::vector<PartitionKey> PartitionedBufferPool::DedicatedKeys() const {
@@ -121,25 +98,25 @@ std::vector<PartitionKey> PartitionedBufferPool::DedicatedKeys() const {
 }
 
 void PartitionedBufferPool::ResetStats() {
-  shared_->ResetStats();
-  for (auto& [key, pool] : dedicated_) pool->ResetStats();
+  shared_.ResetStats();
+  for (auto& [key, pool] : dedicated_) pool.ResetStats();
 }
 
 uint64_t PartitionedBufferPool::resident_pages() const {
-  uint64_t total = shared_->resident_pages();
-  for (const auto& [key, pool] : dedicated_) total += pool->resident_pages();
+  uint64_t total = shared_.resident_pages();
+  for (const auto& [key, pool] : dedicated_) total += pool.resident_pages();
   return total;
 }
 
 void PartitionedBufferPool::Clear() {
-  shared_->Clear();
-  for (auto& [key, pool] : dedicated_) pool->Clear();
+  shared_.Clear();
+  for (auto& [key, pool] : dedicated_) pool.Clear();
 }
 
 namespace {
 
 void PublishPool(MetricsRegistry* registry, const std::string& prefix,
-                 const PageCache& pool) {
+                 const BufferPool& pool) {
   const BufferPoolStats& stats = pool.stats();
   registry->counter(prefix + "accesses")->Set(stats.accesses);
   registry->counter(prefix + "hits")->Set(stats.hits);
@@ -161,13 +138,13 @@ void PartitionedBufferPool::PublishMetrics(MetricsRegistry* registry,
   // Every partition's gauges are zeroed first, so a partition that no
   // longer exists reads 0 and the live ones are set below.
   registry->ZeroGauges(prefix + "class_");
-  PublishPool(registry, prefix + "shared.", *shared_);
+  PublishPool(registry, prefix + "shared.", shared_);
   registry->gauge(prefix + "partitions")
       ->Set(static_cast<double>(dedicated_.size()));
   registry->gauge(prefix + "dedicated_pages")
       ->Set(static_cast<double>(dedicated_total_));
   for (const auto& [key, pool] : dedicated_) {
-    PublishPool(registry, PartitionMetricsPrefix(prefix, key), *pool);
+    PublishPool(registry, PartitionMetricsPrefix(prefix, key), pool);
   }
 }
 

@@ -4,16 +4,20 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics_registry.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
-#include "storage/page_cache.h"
-#include "storage/replacement_policy.h"
 
 namespace fglb {
+
+// Every partition is LRU. This one-value policy remains only because
+// bench/e2e/fglb_e2e.cc names it; nothing in src reads it.
+enum class ReplacementPolicy { kLru };
+// The partition type under the name bench/e2e/fglb_e2e.cc spells.
+using PageCache = BufferPool;
 
 // Key selecting which partition an access is charged to. The engine
 // maps query classes to partition keys; kSharedPartition is the default
@@ -30,20 +34,18 @@ std::string PartitionMetricsPrefix(const std::string& prefix,
 // dedicated per-query-class partitions with fixed page quotas — the
 // paper's memory-quota enforcement mechanism (§3.3.2, Table 1). The
 // shared region always owns whatever capacity the dedicated quotas do
-// not take. Every partition runs the same replacement policy, chosen
-// at construction (LRU by default; CLOCK and ARC let scenarios probe
-// the planner's sensitivity to the LRU inclusion assumption). The
-// engine's DRAM pool is one; TieredBufferPool's SSD tier is another,
-// always LRU.
+// not take. Every partition is an LRU BufferPool, the policy the
+// planner's Mattson curves describe. The engine's DRAM pool is one;
+// TieredBufferPool's SSD tier is another.
 class PartitionedBufferPool {
  public:
   // Observes every page evicted under capacity pressure, tagged with
   // the partition it left — the tiered pool's demote feed.
   using EvictionListener = std::function<void(PartitionKey, PageId)>;
 
-  explicit PartitionedBufferPool(
-      uint64_t capacity_pages,
-      ReplacementPolicy policy = ReplacementPolicy::kLru);
+  // The policy parameter is unread; bench/e2e/fglb_e2e.cc passes one.
+  explicit PartitionedBufferPool(uint64_t capacity_pages,
+                                 ReplacementPolicy = ReplacementPolicy::kLru);
   PartitionedBufferPool(const PartitionedBufferPool&) = delete;
   PartitionedBufferPool& operator=(const PartitionedBufferPool&) = delete;
 
@@ -76,21 +78,20 @@ class PartitionedBufferPool {
   // The engine resolves once per query and walks the access string
   // against the pool directly, instead of paying the partition lookup
   // on every page access.
-  PageCache& PartitionOf(PartitionKey key) { return *PoolFor(key); }
+  BufferPool& PartitionOf(PartitionKey key) { return PoolFor(key); }
 
   // Installs (or replaces) the eviction listener on the shared region
   // and every dedicated partition, current and future.
   void SetEvictionListener(EvictionListener listener);
 
-  ReplacementPolicy policy() const { return policy_; }
   uint64_t capacity() const { return capacity_; }
-  uint64_t shared_capacity() const { return shared_->capacity(); }
+  uint64_t shared_capacity() const { return shared_.capacity(); }
   uint64_t dedicated_total() const { return dedicated_total_; }
 
   // Stats for a key's partition: the dedicated partition if one exists,
   // otherwise the shared region's aggregate stats.
   const BufferPoolStats& StatsOf(PartitionKey key) const;
-  const BufferPoolStats& shared_stats() const { return shared_->stats(); }
+  const BufferPoolStats& shared_stats() const { return shared_.stats(); }
 
   // Keys of all dedicated partitions, in key order.
   std::vector<PartitionKey> DedicatedKeys() const;
@@ -112,20 +113,19 @@ class PartitionedBufferPool {
   void PublishMetrics(MetricsRegistry* registry, const std::string& prefix);
 
  private:
-  PageCache* PoolFor(PartitionKey key);
-  const PageCache* PoolFor(PartitionKey key) const;
-  // Builds a partition of the configured policy, with the current
-  // eviction listener bound to `key`.
-  std::unique_ptr<PageCache> MakePool(PartitionKey key,
-                                      uint64_t capacity_pages) const;
-  void BindSink(PartitionKey key, PageCache* pool) const;
+  BufferPool& PoolFor(PartitionKey key);
+  const BufferPool& PoolFor(PartitionKey key) const;
+  // Points `pool`'s eviction sink at the current listener, tagged with
+  // `key`.
+  void BindSink(PartitionKey key, BufferPool& pool) const;
 
   uint64_t capacity_;
-  ReplacementPolicy policy_;
   uint64_t dedicated_total_ = 0;
   EvictionListener listener_;
-  std::unique_ptr<PageCache> shared_;
-  std::map<PartitionKey, std::unique_ptr<PageCache>> dedicated_;
+  BufferPool shared_;
+  // Map nodes never move, so a partition keeps its address while it
+  // exists, as PartitionOf's contract needs.
+  std::map<PartitionKey, BufferPool> dedicated_;
 };
 
 }  // namespace fglb

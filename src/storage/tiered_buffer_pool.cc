@@ -5,7 +5,7 @@
 namespace fglb {
 
 TieredBufferPool::TieredBufferPool(const TierConfig& config)
-    : config_(config), regions_(config.pages, ReplacementPolicy::kLru) {}
+    : config_(config), regions_(config.pages) {}
 
 void TieredBufferPool::Demote(PartitionKey key, PageId page) {
   if (failed_ || !config_.demote) {
@@ -20,8 +20,8 @@ bool TieredBufferPool::PromoteHit(PartitionKey key, PageId page) {
     ++tier_misses_;
     return false;
   }
-  PageCache& own = regions_.PartitionOf(key);
-  PageCache& shared = regions_.PartitionOf(kSharedPartition);
+  BufferPool& own = regions_.PartitionOf(key);
+  BufferPool& shared = regions_.PartitionOf(kSharedPartition);
   if (own.Erase(page) || (&own != &shared && shared.Erase(page))) {
     ++promotions_;
     return true;

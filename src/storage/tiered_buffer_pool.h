@@ -105,8 +105,6 @@ class TieredBufferPool {
   uint64_t dropped_demotions_ = 0;
   uint64_t promotions_ = 0;
   uint64_t tier_misses_ = 0;
-  // Tier-2 partitions are always LRU: the tier is an admission queue
-  // of DRAM cast-offs, not a policy under study.
   PartitionedBufferPool regions_;
 };
 

@@ -1,7 +1,6 @@
 // Tests for the ARC buffer pool: hand-traced adaptation behaviour,
-// scan resistance vs the CLOCK pool, hit-rate parity with plain LRU on
-// reuse-friendly traces, prefetch landing semantics, and the
-// ReplacementPolicy name/parse round trip.
+// scan resistance vs the CLOCK pool, and hit-rate parity with plain LRU
+// on reuse-friendly traces.
 
 #include <algorithm>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "storage/arc_buffer_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/clock_buffer_pool.h"
-#include "storage/replacement_policy.h"
 
 namespace fglb {
 namespace {
@@ -83,7 +81,6 @@ TEST(ArcBufferPoolTest, ZeroCapacityPoolMissesEverything) {
   ArcBufferPool arc(0);
   EXPECT_FALSE(arc.Access(P(1)));
   EXPECT_FALSE(arc.Access(P(1)));
-  EXPECT_FALSE(arc.Insert(P(2)));
   EXPECT_EQ(arc.resident_pages(), 0u);
   EXPECT_EQ(arc.stats().misses, 2u);
 }
@@ -114,35 +111,6 @@ TEST(ArcBufferPoolTest, GhostHitInB1GrowsRecencyTarget) {
   EXPECT_GT(arc.target_t1(), 0u);
   EXPECT_TRUE(arc.Contains(P(2)));   // reloaded into T2
   EXPECT_TRUE(arc.Access(P(2)));
-}
-
-TEST(ArcBufferPoolTest, InsertLandsColdAndIsFirstEvicted) {
-  ArcBufferPool arc(3);
-  EXPECT_TRUE(arc.Insert(P(1)));
-  EXPECT_FALSE(arc.Insert(P(1)));  // already resident
-  EXPECT_TRUE(arc.Contains(P(1)));
-  EXPECT_EQ(arc.stats().prefetch_inserts, 1u);
-  EXPECT_EQ(arc.stats().accesses, 0u);  // Insert is not an access
-  // Fill the pool with demand pages; the unused prefetched page must
-  // be the first to go even though it arrived earliest -> last in LRU
-  // order would keep it; cold landing evicts it.
-  arc.Access(P(2));
-  arc.Access(P(3));
-  arc.Access(P(4));
-  EXPECT_FALSE(arc.Contains(P(1)));
-  EXPECT_TRUE(arc.Contains(P(2)));
-  EXPECT_TRUE(arc.Contains(P(3)));
-  EXPECT_TRUE(arc.Contains(P(4)));
-}
-
-TEST(ArcBufferPoolTest, PrefetchedPageSurvivesWhenUsed) {
-  ArcBufferPool arc(3);
-  ASSERT_TRUE(arc.Insert(P(1)));
-  EXPECT_TRUE(arc.Access(P(1)));  // a real use refreshes it
-  arc.Access(P(2));
-  arc.Access(P(3));
-  arc.Access(P(4));
-  EXPECT_TRUE(arc.Contains(P(1)));  // promoted to T2, not first victim
 }
 
 // --- Scan resistance ---
@@ -186,23 +154,6 @@ TEST(ArcBufferPoolTest, CloseToLruOnSkewedTraces) {
           << "seed " << seed << " cache " << cache;
     }
   }
-}
-
-// --- Policy round trip ---
-
-TEST(ReplacementPolicyTest, NameParseRoundTrip) {
-  for (const ReplacementPolicy policy :
-       {ReplacementPolicy::kLru, ReplacementPolicy::kClock,
-        ReplacementPolicy::kArc}) {
-    ReplacementPolicy parsed;
-    ASSERT_TRUE(ParseReplacementPolicy(ReplacementPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  EXPECT_STREQ(ReplacementPolicyName(ReplacementPolicy::kArc), "arc");
-  ReplacementPolicy unused;
-  EXPECT_FALSE(ParseReplacementPolicy("fifo", &unused));
-  EXPECT_FALSE(ParseReplacementPolicy("", &unused));
-  EXPECT_FALSE(ParseReplacementPolicy("LRU", &unused));
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ TEST(ClockPoolTest, ZeroCapacityAlwaysMisses) {
   ClockBufferPool pool(0);
   EXPECT_FALSE(pool.Access(MakePageId(1, 1)));
   EXPECT_FALSE(pool.Access(MakePageId(1, 1)));
-  EXPECT_FALSE(pool.Insert(MakePageId(1, 2)));
   EXPECT_EQ(pool.resident_pages(), 0u);
 }
 
@@ -45,26 +44,6 @@ TEST(ClockPoolTest, SecondChanceProtectsReferencedPage) {
   // Exactly one of pages 1/2 survived.
   EXPECT_NE(pool.Contains(MakePageId(1, 1)),
             pool.Contains(MakePageId(1, 2)));
-}
-
-TEST(ClockPoolTest, PrefetchedPagesAreFirstVictims) {
-  ClockBufferPool pool(3);
-  pool.Access(MakePageId(1, 1));
-  pool.Access(MakePageId(1, 2));
-  EXPECT_TRUE(pool.Insert(MakePageId(1, 3)));  // unreferenced
-  // A miss should evict the unreferenced prefetched page, not the
-  // referenced ones.
-  pool.Access(MakePageId(1, 4));
-  EXPECT_TRUE(pool.Contains(MakePageId(1, 1)));
-  EXPECT_TRUE(pool.Contains(MakePageId(1, 2)));
-  EXPECT_FALSE(pool.Contains(MakePageId(1, 3)));
-}
-
-TEST(ClockPoolTest, InsertExistingIsNoop) {
-  ClockBufferPool pool(4);
-  pool.Access(MakePageId(1, 1));
-  EXPECT_FALSE(pool.Insert(MakePageId(1, 1)));
-  EXPECT_EQ(pool.stats().prefetch_inserts, 0u);
 }
 
 // CLOCK approximates LRU: on skewed traces its hit ratio should be in

@@ -4,6 +4,7 @@
 
 #include "engine/metrics.h"
 #include "engine/stats_collector.h"
+#include "mrc/miss_ratio_curve.h"
 #include "workload/tpcw.h"
 
 namespace fglb {
@@ -161,6 +162,41 @@ TEST_F(EngineTest, QuotaConfinesClass) {
   EXPECT_GT(engine_->pool().StatsOf(key).accesses, 0u);
   engine_->DropQuota(key);
   EXPECT_FALSE(engine_->pool().HasQuota(key));
+}
+
+// The quota planner sizes a partition by reading the class's Mattson
+// curve at the quota, which is exact only for an LRU partition. A
+// point-lookup class (no read-ahead, so every page is one Access) run
+// alone in a fresh dedicated partition must miss exactly as the curve
+// of its own access window predicts at that size.
+TEST(EnginePartitionTest, QuotaPartitionMissesAsItsCurvePredicts) {
+  const ApplicationSpec app = MakeTpcw();
+  const DiskModel disk;
+  for (const QueryClassId cls : {kTpcwProductDetail, kTpcwBestSeller}) {
+    for (const uint64_t quota : {64u, 256u, 1024u}) {
+      SCOPED_TRACE(::testing::Message() << "class " << cls << ", quota "
+                                        << quota);
+      DatabaseEngine::Options options;
+      options.access_window_capacity = size_t{1} << 20;
+      DatabaseEngine engine("e", options, &disk);
+      const QueryInstance q = MakeQuery(app, cls);
+      ASSERT_TRUE(engine.SetQuota(q.class_key(), quota));
+      uint64_t accesses = 0;
+      for (int i = 0; i < 1000; ++i) {
+        const ExecutionCounters c = engine.Execute(q);
+        ASSERT_EQ(c.read_aheads, 0u);
+        accesses += c.page_accesses;
+      }
+      // The window holds every access the partition saw.
+      const std::vector<PageId> window =
+          engine.stats().AccessWindow(q.class_key());
+      ASSERT_EQ(window.size(), accesses);
+      ASSERT_EQ(engine.pool().StatsOf(q.class_key()).accesses, accesses);
+      EXPECT_NEAR(engine.pool().StatsOf(q.class_key()).miss_ratio(),
+                  MissRatioCurve::FromTrace(window).MissRatioAt(quota),
+                  1e-12);
+    }
+  }
 }
 
 TEST_F(EngineTest, RecordCompletionFeedsStats) {

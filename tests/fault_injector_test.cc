@@ -768,6 +768,37 @@ TEST(FaultInjectorTest, NoInterferenceOutsideMigrationWindow) {
   EXPECT_DOUBLE_EQ(d.delay_seconds, 0.0);
 }
 
+TEST(FaultInjectorTest, AClosedInnerWindowLeavesTheOuterWindowsRates) {
+  Simulator sim;
+  RecordingBackend backend(&sim);
+  FaultSpec spec;
+  std::string error;
+  ASSERT_TRUE(FaultSpec::Parse(
+      "migration@0:delay=1,fail=0,duration=100;"
+      "migration@10:delay=5,fail=1,duration=10;"
+      "net@0:drop=0,delay=2,duration=100;"
+      "net@10:drop=1,duration=10",
+      &spec, &error))
+      << error;
+  FaultInjector injector(&sim, &backend, std::move(spec), /*seed=*/3);
+  injector.Arm();
+  sim.RunUntil(15);  // both inner windows open: fail=1, drop=1
+  EXPECT_TRUE(injector.OnMigrationAttempt().fail);
+  EXPECT_TRUE(injector.OnStatsReport().drop);
+  sim.RunUntil(30);  // inner windows closed at t = 20
+  ASSERT_TRUE(injector.migration_window_active());
+  ASSERT_TRUE(injector.net_window_active());
+  const auto migration = injector.OnMigrationAttempt();
+  EXPECT_FALSE(migration.fail);
+  EXPECT_DOUBLE_EQ(migration.delay_seconds, 1.0);
+  const auto net = injector.OnStatsReport();
+  EXPECT_FALSE(net.drop);
+  EXPECT_DOUBLE_EQ(net.delay_seconds, 2.0);
+  sim.RunUntil(105);  // outer windows closed at t = 100
+  EXPECT_FALSE(injector.migration_window_active());
+  EXPECT_FALSE(injector.net_window_active());
+}
+
 // --- end-to-end deterministic replay (the PR's acceptance check) ---
 
 struct ChaosRun {

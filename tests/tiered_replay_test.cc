@@ -167,7 +167,6 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
   run.seed = 3;
   run.tier2_pages = 8192;
   run.tier2_read_us = 250;
-  run.replacement = ReplacementPolicy::kArc;
   RunLive(path, run);
 
   Capture capture;
@@ -176,18 +175,15 @@ TEST(TieredReplayTest, TierConfigRoundTripsThroughCaptureInfoBlock) {
   EXPECT_EQ(capture.run.tier2_pages, 8192u);
   EXPECT_EQ(capture.run.tier2_read_us, 250);
   EXPECT_TRUE(capture.run.tier2_demote);
-  EXPECT_EQ(capture.run.replacement, ReplacementPolicy::kArc);
 
-  // Building the replay installs both as engine defaults before any
-  // replica exists, so the rebuilt engines carry the same hierarchy.
+  // Building the replay installs the tier as the engine default before
+  // any replica exists, so the rebuilt engines carry the same hierarchy.
   ReplayRunner runner(&capture, ReplayBuildOptions{});
   ASSERT_TRUE(runner.Build(&error)) << error;
   const TierConfig& rebuilt = runner.harness()->resources().engine_tier();
   EXPECT_EQ(rebuilt.pages, 8192u);
   EXPECT_DOUBLE_EQ(rebuilt.read_us, 250);
   EXPECT_TRUE(rebuilt.demote);
-  EXPECT_EQ(runner.harness()->resources().engine_replacement(),
-            ReplacementPolicy::kArc);
   std::remove(path.c_str());
 }
 

@@ -447,7 +447,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
   recovery_test replay_codec_test storage_test workload_test \
   common_random_test run_config_test retuner_property_test \
   fault_injector_test trace_log_test
-ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|ReplacementPolicy|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|TraceCheck|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec|FaultInjector'
+ASAN_TESTS='Admission|Scheduler|FailureInjection|SimDeterminism|ScaleReplay|SpanTracer|MrcReplay|OptOracle|OptForward|OptDominance|RegretVsOpt|ArcBufferPool|TieredBufferPool|TieredReplay|QuotaPlannerTiered|MissRatioCurveTier|StatsChannel|ControllerCheckpoint|RecoveryTest|ReplayCodec|TraceTest|TraceCheck|BufferPool|PartitionedPool|AccessGenerator|Zipf|Scramble|Crc|KvSpec|SpecGrammar|SpecRoundTrip|RunConfig|CliFlag|RetunerProperty|FaultSpec|FaultInjector'
 require_every_alternative "${PREFIX}-asan" "${ASAN_TESTS}"
 ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
   -R "${ASAN_TESTS}"

@@ -11,7 +11,7 @@
 #   --seeds=LIST                --seed values to run (default "1 7")
 #   SCENARIO...                 default: all twelve scenarios
 #   FGLB_SIM_FLAG...            extra flags for every fglb_sim run, e.g.
-#                               --replacement=arc or --duration=300
+#                               --mrc-sample-rate=0.125 or --duration=300
 #
 # Per scenario and seed it compares:
 #   - --output=actions-csv and --output=samples-csv (cmp);
